@@ -9,7 +9,7 @@ runs in under a minute; the shipped CLI does the same thing on the full
 import numpy as np
 
 from roadwarn import audio_io, features, synth
-from roadwarn.classifiers import (LabeledDataset, MlpConfig, SoundClass,
+from roadwarn.classifiers import (FEATURE_SETS, LabeledDataset, MlpConfig, SoundClass,
                                   evaluate_cv, make_trainer, train_mlp)
 from roadwarn.cli import render_grid, render_metrics
 
@@ -42,9 +42,7 @@ grid = {}
 for name in ("mlp", "knn", "nb", "dt"):
     kwargs = {"learning_rate": 0.5, "epochs": 200} if name == "mlp" else {}
     grid[name] = {}
-    for set_name, cols in (("five", list(range(5))),
-                           ("cepstral", list(range(5, 31))),
-                           ("all", list(range(31)))):
+    for set_name, cols in FEATURE_SETS.items():
         m = evaluate_cv(data.select_columns(cols),
                         make_trainer(name, seed=0, **kwargs), folds=FOLDS, seed=0)
         grid[name][set_name] = m.overall_accuracy

@@ -66,13 +66,10 @@ class Frame:
 @dataclass(frozen=True)
 class FramingConfig:
     frame_length: float = DEFAULT_FRAME_SECONDS
-    window: str = "rectangular"  # or "hann"
 
     def __post_init__(self):
         if self.frame_length <= 0:
             raise ValueError("frame_length must be positive")
-        if self.window not in ("rectangular", "hann"):
-            raise ValueError(f"unknown window {self.window!r}")
 
 
 def _parse_wav_chunks(data: bytes):

@@ -244,7 +244,7 @@ def train_knn(data: LabeledDataset, k: int = 5) -> KnnModel:
 # Gaussian Naive Bayes
 
 class GnbModel:
-    kind = "gnb"
+    kind = "nb"
 
     def __init__(self, mean, std, classes, class_means, class_vars, log_priors):
         self.mean, self.std = mean, std
@@ -501,11 +501,16 @@ def evaluate_cv(data: LabeledDataset, trainer, folds: int = 6, seed: int = 0) ->
     return compute_metrics(y_true, y_pred)
 
 
+# Column subsets of a feature vector, valid for any [features] dimensions:
+# the five spectral scalars always lead, MFCC + LPC + gain follow.
 FEATURE_SETS = {
-    "five": list(range(0, 5)),      # the spectral scalars
-    "cepstral": list(range(5, 31)),  # MFCC + LPC + gain
-    "all": list(range(0, 31)),
+    "five": slice(0, 5),
+    "cepstral": slice(5, None),
+    "all": slice(None),
 }
+
+# The narrowest vector extraction can produce: 5 scalars, 1 MFCC, the LPC gain.
+MIN_FEATURE_DIM = 7
 
 CLASSIFIER_NAMES = ["mlp", "knn", "nb", "dt"]
 
@@ -530,10 +535,11 @@ def compare_feature_sets(data: LabeledDataset, seed: int = 0, folds: int = 6,
     """Overall CV accuracy for every classifier x feature-set combination.
 
     Returns {classifier: {set_name: percent}} over the sets 'five',
-    'cepstral' and 'all'; expects full 31-dimensional vectors.
+    'cepstral' and 'all'; expects whole feature vectors of any dimensions.
     """
-    if data.X.shape[1] != 31:
-        raise ValueError("compare_feature_sets expects full 31-dim vectors")
+    if data.X.shape[1] < MIN_FEATURE_DIM:
+        raise ValueError(f"compare_feature_sets expects whole feature vectors "
+                         f"(>= {MIN_FEATURE_DIM} columns), got {data.X.shape[1]}")
     grid = {}
     for name in CLASSIFIER_NAMES:
         kwargs = dict(mlp_kwargs or {}) if name == "mlp" else {}
@@ -548,8 +554,7 @@ def compare_feature_sets(data: LabeledDataset, seed: int = 0, folds: int = 6,
 # ---------------------------------------------------------------------------
 # Persistence
 
-_MODEL_KINDS = {"mlp": MlpModel, "knn": KnnModel, "gnb": GnbModel, "dt": DtModel,
-                "nb": GnbModel}
+_MODEL_KINDS = {cls.kind: cls for cls in (MlpModel, KnnModel, GnbModel, DtModel)}
 
 
 def save_model(path, model, extra: dict | None = None) -> None:
@@ -573,6 +578,8 @@ def _read_doc(path) -> dict:
 def load_model(path):
     doc = _read_doc(path)
     kind = doc.get("kind")
+    if kind == "gnb":  # Naive Bayes files saved before the kind took the CLI name
+        kind = "nb"
     if kind not in _MODEL_KINDS:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
     return _MODEL_KINDS[kind].from_dict(doc)

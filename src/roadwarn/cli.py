@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import audio_io, classifiers, decision, features, synth, warnd
 from .classifiers import CLASS_ORDER, FEATURE_SETS, SoundClass
-from .deployment import load_plan_config, warning_decision
+from .deployment import load_plan_config, warning_decision, warning_lead_time
 from .features import LpcConfig, MfccConfig
 
 
@@ -60,15 +61,11 @@ class RunConfig:
         self.lpc = LpcConfig(order=int(feat["lpc_order"])) if "lpc_order" in feat \
             else LpcConfig()
         self.classifier_kwargs = {"mlp": {}, "knn": {}, "nb": {}, "dt": {}}
-        if parser.has_section("mlp"):
-            for key, cast in (("hidden_units", int), ("learning_rate", float),
-                              ("epochs", int)):
-                if key in parser["mlp"]:
-                    self.classifier_kwargs["mlp"][key] = cast(parser["mlp"][key])
-        if parser.has_section("knn") and "k" in parser["knn"]:
-            self.classifier_kwargs["knn"]["k"] = int(parser["knn"]["k"])
-        if parser.has_section("dt") and "max_depth" in parser["dt"]:
-            self.classifier_kwargs["dt"]["max_depth"] = int(parser["dt"]["max_depth"])
+        for name, key, cast in (("mlp", "hidden_units", int), ("mlp", "learning_rate", float),
+                                ("mlp", "epochs", int), ("knn", "k", int),
+                                ("dt", "max_depth", int)):
+            if parser.has_option(name, key):
+                self.classifier_kwargs[name][key] = cast(parser[name][key])
 
     def resolved(self) -> dict:
         out = {f"features.{k}": v for k, v in asdict(self.mfcc).items()}
@@ -81,23 +78,6 @@ class RunConfig:
     def echo(self) -> None:
         for key, value in self.resolved().items():
             print(f"# {key} = {value}")
-
-
-def feature_set_columns(name: str, n_coeffs: int = 13, lpc_order: int = 12) -> list[int]:
-    total = 5 + n_coeffs + lpc_order + 1
-    if name == "five":
-        return list(range(5))
-    if name == "cepstral":
-        return list(range(5, total))
-    if name == "all":
-        return list(range(total))
-    raise ValueError(f"unknown feature set {name!r}")
-
-
-def _dims_from_names(names: list[str]) -> tuple[int, int]:
-    n_coeffs = sum(1 for n in names if n.startswith("mfcc"))
-    lpc_order = sum(1 for n in names if n.startswith("lpc") and n != "lpc_gain")
-    return n_coeffs, lpc_order
 
 
 def render_metrics(metrics: classifiers.Metrics) -> str:
@@ -162,19 +142,18 @@ def cmd_extract(args) -> int:
 
 
 def _load_labeled(path):
-    matrix, labels, names = features.load_dataset_csv(path)
+    matrix, labels, _ = features.load_dataset_csv(path)
     if any(label is None for label in labels):
         raise ValueError(f"{path}: every row needs a label")
-    return classifiers.LabeledDataset(matrix, labels), names
+    return classifiers.LabeledDataset(matrix, labels)
 
 
 def cmd_train(args) -> int:
     config = RunConfig(args.config)
     if args.config:
         config.echo()
-    data, names = _load_labeled(args.features_csv)
-    n_coeffs, lpc_order = _dims_from_names(names)
-    cols = feature_set_columns(args.feature_set, n_coeffs, lpc_order)
+    data = _load_labeled(args.features_csv)
+    cols = FEATURE_SETS[args.feature_set]
     kwargs = config.classifier_kwargs[args.model]
     trainer = classifiers.make_trainer(args.model, seed=args.seed, **kwargs)
     model = trainer(data.select_columns(cols))
@@ -194,23 +173,20 @@ def cmd_eval(args) -> int:
     config = RunConfig(args.config)
     if args.config:
         config.echo()
-    data, names = _load_labeled(args.features_csv)
+    data = _load_labeled(args.features_csv)
     if args.compare:
-        if data.X.shape[1] != 31:
-            raise ValueError("--compare expects the default 31-dimension vectors")
         grid = classifiers.compare_feature_sets(
             data, seed=args.seed, folds=args.folds,
             mlp_kwargs=config.classifier_kwargs["mlp"])
         _write_report(render_grid(grid), args.report)
         return 0
-    n_coeffs, lpc_order = _dims_from_names(names)
     if args.model_file:
         model = classifiers.load_model(args.model_file)
         feature_set = classifiers.load_model_meta(args.model_file).get("feature_set", "all")
-        cols = feature_set_columns(feature_set, n_coeffs, lpc_order)
+        cols = FEATURE_SETS[feature_set]
         metrics = classifiers.compute_metrics(data.y, model.predict_batch(data.X[:, cols]))
     else:
-        cols = feature_set_columns(args.feature_set, n_coeffs, lpc_order)
+        cols = FEATURE_SETS[args.feature_set]
         kwargs = config.classifier_kwargs[args.model]
         trainer = classifiers.make_trainer(args.model, seed=args.seed, **kwargs)
         metrics = classifiers.evaluate_cv(data.select_columns(cols), trainer,
@@ -229,8 +205,7 @@ def detect_buffer(buffer: audio_io.SampleBuffer, model, feature_set: str = "all"
     """
     frames = audio_io.frame_signal(buffer)
     matrix = features.extract_features(frames, mfcc_cfg, lpc_cfg)
-    cols = feature_set_columns(feature_set, mfcc_cfg.n_coeffs, lpc_cfg.order)
-    labels = model.predict_batch(matrix[:, cols])
+    labels = model.predict_batch(matrix[:, FEATURE_SETS[feature_set]])
     spectra = [features.fft_magnitude(audio_io.apply_window(f, "hann")) for f in frames]
     track = decision.track_frames(frames, spectra, labels)
     climax = decision.detect_climax(track)
@@ -268,23 +243,23 @@ def run_simulation(plan, script_lines) -> list[str]:
     """
     dispatcher = warnd.Dispatcher(plan)
     log = []
-
-    def send_for(client_id):
-        return lambda line: None  # deliveries are logged via dispatch returns
-
     for lineno, raw in enumerate(script_lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if parts[0] == "PED" and len(parts) == 5:
+            # deliveries are logged from dispatch's return, not sent
             response = dispatcher.handle_line("REG " + " ".join(parts[1:]),
-                                              send_for(parts[1]))
+                                              lambda line: None)
             if response.startswith("ERR"):
                 raise ValueError(f"script line {lineno}: {response}")
         elif parts[0] == "VEHICLE" and len(parts) == 5:
             sound_class = SoundClass(parts[1])
             speed = float(parts[2])
+            if not 0.0 < speed < math.inf:
+                raise ValueError(f"script line {lineno}: vehicle speed must be "
+                                 f"finite and positive, got {parts[2]!r}")
             start_x = float(parts[3])
             t = float(parts[4])
             nearest = min(plan.processors, key=lambda p: abs(p.x - start_x))
@@ -299,7 +274,7 @@ def run_simulation(plan, script_lines) -> list[str]:
             delivered = dispatcher.dispatch(result, target_id, t)
             positions = dispatcher.positions()
             for cid in sorted(delivered):
-                lead = (positions[cid][0] - start_x) * 3.6 / speed
+                lead = warning_lead_time(positions[cid][0] - start_x, speed)
                 log.append(f"WARN {target_id} {sound_class.value} approaching "
                            f"{t:.3f} -> {cid} lead={lead:.2f}s")
         else:
@@ -319,11 +294,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_serve(args) -> int:
     plan = load_plan_config(args.plan)
-    host, _, port = args.listen.rpartition(":")
-    if not host or not port.isdigit():
-        print(f"error: --listen must be addr:port, got {args.listen!r}", file=sys.stderr)
+    try:
+        host, port = warnd.parse_listen(args.listen)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    warnd.serve(plan, host, int(port))
+    warnd.serve(plan, host, port)
     return 0
 
 

@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 from .classifiers import SoundClass
 from .decision import RECEDING, DetectionResult
 
-MAX_POSITION_ERROR_M = 1.0  # GPS fixes worse than this are unusable for warnings
-
 WARN_CLASSES = (SoundClass.H, SoundClass.LH)
+
+# The DeploymentPlan fields a plan file may set; each must be positive.
+_PLAN_KEYS = ("processor_spacing", "mic_height", "danger_length", "road_width",
+              "max_design_speed", "min_warning_time", "freshness_window")
 
 
 @dataclass(frozen=True)
@@ -31,21 +33,6 @@ class DangerArea:
 
     def contains(self, x: float, y: float) -> bool:
         return self.x0 <= x <= self.x0 + self.length and 0.0 <= y <= self.width
-
-
-@dataclass(frozen=True)
-class PedestrianPosition:
-    client_id: str
-    x: float
-    y: float
-    timestamp: float
-    position_error: float = 0.0
-
-    def __post_init__(self):
-        if self.position_error > MAX_POSITION_ERROR_M:
-            raise ValueError(
-                f"position error {self.position_error} m exceeds the "
-                f"{MAX_POSITION_ERROR_M} m limit")
 
 
 @dataclass(frozen=True)
@@ -67,9 +54,7 @@ class DeploymentPlan:
     processors: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        for name in ("processor_spacing", "mic_height", "danger_length",
-                     "road_width", "max_design_speed", "min_warning_time",
-                     "freshness_window"):
+        for name in _PLAN_KEYS:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -108,10 +93,6 @@ def build_plan(road_length: float, **overrides) -> DeploymentPlan:
     return DeploymentPlan(**{**overrides, "processors": processors})
 
 
-_PLAN_KEYS = ("processor_spacing", "mic_height", "danger_length", "road_width",
-              "max_design_speed", "min_warning_time", "freshness_window")
-
-
 def load_plan_config(path) -> DeploymentPlan:
     """Build a plan from an INI file: a [plan] section with road_length plus
     any of the DeploymentPlan fields as overrides."""
@@ -127,15 +108,17 @@ def load_plan_config(path) -> DeploymentPlan:
     return build_plan(section.getfloat("road_length"), **overrides)
 
 
-def members_in_area(area: DangerArea, positions, now: float,
+def members_in_area(area: DangerArea, registry, now: float,
                     freshness_window: float = 5.0) -> list[str]:
-    """client_ids with a fresh position inside the rectangle (closed boundary)."""
+    """client_ids of `registry` (client_id -> record with x, y, t) whose
+    position is fresh at `now` and inside the rectangle, boundary included."""
+    contains = area.contains
     members = []
-    for pos in positions:
-        if now - pos.timestamp > freshness_window:
+    for cid, record in registry.items():
+        if now - record.t > freshness_window:
             continue
-        if area.contains(pos.x, pos.y):
-            members.append(pos.client_id)
+        if contains(record.x, record.y):
+            members.append(cid)
     return members
 
 
@@ -148,8 +131,4 @@ def warning_lead_time(distance_m: float, speed_kmh: float) -> float:
 
 def warning_decision(result: DetectionResult) -> bool:
     """Warn only for risky classes (H, LH) that are not moving away."""
-    if result.sound_type not in WARN_CLASSES:
-        return False
-    if result.direction == RECEDING:
-        return False
-    return True
+    return result.sound_type in WARN_CLASSES and result.direction != RECEDING

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 from .classifiers import SoundClass
 from .decision import DIRECTIONS, DetectionResult
-from .deployment import DeploymentPlan, load_plan_config, warning_decision
+from .deployment import (WARN_CLASSES, DeploymentPlan, load_plan_config, members_in_area,
+                         warning_decision)
 
 _CLIENT_ID = re.compile(r"[A-Za-z0-9_-]{1,32}\Z")
 _DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]{1,3})?\Z")
@@ -70,7 +71,7 @@ class WarningMessage:
     event_time: float
 
     def __post_init__(self):
-        if self.sound_class not in (SoundClass.H, SoundClass.LH):
+        if self.sound_class not in WARN_CLASSES:
             raise ValueError("only risky classes (H, LH) are ever dispatched")
 
 
@@ -84,6 +85,18 @@ def _parse_client_id(token: str) -> str:
     if not _CLIENT_ID.match(token):
         raise ProtocolError(f"bad client_id {token!r}")
     return token
+
+
+def _parse_alert(fields: list[str]) -> tuple[int, SoundClass, str, float]:
+    """`<processor_id> <class> <direction> <t>`, the fields of WARN and EVENT."""
+    try:
+        processor_id = int(fields[0])
+        sound_class = SoundClass(fields[1])
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+    if fields[2] not in DIRECTIONS:
+        raise ProtocolError(f"bad direction {fields[2]!r}")
+    return processor_id, sound_class, fields[2], _parse_decimal(fields[3], "t")
 
 
 def encode(message) -> str:
@@ -123,16 +136,9 @@ def decode(line: str):
     if verb == "WARN":
         if len(parts) != 5:
             raise ProtocolError("WARN needs 4 fields")
+        fields = _parse_alert(parts[1:])
         try:
-            processor_id = int(parts[1])
-            sound_class = SoundClass(parts[2])
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from None
-        if parts[3] not in DIRECTIONS:
-            raise ProtocolError(f"bad direction {parts[3]!r}")
-        try:
-            return WarningMessage(processor_id, sound_class, parts[3],
-                                  _parse_decimal(parts[4], "t"))
+            return WarningMessage(*fields)
         except ValueError as exc:
             raise ProtocolError(str(exc)) from None
     raise ProtocolError(f"unknown verb {verb!r}")
@@ -216,17 +222,12 @@ class Dispatcher:
                                  event_time=event_time)
         line = encode(message)
         with self._lock:
-            targets = []
-            for cid, record in self._clients.items():
-                if event_time - record.t > self.plan.freshness_window:
-                    continue
-                if processor.area.contains(record.x, record.y):
-                    targets.append((cid, record.send))
-        delivered = set()
-        for cid, send in targets:
+            members = members_in_area(processor.area, self._clients, event_time,
+                                      self.plan.freshness_window)
+            sends = [self._clients[cid].send for cid in members]
+        for send in sends:
             send(line)
-            delivered.add(cid)
-        return delivered
+        return set(members)
 
 
 def parse_event_line(line: str) -> tuple[int, DetectionResult, float]:
@@ -234,15 +235,9 @@ def parse_event_line(line: str) -> tuple[int, DetectionResult, float]:
     parts = line.strip().split(" ")
     if len(parts) != 5 or parts[0] != "EVENT":
         raise ProtocolError("expected: EVENT <processor_id> <class> <direction> <t>")
-    try:
-        processor_id = int(parts[1])
-        sound_class = SoundClass(parts[2])
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from None
-    if parts[3] not in DIRECTIONS:
-        raise ProtocolError(f"bad direction {parts[3]!r}")
-    result = DetectionResult(climax_index=0, sound_type=sound_class, direction=parts[3])
-    return processor_id, result, _parse_decimal(parts[4], "t")
+    processor_id, sound_class, direction, event_time = _parse_alert(parts[1:])
+    result = DetectionResult(climax_index=0, sound_type=sound_class, direction=direction)
+    return processor_id, result, event_time
 
 
 class _SessionHandler(socketserver.StreamRequestHandler):
@@ -301,17 +296,26 @@ def serve(plan: DeploymentPlan, host: str, port: int, event_stream=None) -> None
         server.server_close()
 
 
+def parse_listen(text: str) -> tuple[str, int]:
+    """`addr:port` -> (addr, port)."""
+    host, _, port = text.rpartition(":")
+    if not host or not port.isdigit():
+        raise ValueError(f"--listen must be addr:port, got {text!r}")
+    return host, int(port)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="warnd",
                                      description="geofenced pedestrian warning dispatcher")
     parser.add_argument("--plan", required=True, help="INI deployment plan")
     parser.add_argument("--listen", required=True, help="addr:port to bind")
     args = parser.parse_args(argv)
-    host, _, port = args.listen.rpartition(":")
-    if not host or not port.isdigit():
-        parser.error(f"--listen must be addr:port, got {args.listen!r}")
+    try:
+        host, port = parse_listen(args.listen)
+    except ValueError as exc:
+        parser.error(str(exc))
     plan = load_plan_config(args.plan)
-    serve(plan, host, int(port))
+    serve(plan, host, port)
     return 0
 
 

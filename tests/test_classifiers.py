@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -340,6 +341,18 @@ class TestPersistence:
         probes = np.random.default_rng(9).uniform(-2, 8, (40, 2))
         assert model.predict_batch(probes) == loaded.predict_batch(probes)
         assert load_model_meta(path) == {"feature_set": "all"}
+
+    def test_legacy_gnb_kind_loads(self, tmp_path):
+        data = blobs(seed=8, per_class=12)
+        model = make_trainer("nb")(data)
+        path = tmp_path / "nb.json"
+        save_model(path, model)
+        doc = json.loads(path.read_text())
+        assert doc["kind"] == "nb"
+        doc["kind"] = "gnb"  # the name files carried before it matched the CLI
+        path.write_text(json.dumps(doc))
+        probes = np.random.default_rng(9).uniform(-2, 8, (40, 2))
+        assert load_model(path).predict_batch(probes) == model.predict_batch(probes)
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ from roadwarn import audio_io, features, synth
 from roadwarn.classifiers import CLASS_ORDER, SoundClass
 from roadwarn.cli import main, run_simulation
 from roadwarn.deployment import build_plan
+from roadwarn.features import MfccConfig
 
 
 PLAN_INI = """[plan]
@@ -104,6 +105,29 @@ class TestTrainEval:
             cells = [float(v) for v in line.split()[1:]]
             assert len(cells) == 3 and all(0 <= v <= 100 for v in cells)
 
+    def test_compare_honours_feature_config(self, tmp_path, capsys):
+        mfcc_cfg = MfccConfig(n_coeffs=10)
+        names = features.feature_names(mfcc_cfg)
+        assert len(names) == 28
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((48, 28))
+        labels = [CLASS_ORDER[i % 4] for i in range(48)]
+        for i, label in enumerate(labels):
+            X[i] += 3 * CLASS_ORDER.index(label)
+        csv = tmp_path / "narrow.csv"
+        features.save_dataset_csv(csv, X, labels, names)
+        config = tmp_path / "run.ini"
+        config.write_text("[features]\nn_coeffs = 10\n[mlp]\nepochs = 20\n")
+        assert main(["eval", str(csv), "--compare", "--folds", "2",
+                     "--config", str(config)]) == 0
+        grid = [ln for ln in capsys.readouterr().out.splitlines()
+                if not ln.startswith("#")]
+        assert grid[0].split() == ["classifier", "five", "cepstral", "all"]
+        assert [ln.split()[0] for ln in grid[1:]] == ["mlp", "knn", "nb", "dt"]
+        for line in grid[1:]:
+            cells = [float(v) for v in line.split()[1:]]
+            assert len(cells) == 3 and all(0 <= v <= 100 for v in cells)
+
 
 class TestDetectCommand:
     def _render_wav(self, tmp_path, name, buffer):
@@ -161,6 +185,15 @@ class TestSimulate:
                           "VEHICLE LL 40 0 10.0\n")
         log = run_simulation(build_plan(200.0), script.read_text().splitlines())
         assert [ln for ln in log if ln.startswith("WARN")] == []
+
+    @pytest.mark.parametrize("speed", ["0", "-50", "nan", "inf"])
+    def test_bad_vehicle_speed_rejected(self, plan_file, tmp_path, capsys, speed):
+        script = tmp_path / "speed.txt"
+        script.write_text(f"PED walker 87.5 2.0 9.0\nVEHICLE LH {speed} 0 10.0\n")
+        assert main(["simulate", str(plan_file), str(script)]) == 2
+        captured = capsys.readouterr()
+        assert "script line 2:" in captured.err and "speed" in captured.err
+        assert "lead=" not in captured.out
 
     def test_bad_script_line(self, plan_file, tmp_path):
         script = tmp_path / "bad.txt"

@@ -1,11 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from roadwarn.classifiers import SoundClass
 from roadwarn.decision import APPROACHING, RECEDING, UNKNOWN, DetectionResult
-from roadwarn.deployment import (DangerArea, DeploymentPlan, PedestrianPosition,
-                                 build_plan, load_plan_config, members_in_area,
-                                 warning_decision, warning_lead_time)
+from roadwarn.deployment import (DangerArea, DeploymentPlan, build_plan, load_plan_config,
+                                 members_in_area, warning_decision, warning_lead_time)
 
 
 class TestBuildPlan:
@@ -38,41 +39,42 @@ class TestBuildPlan:
 class TestMembership:
     AREA = DangerArea(processor_id=0, x0=0.0, length=25.0, width=7.0)
 
-    def _pos(self, x, y, t=0.0, cid="p1"):
-        return PedestrianPosition(client_id=cid, x=x, y=y, timestamp=t)
+    @staticmethod
+    def _registry(*entries):
+        """client_id -> record with x, y, t, the shape of warnd's registry."""
+        return {cid: SimpleNamespace(x=x, y=y, t=t) for cid, x, y, t in entries}
 
     def test_interior(self):
-        assert members_in_area(self.AREA, [self._pos(10, 1)], now=0.0) == ["p1"]
+        registry = self._registry(("p1", 10, 1, 0.0))
+        assert members_in_area(self.AREA, registry, now=0.0) == ["p1"]
 
     def test_closed_boundary(self):
-        assert members_in_area(self.AREA, [self._pos(25, 1)], now=0.0) == ["p1"]
-        assert members_in_area(self.AREA, [self._pos(0, 0)], now=0.0) == ["p1"]
+        for x, y in ((25, 1), (0, 0), (10, 7)):
+            registry = self._registry(("p1", x, y, 0.0))
+            assert members_in_area(self.AREA, registry, now=0.0) == ["p1"]
 
     def test_exterior(self):
-        assert members_in_area(self.AREA, [self._pos(30, 1)], now=0.0) == []
+        for x, y in ((30, 1), (-0.001, 1), (10, 7.001), (10, -1)):
+            registry = self._registry(("p1", x, y, 0.0))
+            assert members_in_area(self.AREA, registry, now=0.0) == []
 
     def test_stale_positions_excluded(self):
-        fresh = self._pos(10, 1, t=7.0, cid="fresh")
-        stale = self._pos(11, 1, t=0.0, cid="stale")
-        got = members_in_area(self.AREA, [fresh, stale], now=10.0, freshness_window=5.0)
-        assert got == ["fresh"]
+        registry = self._registry(("fresh", 10, 1, 7.0), ("edge", 12, 1, 5.0),
+                                  ("stale", 11, 1, 0.0))
+        got = members_in_area(self.AREA, registry, now=10.0, freshness_window=5.0)
+        assert got == ["fresh", "edge"]
 
     def test_matches_brute_force_on_random_points(self):
         rng = np.random.default_rng(5)
         area = DangerArea(processor_id=1, x0=25.0, length=25.0, width=7.0)
         pts = rng.uniform(-10, 70, (10000, 2))
-        positions = [self._pos(float(x), float(y), cid=f"c{i}")
-                     for i, (x, y) in enumerate(pts)]
-        got = set(members_in_area(area, positions, now=0.0))
-        expected = {f"c{i}" for i, (x, y) in enumerate(pts)
-                    if 25.0 <= x <= 50.0 and 0.0 <= y <= 7.0}
+        ages = rng.uniform(0, 10, 10000)
+        registry = self._registry(*((f"c{i}", float(x), float(y), float(-age))
+                                    for i, ((x, y), age) in enumerate(zip(pts, ages))))
+        got = set(members_in_area(area, registry, now=0.0, freshness_window=5.0))
+        expected = {f"c{i}" for i, ((x, y), age) in enumerate(zip(pts, ages))
+                    if 25.0 <= x <= 50.0 and 0.0 <= y <= 7.0 and age <= 5.0}
         assert got == expected
-
-    def test_position_error_budget(self):
-        PedestrianPosition(client_id="ok", x=0, y=0, timestamp=0, position_error=1.0)
-        with pytest.raises(ValueError):
-            PedestrianPosition(client_id="bad", x=0, y=0, timestamp=0,
-                               position_error=1.5)
 
 
 class TestLeadTime:

@@ -7,7 +7,7 @@ import pytest
 
 from roadwarn.classifiers import SoundClass
 from roadwarn.decision import APPROACHING, RECEDING, UNKNOWN, DetectionResult
-from roadwarn.deployment import build_plan
+from roadwarn.deployment import build_plan, members_in_area
 from roadwarn.warnd import (Ack, Dispatcher, PositionUpdate, ProtocolError, Register,
                             Reject, WarnServer, WarningMessage, decode, encode,
                             parse_event_line)
@@ -155,6 +155,23 @@ class TestDispatch:
     def test_unknown_processor(self):
         with pytest.raises(KeyError):
             self.dispatcher.dispatch(self._event(SoundClass.H), 99, 0.0)
+
+    def test_delivers_exactly_members_in_area_of_registry(self):
+        rng = np.random.default_rng(11)
+        for i in range(400):
+            self._register(f"c{i}", float(rng.integers(-200, 1200)) / 10.0,
+                           float(rng.integers(-20, 90)) / 10.0,
+                           float(rng.integers(0, 200)) / 10.0)
+        for processor in self.plan.processors:
+            expected = members_in_area(processor.area, self.dispatcher._clients, 15.0,
+                                       self.plan.freshness_window)
+            assert expected
+            before = {cid: len(lines) for cid, lines in self.inbox.items()}
+            delivered = self.dispatcher.dispatch(self._event(SoundClass.H),
+                                                 processor.processor_id, 15.0)
+            assert delivered == set(expected)
+            grown = {cid for cid, lines in self.inbox.items() if len(lines) > before[cid]}
+            assert grown == delivered
 
     def test_randomized_sequences_match_oracle(self):
         # 1000 random registry/event rounds vs a brute-force shadow model
