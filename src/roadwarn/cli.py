@@ -234,6 +234,32 @@ def cmd_detect(args) -> int:
     return 0
 
 
+_VEHICLE_NUMBERS = (("speed", "finite positive", lambda v: 0.0 < v < math.inf),
+                    ("x", "finite", math.isfinite),
+                    ("t", "finite", math.isfinite))
+
+
+def _vehicle_fields(lineno, fields):
+    """The class, speed (km/h), x and t of a VEHICLE line, or a ValueError
+    that names the script line and the field."""
+    try:
+        sound_class = SoundClass(fields[0])
+    except ValueError:
+        raise ValueError(f"script line {lineno}: unknown vehicle class {fields[0]!r}, "
+                         f"expected one of {', '.join(c.value for c in SoundClass)}") from None
+    values = []
+    for (name, rule, valid), text in zip(_VEHICLE_NUMBERS, fields[1:]):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not valid(value):
+            raise ValueError(f"script line {lineno}: vehicle {name} must be a "
+                             f"{rule} number, got {text!r}")
+        values.append(value)
+    return (sound_class, *values)
+
+
 def run_simulation(plan, script_lines) -> list[str]:
     """Replay PED/VEHICLE lines against an in-process dispatcher.
 
@@ -255,13 +281,7 @@ def run_simulation(plan, script_lines) -> list[str]:
             if response.startswith("ERR"):
                 raise ValueError(f"script line {lineno}: {response}")
         elif parts[0] == "VEHICLE" and len(parts) == 5:
-            sound_class = SoundClass(parts[1])
-            speed = float(parts[2])
-            if not 0.0 < speed < math.inf:
-                raise ValueError(f"script line {lineno}: vehicle speed must be "
-                                 f"finite and positive, got {parts[2]!r}")
-            start_x = float(parts[3])
-            t = float(parts[4])
+            sound_class, speed, start_x, t = _vehicle_fields(lineno, parts[1:])
             nearest = min(plan.processors, key=lambda p: abs(p.x - start_x))
             target_id = nearest.processor_id + plan.warning_offset_areas
             try:

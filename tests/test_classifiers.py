@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadwarn import classifiers as C
 from roadwarn.classifiers import (CLASS_ORDER, LabeledDataset, MlpConfig, SoundClass,
@@ -21,6 +23,100 @@ def blobs(seed=0, spread=0.3, per_class=50, dim=2):
     X = np.vstack([c + spread * rng.standard_normal((per_class, dim)) for c in centers])
     y = [cls for cls in CLASS_ORDER for _ in range(per_class)]
     return LabeledDataset(X, y)
+
+
+def mlp_reference_fit(data, config):
+    """train_mlp before a step kept its own loss and gradients: two forward
+    passes per epoch and activations that allocate.  Kept as the oracle for
+    the weights; returns (w1, b1, w2, b2) and the number of rate halvings."""
+    mean, std = C._fit_standardizer(data.X)
+    Xs = (data.X - mean) / std
+    codes = C._codes(data.y)
+    n = Xs.shape[0]
+
+    def forward(w1, b1, w2, b2):
+        hidden = 1.0 / (1.0 + np.exp(-np.clip(Xs @ w1 + b1, -500, 500)))
+        z = hidden @ w2 + b2
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return hidden, e / e.sum(axis=1, keepdims=True)
+
+    def loss(params):
+        _, probs = forward(*params)
+        return -np.mean(np.log(probs[np.arange(n), codes] + 1e-300))
+
+    def loss_and_gradients(params):
+        hidden, probs = forward(*params)
+        value = -np.mean(np.log(probs[np.arange(n), codes] + 1e-300))
+        delta_out = probs.copy()
+        delta_out[np.arange(n), codes] -= 1.0
+        delta_out /= n
+        gw2 = hidden.T @ delta_out
+        gb2 = delta_out.sum(axis=0)
+        delta_hidden = (delta_out @ params[2].T) * hidden * (1.0 - hidden)
+        gw1 = Xs.T @ delta_hidden
+        gb1 = delta_hidden.sum(axis=0)
+        return value, (gw1, gb1, gw2, gb2)
+
+    dim, hidden, n_out = Xs.shape[1], config.hidden_units, len(CLASS_ORDER)
+    rng = np.random.default_rng(config.seed)
+    params = (rng.uniform(-0.5, 0.5, (dim, hidden)), rng.uniform(-0.5, 0.5, hidden),
+              rng.uniform(-0.5, 0.5, (hidden, n_out)), rng.uniform(-0.5, 0.5, n_out))
+    rate, halvings = config.learning_rate, 0
+    value, grads = loss_and_gradients(params)
+    for _ in range(config.epochs):
+        while True:
+            candidate = tuple(p - rate * g for p, g in zip(params, grads))
+            if loss(candidate) <= value or rate <= 1e-12:
+                break
+            rate *= 0.5
+            halvings += 1
+        params = candidate
+        value, grads = loss_and_gradients(params)
+    return params, halvings
+
+
+def knn_reference(model, X):
+    """KnnModel.predict_batch as a per-query loop over every exact distance,
+    kept as the oracle for the candidate filter."""
+    Q = (np.asarray(X, dtype=np.float64) - model.mean) / model.std
+    out = []
+    codes = C._codes(model.labels)
+    for q in Q:
+        d = np.sqrt(((model.Xs - q) ** 2).sum(axis=1))
+        nearest = np.argsort(d, kind="stable")[:model.k]
+        near_codes = codes[nearest]
+        counts = np.bincount(near_codes, minlength=len(CLASS_ORDER))
+        top = counts.max()
+        tied = [c for c in range(len(CLASS_ORDER)) if counts[c] == top]
+        if len(tied) > 1:
+            # closer class (smaller mean distance) wins, then danger order
+            means = {c: d[nearest[near_codes == c]].mean() for c in tied}
+            closest = min(means.values())
+            tied = [c for c in tied if means[c] <= closest]
+        out.append(most_dangerous([CLASS_ORDER[c] for c in tied]))
+    return out
+
+
+@st.composite
+def knn_cases(draw):
+    """Training rows on a coarse grid (duplicates and equal distances are
+    common), columns scaled by 1e-3 .. 1e6, k anywhere in 1..n, and queries
+    that are training rows, grid points or arbitrary points."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 30))
+    grid = st.integers(-3, 3).map(float)
+    rows = draw(st.lists(st.lists(grid, min_size=dim, max_size=dim), min_size=1, max_size=n))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=n - len(rows)))  # duplicates
+    labels = draw(st.lists(st.sampled_from(CLASS_ORDER), min_size=len(rows), max_size=len(rows)))
+    scales = np.array(draw(st.lists(st.sampled_from([1e-3, 0.37, 1.0, 1e3, 1e6]),
+                                    min_size=dim, max_size=dim)))
+    k = draw(st.integers(1, len(rows)))
+    free = st.floats(-5.0, 5.0, allow_nan=False)
+    queries = draw(st.lists(st.one_of(st.sampled_from(rows),
+                                      st.lists(grid, min_size=dim, max_size=dim),
+                                      st.lists(free, min_size=dim, max_size=dim)),
+                            min_size=1, max_size=12))
+    return (np.array(rows) * scales, labels, k, np.array(queries) * scales)
 
 
 class TestDangerOrdering:
@@ -83,6 +179,29 @@ class TestMlp:
             train_mlp(LabeledDataset(X, [SoundClass.H] * 10))
 
 
+    @pytest.mark.parametrize("config", [
+        MlpConfig(epochs=30, seed=3),
+        MlpConfig(hidden_units=5, learning_rate=0.5, epochs=30, seed=1),
+        MlpConfig(learning_rate=50.0, epochs=30, seed=2),  # forces rate halvings
+    ])
+    def test_weights_equal_reference_loop(self, config, monkeypatch):
+        data = blobs(seed=8, spread=1.5, per_class=30, dim=3)
+        ref, halvings = mlp_reference_fit(data, config)
+        if config.learning_rate == 50.0:
+            assert halvings > 0
+        calls = []
+        inner = C.MlpModel.loss_and_gradients
+
+        def counted(model, Xs, codes):
+            calls.append(1)
+            return inner(model, Xs, codes)
+
+        monkeypatch.setattr(C.MlpModel, "loss_and_gradients", counted)
+        model = train_mlp(data, config)
+        for got, want in zip((model.w1, model.b1, model.w2, model.b2), ref):
+            assert np.array_equal(got, want)
+        assert len(calls) == 1 + config.epochs + halvings
+
 class TestKnn:
     def test_query_on_training_point(self):
         data = blobs(seed=5, per_class=10)
@@ -127,6 +246,35 @@ class TestKnn:
         with pytest.raises(ValueError):
             train_knn(data, k=13)
 
+
+    @settings(max_examples=300, deadline=None)
+    @given(knn_cases())
+    def test_matches_per_query_oracle(self, case):
+        X, labels, k, queries = case
+        model = train_knn(LabeledDataset(X, labels), k)
+        assert model.predict_batch(queries) == knn_reference(model, queries)
+
+    def test_matches_oracle_across_query_blocks(self):
+        data = blobs(seed=29, spread=2.5, per_class=40, dim=3)
+        model = train_knn(data, k=7)
+        queries = np.random.default_rng(29).uniform(-3, 9, (600, 3))
+        queries[::50] = data.X[:12]  # queries that sit on training rows
+        assert model.predict_batch(queries) == knn_reference(model, queries)
+
+    def test_query_beyond_squared_range_measures_every_row(self):
+        data = blobs(seed=4, per_class=5)
+        model = train_knn(data, k=3)
+        far = np.array([[1e200, 0.0], [0.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert model.predict_batch(far) == knn_reference(model, far)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_query_rejected(self, bad):
+        model = train_knn(blobs(per_class=5), k=3)
+        X = np.zeros((3, 2))
+        X[1, 0] = bad
+        with pytest.raises(ValueError, match="query features must be finite"):
+            model.predict_batch(X)
 
 class TestGnb:
     def test_symmetric_tie_resolves_to_danger(self):

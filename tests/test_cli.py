@@ -195,6 +195,32 @@ class TestSimulate:
         assert "script line 2:" in captured.err and "speed" in captured.err
         assert "lead=" not in captured.out
 
+    @pytest.mark.parametrize("x, t, field", [("nan", "10.0", "x"), ("inf", "10.0", "x"),
+                                             ("-inf", "10.0", "x"), ("0", "nan", "t"),
+                                             ("0", "inf", "t")])
+    def test_nonfinite_vehicle_position_or_time_rejected(self, plan_file, tmp_path,
+                                                         capsys, x, t, field):
+        # a NaN event time used to pass the freshness check and warn a stale walker
+        script = tmp_path / "vehicle.txt"
+        script.write_text(f"PED walker 87.5 2.0 0.0\nVEHICLE LH 75 {x} {t}\n")
+        assert main(["simulate", str(plan_file), str(script)]) == 2
+        captured = capsys.readouterr()
+        assert f"script line 2: vehicle {field} must be a finite number" in captured.err
+        assert "WARN" not in captured.out
+
+    @pytest.mark.parametrize("fields, message", [
+        ("LH 75 abc 1", "vehicle x must be a finite number, got 'abc'"),
+        ("LH fast 0 1", "vehicle speed must be a finite positive number, got 'fast'"),
+        ("LH 75 0 soon", "vehicle t must be a finite number, got 'soon'"),
+        ("XX 75 0 1", "unknown vehicle class 'XX'"),
+    ])
+    def test_bad_vehicle_field_names_its_line(self, plan_file, tmp_path, capsys,
+                                             fields, message):
+        script = tmp_path / "vehicle.txt"
+        script.write_text(f"# header\nVEHICLE {fields}\n")
+        assert main(["simulate", str(plan_file), str(script)]) == 2
+        assert f"script line 2: {message}" in capsys.readouterr().err
+
     def test_bad_script_line(self, plan_file, tmp_path):
         script = tmp_path / "bad.txt"
         script.write_text("DRIVE fast\n")
