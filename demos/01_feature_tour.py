@@ -28,11 +28,13 @@ print(f"loudest frame: #{loudest.index} (t = {loudest.start_time:.1f} s)")
 
 # --- the five spectral scalars ---------------------------------------------
 
-spectrum = features.fft_magnitude(loudest)
-sf = features.spectral_features(spectrum)
+stack = np.stack([f.samples for f in frames])
+bin_hz = buffer.sample_rate / stack.shape[1]
+p1, p2, f1, f2, peak = features.spectral_features(features.fft_magnitude(stack),
+                                                  bin_hz)[loudest.index]
 print("\nspectral scalars (halves split at", 0.25 * buffer.sample_rate, "Hz):")
-print(f"  p1 = {sf.p1:.4g}   p2 = {sf.p2:.4g}")
-print(f"  f1 = {sf.f1:.0f} Hz  f2 = {sf.f2:.0f} Hz  peak = {sf.peak_value:.4g}")
+print(f"  p1 = {p1:.4g}   p2 = {p2:.4g}")
+print(f"  f1 = {f1:.0f} Hz  f2 = {f2:.0f} Hz  peak = {peak:.4g}")
 print(f"  (source fundamental was {profile.fundamental:.0f} Hz; "
       f"f1 lands on its strongest harmonic)")
 

@@ -1,4 +1,4 @@
-"""Mono audio loading, fixed-length framing and windowing.
+"""Mono audio loading and fixed-length framing.
 
 Everything downstream of this module works on `Frame` objects: 0.1 s,
 non-overlapping slices of a `SampleBuffer`.  Only RIFF/WAVE containers with
@@ -51,7 +51,7 @@ class Frame:
     """One fixed-length slice of a buffer.
 
     `start_time` is seconds from the start of the parent buffer and always
-    equals ``index * frame_length``; frames do not overlap.
+    equals ``index * DEFAULT_FRAME_SECONDS``; frames do not overlap.
     """
 
     samples: np.ndarray
@@ -61,15 +61,6 @@ class Frame:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class FramingConfig:
-    frame_length: float = DEFAULT_FRAME_SECONDS
-
-    def __post_init__(self):
-        if self.frame_length <= 0:
-            raise ValueError("frame_length must be positive")
 
 
 def _parse_wav_chunks(data: bytes):
@@ -131,46 +122,28 @@ def write_wav(path, buffer: SampleBuffer) -> None:
             fh.write(b"\x00")
 
 
-def frame_signal(buffer: SampleBuffer, config: FramingConfig = FramingConfig()) -> list[Frame]:
-    """Cut a buffer into floor(duration / frame_length) non-overlapping frames.
+def frame_signal(buffer: SampleBuffer) -> list[Frame]:
+    """Cut a buffer into floor(duration / 0.1 s) non-overlapping frames.
 
     Trailing samples that do not fill a whole frame are discarded.  A buffer
     shorter than one frame is an error.
     """
-    n = int(round(config.frame_length * buffer.sample_rate))
+    n = int(round(DEFAULT_FRAME_SECONDS * buffer.sample_rate))
     if n < 1:
-        raise ValueError("frame_length shorter than one sample")
+        raise ValueError(f"a {DEFAULT_FRAME_SECONDS} s frame holds no whole sample "
+                         f"at {buffer.sample_rate} Hz")
     count = len(buffer.samples) // n
     if count < 1:
         raise ValueError(
             f"buffer of {buffer.duration:.4f} s is shorter than one "
-            f"{config.frame_length} s frame"
+            f"{DEFAULT_FRAME_SECONDS} s frame"
         )
     frames = []
     for i in range(count):
         frames.append(Frame(
             samples=buffer.samples[i * n:(i + 1) * n],
             index=i,
-            start_time=i * config.frame_length,
+            start_time=i * DEFAULT_FRAME_SECONDS,
             sample_rate=buffer.sample_rate,
         ))
     return frames
-
-
-def window_values(kind: str, length: int) -> np.ndarray:
-    if kind == "rectangular":
-        return np.ones(length)
-    if kind == "hann":
-        return np.hanning(length)
-    raise ValueError(f"unknown window {kind!r}")
-
-
-def apply_window(frame: Frame, window: str) -> Frame:
-    """Multiply the frame by the named window (rectangular is the identity)."""
-    w = window_values(window, len(frame.samples))
-    return Frame(
-        samples=frame.samples * w,
-        index=frame.index,
-        start_time=frame.start_time,
-        sample_rate=frame.sample_rate,
-    )

@@ -198,16 +198,11 @@ def cmd_eval(args) -> int:
 def detect_buffer(buffer: audio_io.SampleBuffer, model, feature_set: str = "all",
                   mfcc_cfg: MfccConfig = MfccConfig(),
                   lpc_cfg: LpcConfig = LpcConfig()):
-    """Three-phase pipeline on one buffer: returns (DetectionResult, track).
-
-    Tracking uses hann-windowed spectra (cleaner peaks than the rectangular
-    spectra the scalar features are defined on).
-    """
+    """Three-phase pipeline on one buffer: returns (DetectionResult, track)."""
     frames = audio_io.frame_signal(buffer)
     matrix = features.extract_features(frames, mfcc_cfg, lpc_cfg)
     labels = model.predict_batch(matrix[:, FEATURE_SETS[feature_set]])
-    spectra = [features.fft_magnitude(audio_io.apply_window(f, "hann")) for f in frames]
-    track = decision.track_frames(frames, spectra, labels)
+    track = decision.track_frames(frames, labels)
     climax = decision.detect_climax(track)
     return decision.finalize_detection(track, climax), track
 
@@ -229,7 +224,8 @@ def cmd_detect(args) -> int:
     if warning_decision(result):
         message = warnd.WarningMessage(processor_id=0, sound_class=result.sound_type,
                                        direction=result.direction,
-                                       event_time=result.climax_index * 0.1)
+                                       event_time=result.climax_index
+                                       * audio_io.DEFAULT_FRAME_SECONDS)
         print(warnd.encode(message))
     return 0
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import features
 from .audio_io import Frame
 from .classifiers import SoundClass, most_dangerous
-from .features import Spectrum
 
 APPROACHING = "approaching"
 RECEDING = "receding"
@@ -25,7 +25,7 @@ DIRECTIONS = (APPROACHING, RECEDING, UNKNOWN)
 
 VOTE_WINDOW = 8  # final frames voted on, climax frame included
 
-DEFAULT_BAND = (50.0, 2000.0)
+TRACK_BAND = (50.0, 2000.0)  # Hz searched for the dominant frequency
 
 # relative before/after energy imbalance below which direction is "unknown"
 _DIRECTION_THRESHOLD = 0.2
@@ -91,41 +91,50 @@ class DetectionResult:
         return cls(int(parts[1]), SoundClass(parts[2]), parts[3])
 
 
-def _interpolated_peak_hz(magnitudes: np.ndarray, lo_bin: int, hi_bin: int, bin_hz: float) -> float:
-    """Frequency of the strongest bin in [lo_bin, hi_bin], parabolically refined."""
-    window = magnitudes[lo_bin:hi_bin + 1]
-    k = lo_bin + int(np.argmax(window))
-    freq = k * bin_hz
-    if 0 < k < len(magnitudes) - 1:
-        alpha, beta, gamma = magnitudes[k - 1], magnitudes[k], magnitudes[k + 1]
-        denom = alpha - 2.0 * beta + gamma
-        if abs(denom) > 1e-30:
-            delta = 0.5 * (alpha - gamma) / denom
-            freq = (k + np.clip(delta, -0.5, 0.5)) * bin_hz
-    return float(np.clip(freq, lo_bin * bin_hz, hi_bin * bin_hz))
+def band_peak_hz(mags: np.ndarray, band: tuple[float, float], bin_hz: float) -> np.ndarray:
+    """Per row of a (frames x bins) magnitude stack: the frequency of the
+    strongest bin inside `band` (Hz), parabolically refined.
 
-
-def track_frames(frames: list[Frame], spectra: list[Spectrum], labels: list,
-                 band: tuple[float, float] = DEFAULT_BAND) -> FrameTrack:
-    """Per-frame dominant frequency (within band) and RMS energy.
-
-    The frequency track is median-smoothed over 3 frames to knock out
-    single-frame spikes; the first and last frames keep their raw values.
+    The refinement needs both neighbours (0 < k < last bin) and a curved
+    top (|alpha - 2 beta + gamma| > 1e-30); other rows keep k * bin_hz.
     """
-    if not frames or not (len(frames) == len(spectra) == len(labels)):
-        raise ValueError("frames, spectra and labels must be non-empty and aligned")
-    bin_hz = spectra[0].bin_hz
+    last = mags.shape[1] - 1
     lo_bin = int(np.ceil(band[0] / bin_hz))
-    hi_bin = int(np.floor(band[1] / bin_hz))
-    hi_bin = min(hi_bin, len(spectra[0].magnitudes) - 1)
+    hi_bin = min(int(np.floor(band[1] / bin_hz)), last)
     if lo_bin > hi_bin:
         raise ValueError(f"band {band} holds no spectrum bins at {bin_hz} Hz spacing")
-    raw = np.array([_interpolated_peak_hz(s.magnitudes, lo_bin, hi_bin, bin_hz)
-                    for s in spectra])
+    k = lo_bin + np.argmax(mags[:, lo_bin:hi_bin + 1], axis=1)
+    rows = np.arange(len(k))
+    # at k = 0 and k = last a neighbour index wraps around; `refine` drops those rows
+    alpha = mags[rows, k - 1]
+    beta = mags[rows, k]
+    gamma = mags[rows, (k + 1) % (last + 1)]
+    denom = alpha - 2.0 * beta + gamma
+    refine = (0 < k) & (k < last) & (np.abs(denom) > 1e-30)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = 0.5 * (alpha - gamma) / denom
+    freq = np.where(refine, (k + np.clip(delta, -0.5, 0.5)) * bin_hz, k * bin_hz)
+    return np.clip(freq, lo_bin * bin_hz, hi_bin * bin_hz)
+
+
+def track_frames(frames: list[Frame], labels: list) -> FrameTrack:
+    """Per-frame dominant frequency (within TRACK_BAND) and RMS energy.
+
+    The frequency comes from hann-windowed spectra, which give cleaner
+    peaks than the rectangular spectra the scalar features are defined on.
+    The track is median-smoothed over 3 frames to knock out single-frame
+    spikes; the first and last frames keep their raw values.
+    """
+    if not frames or len(frames) != len(labels):
+        raise ValueError("frames and labels must be non-empty and aligned")
+    X = np.stack([f.samples for f in frames])
+    n = X.shape[1]
+    bin_hz = frames[0].sample_rate / n
+    raw = band_peak_hz(features.fft_magnitude(X * np.hanning(n)), TRACK_BAND, bin_hz)
     smoothed = raw.copy()
-    for i in range(1, len(raw) - 1):
-        smoothed[i] = np.median(raw[i - 1:i + 2])
-    rms = np.array([np.sqrt(np.mean(f.samples ** 2)) for f in frames])
+    if len(raw) > 2:
+        smoothed[1:-1] = np.median(np.lib.stride_tricks.sliding_window_view(raw, 3), axis=1)
+    rms = np.sqrt(np.mean(X ** 2, axis=1))
     return FrameTrack(dominant_freq=smoothed, rms_energy=rms, labels=list(labels), bin_hz=bin_hz)
 
 

@@ -19,37 +19,9 @@ from scipy.fft import dct
 
 from .audio_io import Frame
 
-FEATURE_VECTOR_DIM = 31
-
 
 class SilentFrameError(ValueError):
     """Raised when an extractor needs a non-silent frame and got all zeros."""
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """One-sided magnitude spectrum |X_k|, k = 0..N/2, with bin spacing in Hz."""
-
-    magnitudes: np.ndarray
-    bin_hz: float
-
-    def __post_init__(self):
-        mags = np.asarray(self.magnitudes, dtype=np.float64)
-        if not np.all(np.isfinite(mags)) or np.any(mags < 0):
-            raise ValueError("magnitudes must be finite and non-negative")
-        object.__setattr__(self, "magnitudes", mags)
-
-
-@dataclass(frozen=True)
-class SpectralFeatures:
-    p1: float        # sum of squared magnitudes, lower half
-    p2: float        # sum of squared magnitudes, upper half
-    f1: float        # Hz of the strongest bin in the lower half
-    f2: float        # Hz of the strongest bin in the upper half
-    peak_value: float  # largest magnitude anywhere in the one-sided spectrum
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p1, self.p2, self.f1, self.f2, self.peak_value])
 
 
 @dataclass(frozen=True)
@@ -84,45 +56,37 @@ class LpcConfig:
             raise ValueError("order must be >= 0")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    spectral: SpectralFeatures
-    mfcc: np.ndarray
-    lpc: np.ndarray
-    lpc_gain: float
-    label: object = None  # SoundClass or None
+def fft_magnitude(samples: np.ndarray) -> np.ndarray:
+    """One-sided DFT magnitudes |X_k|, k = 0..N/2, along the last axis.
 
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.spectral.as_array(), self.mfcc, self.lpc, [self.lpc_gain]])
-
-
-def fft_magnitude(frame: Frame) -> Spectrum:
-    """One-sided magnitude spectrum of the frame's DFT."""
-    x = frame.samples
-    if len(x) < 2:
-        raise ValueError("frame too short for a spectrum")
-    mags = np.abs(np.fft.rfft(x))
-    return Spectrum(magnitudes=mags, bin_hz=frame.sample_rate / len(x))
-
-
-def spectral_features(spectrum: Spectrum) -> SpectralFeatures:
-    """The five scalar features of the one-sided spectrum.
-
-    The spectrum is split at its midpoint bin (i.e. at half the Nyquist
-    frequency); p1/p2 are the power sums of the two halves and f1/f2 the
-    frequencies of each half's strongest bin.  A half that is identically
-    zero reports frequency 0.
+    Takes one frame's samples or a (frames x N) stack of them.
     """
-    m = spectrum.magnitudes
-    if len(m) < 4:
+    x = np.asarray(samples, dtype=np.float64)
+    if x.shape[-1] < 2:
+        raise ValueError("frame too short for a spectrum")
+    return np.abs(np.fft.rfft(x, axis=-1))
+
+
+def spectral_features(mags: np.ndarray, bin_hz: float) -> np.ndarray:
+    """The five scalar features [p1, p2, f1, f2, peak] of one-sided spectra.
+
+    `mags` holds one spectrum or a (frames x bins) stack; the scalars
+    replace its last axis.  Each spectrum is split at its midpoint bin
+    (i.e. at half the Nyquist frequency); p1/p2 are the power sums of the
+    two halves, f1/f2 the frequencies of each half's strongest bin, and
+    peak the largest magnitude anywhere.  A half that is identically zero
+    reports frequency 0.
+    """
+    m = np.asarray(mags, dtype=np.float64)
+    if m.shape[-1] < 4:
         raise ValueError("spectrum too short to split")
-    mid = len(m) // 2
-    lo, hi = m[:mid], m[mid:]
-    p1 = float(np.sum(lo ** 2))
-    p2 = float(np.sum(hi ** 2))
-    f1 = float(np.argmax(lo) * spectrum.bin_hz) if lo.max() > 0 else 0.0
-    f2 = float((mid + np.argmax(hi)) * spectrum.bin_hz) if hi.max() > 0 else 0.0
-    return SpectralFeatures(p1=p1, p2=p2, f1=f1, f2=f2, peak_value=float(m.max()))
+    mid = m.shape[-1] // 2
+    lo, hi = m[..., :mid], m[..., mid:]
+    p1 = np.sum(lo ** 2, axis=-1)
+    p2 = np.sum(hi ** 2, axis=-1)
+    f1 = np.where(lo.max(axis=-1) > 0, np.argmax(lo, axis=-1) * bin_hz, 0.0)
+    f2 = np.where(hi.max(axis=-1) > 0, (mid + np.argmax(hi, axis=-1)) * bin_hz, 0.0)
+    return np.stack([p1, p2, f1, f2, m.max(axis=-1)], axis=-1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -221,17 +185,6 @@ def lpc(frame: Frame, config: LpcConfig = LpcConfig()) -> tuple[np.ndarray, floa
     return a, float(err)
 
 
-def assemble_feature_vector(frame: Frame,
-                            mfcc_cfg: MfccConfig = MfccConfig(),
-                            lpc_cfg: LpcConfig = LpcConfig(),
-                            label=None) -> FeatureVector:
-    """All feature groups of one frame, in the canonical concatenation order."""
-    spec = spectral_features(fft_magnitude(frame))
-    coeffs = mfcc(frame, mfcc_cfg)
-    a, gain = lpc(frame, lpc_cfg)
-    return FeatureVector(spectral=spec, mfcc=coeffs, lpc=a, lpc_gain=gain, label=label)
-
-
 def feature_names(mfcc_cfg: MfccConfig = MfccConfig(), lpc_cfg: LpcConfig = LpcConfig()) -> list[str]:
     return (["p1", "p2", "f1", "f2", "peak"]
             + [f"mfcc{i}" for i in range(mfcc_cfg.n_coeffs)]
@@ -244,22 +197,16 @@ def extract_features(buffer_frames: list[Frame],
                      lpc_cfg: LpcConfig = LpcConfig()) -> np.ndarray:
     """Feature matrix (n_frames x dim) for a list of equal-length frames.
 
-    Same numbers as assemble_feature_vector per frame, but the FFT-heavy
-    parts run batched.
+    The spectral scalars and the MFCC run on the whole frame stack; LPC
+    runs frame by frame.
     """
     if not buffer_frames:
-        return np.zeros((0, 5 + mfcc_cfg.n_coeffs + lpc_cfg.order + 1))
+        return np.zeros((0, len(feature_names(mfcc_cfg, lpc_cfg))))
     rate = buffer_frames[0].sample_rate
     matrix = np.stack([f.samples for f in buffer_frames])
-    mags = np.abs(np.fft.rfft(matrix, axis=1))
-    bin_hz = rate / matrix.shape[1]
-    mel_rows = _mfcc_batch(matrix, rate, mfcc_cfg)
-    rows = []
-    for i, frame in enumerate(buffer_frames):
-        spec = spectral_features(Spectrum(magnitudes=mags[i], bin_hz=bin_hz))
-        a, gain = lpc(frame, lpc_cfg)
-        rows.append(np.concatenate([spec.as_array(), mel_rows[i], a, [gain]]))
-    return np.stack(rows)
+    scalars = spectral_features(fft_magnitude(matrix), rate / matrix.shape[1])
+    lpc_rows = np.array([np.append(*lpc(f, lpc_cfg)) for f in buffer_frames])
+    return np.hstack([scalars, _mfcc_batch(matrix, rate, mfcc_cfg), lpc_rows])
 
 
 # ---------------------------------------------------------------------------

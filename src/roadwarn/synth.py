@@ -15,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import SampleBuffer, write_wav
+from .audio_io import DEFAULT_FRAME_SECONDS, SampleBuffer, write_wav
 from .classifiers import SoundClass
+from .decision import band_peak_hz
+from .features import fft_magnitude
 
 SPEED_OF_SOUND = 343.0
 DEFAULT_SAMPLE_RATE = 16000
@@ -154,7 +156,7 @@ def synth_passby(profile: VehicleProfile, scenario: PassbyScenario,
         rendered = rendered / peak * 0.9
     rendered = rendered + _AMBIENT_RMS * rng.standard_normal(n)
 
-    frame_times = np.arange(0.05, scenario.duration, 0.1)
+    frame_times = np.arange(DEFAULT_FRAME_SECONDS / 2, scenario.duration, DEFAULT_FRAME_SECONDS)
     tau_f = _emission_times(frame_times, t_c, v, r0, c)
     d_rate = v * v * (tau_f - t_c) / np.sqrt(v * v * (tau_f - t_c) ** 2 + r0 * r0)
     received = profile.fundamental * c / (c + d_rate)
@@ -353,19 +355,11 @@ def load_manifest(path) -> list[ManifestEntry]:
 
 def measure_tone_frequency(buffer: SampleBuffer, t0: float, t1: float,
                            band: tuple[float, float]) -> float:
-    """Dominant frequency (Hz) of buffer[t0:t1] within band, with parabolic
-    interpolation of the windowed spectrum peak."""
+    """Dominant frequency (Hz) of buffer[t0:t1] within band: the tracker's
+    refined peak of the hann-windowed spectrum."""
     i0, i1 = int(t0 * buffer.sample_rate), int(t1 * buffer.sample_rate)
     segment = buffer.samples[i0:i1]
     if len(segment) < 16:
         raise ValueError("segment too short to measure")
-    windowed = segment * np.hanning(len(segment))
-    mags = np.abs(np.fft.rfft(windowed))
-    bin_hz = buffer.sample_rate / len(segment)
-    lo = max(1, int(np.ceil(band[0] / bin_hz)))
-    hi = min(len(mags) - 2, int(np.floor(band[1] / bin_hz)))
-    k = lo + int(np.argmax(mags[lo:hi + 1]))
-    alpha, beta, gamma = mags[k - 1], mags[k], mags[k + 1]
-    denom = alpha - 2.0 * beta + gamma
-    delta = 0.5 * (alpha - gamma) / denom if abs(denom) > 1e-30 else 0.0
-    return (k + float(np.clip(delta, -0.5, 0.5))) * bin_hz
+    mags = fft_magnitude(segment * np.hanning(len(segment)))
+    return float(band_peak_hz(mags[np.newaxis], band, buffer.sample_rate / len(segment))[0])

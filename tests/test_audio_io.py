@@ -3,11 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from roadwarn.audio_io import (FramingConfig, SampleBuffer, UnsupportedWavError,
-                               WavFormatError, apply_window, frame_signal, load_wav,
-                               write_wav)
-
-from conftest import make_frame
+from roadwarn.audio_io import (SampleBuffer, UnsupportedWavError, WavFormatError,
+                               frame_signal, load_wav, write_wav)
 
 
 def _pcm16_wav_bytes(samples_int16, sample_rate=16000, channels=1):
@@ -90,7 +87,7 @@ class TestLoadWav:
 class TestFraming:
     def test_two_second_buffer(self):
         buf = SampleBuffer(np.zeros(32000), 16000)
-        frames = frame_signal(buf, FramingConfig())
+        frames = frame_signal(buf)
         assert len(frames) == 20
         assert all(len(f.samples) == 1600 for f in frames)
         assert [f.start_time for f in frames] == pytest.approx([0.1 * i for i in range(20)])
@@ -104,6 +101,8 @@ class TestFraming:
     def test_too_short(self):
         with pytest.raises(ValueError):
             frame_signal(SampleBuffer(np.zeros(800), 16000))  # 0.05 s
+        with pytest.raises(ValueError):
+            frame_signal(SampleBuffer(np.zeros(10), 4))  # 0.1 s holds 0.4 samples
 
     def test_partition_property(self):
         # concatenated frames reproduce the kept prefix sample-for-sample
@@ -115,26 +114,6 @@ class TestFraming:
             assert len(frames) == int(buf.duration / 0.1)
             glued = np.concatenate([f.samples for f in frames])
             np.testing.assert_array_equal(glued, buf.samples[:len(glued)])
-
-
-class TestWindow:
-    def test_rectangular_identity(self):
-        frame = make_frame(np.linspace(-1, 1, 64))
-        out = apply_window(frame, "rectangular")
-        np.testing.assert_array_equal(out.samples, frame.samples)
-
-    def test_hann_on_ones(self):
-        n = 128
-        out = apply_window(make_frame(np.ones(n)), "hann")
-        expected = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n) / (n - 1))
-        np.testing.assert_allclose(out.samples, expected, atol=1e-12)
-        assert out.samples[0] == 0.0 and out.samples[-1] == 0.0
-
-    def test_hann_never_increases_energy(self):
-        rng = np.random.default_rng(1)
-        frame = make_frame(rng.uniform(-1, 1, 256))
-        out = apply_window(frame, "hann")
-        assert np.sum(out.samples ** 2) <= np.sum(frame.samples ** 2)
 
 
 class TestSampleBufferInvariants:

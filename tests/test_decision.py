@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from roadwarn import audio_io, features, synth
+from roadwarn import audio_io, synth
 from roadwarn.classifiers import SoundClass
 from roadwarn.decision import (APPROACHING, RECEDING, UNKNOWN, DetectionResult,
-                               DopplerParams, FrameTrack, TrackTooShortError,
+                               DopplerParams, FrameTrack, TrackTooShortError, band_peak_hz,
                                detect_climax, doppler_observed, finalize_detection,
                                infer_direction, track_frames, vote_final_frames)
 
@@ -40,31 +43,125 @@ class TestDoppler:
             DopplerParams(f0=100.0, v=400.0)
 
 
+def interpolated_peak_hz_reference(magnitudes, lo_bin, hi_bin, bin_hz):
+    """Frequency of the strongest bin in [lo_bin, hi_bin], parabolically
+    refined: the per-frame peak pick as first written, the oracle for
+    `_band_peak_hz`."""
+    window = magnitudes[lo_bin:hi_bin + 1]
+    k = lo_bin + int(np.argmax(window))
+    freq = k * bin_hz
+    if 0 < k < len(magnitudes) - 1:
+        alpha, beta, gamma = magnitudes[k - 1], magnitudes[k], magnitudes[k + 1]
+        denom = alpha - 2.0 * beta + gamma
+        if abs(denom) > 1e-30:
+            delta = 0.5 * (alpha - gamma) / denom
+            freq = (k + np.clip(delta, -0.5, 0.5)) * bin_hz
+    return float(np.clip(freq, lo_bin * bin_hz, hi_bin * bin_hz))
+
+
+def track_frames_reference(frames, band=(50.0, 2000.0)):
+    """(smoothed dominant Hz, RMS, bin_hz) from the per-frame tracking loop as
+    first written, fed one hann-windowed spectrum per frame."""
+    spectra = [np.abs(np.fft.rfft(f.samples * np.hanning(len(f.samples)))) for f in frames]
+    bin_hz = frames[0].sample_rate / len(frames[0].samples)
+    lo_bin = int(np.ceil(band[0] / bin_hz))
+    hi_bin = int(np.floor(band[1] / bin_hz))
+    hi_bin = min(hi_bin, len(spectra[0]) - 1)
+    if lo_bin > hi_bin:
+        raise ValueError(f"band {band} holds no spectrum bins at {bin_hz} Hz spacing")
+    raw = np.array([interpolated_peak_hz_reference(s, lo_bin, hi_bin, bin_hz)
+                    for s in spectra])
+    smoothed = raw.copy()
+    for i in range(1, len(raw) - 1):
+        smoothed[i] = np.median(raw[i - 1:i + 2])
+    rms = np.array([np.sqrt(np.mean(f.samples ** 2)) for f in frames])
+    return smoothed, rms, bin_hz
+
+
+@st.composite
+def magnitude_stacks(draw):
+    """(mags, lo_bin, hi_bin): few distinct values, so flat tops (denom == 0),
+    ties and peaks on bin 0, the last bin and the band edges are common."""
+    mags = draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(3, 16)),
+                           elements=st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
+                                              st.floats(0.0, 1e3))))
+    last = mags.shape[1] - 1
+    lo_bin = draw(st.integers(0, last))
+    return mags, lo_bin, draw(st.integers(lo_bin, last))
+
+
+@st.composite
+def frame_lists(draw):
+    """Frames at 0.1 s, with Nyquist below, at and above the band's top, made
+    of silence, noise, tones anywhere, and cosines on the band-edge bins and
+    the last bin."""
+    rate = draw(st.sampled_from([400, 1000, 4000, 16000]))
+    n = rate // 10
+    t = np.arange(n) / rate
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = [50.0, min(2000.0, rate / 2), rate / 2]
+    frames = []
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(["zero", "noise", "tone", "edge"]),
+                                           min_size=1, max_size=10))):
+        if kind == "zero":
+            x = np.zeros(n)
+        elif kind == "noise":
+            x = rng.uniform(-1, 1, n)
+        elif kind == "tone":
+            x = np.sin(2 * np.pi * rng.uniform(0, rate / 2) * t)
+        else:
+            x = np.cos(2 * np.pi * edges[rng.integers(3)] * t)
+        frames.append(make_frame(x, rate, i))
+    return frames
+
+
 class TestTrackFrames:
     def test_pure_tone_track(self):
         t = np.arange(1600) / 16000
         frames = [make_frame(np.sin(2 * np.pi * 440.0 * t), index=i) for i in range(10)]
-        spectra = [features.fft_magnitude(f) for f in frames]
-        track = track_frames(frames, spectra, [SoundClass.LL] * 10)
+        track = track_frames(frames, [SoundClass.LL] * 10)
         assert np.all(np.abs(track.dominant_freq - 440.0) <= track.bin_hz / 2)
 
     def test_silence_has_zero_energy(self):
         frames = [make_frame(np.zeros(1600), index=i) for i in range(8)]
-        spectra = [features.fft_magnitude(f) for f in frames]
-        track = track_frames(frames, spectra, [SoundClass.NV] * 8)
+        track = track_frames(frames, [SoundClass.NV] * 8)
         assert np.all(track.rms_energy == 0.0)
 
     def test_median_removes_single_spike(self):
         t = np.arange(1600) / 16000
         tone = lambda hz: make_frame(np.sin(2 * np.pi * hz * t))
         frames = [tone(300), tone(300), tone(900), tone(300), tone(300)]
-        spectra = [features.fft_magnitude(f) for f in frames]
-        track = track_frames(frames, spectra, [SoundClass.H] * 5)
+        track = track_frames(frames, [SoundClass.H] * 5)
         assert np.all(np.abs(track.dominant_freq[1:-1] - 300.0) <= track.bin_hz)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            track_frames([], [], [])
+            track_frames([], [])
+
+    def test_band_without_bins_rejected(self):
+        # 8 samples at 80 Hz: bins every 10 Hz up to 40 Hz, all below the band
+        with pytest.raises(ValueError):
+            track_frames([make_frame(np.ones(8), sample_rate=80)], [SoundClass.H])
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=magnitude_stacks(), bin_hz=st.sampled_from([0.5, 10.0, 15.625]))
+    @example(case=(np.zeros((2, 6)), 0, 5), bin_hz=10.0)
+    @example(case=(np.array([[3.0, 1, 0, 0, 1, 2], [0, 0, 1, 2, 1, 4.0]]), 0, 5), bin_hz=10.0)
+    def test_peak_pick_matches_per_frame_reference(self, case, bin_hz):
+        # bin_hz values are exact in binary, so the band maps back to the same bins
+        mags, lo_bin, hi_bin = case
+        got = band_peak_hz(mags, (lo_bin * bin_hz, hi_bin * bin_hz), bin_hz)
+        want = [interpolated_peak_hz_reference(m, lo_bin, hi_bin, bin_hz) for m in mags]
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(frames=frame_lists())
+    def test_matches_per_frame_reference(self, frames):
+        track = track_frames(frames, [SoundClass.H] * len(frames))
+        smoothed, rms, bin_hz = track_frames_reference(frames)
+        assert np.array_equal(track.dominant_freq, smoothed)
+        assert np.array_equal(track.rms_energy, rms)
+        assert track.bin_hz == bin_hz
 
 
 class TestDetectClimax:
@@ -115,9 +212,7 @@ class TestDetectClimax:
                                     duration=4.0, seed=77)
         buffer, truth = synth.synth_passby(prof, scen)
         frames = audio_io.frame_signal(buffer)
-        spectra = [features.fft_magnitude(audio_io.apply_window(f, "hann"))
-                   for f in frames]
-        track = track_frames(frames, spectra, [SoundClass.LL] * len(frames))
+        track = track_frames(frames, [SoundClass.LL] * len(frames))
         climax = detect_climax(track)
         assert abs(climax - int(truth.t_closest / 0.1)) <= 2
 
@@ -134,8 +229,7 @@ class TestInferDirection:
                                     duration=4.0, seed=5)
         buffer, truth = synth.synth_passby(prof, scen)
         frames = audio_io.frame_signal(buffer)
-        spectra = [features.fft_magnitude(f) for f in frames]
-        track = track_frames(frames, spectra, [SoundClass.LH] * len(frames))
+        track = track_frames(frames, [SoundClass.LH] * len(frames))
         climax = int(np.argmax(track.rms_energy))
         assert infer_direction(track, climax) == APPROACHING
         # reversing the track mirrors the energy balance exactly
@@ -153,8 +247,7 @@ class TestInferDirection:
                                     duration=4.0, seed=6, approach_from="back")
         buffer, truth = synth.synth_passby(prof, scen)
         frames = audio_io.frame_signal(buffer)
-        spectra = [features.fft_magnitude(f) for f in frames]
-        track = track_frames(frames, spectra, [SoundClass.LH] * len(frames))
+        track = track_frames(frames, [SoundClass.LH] * len(frames))
         climax = int(np.argmax(track.rms_energy))
         assert infer_direction(track, climax) == RECEDING
 

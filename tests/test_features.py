@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from roadwarn import features
-from roadwarn.features import (LpcConfig, MfccConfig, SilentFrameError, Spectrum,
-                               assemble_feature_vector, autocorrelation, fft_magnitude,
-                               lpc, mfcc, pca_fit, pca_inverse_transform, pca_transform,
-                               spectral_features)
+from roadwarn.features import (LpcConfig, MfccConfig, SilentFrameError, autocorrelation,
+                               fft_magnitude, lpc, mfcc, pca_fit, pca_inverse_transform,
+                               pca_transform, spectral_features)
 
 from conftest import make_frame, sine_frame
 
@@ -22,22 +24,20 @@ def direct_dft(x):
 
 class TestFftMagnitude:
     def test_unit_impulse(self):
-        frame = make_frame(np.r_[1.0, np.zeros(7)])
-        spec = fft_magnitude(frame)
-        np.testing.assert_allclose(spec.magnitudes, np.ones(5), atol=1e-12)
+        mags = fft_magnitude(np.r_[1.0, np.zeros(7)])
+        np.testing.assert_allclose(mags, np.ones(5), atol=1e-12)
 
     def test_dc_only(self):
-        spec = fft_magnitude(make_frame(np.ones(8)))
-        np.testing.assert_allclose(spec.magnitudes, [8, 0, 0, 0, 0], atol=1e-12)
+        mags = fft_magnitude(np.ones(8))
+        np.testing.assert_allclose(mags, [8, 0, 0, 0, 0], atol=1e-12)
 
     def test_matches_direct_dft(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
             n = int(rng.integers(8, 400))
             x = rng.uniform(-1, 1, n)
-            spec = fft_magnitude(make_frame(x))
             oracle = np.abs(direct_dft(x))[:n // 2 + 1]
-            np.testing.assert_allclose(spec.magnitudes, oracle,
+            np.testing.assert_allclose(fft_magnitude(x), oracle,
                                        rtol=1e-6, atol=1e-9 * n)
 
     def test_parseval(self):
@@ -47,54 +47,92 @@ class TestFftMagnitude:
         for _ in range(25):
             n = int(rng.integers(16, 600))
             x = rng.uniform(-1, 1, n)
-            mags = fft_magnitude(make_frame(x)).magnitudes
+            mags = fft_magnitude(x)
             # interior bins appear twice in the two-sided spectrum
             full = np.sum(mags ** 2) + np.sum(mags[1:(n + 1) // 2] ** 2)
             energy = np.sum(x ** 2)
             assert abs(energy - full / n) <= 1e-6 * energy
 
-    def test_bin_spacing(self):
-        spec = fft_magnitude(make_frame(np.zeros(1600), sample_rate=16000))
-        assert spec.bin_hz == 10.0
+    def test_stack_rows_equal_single_frames(self):
+        rng = np.random.default_rng(12)
+        stack = rng.uniform(-1, 1, (6, 1600))
+        mags = fft_magnitude(stack)
+        assert mags.shape == (6, 801)
+        for row, x in zip(mags, stack):
+            assert np.array_equal(row, fft_magnitude(x))
 
     def test_empty_frame_rejected(self):
         with pytest.raises(ValueError):
-            fft_magnitude(make_frame(np.array([1.0])))
+            fft_magnitude(np.array([1.0]))
+
+
+def spectral_features_reference(m, bin_hz):
+    """The per-frame scalar features as first written, one spectrum at a
+    time; the oracle for the batched `spectral_features`."""
+    if len(m) < 4:
+        raise ValueError("spectrum too short to split")
+    mid = len(m) // 2
+    lo, hi = m[:mid], m[mid:]
+    p1 = float(np.sum(lo ** 2))
+    p2 = float(np.sum(hi ** 2))
+    f1 = float(np.argmax(lo) * bin_hz) if lo.max() > 0 else 0.0
+    f2 = float((mid + np.argmax(hi)) * bin_hz) if hi.max() > 0 else 0.0
+    return np.array([p1, p2, f1, f2, float(m.max())])
+
+
+# few distinct values, so ties, flat stretches and all-zero halves are common
+_magnitude = st.one_of(st.sampled_from([0.0, 0.0, 1.0, 2.5]),
+                       st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))
 
 
 class TestSpectralFeatures:
     def test_pure_sine_lands_in_first_half(self):
-        spec = fft_magnitude(sine_frame(1000.0))
-        sf = spectral_features(spec)
-        assert abs(sf.f1 - 1000.0) <= spec.bin_hz
-        assert sf.p1 > 100 * sf.p2
+        mags = fft_magnitude(sine_frame(1000.0).samples)
+        p1, p2, f1, _, peak = spectral_features(mags, 10.0)
+        assert abs(f1 - 1000.0) <= 10.0
+        assert p1 > 100 * p2
         # oracle: strongest bin of the direct DFT in the lower half
         oracle = np.abs(direct_dft(sine_frame(1000.0).samples))[:801]
-        assert sf.f1 == np.argmax(oracle[:400]) * spec.bin_hz
-        assert sf.peak_value == pytest.approx(oracle.max(), rel=1e-9)
+        assert f1 == np.argmax(oracle[:400]) * 10.0
+        assert peak == pytest.approx(oracle.max(), rel=1e-9)
 
     def test_all_zero(self):
-        sf = spectral_features(Spectrum(np.zeros(64), 10.0))
-        assert sf.p1 == 0.0 and sf.p2 == 0.0 and sf.peak_value == 0.0
-        assert sf.f1 == 0.0 and sf.f2 == 0.0
+        p1, p2, f1, f2, peak = spectral_features(np.zeros(64), 10.0)
+        assert p1 == 0.0 and p2 == 0.0 and peak == 0.0
+        assert f1 == 0.0 and f2 == 0.0
 
     def test_two_sines_straddling_the_split(self):
         # equal sines either side of the midpoint (4 kHz at a 16 kHz rate)
         t = np.arange(1600) / 16000.0
-        frame = make_frame(np.sin(2 * np.pi * 500 * t) + np.sin(2 * np.pi * 5000 * t))
-        spec = fft_magnitude(frame)
-        sf = spectral_features(spec)
-        assert abs(sf.f1 - 500.0) <= spec.bin_hz
-        assert abs(sf.f2 - 5000.0) <= spec.bin_hz
-        assert sf.p1 == pytest.approx(sf.p2, rel=0.05)
+        x = np.sin(2 * np.pi * 500 * t) + np.sin(2 * np.pi * 5000 * t)
+        p1, p2, f1, f2, _ = spectral_features(fft_magnitude(x), 10.0)
+        assert abs(f1 - 500.0) <= 10.0
+        assert abs(f2 - 5000.0) <= 10.0
+        assert p1 == pytest.approx(p2, rel=0.05)
         # verify both halves against the direct DFT oracle
-        oracle = np.abs(direct_dft(frame.samples))[:801]
-        assert sf.p1 == pytest.approx(np.sum(oracle[:400] ** 2), rel=1e-9)
-        assert sf.p2 == pytest.approx(np.sum(oracle[400:] ** 2), rel=1e-9)
+        oracle = np.abs(direct_dft(x))[:801]
+        assert p1 == pytest.approx(np.sum(oracle[:400] ** 2), rel=1e-9)
+        assert p2 == pytest.approx(np.sum(oracle[400:] ** 2), rel=1e-9)
 
     def test_degenerate_spectrum(self):
         with pytest.raises(ValueError):
-            spectral_features(Spectrum(np.ones(3), 10.0))
+            spectral_features(np.ones(3), 10.0)
+        with pytest.raises(ValueError):
+            spectral_features(np.ones((5, 3)), 10.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mags=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(4, 24)),
+                           elements=_magnitude),
+           bin_hz=st.sampled_from([0.1, 3.0, 10.0, 15.625]))
+    @example(mags=np.zeros((2, 8)), bin_hz=10.0)
+    @example(mags=np.array([[0, 0, 0, 0, 0, 0, 0, 2.0], [3.0, 0, 0, 0, 0, 0, 0, 0]]),
+             bin_hz=10.0)
+    def test_stack_matches_per_frame_reference(self, mags, bin_hz):
+        got = spectral_features(mags, bin_hz)
+        assert got.shape == (len(mags), 5)
+        for row, m in zip(got, mags):
+            assert np.array_equal(row, spectral_features_reference(m, bin_hz))
+            assert np.array_equal(spectral_features(m, bin_hz), row)
 
 
 def mfcc_reference(samples, sample_rate, n_filters=26, n_coeffs=13,
@@ -238,30 +276,34 @@ class TestLpc:
 
 class TestAssemble:
     def test_default_dimensionality(self):
-        vec = assemble_feature_vector(sine_frame(300.0, amplitude=0.5))
-        assert len(vec.as_array()) == 31
-        assert features.FEATURE_VECTOR_DIM == 31
+        matrix = features.extract_features([sine_frame(300.0, amplitude=0.5)])
+        assert matrix.shape == (1, 31)
         assert len(features.feature_names()) == 31
 
     def test_deterministic(self):
-        frame = sine_frame(250.0, amplitude=0.4)
-        a = assemble_feature_vector(frame).as_array()
-        b = assemble_feature_vector(frame).as_array()
-        assert np.array_equal(a, b)
+        frames = [sine_frame(250.0, amplitude=0.4)]
+        assert np.array_equal(features.extract_features(frames),
+                              features.extract_features(frames))
 
     def test_silent_frame_propagates(self):
         with pytest.raises(SilentFrameError):
-            assemble_feature_vector(make_frame(np.zeros(1600)))
+            features.extract_features([make_frame(np.zeros(1600))])
 
     def test_batch_matches_per_frame(self):
-        # batched FFTs may differ from single-frame ones by float noise only
+        # the scalars and LPC are exact; a 1-row and a many-row MFCC batch may
+        # differ by float noise in the filterbank product
         rng = np.random.default_rng(2)
         frames = [make_frame(rng.uniform(-1, 1, 1600), index=i) for i in range(4)]
         batch = features.extract_features(frames)
+        assert batch.shape == (4, 31)
         for i, frame in enumerate(frames):
-            np.testing.assert_allclose(batch[i],
-                                       assemble_feature_vector(frame).as_array(),
-                                       rtol=1e-9, atol=1e-12)
+            spec = spectral_features_reference(np.abs(np.fft.rfft(frame.samples)), 10.0)
+            assert np.array_equal(batch[i, :5], spec)
+            np.testing.assert_allclose(batch[i, 5:18], mfcc(frame), rtol=1e-9, atol=1e-12)
+            assert np.array_equal(batch[i, 18:], np.append(*lpc(frame)))
+
+    def test_no_frames(self):
+        assert features.extract_features([]).shape == (0, 31)
 
 
 class TestPca:

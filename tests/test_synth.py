@@ -37,6 +37,8 @@ class TestPassby:
         receding = 100.0 * 343.0 / (343.0 + 75.0 / 3.6)
         assert measure_tone_frequency(buffer, 9.5, 11.5, (80, 130)) == pytest.approx(
             receding, abs=0.5)
+        # a tone just above the band reads as the band's top, never beyond it
+        assert 80.0 <= measure_tone_frequency(buffer, 0.5, 2.5, (80, 106.2)) <= 106.2
 
     def test_energy_peak_near_closest_approach(self):
         prof = VehicleProfile(sound_class=SoundClass.LL, fundamental=120.0,
