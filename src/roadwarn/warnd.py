@@ -8,8 +8,11 @@ Wire grammar (UTF-8, one message per newline-terminated line):
     ERR <reason>                    server -> client, rejection
     WARN <processor_id> <class> <direction> <t>   server -> client, the alert
 
-client_id matches [A-Za-z0-9_-]{1,32}; coordinates and times are decimals
-with at most 3 fraction digits; class is one of H/LL/LH/NV.
+client_id matches [A-Za-z0-9_-]{1,32}; coordinates and times are finite
+decimals with at most 3 fraction digits; class is one of H/LL/LH/NV.  A
+line longer than MAX_LINE_BYTES is answered `ERR line too long` and ends
+the session.  A client whose connection closes, or whose connection fails
+a write, is dropped from the registry and must REG again.
 
 Detection events do not travel on the client wire: `dispatch` is called
 in-process (simulation) or fed EVENT lines on stdin (standalone server).
@@ -18,10 +21,13 @@ in-process (simulation) or fed EVENT lines on stdin (standalone server).
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import socketserver
 import sys
 import threading
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .classifiers import SoundClass
@@ -31,6 +37,7 @@ from .deployment import (WARN_CLASSES, DeploymentPlan, load_plan_config, members
 
 _CLIENT_ID = re.compile(r"[A-Za-z0-9_-]{1,32}\Z")
 _DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]{1,3})?\Z")
+MAX_LINE_BYTES = 1024  # longest client line, "\n" or "\r\n" excluded
 
 
 class ProtocolError(ValueError):
@@ -78,7 +85,10 @@ class WarningMessage:
 def _parse_decimal(token: str, what: str) -> float:
     if not _DECIMAL.match(token):
         raise ProtocolError(f"bad {what} {token!r}")
-    return float(token)
+    value = float(token)
+    if math.isinf(value):  # the grammar has no NaN, but 309+ digits overflow
+        raise ProtocolError(f"bad {what} {token[:16]}... (not finite)")
+    return value
 
 
 def _parse_client_id(token: str) -> str:
@@ -144,23 +154,65 @@ def decode(line: str):
     raise ProtocolError(f"unknown verb {verb!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class _ClientRecord:
     x: float
     y: float
     t: float
-    send: object  # callable(line) delivering a server->client line
+    # callable(line) delivering a server->client line; it may raise OSError
+    # when the connection has failed
+    send: object
+    areas: tuple = ()  # processor_ids whose bucket holds this record
 
 
 class Dispatcher:
     """Registry plus dispatch.  All registry mutations happen under one lock,
     so concurrent sessions interleave without tearing, and every dispatch
-    sees a consistent snapshot."""
+    sees a consistent snapshot.
+
+    Besides `_clients` (client_id -> record) the registry keeps one bucket
+    per processor, holding the records whose position lies in its danger
+    area (areas are closed, so a client on a shared edge is in both), and
+    the client_ids registered through each `send`.  A dispatch scans only
+    the target bucket, so its cost follows the area, not the registry.
+    """
 
     def __init__(self, plan: DeploymentPlan):
         self.plan = plan
         self._lock = threading.Lock()
         self._clients: dict[str, _ClientRecord] = {}
+        self._by_send: dict[object, set] = defaultdict(set)
+        areas = {}  # processor_id -> area, the first processor of an id as plan.processor
+        for p in plan.processors:
+            areas.setdefault(p.processor_id, p.area)
+        self._buckets: dict[int, dict[str, _ClientRecord]] = {pid: {} for pid in areas}
+        # Which areas' [x0, x0 + length] hold x is the same all along each
+        # open interval between two neighbouring area edges, so one cell per
+        # interval and per edge: (-inf, e0), [e0], (e0, e1), [e1], ..., (ek, inf).
+        self._edges = sorted({a.x0 for a in areas.values()}
+                             | {a.x0 + a.length for a in areas.values()})
+
+        def spanning(lo, hi):
+            return tuple((pid, area.contains) for pid, area in areas.items()
+                         if area.x0 <= lo and hi <= area.x0 + area.length)
+
+        self._cells = []
+        lo = -math.inf
+        for edge in self._edges:
+            self._cells += [spanning(lo, edge), spanning(edge, edge)]
+            lo = edge
+        self._cells.append(spanning(lo, math.inf))
+
+    def _areas_at(self, x: float, y: float) -> tuple:
+        """processor_ids whose area contains (x, y): the cell of x names the
+        candidates, `contains` decides."""
+        edges = self._edges
+        found = ()
+        # x on edge i: i + (i + 1), the cell [ei]; x in (e(i-1), ei): 2 i
+        for pid, contains in self._cells[bisect_left(edges, x) + bisect_right(edges, x)]:
+            if contains(x, y):
+                found += (pid,)
+        return found
 
     # -- client sessions ----------------------------------------------------
 
@@ -181,20 +233,45 @@ class Dispatcher:
         return encode(Reject(f"unexpected {type(message).__name__} from client"))
 
     def _upsert(self, message, send, register: bool) -> str:
+        cid = message.client_id
         with self._lock:
-            record = self._clients.get(message.client_id)
+            record = self._clients.get(cid)
             if record is None and not register:
                 return encode(Reject("unknown-client"))
             if record is not None and message.t < record.t:
                 return encode(Reject("stale"))
             if record is None:
-                self._clients[message.client_id] = _ClientRecord(
+                record = self._clients[cid] = _ClientRecord(
                     message.x, message.y, message.t, send)
+                self._by_send[send].add(cid)
             else:
                 record.x, record.y, record.t = message.x, message.y, message.t
-                if register:
+                if register and record.send != send:
+                    self._unbind(cid, record.send)
+                    self._by_send[send].add(cid)
                     record.send = send
-        return encode(Ack(message.client_id))
+            areas = self._areas_at(message.x, message.y)
+            if areas != record.areas:
+                for pid in record.areas:
+                    del self._buckets[pid][cid]
+                for pid in areas:
+                    self._buckets[pid][cid] = record
+                record.areas = areas
+        return encode(Ack(cid))
+
+    def _unbind(self, cid: str, send) -> None:
+        cids = self._by_send[send]
+        cids.discard(cid)
+        if not cids:
+            del self._by_send[send]
+
+    def drop_connection(self, send) -> None:
+        """Evict every client whose WARNs go through `send`: its connection
+        closed or failed."""
+        with self._lock:
+            for cid in self._by_send.pop(send, ()):
+                for pid in self._clients.pop(cid).areas:
+                    del self._buckets[pid][cid]
 
     def positions(self) -> dict:
         """Snapshot: client_id -> (x, y, t)."""
@@ -210,8 +287,10 @@ class Dispatcher:
     def dispatch(self, result: DetectionResult, processor_id: int, event_time: float) -> set:
         """Deliver a WARN to every fresh client in the processor's danger area.
 
-        Returns the exact set of client_ids written to (empty when the
-        policy suppresses the warning).
+        A connection whose `send` raises OSError is dropped with all its
+        clients.  Returns the exact set of client_ids written to, on
+        connections still open (empty when the policy suppresses the
+        warning).
         """
         processor = self.plan.processor(processor_id)  # raises KeyError if absent
         if not warning_decision(result):
@@ -222,12 +301,20 @@ class Dispatcher:
                                  event_time=event_time)
         line = encode(message)
         with self._lock:
-            members = members_in_area(processor.area, self._clients, event_time,
+            bucket = self._buckets[processor_id]
+            members = members_in_area(processor.area, bucket, event_time,
                                       self.plan.freshness_window)
-            sends = [self._clients[cid].send for cid in members]
+            sends = [bucket[cid].send for cid in members]
+        failed = []
         for send in sends:
-            send(line)
-        return set(members)
+            if send in failed:
+                continue
+            try:
+                send(line)
+            except OSError:
+                failed.append(send)
+                self.drop_connection(send)
+        return {cid for cid, send in zip(members, sends) if send not in failed}
 
 
 def parse_event_line(line: str) -> tuple[int, DetectionResult, float]:
@@ -242,22 +329,30 @@ def parse_event_line(line: str) -> tuple[int, DetectionResult, float]:
 
 class _SessionHandler(socketserver.StreamRequestHandler):
     def handle(self):
+        dispatcher = self.server.dispatcher
         lock = threading.Lock()
 
         def send(line):
             payload = (line + "\n").encode("utf-8")
             with lock:
-                try:
-                    self.wfile.write(payload)
-                    self.wfile.flush()
-                except OSError:
-                    pass
+                self.wfile.write(payload)  # unbuffered: raises OSError if the peer is gone
 
-        for raw in self.rfile:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            send(self.server.dispatcher.handle_line(line, send))
+        try:
+            # at EOF the unterminated last line is returned, and handled, too
+            while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+                if len(raw) > MAX_LINE_BYTES and raw.endswith(b"\r"):
+                    raw += self.rfile.read(1)  # "\r\n" after a line at the cap?
+                body = raw.removesuffix(b"\n").removesuffix(b"\r")
+                if len(body) > MAX_LINE_BYTES:
+                    send(encode(Reject("line too long")))
+                    return
+                line = body.decode("utf-8", errors="replace").strip()
+                if line:
+                    send(dispatcher.handle_line(line, send))
+        except OSError:
+            pass
+        finally:
+            dispatcher.drop_connection(send)
 
 
 class WarnServer(socketserver.ThreadingTCPServer):

@@ -1,15 +1,23 @@
+import math
+import os
+import select
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadwarn.classifiers import SoundClass
 from roadwarn.decision import APPROACHING, RECEDING, UNKNOWN, DetectionResult
-from roadwarn.deployment import build_plan, members_in_area
-from roadwarn.warnd import (Ack, Dispatcher, PositionUpdate, ProtocolError, Register,
-                            Reject, WarnServer, WarningMessage, decode, encode,
+from roadwarn.deployment import (DangerArea, DeploymentPlan, Processor, build_plan,
+                                 members_in_area)
+from roadwarn.warnd import (MAX_LINE_BYTES, Ack, Dispatcher, PositionUpdate, ProtocolError,
+                            Register, Reject, WarnServer, WarningMessage, decode, encode,
                             parse_event_line)
 
 
@@ -298,3 +306,455 @@ class TestTcpServer:
         finally:
             server.shutdown()
             server.server_close()
+
+
+# -- hostile input --------------------------------------------------------------
+
+_NINES = "9" * 400  # parses to inf as a float
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("field, line", [
+        ("x", f"REG p1 {_NINES} 1.0 0.0"),
+        ("y", f"REG p1 1.0 -{_NINES} 0.0"),
+        ("t", f"POS p1 1.0 1.0 {_NINES}.5"),
+    ])
+    def test_overflowing_decimal_rejected(self, field, line):
+        with pytest.raises(ProtocolError, match=f"bad {field}"):
+            decode(line)
+        dispatcher = Dispatcher(build_plan(100.0))
+        assert dispatcher.handle_line(line, print).startswith(f"ERR malformed: bad {field} ")
+        assert len(dispatcher) == 0
+
+    def test_overflowing_event_time_rejected(self):
+        with pytest.raises(ProtocolError):
+            parse_event_line(f"EVENT 1 H approaching {_NINES}")
+        with pytest.raises(ProtocolError):
+            decode(f"WARN 1 H approaching {_NINES}")
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["REG", "POS", "OK", "ERR", "WARN", "EVENT", "H", "LH", "LL", "NV",
+                     "approaching", "receding", "unknown", "p1", "a-b_C9", "x" * 33, "",
+                     "0", "-0", "1.5", "1.2345", "-3.000", ".5", "1.", "1e3", "nan", "inf",
+                     "-inf", _NINES, "-" + _NINES, _NINES + ".999", "١", "1_000",
+                     "+1", "0x10", "\t", "p$"]),
+    st.integers(-10**400, 10**400).map(str),
+    st.decimals(allow_nan=False, allow_infinity=False, places=3).map(str),
+    st.text(max_size=8))
+_NEAR_GRAMMAR = st.lists(_TOKENS, min_size=0, max_size=6).map(" ".join)
+_LINES = st.one_of(st.text(max_size=80), _NEAR_GRAMMAR)
+
+
+def _finite_fields(message):
+    return all(math.isfinite(getattr(message, name))
+               for name in ("x", "y", "t", "event_time") if hasattr(message, name))
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_LINES)
+    def test_decode_yields_finite_message_or_protocol_error(self, line):
+        try:
+            message = decode(line)
+        except ProtocolError:
+            return
+        assert _finite_fields(message)
+        assert decode(encode(message)) == message
+
+    @settings(max_examples=400, deadline=None)
+    @given(_LINES)
+    def test_handle_line_answers_ok_or_err(self, line):
+        dispatcher = Dispatcher(build_plan(100.0))
+        response = dispatcher.handle_line(line, print)
+        assert response.startswith(("OK ", "ERR "))
+        assert all(_finite_fields(r) for r in dispatcher._clients.values())
+        assert len(dispatcher) == (1 if response.startswith("OK ") else 0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(_LINES, _NEAR_GRAMMAR.map(lambda text: "EVENT " + text)))
+    def test_event_line_parses_finite_or_protocol_error(self, line):
+        try:
+            processor_id, result, event_time = parse_event_line(line)
+        except ProtocolError:
+            return
+        assert isinstance(processor_id, int) and math.isfinite(event_time)
+        assert isinstance(result, DetectionResult)
+
+
+# -- the area index -------------------------------------------------------------
+
+def _irregular_plan():
+    """Areas that overlap, nest, touch and leave gaps, out of x order."""
+    spans = [(60.0, 0.5), (0.0, 30.0), (12.5, 5.0), (10.0, 40.0), (60.5, 9.5), (90.0, 10.0)]
+    processors = tuple(Processor(i, x0, DangerArea(i, x0, length, 7.0))
+                       for i, (x0, length) in enumerate(spans))
+    return DeploymentPlan(processors=processors)
+
+
+_PLANS = {"below": build_plan(100.0, danger_length=10.0),   # gaps between areas
+          "equal": build_plan(100.0),                      # areas share their edges
+          "above": build_plan(100.0, danger_length=40.0),  # areas overlap
+          "irregular": _irregular_plan()}
+
+
+class _Connection:
+    """An in-process client connection: collects payloads, or fails."""
+
+    def __init__(self):
+        self.payloads = []
+        self.broken = False
+
+    def send(self, text):
+        if self.broken:
+            raise BrokenPipeError("peer gone")
+        self.payloads.append(text)
+
+
+def _coordinates(plan):
+    edges = sorted({p.area.x0 for p in plan.processors}
+                   | {p.area.x0 + p.area.length for p in plan.processors})
+    width = plan.processors[0].area.width
+    xs = st.one_of(st.sampled_from(edges),                              # on an area edge
+                   st.sampled_from(edges).map(lambda e: e + 0.001),
+                   st.sampled_from(edges).map(lambda e: e - 0.001),
+                   st.sampled_from([-30.0, edges[-1] + 0.001, edges[-1] + 60.0]),  # off the road
+                   st.integers(-5000, int(edges[-1] * 1000) + 5000).map(lambda v: v / 1000))
+    ys = st.one_of(st.sampled_from([0.0, width, -0.001, width + 0.001, 40.0]),
+                   st.integers(0, int(width * 1000)).map(lambda v: v / 1000))
+    return xs, ys
+
+
+@st.composite
+def _scenario(draw):
+    plan = _PLANS[draw(st.sampled_from(sorted(_PLANS)))]
+    xs, ys = _coordinates(plan)
+    pids = [p.processor_id for p in plan.processors]
+    step = st.one_of(
+        st.tuples(st.sampled_from(["REG", "POS"]), st.integers(0, 7), xs, ys,
+                  st.integers(0, 12), st.integers(0, 2)),
+        st.tuples(st.just("close"), st.integers(0, 2)),
+        st.tuples(st.just("break"), st.integers(0, 2)),
+        st.tuples(st.just("dispatch"), st.sampled_from(pids), st.integers(0, 14)))
+    return plan, draw(st.lists(step, max_size=40))
+
+
+def _check_index(dispatcher, plan):
+    clients = dispatcher._clients
+    for processor in plan.processors:
+        bucket = dispatcher._buckets[processor.processor_id]
+        inside = {cid for cid, r in clients.items() if processor.area.contains(r.x, r.y)}
+        assert set(bucket) == inside
+        assert all(bucket[cid] is clients[cid] for cid in bucket)
+    # each client is bound to the connection it registered on, and no connection is kept
+    # without clients
+    assert all(dispatcher._by_send.values())
+    bound = {}
+    for send, cids in dispatcher._by_send.items():
+        for cid in cids:
+            assert cid not in bound
+            bound[cid] = send
+    assert bound == {cid: r.send for cid, r in clients.items()}
+
+
+class TestAreaIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(_scenario())
+    def test_buckets_and_dispatch_match_whole_registry(self, scenario):
+        plan, steps = scenario
+        dispatcher = Dispatcher(plan)
+        conns = [_Connection() for _ in range(3)]
+        shadow = {}  # cid -> [x, y, t, connection index]
+        warn = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
+        for step in steps:
+            if step[0] in ("REG", "POS"):
+                verb, n, x, y, t, k = step
+                cid = f"c{n}"
+                response = dispatcher.handle_line(f"{verb} {cid} {x:.3f} {y:.3f} {t}.0",
+                                                  conns[k].send)
+                if cid not in shadow and verb == "POS":
+                    assert response == "ERR unknown-client"
+                elif cid in shadow and t < shadow[cid][2]:
+                    assert response == "ERR stale"
+                else:
+                    assert response == f"OK {cid}"
+                    bound = k if verb == "REG" or cid not in shadow else shadow[cid][3]
+                    shadow[cid] = [x, y, t, bound]
+            elif step[0] == "close":
+                dispatcher.drop_connection(conns[step[1]].send)
+                shadow = {cid: s for cid, s in shadow.items() if s[3] != step[1]}
+            elif step[0] == "break":
+                conns[step[1]].broken = True
+            else:
+                _, pid, now = step
+                area = plan.processor(pid).area
+                members = members_in_area(area, dispatcher._clients, float(now),
+                                          plan.freshness_window)
+                assert set(members) == {cid for cid, (x, y, t, _) in shadow.items()
+                                        if area.contains(x, y)
+                                        and now - t <= plan.freshness_window}
+                dead = {shadow[cid][3] for cid in members if conns[shadow[cid][3]].broken}
+                before = [len(c.payloads) for c in conns]
+                delivered = dispatcher.dispatch(warn, pid, float(now))
+                assert delivered == {cid for cid in members if shadow[cid][3] not in dead}
+                line = f"WARN {pid} H approaching {now}.000"
+                for k, conn in enumerate(conns):
+                    count = sum(1 for cid in delivered if shadow[cid][3] == k)
+                    # one line per client the connection registered
+                    assert conn.payloads[before[k]:] == [line] * count
+                shadow = {cid: s for cid, s in shadow.items() if s[3] not in dead}
+            assert dispatcher.positions() == {cid: (x, y, float(t))
+                                              for cid, (x, y, t, _) in shadow.items()}
+            _check_index(dispatcher, plan)
+
+    def test_position_updates_move_client_between_buckets(self):
+        dispatcher = Dispatcher(build_plan(100.0))
+        path = [("REG", 30.0, 1.0, ["1"]), ("POS", 25.0, 7.0, ["0", "1"]),
+                ("POS", 60.0, 0.0, ["2"]), ("POS", 60.0, 7.5, []),
+                ("POS", 125.0, 3.0, ["4"]), ("POS", 125.5, 3.0, []), ("REG", 0.0, 0.0, ["0"])]
+        for t, (verb, x, y, buckets) in enumerate(path):
+            assert dispatcher.handle_line(f"{verb} a {x} {y} {t}", print) == "OK a"
+            assert [str(pid) for pid, b in dispatcher._buckets.items() if "a" in b] == buckets
+            _check_index(dispatcher, dispatcher.plan)
+
+    def test_shared_connection_gets_one_line_per_client(self):
+        dispatcher = Dispatcher(build_plan(100.0))
+        conn = _Connection()
+        assert dispatcher.handle_line("REG a 30.0 1.0 0.0", conn.send) == "OK a"
+        assert dispatcher.handle_line("REG b 40.0 1.0 0.0", conn.send) == "OK b"
+        result = DetectionResult(climax_index=8, sound_type=SoundClass.LH, direction=APPROACHING)
+        assert dispatcher.dispatch(result, 1, 1.0) == {"a", "b"}
+        assert conn.payloads == ["WARN 1 LH approaching 1.000"] * 2
+
+    def test_reregistering_through_new_sinks_keeps_one_binding(self):
+        # cli.simulate hands every line a fresh callable
+        dispatcher = Dispatcher(build_plan(100.0))
+        for t in range(50):
+            assert dispatcher.handle_line(f"REG a 30.0 1.0 {t}.0", lambda line: None) == "OK a"
+        assert len(dispatcher._by_send) == 1
+        assert dispatcher._by_send[dispatcher._clients["a"].send] == {"a"}
+
+
+class TestEviction:
+    def _warn(self, dispatcher, pid=1, t=1.0):
+        result = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
+        return dispatcher.dispatch(result, pid, t)
+
+    def test_failing_send_is_evicted_and_not_reported(self):
+        dispatcher = Dispatcher(build_plan(100.0))
+        dead, alive = _Connection(), _Connection()
+        dead.broken = True
+        dispatcher.handle_line("REG gone 30.0 1.0 0.0", dead.send)
+        dispatcher.handle_line("REG far 90.0 1.0 0.0", dead.send)  # same connection, area 3
+        dispatcher.handle_line("REG here 35.0 1.0 0.0", alive.send)
+        assert len(dispatcher) == 3
+        assert self._warn(dispatcher) == {"here"}
+        assert len(dispatcher) == 1
+        assert set(dispatcher.positions()) == {"here"}
+        assert self._warn(dispatcher) == {"here"}
+        assert self._warn(dispatcher, pid=3) == set()
+        _check_index(dispatcher, dispatcher.plan)
+
+    def test_drop_connection_skips_clients_that_moved(self):
+        dispatcher = Dispatcher(build_plan(100.0))
+        old, new = _Connection(), _Connection()
+        dispatcher.handle_line("REG a 30.0 1.0 0.0", old.send)
+        dispatcher.handle_line("REG b 31.0 1.0 0.0", old.send)
+        dispatcher.handle_line("REG a 32.0 1.0 1.0", new.send)
+        dispatcher.drop_connection(old.send)
+        assert set(dispatcher.positions()) == {"a"}
+        assert self._warn(dispatcher) == {"a"}
+        assert new.payloads == ["WARN 1 H approaching 1.000"] and old.payloads == []
+
+
+    def test_concurrent_sessions_keep_index_and_connections_consistent(self):
+        plan = build_plan(100.0, danger_length=40.0)
+        dispatcher = Dispatcher(plan)
+        warn = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
+        errors = []
+        stop = threading.Event()
+
+        def session(k):
+            rng = np.random.default_rng(k)
+            conn = _Connection()
+            try:
+                for step in range(400):
+                    cid = f"c{rng.integers(0, 12)}"  # ids shared between sessions
+                    verb = "REG" if rng.random() < 0.5 else "POS"
+                    x = rng.integers(-20, 150)
+                    dispatcher.handle_line(f"{verb} {cid} {x}.5 {rng.integers(-1, 9)}.0 {step}.0",
+                                           conn.send)
+                    if rng.random() < 0.1:
+                        dispatcher.drop_connection(conn.send)
+                        conn = _Connection()
+                    conn.broken = rng.random() < 0.05
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        def events():
+            i = 0
+            while not stop.is_set():
+                dispatcher.dispatch(warn, i % len(plan.processors), float(i % 400))
+                i += 1
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            dispatching = threading.Thread(target=events)
+            dispatching.start()
+            threads = [threading.Thread(target=session, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            stop.set()
+            dispatching.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads + [dispatching])
+        assert not errors
+        _check_index(dispatcher, plan)
+
+
+# -- the TCP session --------------------------------------------------------------
+
+@pytest.fixture
+def server():
+    srv = WarnServer(("127.0.0.1", 0), build_plan(100.0))
+    thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
+    thread.start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+
+
+def _connect(srv):
+    return socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=5)
+
+
+def _read_lines(sock, count):
+    data = b""
+    while data.count(b"\n") < count:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed after {data!r}"
+        data += chunk
+    return data
+
+
+def _wait_for_size(dispatcher, size):
+    deadline = time.time() + 5
+    while len(dispatcher) != size and time.time() < deadline:
+        time.sleep(0.01)
+    return len(dispatcher)
+
+
+class TestSession:
+    def test_shared_connection_bytes(self, server):
+        sock = _connect(server)
+        sock.sendall(b"REG a 30.0 1.0 0.0\nREG b 40.0 1.0 0.0\n")
+        assert _read_lines(sock, 2) == b"OK a\nOK b\n"
+        result = DetectionResult(climax_index=8, sound_type=SoundClass.LH, direction=APPROACHING)
+        assert server.dispatcher.dispatch(result, 1, 1.0) == {"a", "b"}
+        assert _read_lines(sock, 2) == b"WARN 1 LH approaching 1.000\n" * 2
+        sock.close()
+
+    def test_disconnected_client_is_evicted(self, server):
+        leaving, staying = _connect(server), _connect(server)
+        leaving.sendall(b"REG gone 30.0 1.0 0.0\n")
+        staying.sendall(b"REG here 35.0 1.0 0.0\n")
+        assert _read_lines(leaving, 1) == b"OK gone\n"
+        assert _read_lines(staying, 1) == b"OK here\n"
+        assert len(server.dispatcher) == 2
+        leaving.close()
+        assert _wait_for_size(server.dispatcher, 1) == 1
+        result = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
+        assert server.dispatcher.dispatch(result, 1, 1.0) == {"here"}
+        assert _read_lines(staying, 1) == b"WARN 1 H approaching 1.000\n"
+        staying.close()
+
+    def test_unterminated_last_line_answered(self, server):
+        sock = _connect(server)
+        sock.sendall(b"REG a 10.0 1.0 0.0\r\n\nREG b 20.0 1.0 0.0")
+        sock.shutdown(socket.SHUT_WR)
+        assert _read_lines(sock, 2) == b"OK a\nOK b\n"
+        assert sock.recv(100) == b""
+        sock.close()
+        assert _wait_for_size(server.dispatcher, 0) == 0
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
+    def test_line_at_the_cap_accepted(self, server, ending):
+        sock = _connect(server)
+        head = b"REG a 10.0 1.0 "
+        line = head + b"0" * (MAX_LINE_BYTES - len(head))
+        assert len(line) == MAX_LINE_BYTES
+        sock.sendall(line + ending + b"POS a 11.0 1.0 1.0" + ending)
+        assert _read_lines(sock, 2) == b"OK a\nOK a\n"
+        sock.close()
+
+    # one byte past the cap: unterminated, with "\n", with "\r\n", and a "\r" that is not
+    # part of the line's ending
+    @pytest.mark.parametrize("tail", [b"0", b"0\n", b"0\r\n", b"\r0\n"])
+    def test_over_long_line_ends_session(self, server, tail):
+        sock = _connect(server)
+        sock.sendall(b"REG a 10.0 1.0 0.0\n")
+        assert _read_lines(sock, 1) == b"OK a\n"
+        head = b"REG b 10.0 1.0 "
+        sock.sendall(head + b"0" * (MAX_LINE_BYTES - len(head)) + tail)
+        assert _read_lines(sock, 1) == b"ERR line too long\n"
+        assert sock.recv(100) == b""
+        sock.close()
+        assert _wait_for_size(server.dispatcher, 0) == 0
+
+
+class TestStandaloneService:
+    """`python -m roadwarn.warnd` as operators run it: clients on TCP,
+    EVENT lines on stdin, a `dispatched to N` line per event on stdout."""
+
+    def test_pipelined_registrations_and_one_event(self, tmp_path):
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text("[plan]\nroad_length = 100\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "roadwarn.warnd", "--plan", str(plan_path),
+             "--listen", "127.0.0.1:0"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            env=env, bufsize=0)
+
+        def stdout_line():
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            assert ready, "warnd printed nothing for 10 s"
+            return proc.stdout.readline().decode()
+
+        try:
+            banner = stdout_line()
+            assert banner.startswith("warnd listening on 127.0.0.1:")
+            sock = socket.create_connection(("127.0.0.1", int(banner.rsplit(":", 1)[1])),
+                                            timeout=10)
+            # 2,000 clients spread over x in [-10, 190) m, half of them on the road
+            regs = [(f"p{i}", (i % 800) * 0.25 - 10.0, 1.0 if i % 2 else 9.0)
+                    for i in range(2000)]
+            sock.sendall(b"".join(f"REG {cid} {x:.3f} {y:.3f} 0.5\n".encode()
+                                  for cid, x, y in regs))
+            replies = _read_lines(sock, len(regs)).decode().splitlines()
+            assert replies == [f"OK {cid}" for cid, _, _ in regs]
+
+            area = build_plan(100.0).processor(2).area
+            expected = sum(area.contains(x, y) for _, x, y in regs)
+            assert expected > 50
+            proc.stdin.write(b"EVENT 2 H approaching 3.000\n")
+            warns = _read_lines(sock, expected)
+            assert warns == b"WARN 2 H approaching 3.000\n" * expected
+            assert stdout_line() == f"dispatched to {expected} client(s)\n"
+            sock.close()
+        finally:
+            proc.stdin.close()
+            try:
+                proc.wait(timeout=10)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+                proc.stdout.close()
+        assert proc.returncode == 0
