@@ -22,16 +22,16 @@ buffer, truth = synth.synth_passby(profile, scenario)
 print(f"rendered {buffer.duration:.1f} s at {buffer.sample_rate} Hz, "
       f"closest approach at t = {truth.t_closest:.2f} s")
 
-frames = audio_io.frame_signal(buffer)
-loudest = max(frames, key=lambda f: np.sqrt(np.mean(f.samples ** 2)))
-print(f"loudest frame: #{loudest.index} (t = {loudest.start_time:.1f} s)")
+frames = audio_io.frame_signal(buffer)  # one row per 0.1 s frame
+index = int(np.argmax(np.sqrt(np.mean(frames ** 2, axis=1))))
+loudest = frames[index]
+print(f"loudest frame: #{index} (t = {index * audio_io.DEFAULT_FRAME_SECONDS:.1f} s)")
 
 # --- the five spectral scalars ---------------------------------------------
 
-stack = np.stack([f.samples for f in frames])
-bin_hz = buffer.sample_rate / stack.shape[1]
-p1, p2, f1, f2, peak = features.spectral_features(features.fft_magnitude(stack),
-                                                  bin_hz)[loudest.index]
+bin_hz = buffer.sample_rate / frames.shape[1]
+p1, p2, f1, f2, peak = features.spectral_features(features.fft_magnitude(frames),
+                                                  bin_hz)[index]
 print("\nspectral scalars (halves split at", 0.25 * buffer.sample_rate, "Hz):")
 print(f"  p1 = {p1:.4g}   p2 = {p2:.4g}")
 print(f"  f1 = {f1:.0f} Hz  f2 = {f2:.0f} Hz  peak = {peak:.4g}")
@@ -40,26 +40,24 @@ print(f"  (source fundamental was {profile.fundamental:.0f} Hz; "
 
 # --- MFCC -------------------------------------------------------------------
 
-coeffs = features.mfcc(loudest)
+coeffs = features.mfcc(loudest, buffer.sample_rate)
 print("\nfirst five MFCCs:", np.round(coeffs[:5], 3))
 
 # rescaling the frame only moves coefficient 0 (the loudness axis)
-double = audio_io.Frame(2 * loudest.samples, loudest.index,
-                        loudest.start_time, loudest.sample_rate)
-delta = features.mfcc(double) - coeffs
+delta = features.mfcc(2 * loudest, buffer.sample_rate) - coeffs
 print("after doubling the amplitude, coefficient deltas:", np.round(delta[:5], 6))
 
 # --- LPC --------------------------------------------------------------------
 
 a, gain = features.lpc(loudest)
 print("\nLPC coefficients a_1..a_4:", np.round(a[:4], 4), " gain:", round(gain, 6))
-pred = np.convolve(loudest.samples, np.r_[0.0, a])[:len(loudest.samples)]
-residual = loudest.samples - pred
-print(f"prediction drops the frame power {np.mean(loudest.samples**2) / np.mean(residual**2):.1f}x")
+pred = np.convolve(loudest, np.r_[0.0, a])[:len(loudest)]
+residual = loudest - pred
+print(f"prediction drops the frame power {np.mean(loudest**2) / np.mean(residual**2):.1f}x")
 
 # --- the full 31-dim vector and PCA ----------------------------------------
 
-matrix = features.extract_features(frames)
+matrix = features.extract_features(frames, buffer.sample_rate)
 print(f"\nfeature matrix for the clip: {matrix.shape[0]} frames x {matrix.shape[1]} dims")
 
 # z-score first: the raw power features span orders of magnitude and would

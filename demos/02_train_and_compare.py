@@ -22,7 +22,7 @@ for cls in (SoundClass.LH, SoundClass.LL, SoundClass.H, SoundClass.NV):
     for i in range(PER_CLASS):
         buffer, _, _ = synth.render_corpus_clip(cls, i, clip_seed=500 + 37 * i + ord(cls.value[0]))
         frames = audio_io.frame_signal(buffer)
-        rows.append(features.extract_features(frames))
+        rows.append(features.extract_features(frames, buffer.sample_rate))
         labels.extend([cls] * len(frames))
 data = LabeledDataset(np.vstack(rows), labels)
 print(f"dataset: {data.X.shape[0]} frames, counts "

@@ -22,7 +22,8 @@ rows, labels = [], []
 for cls in (SoundClass.LH, SoundClass.LL, SoundClass.H, SoundClass.NV):
     for i in range(6):
         buffer, _, _ = synth.render_corpus_clip(cls, i, clip_seed=900 + 13 * i + ord(cls.value[-1]))
-        rows.append(features.extract_features(audio_io.frame_signal(buffer)))
+        rows.append(features.extract_features(audio_io.frame_signal(buffer),
+                                              buffer.sample_rate))
         labels.extend([cls] * (len(rows[-1])))
 model = train_dt(LabeledDataset(np.vstack(rows), labels))
 

@@ -1,7 +1,8 @@
 """Mono audio loading and fixed-length framing.
 
-Everything downstream of this module works on `Frame` objects: 0.1 s,
-non-overlapping slices of a `SampleBuffer`.  Only RIFF/WAVE containers with
+Everything downstream of this module works on one frame matrix per
+buffer: row i holds the samples of the i-th 0.1 s, non-overlapping slice
+of a `SampleBuffer`, starting at i * 0.1 s.  Only RIFF/WAVE containers with
 16-bit PCM or 32-bit IEEE-float samples are understood; anything else is
 rejected with a distinct error so callers can report the exact problem.
 """
@@ -44,23 +45,6 @@ class SampleBuffer:
     @property
     def duration(self) -> float:
         return len(self.samples) / self.sample_rate
-
-
-@dataclass(frozen=True)
-class Frame:
-    """One fixed-length slice of a buffer.
-
-    `start_time` is seconds from the start of the parent buffer and always
-    equals ``index * DEFAULT_FRAME_SECONDS``; frames do not overlap.
-    """
-
-    samples: np.ndarray
-    index: int
-    start_time: float
-    sample_rate: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
 
 
 def _parse_wav_chunks(data: bytes):
@@ -122,11 +106,12 @@ def write_wav(path, buffer: SampleBuffer) -> None:
             fh.write(b"\x00")
 
 
-def frame_signal(buffer: SampleBuffer) -> list[Frame]:
+def frame_signal(buffer: SampleBuffer) -> np.ndarray:
     """Cut a buffer into floor(duration / 0.1 s) non-overlapping frames.
 
-    Trailing samples that do not fill a whole frame are discarded.  A buffer
-    shorter than one frame is an error.
+    Returns the (frames x samples) float64 matrix, a view of the buffer's
+    samples; trailing samples that do not fill a whole frame are
+    discarded.  A buffer shorter than one frame is an error.
     """
     n = int(round(DEFAULT_FRAME_SECONDS * buffer.sample_rate))
     if n < 1:
@@ -138,12 +123,4 @@ def frame_signal(buffer: SampleBuffer) -> list[Frame]:
             f"buffer of {buffer.duration:.4f} s is shorter than one "
             f"{DEFAULT_FRAME_SECONDS} s frame"
         )
-    frames = []
-    for i in range(count):
-        frames.append(Frame(
-            samples=buffer.samples[i * n:(i + 1) * n],
-            index=i,
-            start_time=i * DEFAULT_FRAME_SECONDS,
-            sample_rate=buffer.sample_rate,
-        ))
-    return frames
+    return buffer.samples[:count * n].reshape(count, n)

@@ -83,7 +83,7 @@ def _argmax_danger(scores: np.ndarray) -> SoundClass:
 @dataclass(frozen=True)
 class MlpConfig:
     hidden_units: int = 32
-    learning_rate: float = 0.01
+    learning_rate: float = 0.5
     epochs: int = 300
     seed: int = 0
 

@@ -132,7 +132,8 @@ def cmd_extract(args) -> int:
     for entry in entries:
         buffer = audio_io.load_wav(os.path.join(args.corpus_dir, entry.file))
         frames = audio_io.frame_signal(buffer)
-        rows.append(features.extract_features(frames, config.mfcc, config.lpc))
+        rows.append(features.extract_features(frames, buffer.sample_rate,
+                                              config.mfcc, config.lpc))
         labels.extend([entry.sound_class] * len(frames))
     matrix = np.vstack(rows)
     features.save_dataset_csv(args.features_csv, matrix, labels,
@@ -200,9 +201,9 @@ def detect_buffer(buffer: audio_io.SampleBuffer, model, feature_set: str = "all"
                   lpc_cfg: LpcConfig = LpcConfig()):
     """Three-phase pipeline on one buffer: returns (DetectionResult, track)."""
     frames = audio_io.frame_signal(buffer)
-    matrix = features.extract_features(frames, mfcc_cfg, lpc_cfg)
+    matrix = features.extract_features(frames, buffer.sample_rate, mfcc_cfg, lpc_cfg)
     labels = model.predict_batch(matrix[:, FEATURE_SETS[feature_set]])
-    track = decision.track_frames(frames, labels)
+    track = decision.track_frames(frames, buffer.sample_rate, labels)
     climax = decision.detect_climax(track)
     return decision.finalize_detection(track, climax), track
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import features
-from .audio_io import Frame
 from .classifiers import SoundClass, most_dangerous
 
 APPROACHING = "approaching"
@@ -117,19 +116,20 @@ def band_peak_hz(mags: np.ndarray, band: tuple[float, float], bin_hz: float) -> 
     return np.clip(freq, lo_bin * bin_hz, hi_bin * bin_hz)
 
 
-def track_frames(frames: list[Frame], labels: list) -> FrameTrack:
-    """Per-frame dominant frequency (within TRACK_BAND) and RMS energy.
+def track_frames(frames: np.ndarray, sample_rate: int, labels: list) -> FrameTrack:
+    """Per-frame dominant frequency (within TRACK_BAND) and RMS energy of a
+    (frames x samples) matrix.
 
     The frequency comes from hann-windowed spectra, which give cleaner
     peaks than the rectangular spectra the scalar features are defined on.
     The track is median-smoothed over 3 frames to knock out single-frame
     spikes; the first and last frames keep their raw values.
     """
-    if not frames or len(frames) != len(labels):
-        raise ValueError("frames and labels must be non-empty and aligned")
-    X = np.stack([f.samples for f in frames])
+    X = np.asarray(frames, dtype=np.float64)
+    if X.ndim != 2 or not len(X) or len(X) != len(labels):
+        raise ValueError("frames must be a non-empty matrix with one label per row")
     n = X.shape[1]
-    bin_hz = frames[0].sample_rate / n
+    bin_hz = sample_rate / n
     raw = band_peak_hz(features.fft_magnitude(X * np.hanning(n)), TRACK_BAND, bin_hz)
     smoothed = raw.copy()
     if len(raw) > 2:

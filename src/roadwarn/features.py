@@ -7,6 +7,8 @@ A full feature vector concatenates, in this fixed order:
 which is 31 dimensions with the defaults (13 MFCC coefficients, order-12
 LPC).  The five spectral scalars come from the unwindowed magnitude
 spectrum; the MFCC path applies its own pre-emphasis and hann window.
+Every extractor takes one frame or a (frames x samples) stack and works
+on the whole stack at once.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct
-
-from .audio_io import Frame
 
 
 class SilentFrameError(ValueError):
@@ -117,72 +117,100 @@ def _mel_filterbank(n_filters: int, n_bins: int, bin_hz: float, fmin: float, fma
     return bank
 
 
-def _mfcc_batch(frames_matrix: np.ndarray, sample_rate: int, config: MfccConfig) -> np.ndarray:
-    """MFCC rows for a (n_frames, frame_len) matrix of raw samples."""
-    fmax = config.resolve_fmax(sample_rate)
-    n = frames_matrix.shape[1]
-    emphasized = np.empty_like(frames_matrix)
-    emphasized[:, 0] = frames_matrix[:, 0]
-    emphasized[:, 1:] = frames_matrix[:, 1:] - config.pre_emphasis * frames_matrix[:, :-1]
-    windowed = emphasized * np.hanning(n)
-    power = np.abs(np.fft.rfft(windowed, axis=1)) ** 2
-    bank = _mel_filterbank(config.n_filters, power.shape[1], sample_rate / n, config.fmin, fmax)
-    log_energy = np.log(power @ bank.T + config.log_floor)
-    return dct(log_energy, type=2, norm="ortho", axis=1)[:, :config.n_coeffs]
+def _as_stack(frames) -> tuple[np.ndarray, bool]:
+    """(frames as a 2-D float64 stack, whether a single 1-D frame came in)."""
+    x = np.asarray(frames, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ValueError("expected one frame or a (frames x samples) stack")
+    return np.atleast_2d(x), x.ndim == 1
 
 
-def mfcc(frame: Frame, config: MfccConfig = MfccConfig()) -> np.ndarray:
-    """Mel-frequency cepstral coefficients of one frame.
+def mfcc(frames: np.ndarray, sample_rate: int, config: MfccConfig = MfccConfig()) -> np.ndarray:
+    """Mel-frequency cepstral coefficients of one frame or a stack of them.
 
     Pipeline: pre-emphasis, hann window, power spectrum, triangular mel
     filterbank, log(energy + log_floor), orthonormal type-II DCT truncated
     to n_coeffs.  The floor keeps silent channels finite; as long as filter
     energies dominate the floor, rescaling the frame only moves
-    coefficient 0.
+    coefficient 0.  Returns n_coeffs values per frame.
     """
-    if len(frame.samples) < 2:
+    X, single = _as_stack(frames)
+    n = X.shape[1]
+    if n < 2:
         raise ValueError("frame too short for MFCC")
-    return _mfcc_batch(frame.samples[np.newaxis, :], frame.sample_rate, config)[0]
+    fmax = config.resolve_fmax(sample_rate)
+    emphasized = np.empty_like(X)
+    emphasized[:, 0] = X[:, 0]
+    emphasized[:, 1:] = X[:, 1:] - config.pre_emphasis * X[:, :-1]
+    windowed = emphasized * np.hanning(n)
+    power = np.abs(np.fft.rfft(windowed, axis=1)) ** 2
+    bank = _mel_filterbank(config.n_filters, power.shape[1], sample_rate / n, config.fmin, fmax)
+    log_energy = np.log(power @ bank.T + config.log_floor)
+    coeffs = dct(log_energy, type=2, norm="ortho", axis=1)[:, :config.n_coeffs]
+    return coeffs[0] if single else coeffs
 
 
-def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased autocorrelation estimates r[0..max_lag] (normalized by len(x))."""
-    n = len(x)
-    r = np.empty(max_lag + 1)
+def autocorrelation(frames: np.ndarray, max_lag: int) -> np.ndarray:
+    """Biased autocorrelation estimates r[0..max_lag] (normalized by the
+    frame length N, max_lag < N) along the last axis of one frame or a stack.
+
+    Each lag is one stacked product of (1 x N-k) and (N-k x 1) row views,
+    which numpy computes with the BLAS dot product, as `np.dot` does for a
+    single frame, so every estimate equals the per-frame one exactly.
+    """
+    x = np.asarray(frames, dtype=np.float64)
+    n = x.shape[-1]
+    r = np.empty(x.shape[:-1] + (max_lag + 1,))
     for k in range(max_lag + 1):
-        r[k] = np.dot(x[k:], x[:n - k]) / n
+        r[..., k] = np.matmul(x[..., None, k:], x[..., :n - k, None])[..., 0, 0] / n
     return r
 
 
-def lpc(frame: Frame, config: LpcConfig = LpcConfig()) -> tuple[np.ndarray, float]:
+def lpc(frames: np.ndarray, config: LpcConfig = LpcConfig()):
     """Linear prediction coefficients via the Levinson-Durbin recursion.
 
-    Returns (a, gain) in the positive-predictor convention
-    ``x_hat[n] = sum_i a[i-1] * x[n-i]``; gain is the mean-square
-    prediction error left after the final order.
+    Takes one frame or a (frames x N) stack and returns (a, gain) with the
+    input's leading shape: `order` coefficients per frame in the
+    positive-predictor convention ``x_hat[n] = sum_i a[i-1] * x[n-i]``, and
+    the mean-square prediction error left after the final order.
+
+    The recursion runs once per order over the whole stack (Makhoul 1975,
+    *Linear prediction: a tutorial review*).  A frame whose error has
+    fallen to 1e-15 of its power is perfectly predicted: it leaves the
+    recursion there and its higher taps stay 0.  The order-update inner
+    products are BLAS dot products of contiguous rows, like the lags, so
+    each frame's result equals a frame-by-frame recursion bit for bit.
     """
-    x = frame.samples
+    X, single = _as_stack(frames)
     p = config.order
-    if p >= len(x):
+    if p >= X.shape[1]:
         raise ValueError("LPC order must be smaller than the frame length")
-    r = autocorrelation(x, p)
-    if p == 0:
-        return np.zeros(0), float(r[0])
-    if r[0] <= 0.0:
+    r = autocorrelation(X, p)
+    r0 = r[:, 0]
+    if p and np.any(r0 <= 0.0):
         raise SilentFrameError("cannot fit LPC to a silent frame")
-    a = np.zeros(p)
-    err = float(r[0])
+    # lags in reverse order, rows C-contiguous: rev[:, p - j] = r[:, j]; a
+    # reversed view has a negative stride, which numpy multiplies outside BLAS
+    rev = r[:, ::-1].copy()
+    a = np.zeros((len(X), p))
+    err = r0.copy()
     for i in range(1, p + 1):
-        if err <= 1e-15 * r[0]:
-            break  # signal already perfectly predicted; higher taps stay 0
-        k = (r[i] - np.dot(a[:i - 1], r[i - 1:0:-1])) / err
-        a_new = a.copy()
-        a_new[i - 1] = k
-        if i > 1:
-            a_new[:i - 1] = a[:i - 1] - k * a[i - 2::-1]
-        a = a_new
-        err *= (1.0 - k * k)
-    return a, float(err)
+        live = err > 1e-15 * r0
+        if live.all():
+            live = slice(None)
+        else:
+            live = np.flatnonzero(live)
+            if not live.size:
+                break
+        a_live = a[live]
+        dot = np.matmul(a_live[:, None, :i - 1], rev[live, p - i + 1:p, None])[:, 0, 0]
+        k = (r[live, i] - dot) / err[live]
+        updated = a_live.copy()
+        updated[:, i - 1] = k
+        updated[:, :i - 1] -= k[:, None] * a_live[:, :i - 1][:, ::-1]
+        a[live] = updated
+        err[live] *= 1.0 - k * k
+    return (a[0], float(err[0])) if single else (a, err)
 
 
 def feature_names(mfcc_cfg: MfccConfig = MfccConfig(), lpc_cfg: LpcConfig = LpcConfig()) -> list[str]:
@@ -192,21 +220,16 @@ def feature_names(mfcc_cfg: MfccConfig = MfccConfig(), lpc_cfg: LpcConfig = LpcC
             + ["lpc_gain"])
 
 
-def extract_features(buffer_frames: list[Frame],
+def extract_features(frames: np.ndarray, sample_rate: int,
                      mfcc_cfg: MfccConfig = MfccConfig(),
                      lpc_cfg: LpcConfig = LpcConfig()) -> np.ndarray:
-    """Feature matrix (n_frames x dim) for a list of equal-length frames.
-
-    The spectral scalars and the MFCC run on the whole frame stack; LPC
-    runs frame by frame.
-    """
-    if not buffer_frames:
+    """Feature matrix (n_frames x dim) for a (frames x samples) matrix."""
+    X = np.asarray(frames, dtype=np.float64)
+    if not len(X):
         return np.zeros((0, len(feature_names(mfcc_cfg, lpc_cfg))))
-    rate = buffer_frames[0].sample_rate
-    matrix = np.stack([f.samples for f in buffer_frames])
-    scalars = spectral_features(fft_magnitude(matrix), rate / matrix.shape[1])
-    lpc_rows = np.array([np.append(*lpc(f, lpc_cfg)) for f in buffer_frames])
-    return np.hstack([scalars, _mfcc_batch(matrix, rate, mfcc_cfg), lpc_rows])
+    scalars = spectral_features(fft_magnitude(X), sample_rate / X.shape[1])
+    a, gain = lpc(X, lpc_cfg)
+    return np.hstack([scalars, mfcc(X, sample_rate, mfcc_cfg), a, gain[:, None]])
 
 
 # ---------------------------------------------------------------------------

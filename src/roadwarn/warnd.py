@@ -12,7 +12,9 @@ client_id matches [A-Za-z0-9_-]{1,32}; coordinates and times are finite
 decimals with at most 3 fraction digits; class is one of H/LL/LH/NV.  A
 line longer than MAX_LINE_BYTES is answered `ERR line too long` and ends
 the session.  A client whose connection closes, or whose connection fails
-a write, is dropped from the registry and must REG again.
+a write, is dropped from the registry and must REG again; a write that
+cannot finish within WRITE_TIMEOUT_S (a peer that stopped reading) fails
+and closes the connection.
 
 Detection events do not travel on the client wire: `dispatch` is called
 in-process (simulation) or fed EVENT lines on stdin (standalone server).
@@ -23,7 +25,9 @@ from __future__ import annotations
 import argparse
 import math
 import re
+import socket
 import socketserver
+import struct
 import sys
 import threading
 from bisect import bisect_left, bisect_right
@@ -38,6 +42,7 @@ from .deployment import (WARN_CLASSES, DeploymentPlan, load_plan_config, members
 _CLIENT_ID = re.compile(r"[A-Za-z0-9_-]{1,32}\Z")
 _DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]{1,3})?\Z")
 MAX_LINE_BYTES = 1024  # longest client line, "\n" or "\r\n" excluded
+WRITE_TIMEOUT_S = 5.0  # longest a blocked write to one client may stall a dispatch
 
 
 class ProtocolError(ValueError):
@@ -328,6 +333,14 @@ def parse_event_line(line: str) -> tuple[int, DetectionResult, float]:
 
 
 class _SessionHandler(socketserver.StreamRequestHandler):
+    def setup(self):
+        super().setup()
+        # a kernel send timeout, not settimeout(): that would poll before every
+        # write; a send blocked this long fails with BlockingIOError (an OSError)
+        seconds, fraction = divmod(WRITE_TIMEOUT_S, 1.0)
+        self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO,
+                                   struct.pack("ll", int(seconds), int(fraction * 1e6)))
+
     def handle(self):
         dispatcher = self.server.dispatcher
         lock = threading.Lock()
@@ -335,7 +348,15 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         def send(line):
             payload = (line + "\n").encode("utf-8")
             with lock:
-                self.wfile.write(payload)  # unbuffered: raises OSError if the peer is gone
+                try:
+                    self.wfile.write(payload)  # unbuffered: raises OSError if the peer is gone
+                except OSError:
+                    # end the read loop too, so no REG re-binds to this connection
+                    try:
+                        self.connection.shutdown(socket.SHUT_RDWR)
+                    except OSError:
+                        pass
+                    raise
 
         try:
             # at EOF the unterminated last line is returned, and handled, too

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roadwarn import audio_io, synth
+from roadwarn import synth
 
 
 @pytest.fixture(scope="session")
@@ -22,11 +22,7 @@ def features_csv(tmp_path_factory, corpus_dir):
     return path
 
 
-def make_frame(samples, sample_rate=16000, index=0):
-    return audio_io.Frame(samples=np.asarray(samples, dtype=float), index=index,
-                          start_time=index * 0.1, sample_rate=sample_rate)
-
-
 def sine_frame(freq_hz, sample_rate=16000, n=1600, amplitude=1.0):
+    """The samples of one frame holding a sine."""
     t = np.arange(n) / sample_rate
-    return make_frame(amplitude * np.sin(2 * np.pi * freq_hz * t), sample_rate)
+    return amplitude * np.sin(2 * np.pi * freq_hz * t)

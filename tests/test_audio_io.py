@@ -86,17 +86,16 @@ class TestLoadWav:
 
 class TestFraming:
     def test_two_second_buffer(self):
-        buf = SampleBuffer(np.zeros(32000), 16000)
+        buf = SampleBuffer(np.arange(32000) / 32000, 16000)
         frames = frame_signal(buf)
-        assert len(frames) == 20
-        assert all(len(f.samples) == 1600 for f in frames)
-        assert [f.start_time for f in frames] == pytest.approx([0.1 * i for i in range(20)])
+        assert frames.shape == (20, 1600) and frames.dtype == np.float64
+        # row i starts at sample i * 1600, i.e. at t = 0.1 * i
+        assert np.array_equal(frames[:, 0], buf.samples[1600 * np.arange(20)])
 
     def test_trailing_samples_dropped(self):
         buf = SampleBuffer(np.zeros(7600), 8000)  # 0.95 s
         frames = frame_signal(buf)
-        assert len(frames) == 9
-        assert sum(len(f.samples) for f in frames) == 7200  # last 400 dropped
+        assert frames.shape == (9, 800)  # last 400 dropped
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -112,7 +111,7 @@ class TestFraming:
             buf = SampleBuffer(rng.uniform(-1, 1, n), 16000)
             frames = frame_signal(buf)
             assert len(frames) == int(buf.duration / 0.1)
-            glued = np.concatenate([f.samples for f in frames])
+            glued = frames.ravel()
             np.testing.assert_array_equal(glued, buf.samples[:len(glued)])
 
 

@@ -1,3 +1,8 @@
+import hashlib
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -65,6 +70,13 @@ class TestExtractCommand:
         empty.mkdir()
         assert main(["extract", str(empty), str(tmp_path / "f.csv")]) == 2
 
+    def test_seed0_csv_hash_matches_benchmark_record(self, features_csv):
+        # the benchmark's recorded output for the seed-0 corpus: any change
+        # to the extracted bytes must show up here, not only in a bench run
+        expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+        want = json.loads(expected.read_text())["train_cv"]["features_sha256"]
+        assert hashlib.sha256(features_csv.read_bytes()).hexdigest() == want
+
 
 class TestTrainEval:
     def test_train_and_eval_roundtrip(self, features_csv, dt_model_file, tmp_path, capsys):
@@ -79,6 +91,13 @@ class TestTrainEval:
         assert "f-measure" in text and "overall accuracy" in text
         for c in CLASS_ORDER:
             assert c.value in text.splitlines()[0]
+
+    def test_default_mlp_fits_the_corpus(self, features_csv, tmp_path, capsys):
+        # no --config: the default learning rate must fit the seed-0 corpus
+        # (0.01 stopped at 62% and labelled no H frame as H)
+        assert main(["train", str(features_csv), str(tmp_path / "mlp.json")]) == 0
+        accuracy = re.search(r"training accuracy ([0-9.]+)%", capsys.readouterr().out)
+        assert float(accuracy.group(1)) >= 95.0
 
     def test_cv_eval_report(self, features_csv, tmp_path):
         report = tmp_path / "cv.txt"

@@ -11,8 +11,6 @@ from roadwarn.decision import (APPROACHING, RECEDING, UNKNOWN, DetectionResult,
                                detect_climax, doppler_observed, finalize_detection,
                                infer_direction, track_frames, vote_final_frames)
 
-from conftest import make_frame
-
 
 def build_track(freqs, energies, labels=None, bin_hz=10.0):
     n = len(freqs)
@@ -59,11 +57,11 @@ def interpolated_peak_hz_reference(magnitudes, lo_bin, hi_bin, bin_hz):
     return float(np.clip(freq, lo_bin * bin_hz, hi_bin * bin_hz))
 
 
-def track_frames_reference(frames, band=(50.0, 2000.0)):
+def track_frames_reference(frames, sample_rate, band=(50.0, 2000.0)):
     """(smoothed dominant Hz, RMS, bin_hz) from the per-frame tracking loop as
     first written, fed one hann-windowed spectrum per frame."""
-    spectra = [np.abs(np.fft.rfft(f.samples * np.hanning(len(f.samples)))) for f in frames]
-    bin_hz = frames[0].sample_rate / len(frames[0].samples)
+    spectra = [np.abs(np.fft.rfft(x * np.hanning(len(x)))) for x in frames]
+    bin_hz = sample_rate / len(frames[0])
     lo_bin = int(np.ceil(band[0] / bin_hz))
     hi_bin = int(np.floor(band[1] / bin_hz))
     hi_bin = min(hi_bin, len(spectra[0]) - 1)
@@ -74,7 +72,7 @@ def track_frames_reference(frames, band=(50.0, 2000.0)):
     smoothed = raw.copy()
     for i in range(1, len(raw) - 1):
         smoothed[i] = np.median(raw[i - 1:i + 2])
-    rms = np.array([np.sqrt(np.mean(f.samples ** 2)) for f in frames])
+    rms = np.array([np.sqrt(np.mean(x ** 2)) for x in frames])
     return smoothed, rms, bin_hz
 
 
@@ -91,18 +89,18 @@ def magnitude_stacks(draw):
 
 
 @st.composite
-def frame_lists(draw):
-    """Frames at 0.1 s, with Nyquist below, at and above the band's top, made
-    of silence, noise, tones anywhere, and cosines on the band-edge bins and
-    the last bin."""
+def frame_matrices(draw):
+    """(frames, sample_rate): 0.1 s frames, with Nyquist below, at and above
+    the band's top, made of silence, noise, tones anywhere, and cosines on
+    the band-edge bins and the last bin."""
     rate = draw(st.sampled_from([400, 1000, 4000, 16000]))
     n = rate // 10
     t = np.arange(n) / rate
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     edges = [50.0, min(2000.0, rate / 2), rate / 2]
     frames = []
-    for i, kind in enumerate(draw(st.lists(st.sampled_from(["zero", "noise", "tone", "edge"]),
-                                           min_size=1, max_size=10))):
+    for kind in draw(st.lists(st.sampled_from(["zero", "noise", "tone", "edge"]),
+                              min_size=1, max_size=10)):
         if kind == "zero":
             x = np.zeros(n)
         elif kind == "noise":
@@ -111,37 +109,37 @@ def frame_lists(draw):
             x = np.sin(2 * np.pi * rng.uniform(0, rate / 2) * t)
         else:
             x = np.cos(2 * np.pi * edges[rng.integers(3)] * t)
-        frames.append(make_frame(x, rate, i))
-    return frames
+        frames.append(x)
+    return np.array(frames), rate
 
 
 class TestTrackFrames:
     def test_pure_tone_track(self):
         t = np.arange(1600) / 16000
-        frames = [make_frame(np.sin(2 * np.pi * 440.0 * t), index=i) for i in range(10)]
-        track = track_frames(frames, [SoundClass.LL] * 10)
+        frames = np.tile(np.sin(2 * np.pi * 440.0 * t), (10, 1))
+        track = track_frames(frames, 16000, [SoundClass.LL] * 10)
         assert np.all(np.abs(track.dominant_freq - 440.0) <= track.bin_hz / 2)
 
     def test_silence_has_zero_energy(self):
-        frames = [make_frame(np.zeros(1600), index=i) for i in range(8)]
-        track = track_frames(frames, [SoundClass.NV] * 8)
+        track = track_frames(np.zeros((8, 1600)), 16000, [SoundClass.NV] * 8)
         assert np.all(track.rms_energy == 0.0)
 
     def test_median_removes_single_spike(self):
         t = np.arange(1600) / 16000
-        tone = lambda hz: make_frame(np.sin(2 * np.pi * hz * t))
-        frames = [tone(300), tone(300), tone(900), tone(300), tone(300)]
-        track = track_frames(frames, [SoundClass.H] * 5)
+        frames = np.sin(2 * np.pi * np.c_[[300, 300, 900, 300, 300]] * t)
+        track = track_frames(frames, 16000, [SoundClass.H] * 5)
         assert np.all(np.abs(track.dominant_freq[1:-1] - 300.0) <= track.bin_hz)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            track_frames([], [])
+            track_frames(np.zeros((0, 1600)), 16000, [])
+        with pytest.raises(ValueError):
+            track_frames(np.zeros((2, 1600)), 16000, [SoundClass.H])
 
     def test_band_without_bins_rejected(self):
         # 8 samples at 80 Hz: bins every 10 Hz up to 40 Hz, all below the band
         with pytest.raises(ValueError):
-            track_frames([make_frame(np.ones(8), sample_rate=80)], [SoundClass.H])
+            track_frames(np.ones((1, 8)), 80, [SoundClass.H])
 
     @settings(max_examples=300, deadline=None)
     @given(case=magnitude_stacks(), bin_hz=st.sampled_from([0.5, 10.0, 15.625]))
@@ -155,10 +153,11 @@ class TestTrackFrames:
         assert np.array_equal(got, want)
 
     @settings(max_examples=150, deadline=None)
-    @given(frames=frame_lists())
-    def test_matches_per_frame_reference(self, frames):
-        track = track_frames(frames, [SoundClass.H] * len(frames))
-        smoothed, rms, bin_hz = track_frames_reference(frames)
+    @given(case=frame_matrices())
+    def test_matches_per_frame_reference(self, case):
+        frames, rate = case
+        track = track_frames(frames, rate, [SoundClass.H] * len(frames))
+        smoothed, rms, bin_hz = track_frames_reference(frames, rate)
         assert np.array_equal(track.dominant_freq, smoothed)
         assert np.array_equal(track.rms_energy, rms)
         assert track.bin_hz == bin_hz
@@ -212,7 +211,7 @@ class TestDetectClimax:
                                     duration=4.0, seed=77)
         buffer, truth = synth.synth_passby(prof, scen)
         frames = audio_io.frame_signal(buffer)
-        track = track_frames(frames, [SoundClass.LL] * len(frames))
+        track = track_frames(frames, buffer.sample_rate, [SoundClass.LL] * len(frames))
         climax = detect_climax(track)
         assert abs(climax - int(truth.t_closest / 0.1)) <= 2
 
@@ -229,7 +228,7 @@ class TestInferDirection:
                                     duration=4.0, seed=5)
         buffer, truth = synth.synth_passby(prof, scen)
         frames = audio_io.frame_signal(buffer)
-        track = track_frames(frames, [SoundClass.LH] * len(frames))
+        track = track_frames(frames, buffer.sample_rate, [SoundClass.LH] * len(frames))
         climax = int(np.argmax(track.rms_energy))
         assert infer_direction(track, climax) == APPROACHING
         # reversing the track mirrors the energy balance exactly
@@ -247,7 +246,7 @@ class TestInferDirection:
                                     duration=4.0, seed=6, approach_from="back")
         buffer, truth = synth.synth_passby(prof, scen)
         frames = audio_io.frame_signal(buffer)
-        track = track_frames(frames, [SoundClass.LH] * len(frames))
+        track = track_frames(frames, buffer.sample_rate, [SoundClass.LH] * len(frames))
         climax = int(np.argmax(track.rms_energy))
         assert infer_direction(track, climax) == RECEDING
 

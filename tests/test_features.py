@@ -11,7 +11,7 @@ from roadwarn.features import (LpcConfig, MfccConfig, SilentFrameError, autocorr
                                fft_magnitude, lpc, mfcc, pca_fit, pca_inverse_transform,
                                pca_transform, spectral_features)
 
-from conftest import make_frame, sine_frame
+from conftest import sine_frame
 
 
 def direct_dft(x):
@@ -87,12 +87,12 @@ _magnitude = st.one_of(st.sampled_from([0.0, 0.0, 1.0, 2.5]),
 
 class TestSpectralFeatures:
     def test_pure_sine_lands_in_first_half(self):
-        mags = fft_magnitude(sine_frame(1000.0).samples)
+        mags = fft_magnitude(sine_frame(1000.0))
         p1, p2, f1, _, peak = spectral_features(mags, 10.0)
         assert abs(f1 - 1000.0) <= 10.0
         assert p1 > 100 * p2
         # oracle: strongest bin of the direct DFT in the lower half
-        oracle = np.abs(direct_dft(sine_frame(1000.0).samples))[:801]
+        oracle = np.abs(direct_dft(sine_frame(1000.0)))[:801]
         assert f1 == np.argmax(oracle[:400]) * 10.0
         assert peak == pytest.approx(oracle.max(), rel=1e-9)
 
@@ -178,7 +178,7 @@ def mfcc_reference(samples, sample_rate, n_filters=26, n_coeffs=13,
 
 class TestMfcc:
     def test_silence(self):
-        coeffs = mfcc(make_frame(np.zeros(512)))
+        coeffs = mfcc(np.zeros(512), 16000)
         # constant log-floor energies: only coefficient 0 survives the DCT
         expected0 = math.sqrt(26) * math.log(1e-10)
         assert coeffs[0] == pytest.approx(expected0, rel=1e-12)
@@ -187,21 +187,21 @@ class TestMfcc:
     def test_scaling_moves_only_coefficient_zero(self):
         rng = np.random.default_rng(9)
         x = rng.uniform(-0.8, 0.8, 1600)
-        a = mfcc(make_frame(x))
-        b = mfcc(make_frame(2.0 * x))
+        a = mfcc(x, 16000)
+        b = mfcc(2.0 * x, 16000)
         np.testing.assert_allclose(a[1:], b[1:], atol=1e-6)
         assert abs(b[0] - a[0]) > 1.0
 
     def test_matches_independent_reference(self):
         frame = sine_frame(440.0, n=512)
-        got = mfcc(frame)
-        want = mfcc_reference(frame.samples, frame.sample_rate)
+        got = mfcc(frame, 16000)
+        want = mfcc_reference(frame, 16000)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
 
     def test_reference_also_agrees_on_noise(self):
         rng = np.random.default_rng(17)
         samples = rng.uniform(-1, 1, 400)
-        got = mfcc(make_frame(samples, sample_rate=8000))
+        got = mfcc(samples, 8000)
         want = mfcc_reference(samples, 8000)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
 
@@ -209,7 +209,7 @@ class TestMfcc:
         with pytest.raises(ValueError):
             MfccConfig(n_coeffs=30, n_filters=26)
         with pytest.raises(ValueError):
-            mfcc(sine_frame(440.0), MfccConfig(fmin=5000.0, fmax=4000.0))
+            mfcc(sine_frame(440.0), 16000, MfccConfig(fmin=5000.0, fmax=4000.0))
 
 
 def toeplitz_lpc_oracle(x, order):
@@ -227,7 +227,7 @@ class TestLpc:
         frame = sine_frame(100.0, n=256)
         a, gain = lpc(frame, LpcConfig(order=0))
         assert len(a) == 0
-        assert gain == pytest.approx(np.mean(frame.samples ** 2))
+        assert gain == pytest.approx(np.mean(frame ** 2))
 
     def test_ar1_recovery(self):
         rng = np.random.default_rng(7)
@@ -235,19 +235,19 @@ class TestLpc:
         e = rng.standard_normal(10000)
         for i in range(1, 10000):
             x[i] = 0.9 * x[i - 1] + e[i]
-        a, _ = lpc(make_frame(x), LpcConfig(order=1))
+        a, _ = lpc(x, LpcConfig(order=1))
         assert a[0] == pytest.approx(0.9, abs=0.05)
 
     def test_matches_toeplitz_solve(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
             x = rng.standard_normal(int(rng.integers(200, 2000)))
-            a, _ = lpc(make_frame(x), LpcConfig(order=8))
+            a, _ = lpc(x, LpcConfig(order=8))
             np.testing.assert_allclose(a, toeplitz_lpc_oracle(x, 8), rtol=1e-6, atol=1e-9)
 
     def test_silent_frame(self):
         with pytest.raises(SilentFrameError):
-            lpc(make_frame(np.zeros(256)), LpcConfig(order=4))
+            lpc(np.zeros(256), LpcConfig(order=4))
 
     def test_optimality(self):
         # nudging any coefficient cannot reduce the prediction error the
@@ -256,7 +256,7 @@ class TestLpc:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(800)
         order = 6
-        a, _ = lpc(make_frame(x), LpcConfig(order=order))
+        a, _ = lpc(x, LpcConfig(order=order))
 
         def padded_mse(coeffs):
             padded = np.r_[np.zeros(order), x, np.zeros(order)]
@@ -274,36 +274,161 @@ class TestLpc:
                 assert padded_mse(tweaked) >= base - 1e-12 * base
 
 
+def autocorrelation_reference(x, max_lag):
+    """The per-frame lag sums as first written; `lpc_reference` uses them."""
+    n = len(x)
+    r = np.empty(max_lag + 1)
+    for k in range(max_lag + 1):
+        r[k] = np.dot(x[k:], x[:n - k]) / n
+    return r
+
+
+def lpc_reference(x, p):
+    """The per-frame Levinson-Durbin recursion as first written; the oracle
+    for the batched `lpc`."""
+    if p >= len(x):
+        raise ValueError("LPC order must be smaller than the frame length")
+    r = autocorrelation_reference(x, p)
+    if p == 0:
+        return np.zeros(0), float(r[0])
+    if r[0] <= 0.0:
+        raise SilentFrameError("cannot fit LPC to a silent frame")
+    a = np.zeros(p)
+    err = float(r[0])
+    for i in range(1, p + 1):
+        if err <= 1e-15 * r[0]:
+            break  # signal already perfectly predicted; higher taps stay 0
+        k = (r[i] - np.dot(a[:i - 1], r[i - 1:0:-1])) / err
+        a_new = a.copy()
+        a_new[i - 1] = k
+        if i > 1:
+            a_new[:i - 1] = a[:i - 1] - k * a[i - 2::-1]
+        a = a_new
+        err *= (1.0 - k * k)
+    return a, float(err)
+
+
+def _bump(n, power):
+    """sin(pi j / (n - 1)) ** power: smooth and zero at both ends, so the
+    recursion predicts it perfectly within a few orders once n >= 100."""
+    return np.sin(np.pi * np.arange(n) / (n - 1)) ** power
+
+
+@st.composite
+def lpc_stacks(draw):
+    """(stack, order): 1-60 frames of 2-2,048 samples scaled by 1e-6..1e3,
+    each row noise, noise quantised to int16 steps, a constant, a cosine
+    (an exact AR(2) sequence), a smooth bump that stops the recursion
+    early, or, rarely, silence; order 0-12 and below the frame length."""
+    n = draw(st.integers(2, 2048))
+    kinds = draw(st.lists(st.sampled_from(["noise", "int16", "const", "cosine", "bump"] * 4
+                                          + ["zero"]), min_size=1, max_size=60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    j = np.arange(n)
+    rows = []
+    for kind in kinds:
+        scale = 10.0 ** rng.uniform(-6, 3)
+        if kind == "noise":
+            x = scale * rng.standard_normal(n)
+        elif kind == "int16":
+            peak = int(rng.integers(1, 32768))
+            x = rng.integers(-peak, peak + 1, n) / 32768.0
+            x[rng.integers(n)] = peak / 32768.0  # never all zero
+        elif kind == "const":
+            x = np.full(n, scale)
+        elif kind == "cosine":
+            x = scale * np.cos(rng.uniform(0, np.pi) * j + rng.uniform(0, 2 * np.pi))
+        elif kind == "bump":
+            x = scale * _bump(n, int(rng.choice([4, 6, 8])))
+        else:
+            x = np.zeros(n)
+        rows.append(x)
+    return np.array(rows), draw(st.integers(0, min(12, n - 1)))
+
+
+class TestLpcStack:
+    @settings(max_examples=250, deadline=None)
+    @given(case=lpc_stacks())
+    @example(case=(np.array([_bump(1600, 4), np.cos(0.3 * np.arange(1600)),
+                             np.ones(1600), _bump(1600, 6)]), 12))
+    @example(case=(np.array([[1.0, -1.0], [0.5, 0.5]]), 1))
+    def test_matches_per_frame_reference(self, case):
+        stack, order = case
+        config = LpcConfig(order=order)
+        for row, r in zip(stack, autocorrelation(stack, order)):
+            assert np.array_equal(r, autocorrelation_reference(row, order))
+        if order and not np.all(np.any(stack, axis=1)):
+            with pytest.raises(SilentFrameError):
+                lpc(stack, config)
+            return
+        a, gain = lpc(stack, config)
+        assert a.shape == (len(stack), order) and gain.shape == (len(stack),)
+        for row, got_a, got_gain in zip(stack, a, gain):
+            want_a, want_gain = lpc_reference(row, order)
+            assert np.array_equal(got_a, want_a) and got_gain == want_gain
+        one_a, one_gain = lpc(stack[0], config)
+        assert np.array_equal(one_a, a[0]) and one_gain == gain[0]
+
+    def test_bump_rows_stop_early(self):
+        # the early stop is reached: higher taps are exactly 0, in a stack
+        # whose other rows run every order
+        rng = np.random.default_rng(8)
+        stack = np.array([rng.standard_normal(1600), _bump(1600, 4), _bump(1600, 8)])
+        a, _ = lpc(stack)
+        assert np.all(a[0] != 0)
+        for row in a[1:]:
+            stop = np.argmin(row != 0)  # the first tap left at 0
+            assert 0 < stop < 12 and not np.any(row[stop:])
+        for row, got in zip(stack, a):
+            assert np.array_equal(got, lpc_reference(row, 12)[0])
+
+    def test_silent_row_in_stack(self):
+        stack = np.random.default_rng(1).standard_normal((5, 400))
+        stack[3] = 0.0
+        with pytest.raises(SilentFrameError):
+            lpc(stack, LpcConfig(order=4))
+        a, gain = lpc(stack, LpcConfig(order=0))  # order 0 only measures power
+        assert a.shape == (5, 0) and gain[3] == 0.0
+
+    def test_order_not_below_frame_length(self):
+        for n in (2, 12):
+            with pytest.raises(ValueError, match="smaller than the frame length"):
+                lpc(np.ones((3, n)), LpcConfig(order=n))
+            with pytest.raises(ValueError):
+                lpc_reference(np.ones(n), n)
+
+
 class TestAssemble:
     def test_default_dimensionality(self):
-        matrix = features.extract_features([sine_frame(300.0, amplitude=0.5)])
+        matrix = features.extract_features(sine_frame(300.0, amplitude=0.5)[None], 16000)
         assert matrix.shape == (1, 31)
         assert len(features.feature_names()) == 31
 
     def test_deterministic(self):
-        frames = [sine_frame(250.0, amplitude=0.4)]
-        assert np.array_equal(features.extract_features(frames),
-                              features.extract_features(frames))
+        frames = sine_frame(250.0, amplitude=0.4)[None]
+        assert np.array_equal(features.extract_features(frames, 16000),
+                              features.extract_features(frames, 16000))
 
     def test_silent_frame_propagates(self):
         with pytest.raises(SilentFrameError):
-            features.extract_features([make_frame(np.zeros(1600))])
+            features.extract_features(np.zeros((1, 1600)), 16000)
 
     def test_batch_matches_per_frame(self):
         # the scalars and LPC are exact; a 1-row and a many-row MFCC batch may
         # differ by float noise in the filterbank product
         rng = np.random.default_rng(2)
-        frames = [make_frame(rng.uniform(-1, 1, 1600), index=i) for i in range(4)]
-        batch = features.extract_features(frames)
+        frames = rng.uniform(-1, 1, (4, 1600))
+        batch = features.extract_features(frames, 16000)
         assert batch.shape == (4, 31)
         for i, frame in enumerate(frames):
-            spec = spectral_features_reference(np.abs(np.fft.rfft(frame.samples)), 10.0)
+            spec = spectral_features_reference(np.abs(np.fft.rfft(frame)), 10.0)
             assert np.array_equal(batch[i, :5], spec)
-            np.testing.assert_allclose(batch[i, 5:18], mfcc(frame), rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(batch[i, 5:18], mfcc(frame, 16000),
+                                       rtol=1e-9, atol=1e-12)
             assert np.array_equal(batch[i, 18:], np.append(*lpc(frame)))
 
     def test_no_frames(self):
-        assert features.extract_features([]).shape == (0, 31)
+        assert features.extract_features(np.zeros((0, 1600)), 16000).shape == (0, 31)
 
 
 class TestPca:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadwarn import warnd
 from roadwarn.classifiers import SoundClass
 from roadwarn.decision import APPROACHING, RECEDING, UNKNOWN, DetectionResult
 from roadwarn.deployment import (DangerArea, DeploymentPlan, Processor, build_plan,
@@ -705,6 +706,45 @@ class TestSession:
         assert sock.recv(100) == b""
         sock.close()
         assert _wait_for_size(server.dispatcher, 0) == 0
+
+    def test_client_that_stops_reading_is_evicted(self, server, monkeypatch):
+        monkeypatch.setattr(warnd, "WRITE_TIMEOUT_S", 0.2)
+        stalled = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        stalled.settimeout(5)
+        stalled.connect(("127.0.0.1", server.server_address[1]))
+        reader = _connect(server)
+        try:
+            # 200 clients on the stalled connection fill its buffers within a
+            # few hundred dispatches; it reads its acks, then never again
+            stalled.sendall(b"".join(b"REG s%d 30.0 1.0 0.0\n" % i for i in range(200)))
+            _read_lines(stalled, 200)
+            reader.sendall(b"REG r 35.0 1.0 0.0\n")
+            assert _read_lines(reader, 1) == b"OK r\n"
+            result = DetectionResult(climax_index=8, sound_type=SoundClass.H,
+                                     direction=APPROACHING)
+            rounds = []
+
+            def dispatch_until_evicted():
+                while True:
+                    delivered = server.dispatcher.dispatch(result, 1, 1.0)
+                    rounds.append(delivered)
+                    if "s0" not in delivered or len(rounds) > 100000:
+                        return
+
+            worker = threading.Thread(target=dispatch_until_evicted, daemon=True)
+            worker.start()
+            worker.join(30)
+            assert not worker.is_alive(), "dispatch blocked on a client that stopped reading"
+            assert rounds[-1] == {"r"}
+            assert all("r" in delivered for delivered in rounds)
+            assert _wait_for_size(server.dispatcher, 1) == 1
+            assert server.dispatcher.dispatch(result, 1, 1.0) == {"r"}
+            warn = b"WARN 1 H approaching 1.000\n"
+            assert _read_lines(reader, len(rounds) + 1) == warn * (len(rounds) + 1)
+        finally:
+            stalled.close()
+            reader.close()
 
 
 class TestStandaloneService:
