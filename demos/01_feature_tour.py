@@ -3,8 +3,8 @@
 
 Renders a single light-vehicle pass-by, slices it into 0.1 s frames, and
 prints every feature group for the loudest frame: the five spectral
-scalars, the 13 MFCCs, the order-12 LPC fit, and finally a PCA of the
-whole clip's feature matrix.
+scalars, the 13 MFCCs, the order-12 LPC fit, and finally the shape of
+the whole clip's feature matrix.
 """
 
 import numpy as np
@@ -55,17 +55,7 @@ pred = np.convolve(loudest, np.r_[0.0, a])[:len(loudest)]
 residual = loudest - pred
 print(f"prediction drops the frame power {np.mean(loudest**2) / np.mean(residual**2):.1f}x")
 
-# --- the full 31-dim vector and PCA ----------------------------------------
+# --- the full 31-dim vector ------------------------------------------------
 
 matrix = features.extract_features(frames, buffer.sample_rate)
 print(f"\nfeature matrix for the clip: {matrix.shape[0]} frames x {matrix.shape[1]} dims")
-
-# z-score first: the raw power features span orders of magnitude and would
-# otherwise own the whole variance budget
-z = (matrix - matrix.mean(axis=0)) / np.where(matrix.std(axis=0) == 0, 1, matrix.std(axis=0))
-model = features.pca_fit(z, retained_variance=0.95)
-shares = model.explained_variance / model.explained_variance.sum()
-print(f"PCA keeps {model.retained} of {matrix.shape[1]} components for 95% variance")
-print("top-3 variance shares:", np.round(shares[:3], 3))
-reduced = features.pca_transform(model, z[0])
-print("frame 0 reduced to:", np.round(reduced[:5], 3), "...")

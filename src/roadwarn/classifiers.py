@@ -2,9 +2,11 @@
 
 All models z-score their inputs with statistics frozen at training time, so
 rescaling any raw input dimension by a positive constant never changes a
-prediction.  Ties anywhere (vote counts, equal posteriors, equal leaf
-majorities) resolve toward the more dangerous class: LH > H > LL > NV.
-A warning system should err on the side of warning.
+prediction.  Every model predicts only in batches: `predict_batch` takes a
+(rows x features) array and rejects a width other than the model's, and
+rows that are not finite once z-scored.  Ties anywhere (vote counts, equal
+posteriors, equal leaf majorities) resolve toward the more dangerous class:
+LH > H > LL > NV.  A warning system should err on the side of warning.
 """
 
 from __future__ import annotations
@@ -60,10 +62,23 @@ class LabeledDataset:
 
 
 def _fit_standardizer(X: np.ndarray):
+    """(mean, std, z-scored X) of the training rows; constant columns keep std 1."""
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std[std == 0.0] = 1.0
-    return mean, std
+    return mean, std, (X - mean) / std
+
+
+def _standardize(X, mean, std) -> np.ndarray:
+    """The query rows of a predict_batch, z-scored with the model's statistics."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != len(mean):
+        raise ValueError(f"model expects rows of {len(mean)} features, "
+                         f"got an array of shape {X.shape}")
+    Xs = (X - mean) / std
+    if not np.all(np.isfinite(Xs)):
+        raise ValueError("query features must be finite")
+    return Xs
 
 
 def _codes(labels) -> np.ndarray:
@@ -71,10 +86,14 @@ def _codes(labels) -> np.ndarray:
     return np.array([index[label] for label in labels], dtype=np.intp)
 
 
-def _argmax_danger(scores: np.ndarray) -> SoundClass:
-    """Argmax over CLASS_ORDER scores, exact ties going to the riskier class."""
-    best = scores.max()
-    return most_dangerous([CLASS_ORDER[i] for i in np.flatnonzero(scores == best)])
+def _danger_argmax(scores: np.ndarray, classes, tolerance: float = 0.0) -> list:
+    """Per row of `scores` (one column per entry of `classes`): the riskiest
+    class whose score is at least the row's best minus `tolerance`."""
+    order = sorted(range(len(classes)), key=lambda i: _DANGER_RANK[classes[i]], reverse=True)
+    ranked = scores[:, order]
+    near_best = ranked >= ranked.max(axis=1, keepdims=True) - tolerance
+    # argmax of a boolean row is its first True: the riskiest candidate
+    return [classes[order[j]] for j in np.argmax(near_best, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +175,8 @@ class MlpModel:
         return -np.mean(np.log(probs[np.arange(Xs.shape[0]), codes] + 1e-300))
 
     def predict_batch(self, X) -> list:
-        Xs = (np.asarray(X, dtype=np.float64) - self.mean) / self.std
-        _, probs = self._forward(Xs)
-        return [_argmax_danger(p) for p in probs]
-
-    def predict(self, vector) -> SoundClass:
-        return self.predict_batch(np.asarray(vector)[np.newaxis, :])[0]
+        _, probs = self._forward(_standardize(X, self.mean, self.std))
+        return _danger_argmax(probs, CLASS_ORDER)
 
     def to_dict(self):
         return {"kind": self.kind,
@@ -186,8 +201,7 @@ def train_mlp(data: LabeledDataset, config: MlpConfig = MlpConfig()) -> MlpModel
     """
     if len(set(data.y)) < 2:
         raise ValueError("training data must contain at least 2 classes")
-    mean, std = _fit_standardizer(data.X)
-    Xs = (data.X - mean) / std
+    mean, std, Xs = _fit_standardizer(data.X)
     codes = _codes(data.y)
     dim, hidden, n_out = Xs.shape[1], config.hidden_units, len(CLASS_ORDER)
     rng = np.random.default_rng(config.seed)
@@ -250,9 +264,7 @@ class KnnModel:
         self._max_norm = float(np.sqrt(self._sq_norms.max()))
 
     def predict_batch(self, X) -> list:
-        Q = (np.asarray(X, dtype=np.float64) - self.mean) / self.std
-        if not np.all(np.isfinite(Q)):
-            raise ValueError("query features must be finite")
+        Q = _standardize(X, self.mean, self.std)
         out = []
         for start in range(0, len(Q), self._QUERY_BLOCK):
             block = Q[start:start + self._QUERY_BLOCK]
@@ -285,9 +297,6 @@ class KnnModel:
             tied = [c for c in tied if means[c] <= closest]
         return most_dangerous([CLASS_ORDER[c] for c in tied])
 
-    def predict(self, vector) -> SoundClass:
-        return self.predict_batch(np.asarray(vector)[np.newaxis, :])[0]
-
     def to_dict(self):
         return {"kind": self.kind, "k": self.k,
                 "mean": self.mean.tolist(), "std": self.std.tolist(),
@@ -302,8 +311,7 @@ class KnnModel:
 def train_knn(data: LabeledDataset, k: int = 5) -> KnnModel:
     if not (1 <= k <= len(data.y)):
         raise ValueError("need 1 <= k <= dataset size")
-    mean, std = _fit_standardizer(data.X)
-    return KnnModel(mean, std, (data.X - mean) / std, list(data.y), k)
+    return KnnModel(*_fit_standardizer(data.X), list(data.y), k)
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +336,8 @@ class GnbModel:
         return out
 
     def predict_batch(self, X) -> list:
-        Xs = (np.asarray(X, dtype=np.float64) - self.mean) / self.std
-        post = self.log_posteriors(Xs)
-        out = []
-        for row in post:
-            best = row.max()
-            tied = [self.classes[i] for i in np.flatnonzero(row >= best - 1e-9)]
-            out.append(most_dangerous(tied))
-        return out
-
-    def predict(self, vector) -> SoundClass:
-        return self.predict_batch(np.asarray(vector)[np.newaxis, :])[0]
+        post = self.log_posteriors(_standardize(X, self.mean, self.std))
+        return _danger_argmax(post, self.classes, tolerance=1e-9)
 
     def to_dict(self):
         return {"kind": self.kind,
@@ -358,8 +357,7 @@ class GnbModel:
 
 def train_gnb(data: LabeledDataset, var_floor: float = 1e-9) -> GnbModel:
     """Per-class per-dimension Gaussians (MLE variance, floored) + count priors."""
-    mean, std = _fit_standardizer(data.X)
-    Xs = (data.X - mean) / std
+    mean, std, Xs = _fit_standardizer(data.X)
     present = [c for c in CLASS_ORDER if c in set(data.y)]
     means, variances, priors = [], [], []
     for c in present:
@@ -447,15 +445,20 @@ class DtModel:
         self.mean, self.std = mean, std
         self.root = root
 
-    def predict(self, vector) -> SoundClass:
-        x = (np.asarray(vector, dtype=np.float64) - self.mean) / self.std
-        node = self.root
-        while node.label is None:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.label
-
     def predict_batch(self, X) -> list:
-        return [self.predict(row) for row in np.asarray(X)]
+        """Send arrays of row indices down the tree: at each split the rows
+        with value <= threshold go left, the rest right; a leaf labels its rows."""
+        Xs = _standardize(X, self.mean, self.std)
+        out = np.empty(len(Xs), dtype=object)
+        pending = [(self.root, np.arange(len(Xs)))]
+        while pending:
+            node, rows = pending.pop()
+            if node.label is not None:
+                out[rows] = node.label
+            elif len(rows):
+                left = Xs[rows, node.feature] <= node.threshold
+                pending += [(node.left, rows[left]), (node.right, rows[~left])]
+        return out.tolist()
 
     @staticmethod
     def _node_to_dict(node):
@@ -486,9 +489,8 @@ class DtModel:
 def train_dt(data: LabeledDataset, max_depth: int = 10) -> DtModel:
     if len(data.y) == 0:
         raise ValueError("empty dataset")
-    mean, std = _fit_standardizer(data.X)
-    root = _grow((data.X - mean) / std, _codes(data.y), 0, max_depth)
-    return DtModel(mean, std, root)
+    mean, std, Xs = _fit_standardizer(data.X)
+    return DtModel(mean, std, _grow(Xs, _codes(data.y), 0, max_depth))
 
 
 # ---------------------------------------------------------------------------

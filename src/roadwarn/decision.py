@@ -80,15 +80,6 @@ class DetectionResult:
     def to_line(self) -> str:
         return f"DET {self.climax_index} {self.sound_type.value} {self.direction}"
 
-    @classmethod
-    def from_line(cls, line: str) -> "DetectionResult":
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "DET":
-            raise ValueError(f"not a DET line: {line!r}")
-        if parts[3] not in DIRECTIONS:
-            raise ValueError(f"bad direction {parts[3]!r}")
-        return cls(int(parts[1]), SoundClass(parts[2]), parts[3])
-
 
 def band_peak_hz(mags: np.ndarray, band: tuple[float, float], bin_hz: float) -> np.ndarray:
     """Per row of a (frames x bins) magnitude stack: the frequency of the

@@ -111,11 +111,16 @@ def load_plan_config(path) -> DeploymentPlan:
 def members_in_area(area: DangerArea, registry, now: float,
                     freshness_window: float = 5.0) -> list[str]:
     """client_ids of `registry` (client_id -> record with x, y, t) whose
-    position is fresh at `now` and inside the rectangle, boundary included."""
+    position is fresh at `now` and inside the rectangle, boundary included.
+
+    Fresh means stamped at most `freshness_window` before `now`, and at most
+    that long after it: a position stamped far in the future is not one.
+    """
     contains = area.contains
+    youngest = -freshness_window  # the lowest age, now - t, that is still fresh
     members = []
     for cid, record in registry.items():
-        if now - record.t > freshness_window:
+        if not youngest <= now - record.t <= freshness_window:
             continue
         if contains(record.x, record.y):
             members.append(cid)

@@ -1,4 +1,4 @@
-"""Per-frame feature extraction: spectral scalars, MFCC, LPC and PCA.
+"""Per-frame feature extraction: spectral scalars, MFCC and LPC.
 
 A full feature vector concatenates, in this fixed order:
 
@@ -230,68 +230,6 @@ def extract_features(frames: np.ndarray, sample_rate: int,
     scalars = spectral_features(fft_magnitude(X), sample_rate / X.shape[1])
     a, gain = lpc(X, lpc_cfg)
     return np.hstack([scalars, mfcc(X, sample_rate, mfcc_cfg), a, gain[:, None]])
-
-
-# ---------------------------------------------------------------------------
-# PCA
-
-@dataclass(frozen=True)
-class PcaModel:
-    mean: np.ndarray
-    components: np.ndarray          # orthonormal rows, strongest first
-    explained_variance: np.ndarray  # one per component, non-increasing
-    retained: int
-
-    @property
-    def retained_components(self) -> np.ndarray:
-        return self.components[:self.retained]
-
-
-def pca_fit(vectors: np.ndarray, retained_variance: float = 0.95) -> PcaModel:
-    """Eigendecomposition of the mean-centered covariance.
-
-    `retained` is the smallest component count whose cumulative explained
-    variance reaches `retained_variance` (a fraction in (0, 1]).
-    """
-    X = np.asarray(vectors, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise ValueError("need at least 2 vectors of equal dimensionality")
-    if not (0.0 < retained_variance <= 1.0):
-        raise ValueError("retained_variance must be in (0, 1]")
-    mean = X.mean(axis=0)
-    centered = X - mean
-    cov = centered.T @ centered / (X.shape[0] - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.clip(eigvals[order], 0.0, None)
-    components = eigvecs[:, order].T
-    # deterministic sign: largest-magnitude entry of each component positive
-    for row in components:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0:
-            row *= -1
-    total = eigvals.sum()
-    if total <= 0.0:
-        retained = 1  # degenerate zero-variance cloud
-    else:
-        ratios = np.cumsum(eigvals) / total
-        retained = int(np.searchsorted(ratios, retained_variance - 1e-12) + 1)
-        retained = min(retained, len(eigvals))
-    return PcaModel(mean=mean, components=components,
-                    explained_variance=eigvals, retained=retained)
-
-
-def pca_transform(model: PcaModel, vector: np.ndarray) -> np.ndarray:
-    """Project (vector - mean) onto the retained components."""
-    v = np.asarray(vector, dtype=np.float64)
-    if v.shape[-1] != model.mean.shape[0]:
-        raise ValueError(f"dimension mismatch: {v.shape[-1]} vs {model.mean.shape[0]}")
-    return (v - model.mean) @ model.retained_components.T
-
-
-def pca_inverse_transform(model: PcaModel, reduced: np.ndarray) -> np.ndarray:
-    """Back-project reduced coordinates to the original space."""
-    return np.asarray(reduced) @ model.retained_components + model.mean
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from roadwarn import classifiers as C
 from roadwarn.classifiers import (CLASS_ORDER, LabeledDataset, MlpConfig, SoundClass,
@@ -29,7 +30,7 @@ def mlp_reference_fit(data, config):
     """train_mlp before a step kept its own loss and gradients: two forward
     passes per epoch and activations that allocate.  Kept as the oracle for
     the weights; returns (w1, b1, w2, b2) and the number of rate halvings."""
-    mean, std = C._fit_standardizer(data.X)
+    mean, std, _ = C._fit_standardizer(data.X)
     Xs = (data.X - mean) / std
     codes = C._codes(data.y)
     n = Xs.shape[0]
@@ -95,6 +96,77 @@ def knn_reference(model, X):
             tied = [c for c in tied if means[c] <= closest]
         out.append(most_dangerous([CLASS_ORDER[c] for c in tied]))
     return out
+
+
+def argmax_danger_reference(scores):
+    """MlpModel's per-row pick before it was vectorized (`_argmax_danger`):
+    argmax over CLASS_ORDER scores, exact ties going to the riskier class."""
+    best = scores.max()
+    return most_dangerous([CLASS_ORDER[i] for i in np.flatnonzero(scores == best)])
+
+
+def gnb_pick_reference(classes, post):
+    """GnbModel.predict_batch's row loop before it was vectorized: the
+    riskiest class within 1e-9 of each row's best log posterior."""
+    out = []
+    for row in post:
+        best = row.max()
+        tied = [classes[i] for i in np.flatnonzero(row >= best - 1e-9)]
+        out.append(most_dangerous(tied))
+    return out
+
+
+def dt_predict_reference(model, X):
+    """DtModel.predict_batch as the per-row tree walk it replaced, kept as
+    the oracle for the descent of row-index arrays."""
+    def predict(vector):
+        x = (np.asarray(vector, dtype=np.float64) - model.mean) / model.std
+        node = model.root
+        while node.label is None:
+            node = node.left if x[node.feature] <= node.threshold else node.right
+        return node.label
+
+    return [predict(row) for row in np.asarray(X)]
+
+
+# Multiples of 1/4: with means in {0, 1, -3} and stds in {0.5, 1, 2}, a raw
+# value mean + g * std standardizes back to exactly g.
+_TREE_GRID = [k / 4 for k in range(-8, 9)]
+
+
+@st.composite
+def dt_cases(draw):
+    """A random tree whose thresholds and queries share one coarse grid, so
+    many query values sit exactly on a split's threshold."""
+    dim = draw(st.integers(1, 3))
+
+    def grow(depth):
+        if depth == 0 or draw(st.integers(0, 3)) == 0:
+            return C._TreeNode(label=draw(st.sampled_from(CLASS_ORDER)))
+        return C._TreeNode(feature=draw(st.integers(0, dim - 1)),
+                           threshold=draw(st.sampled_from(_TREE_GRID)),
+                           left=grow(depth - 1), right=grow(depth - 1))
+
+    mean = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -3.0]),
+                                  min_size=dim, max_size=dim)))
+    std = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                 min_size=dim, max_size=dim)))
+    grid_rows = draw(st.lists(st.lists(st.sampled_from(_TREE_GRID), min_size=dim, max_size=dim),
+                              max_size=30))
+    queries = mean + np.array(grid_rows).reshape(-1, dim) * std
+    return C.DtModel(mean, std, grow(5)), queries
+
+
+@st.composite
+def gnb_posteriors(draw):
+    """Log posteriors for any subset of the classes, in any column order,
+    with entries exactly at, within and just outside 1e-9 of a row's best."""
+    classes = draw(st.permutations(CLASS_ORDER))[:draw(st.integers(1, 4))]
+    base = draw(st.sampled_from([-50.0, -3.5, 0.0, 120.0]))
+    offset = st.sampled_from([0.0, 3e-10, -4e-10, -1e-9, -1.5e-9, -2e-9, -1.0])
+    rows = draw(st.lists(st.lists(offset, min_size=len(classes), max_size=len(classes)),
+                         max_size=10))
+    return classes, base + np.array(rows).reshape(-1, len(classes))
 
 
 @st.composite
@@ -206,13 +278,13 @@ class TestKnn:
     def test_query_on_training_point(self):
         data = blobs(seed=5, per_class=10)
         model = train_knn(data, k=1)
-        assert model.predict(data.X[3]) == data.y[3]
+        assert model.predict_batch(data.X[3][None])[0] == data.y[3]
 
     def test_k_equal_to_dataset_size_gives_majority(self):
         X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0]])
         y = [SoundClass.LL] * 3 + [SoundClass.H] * 2
         model = train_knn(LabeledDataset(X, y), k=5)
-        assert model.predict(np.array([5.0])) == SoundClass.LL
+        assert model.predict_batch(np.array([5.0])[None])[0] == SoundClass.LL
 
     def test_three_point_fixture_matches_brute_force(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
@@ -224,7 +296,7 @@ class TestKnn:
             q = rng.uniform(-1, 3, 2)
             qs = (q - mean) / std
             dists = np.sqrt(((model.Xs - qs) ** 2).sum(axis=1))
-            assert model.predict(q) == y[int(np.argmin(dists))]
+            assert model.predict_batch(q[None])[0] == y[int(np.argmin(dists))]
 
     def test_tie_breaks_by_mean_distance(self):
         # k=4 splits the vote 2 NV / 2 LL; NV members sit much closer to the
@@ -232,7 +304,7 @@ class TestKnn:
         X = np.array([[1.0], [-2.0], [2.0], [30.0]])
         y = [SoundClass.NV, SoundClass.NV, SoundClass.LL, SoundClass.LL]
         model = train_knn(LabeledDataset(X, y), k=4)
-        assert model.predict(np.array([0.0])) == SoundClass.NV
+        assert model.predict_batch(np.array([0.0])[None])[0] == SoundClass.NV
 
     def test_k1_has_zero_training_error(self):
         data = blobs(seed=19, per_class=12)  # distinct points w.p. 1
@@ -268,13 +340,75 @@ class TestKnn:
         with np.errstate(over="ignore", invalid="ignore"):
             assert model.predict_batch(far) == knn_reference(model, far)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_query_rejected(self, bad):
-        model = train_knn(blobs(per_class=5), k=3)
+    # every model shares KNN's check; the KNN cases keep their bare ids
+    @pytest.mark.parametrize("name,bad", [
+        pytest.param(name, bad, id=str(bad) if name == "knn" else f"{name}-{bad}")
+        for name in C.CLASSIFIER_NAMES for bad in (np.nan, np.inf, -np.inf)])
+    def test_nonfinite_query_rejected(self, name, bad):
+        model = make_trainer(name, **({"epochs": 20} if name == "mlp" else {}))(
+            blobs(per_class=5))
         X = np.zeros((3, 2))
         X[1, 0] = bad
         with pytest.raises(ValueError, match="query features must be finite"):
             model.predict_batch(X)
+
+
+class TestPredictBatch:
+    @pytest.mark.parametrize("name", C.CLASSIFIER_NAMES)
+    def test_wrong_width_rejected(self, name):
+        model = make_trainer(name, **({"epochs": 20} if name == "mlp" else {}))(
+            blobs(per_class=5))
+        with pytest.raises(ValueError, match=r"rows of 2 features.*\(3, 3\)"):
+            model.predict_batch(np.zeros((3, 3)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(dt_cases())
+    def test_tree_descent_matches_per_row_walk(self, case):
+        model, queries = case
+        assert model.predict_batch(queries) == dt_predict_reference(model, queries)
+
+    def test_trained_tree_matches_per_row_walk(self):
+        rng = np.random.default_rng(21)
+        X = np.round(rng.standard_normal((300, 3)), 1)
+        y = [CLASS_ORDER[i] for i in rng.integers(0, 4, 300)]
+        model = train_dt(LabeledDataset(X, y))
+        queries = np.round(rng.standard_normal((2000, 3)), 1)
+        assert model.predict_batch(queries) == dt_predict_reference(model, queries)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 20), st.just(4)),
+                      elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    def test_exact_ties_match_mlp_reference(self, scores):
+        assert C._danger_argmax(scores, CLASS_ORDER) == [argmax_danger_reference(row)
+                                                         for row in scores]
+
+    @settings(max_examples=300, deadline=None)
+    @given(gnb_posteriors())
+    def test_near_ties_match_gnb_reference(self, case):
+        classes, post = case
+        k = len(classes)
+        model = C.GnbModel(np.zeros(1), np.ones(1), classes,
+                           np.zeros((k, 1)), np.ones((k, 1)), np.zeros(k))
+        model.log_posteriors = lambda Xs: post  # the drawn posteriors, one row per query
+        assert model.predict_batch(np.zeros((len(post), 1))) == gnb_pick_reference(classes, post)
+
+    def test_mlp_model_matches_reference(self):
+        data = blobs(seed=13, spread=2.0, per_class=30)
+        model = train_mlp(data, MlpConfig(epochs=40, seed=2))
+        queries = np.random.default_rng(13).uniform(-3, 9, (500, 2))
+        _, probs = model._forward((queries - model.mean) / model.std)
+        assert model.predict_batch(queries) == [argmax_danger_reference(p) for p in probs]
+
+    @pytest.mark.parametrize("present", [CLASS_ORDER[:1], CLASS_ORDER[1:3],
+                                         [SoundClass.H, SoundClass.NV], CLASS_ORDER])
+    def test_gnb_on_some_classes_matches_reference(self, present):
+        data = blobs(seed=17, spread=2.0, per_class=20)
+        keep = [i for i, label in enumerate(data.y) if label in present]
+        model = train_gnb(data.subset(keep))
+        assert model.classes == [c for c in CLASS_ORDER if c in present]
+        queries = np.random.default_rng(17).uniform(-3, 9, (500, 2))
+        post = model.log_posteriors((queries - model.mean) / model.std)
+        assert model.predict_batch(queries) == gnb_pick_reference(model.classes, post)
 
 class TestGnb:
     def test_symmetric_tie_resolves_to_danger(self):
@@ -287,13 +421,13 @@ class TestGnb:
         i_ll = model.classes.index(SoundClass.LL)
         i_h = model.classes.index(SoundClass.H)
         assert abs(post[0, i_ll] - post[0, i_h]) < 1e-9
-        assert model.predict(np.array([0.0])) == SoundClass.H  # H outranks LL
+        assert model.predict_batch(np.array([0.0])[None])[0] == SoundClass.H  # H outranks LL
 
     def test_query_at_class_mean(self):
         data = blobs(seed=7)
         model = train_gnb(data)
         for c, center in zip(CLASS_ORDER, [[0, 0], [6, 0], [0, 6], [6, 6]]):
-            assert model.predict(np.array(center, dtype=float)) == c
+            assert model.predict_batch(np.array(center, dtype=float)[None])[0] == c
 
     def test_hand_computed_posterior(self):
         X = np.array([[0.0], [2.0], [10.0], [14.0]])
@@ -361,7 +495,7 @@ class TestDecisionTree:
         z = (X[:, 0] - X.mean()) / X.std()
         assert z[2] < root.threshold <= z[3]
         assert root.left.label == SoundClass.LL and root.right.label == SoundClass.H
-        assert all(model.predict(row) == label for row, label in zip(X, y))
+        assert all(model.predict_batch(row[None])[0] == label for row, label in zip(X, y))
 
     def test_root_split_matches_exhaustive_search(self):
         rng = np.random.default_rng(12)

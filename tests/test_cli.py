@@ -177,6 +177,16 @@ class TestDetectCommand:
         wav = self._render_wav(tmp_path, "short.wav", short)
         assert main(["detect", str(wav), str(dt_model_file)]) == 2
 
+    def test_feature_config_the_model_was_not_trained_on(self, dt_model_file, tmp_path,
+                                                        capsys):
+        # the model reads 31 columns; order-6 LPC extracts 25
+        config = tmp_path / "run.ini"
+        config.write_text("[features]\nlpc_order = 6\n")
+        wav = self._render_wav(tmp_path, "birds.wav", synth.synth_nv("birds", 4.0, 3))
+        assert main(["detect", str(wav), str(dt_model_file), "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "rows of 31 features" in err and ", 25)" in err
+
 
 class TestSimulate:
     def test_lh_vehicle_single_warning(self, plan_file, tmp_path):

@@ -303,6 +303,3 @@ class TestFinalize:
         result = DetectionResult(climax_index=17, sound_type=SoundClass.LH,
                                  direction=APPROACHING)
         assert result.to_line() == "DET 17 LH approaching"
-        assert DetectionResult.from_line(result.to_line()) == result
-        with pytest.raises(ValueError):
-            DetectionResult.from_line("DET x H nowhere")

@@ -60,20 +60,24 @@ class TestMembership:
 
     def test_stale_positions_excluded(self):
         registry = self._registry(("fresh", 10, 1, 7.0), ("edge", 12, 1, 5.0),
-                                  ("stale", 11, 1, 0.0))
+                                  ("stale", 11, 1, 0.0), ("future_edge", 12, 1, 15.0),
+                                  ("future", 11, 1, 15.5), ("far_future", 10, 1, 99999999.0))
         got = members_in_area(self.AREA, registry, now=10.0, freshness_window=5.0)
-        assert got == ["fresh", "edge"]
+        assert got == ["fresh", "edge", "future_edge"]
 
     def test_matches_brute_force_on_random_points(self):
         rng = np.random.default_rng(5)
         area = DangerArea(processor_id=1, x0=25.0, length=25.0, width=7.0)
         pts = rng.uniform(-10, 70, (10000, 2))
         ages = rng.uniform(0, 10, 10000)
+        # positions stamped after `now`: negative ages
+        pts = np.r_[pts, rng.uniform(-10, 70, (2000, 2))]
+        ages = np.r_[ages, rng.uniform(-10, 0, 2000)]
         registry = self._registry(*((f"c{i}", float(x), float(y), float(-age))
                                     for i, ((x, y), age) in enumerate(zip(pts, ages))))
         got = set(members_in_area(area, registry, now=0.0, freshness_window=5.0))
         expected = {f"c{i}" for i, ((x, y), age) in enumerate(zip(pts, ages))
-                    if 25.0 <= x <= 50.0 and 0.0 <= y <= 7.0 and age <= 5.0}
+                    if 25.0 <= x <= 50.0 and 0.0 <= y <= 7.0 and -5.0 <= age <= 5.0}
         assert got == expected
 
 

@@ -8,8 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from roadwarn import features
 from roadwarn.features import (LpcConfig, MfccConfig, SilentFrameError, autocorrelation,
-                               fft_magnitude, lpc, mfcc, pca_fit, pca_inverse_transform,
-                               pca_transform, spectral_features)
+                               fft_magnitude, lpc, mfcc, spectral_features)
 
 from conftest import sine_frame
 
@@ -429,60 +428,6 @@ class TestAssemble:
 
     def test_no_frames(self):
         assert features.extract_features(np.zeros((0, 1600)), 16000).shape == (0, 31)
-
-
-class TestPca:
-    def test_rank_one_line(self):
-        t = np.linspace(-3, 3, 50)
-        X = np.c_[t, 2 * t]
-        model = pca_fit(X, retained_variance=0.95)
-        assert model.retained == 1
-        direction = model.components[0]
-        expected = np.array([1.0, 2.0]) / np.sqrt(5.0)
-        assert min(np.abs(direction - expected).max(),
-                   np.abs(direction + expected).max()) < 1e-6
-
-    def test_full_retention_reconstructs(self):
-        rng = np.random.default_rng(3)
-        X = rng.standard_normal((40, 6)) @ rng.standard_normal((6, 6))
-        model = pca_fit(X, retained_variance=1.0)
-        assert model.retained == 6
-        for row in X[:5]:
-            back = pca_inverse_transform(model, pca_transform(model, row))
-            np.testing.assert_allclose(back, row, atol=1e-6)
-
-    def test_isotropic_cloud_shares(self):
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((1000, 5))
-        model = pca_fit(X)
-        shares = model.explained_variance / model.explained_variance.sum()
-        np.testing.assert_allclose(shares, 0.2, atol=0.05)
-
-    def test_components_orthonormal_and_variance_sorted(self):
-        rng = np.random.default_rng(13)
-        X = rng.standard_normal((60, 8)) * np.arange(1, 9)
-        model = pca_fit(X)
-        gram = model.components @ model.components.T
-        np.testing.assert_allclose(gram, np.eye(8), atol=1e-9)
-        assert np.all(np.diff(model.explained_variance) <= 1e-12)
-        assert np.all(model.explained_variance >= 0)
-
-    def test_transform_centering_and_linearity(self):
-        rng = np.random.default_rng(4)
-        X = rng.standard_normal((30, 5))
-        model = pca_fit(X, retained_variance=1.0)
-        np.testing.assert_allclose(pca_transform(model, model.mean), 0.0, atol=1e-12)
-        u, v = rng.standard_normal(5), rng.standard_normal(5)
-        lhs = pca_transform(model, u) - pca_transform(model, v)
-        rhs = model.retained_components @ (u - v)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-9)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            pca_fit(np.zeros((1, 3)))
-        model = pca_fit(np.random.default_rng(0).standard_normal((10, 3)))
-        with pytest.raises(ValueError):
-            pca_transform(model, np.zeros(4))
 
 
 class TestDatasetCsv:

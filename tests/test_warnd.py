@@ -161,6 +161,13 @@ class TestDispatch:
         delivered = self.dispatcher.dispatch(self._event(SoundClass.H), 1, 30.0)
         assert delivered == set()
 
+    def test_future_stamped_client_not_warned(self):
+        self._register("ahead", 30.0, 1.0, t=99999999.0)
+        self._register("now", 31.0, 1.0, t=10.0)
+        delivered = self.dispatcher.dispatch(self._event(SoundClass.H), 1, 10.0)
+        assert delivered == {"now"}
+        assert self.inbox["ahead"] == []
+
     def test_unknown_processor(self):
         with pytest.raises(KeyError):
             self.dispatcher.dispatch(self._event(SoundClass.H), 99, 0.0)
@@ -493,7 +500,8 @@ class TestAreaIndex:
                                           plan.freshness_window)
                 assert set(members) == {cid for cid, (x, y, t, _) in shadow.items()
                                         if area.contains(x, y)
-                                        and now - t <= plan.freshness_window}
+                                        and -plan.freshness_window <= now - t
+                                        <= plan.freshness_window}
                 dead = {shadow[cid][3] for cid in members if conns[shadow[cid][3]].broken}
                 before = [len(c.payloads) for c in conns]
                 delivered = dispatcher.dispatch(warn, pid, float(now))
