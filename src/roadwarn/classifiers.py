@@ -599,18 +599,19 @@ def make_trainer(name: str, seed: int = 0, **kwargs):
 
 
 def compare_feature_sets(data: LabeledDataset, seed: int = 0, folds: int = 6,
-                         mlp_kwargs: dict | None = None) -> dict:
+                         classifier_kwargs: dict | None = None) -> dict:
     """Overall CV accuracy for every classifier x feature-set combination.
 
     Returns {classifier: {set_name: percent}} over the sets 'five',
     'cepstral' and 'all'; expects whole feature vectors of any dimensions.
+    `classifier_kwargs` maps a classifier name to its `make_trainer` kwargs.
     """
     if data.X.shape[1] < MIN_FEATURE_DIM:
         raise ValueError(f"compare_feature_sets expects whole feature vectors "
                          f"(>= {MIN_FEATURE_DIM} columns), got {data.X.shape[1]}")
     grid = {}
     for name in CLASSIFIER_NAMES:
-        kwargs = dict(mlp_kwargs or {}) if name == "mlp" else {}
+        kwargs = (classifier_kwargs or {}).get(name, {})
         grid[name] = {}
         for set_name, cols in FEATURE_SETS.items():
             trainer = make_trainer(name, seed=seed, **kwargs)

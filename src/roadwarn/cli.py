@@ -178,7 +178,7 @@ def cmd_eval(args) -> int:
     if args.compare:
         grid = classifiers.compare_feature_sets(
             data, seed=args.seed, folds=args.folds,
-            mlp_kwargs=config.classifier_kwargs["mlp"])
+            classifier_kwargs=config.classifier_kwargs)
         _write_report(render_grid(grid), args.report)
         return 0
     if args.model_file:

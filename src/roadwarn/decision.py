@@ -101,7 +101,7 @@ def band_peak_hz(mags: np.ndarray, band: tuple[float, float], bin_hz: float) -> 
     gamma = mags[rows, (k + 1) % (last + 1)]
     denom = alpha - 2.0 * beta + gamma
     refine = (0 < k) & (k < last) & (np.abs(denom) > 1e-30)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         delta = 0.5 * (alpha - gamma) / denom
     freq = np.where(refine, (k + np.clip(delta, -0.5, 0.5)) * bin_hz, k * bin_hz)
     return np.clip(freq, lo_bin * bin_hz, hi_bin * bin_hz)

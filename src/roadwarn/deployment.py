@@ -17,8 +17,8 @@ from .decision import RECEDING, DetectionResult
 
 WARN_CLASSES = (SoundClass.H, SoundClass.LH)
 
-# The DeploymentPlan fields a plan file may set; each must be positive.
-_PLAN_KEYS = ("processor_spacing", "mic_height", "danger_length", "road_width",
+# The DeploymentPlan fields a plan file may set; each must be finite and positive.
+_PLAN_KEYS = ("processor_spacing", "danger_length", "road_width",
               "max_design_speed", "min_warning_time", "freshness_window")
 
 
@@ -45,7 +45,6 @@ class Processor:
 @dataclass(frozen=True)
 class DeploymentPlan:
     processor_spacing: float = 25.0
-    mic_height: float = 3.0
     danger_length: float = 25.0
     road_width: float = 7.0
     max_design_speed: float = 75.0   # km/h
@@ -55,8 +54,9 @@ class DeploymentPlan:
 
     def __post_init__(self):
         for name in _PLAN_KEYS:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # False for NaN too
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     def processor(self, processor_id: int) -> Processor:
         for p in self.processors:
@@ -81,6 +81,8 @@ class DeploymentPlan:
 def build_plan(road_length: float, **overrides) -> DeploymentPlan:
     """Plan with processors at x = 0, spacing, 2*spacing, ... <= road_length."""
     base = DeploymentPlan(**overrides)
+    if not math.isfinite(road_length):
+        raise ValueError(f"road_length must be finite, got {road_length}")
     if road_length < base.processor_spacing:
         raise ValueError(
             f"road of {road_length} m is shorter than one {base.processor_spacing} m spacing")
@@ -95,7 +97,7 @@ def build_plan(road_length: float, **overrides) -> DeploymentPlan:
 
 def load_plan_config(path) -> DeploymentPlan:
     """Build a plan from an INI file: a [plan] section with road_length plus
-    any of the DeploymentPlan fields as overrides."""
+    any of the DeploymentPlan fields as overrides; any other key is an error."""
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
@@ -104,6 +106,9 @@ def load_plan_config(path) -> DeploymentPlan:
     section = parser["plan"]
     if "road_length" not in section:
         raise ValueError(f"{path}: plan needs a road_length")
+    unknown = sorted(set(section) - {"road_length", *_PLAN_KEYS})
+    if unknown:
+        raise ValueError(f"{path}: unknown [plan] key {unknown[0]!r}")
     overrides = {key: section.getfloat(key) for key in _PLAN_KEYS if key in section}
     return build_plan(section.getfloat("road_length"), **overrides)
 

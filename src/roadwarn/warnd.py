@@ -8,13 +8,15 @@ Wire grammar (UTF-8, one message per newline-terminated line):
     ERR <reason>                    server -> client, rejection
     WARN <processor_id> <class> <direction> <t>   server -> client, the alert
 
-client_id matches [A-Za-z0-9_-]{1,32}; coordinates and times are finite
-decimals with at most 3 fraction digits; class is one of H/LL/LH/NV.  A
-line longer than MAX_LINE_BYTES is answered `ERR line too long` and ends
-the session.  A client whose connection closes, or whose connection fails
-a write, is dropped from the registry and must REG again; a write that
-cannot finish within WRITE_TIMEOUT_S (a peer that stopped reading) fails
-and closes the connection.
+A client sends only REG and POS; any other verb, OK, ERR and WARN included,
+is answered `ERR malformed: unknown verb '<verb>'`.  client_id matches
+[A-Za-z0-9_-]{1,32}; coordinates and times are finite decimals with at
+most 3 fraction digits; class is one of H/LL/LH/NV.  A line longer than
+MAX_LINE_BYTES is answered `ERR line too long` and ends the session.  A
+client whose connection closes, or whose connection fails a write, is
+dropped from the registry and must REG again; a write that cannot finish
+within WRITE_TIMEOUT_S (a peer that stopped reading) fails and closes the
+connection.
 
 Detection events do not travel on the client wire: `dispatch` is called
 in-process (simulation) or fed EVENT lines on stdin (standalone server).
@@ -47,32 +49,6 @@ WRITE_TIMEOUT_S = 5.0  # longest a blocked write to one client may stall a dispa
 
 class ProtocolError(ValueError):
     """A wire line that does not match the grammar."""
-
-
-@dataclass(frozen=True)
-class Register:
-    client_id: str
-    x: float
-    y: float
-    t: float
-
-
-@dataclass(frozen=True)
-class PositionUpdate:
-    client_id: str
-    x: float
-    y: float
-    t: float
-
-
-@dataclass(frozen=True)
-class Ack:
-    client_id: str
-
-
-@dataclass(frozen=True)
-class Reject:
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -114,49 +90,37 @@ def _parse_alert(fields: list[str]) -> tuple[int, SoundClass, str, float]:
     return processor_id, sound_class, fields[2], _parse_decimal(fields[3], "t")
 
 
-def encode(message) -> str:
-    if isinstance(message, Register):
-        return f"REG {message.client_id} {message.x:.3f} {message.y:.3f} {message.t:.3f}"
-    if isinstance(message, PositionUpdate):
-        return f"POS {message.client_id} {message.x:.3f} {message.y:.3f} {message.t:.3f}"
-    if isinstance(message, Ack):
-        return f"OK {message.client_id}"
-    if isinstance(message, Reject):
-        return f"ERR {message.reason}"
-    if isinstance(message, WarningMessage):
-        return (f"WARN {message.processor_id} {message.sound_class.value} "
-                f"{message.direction} {message.event_time:.3f}")
-    raise TypeError(f"not a protocol message: {message!r}")
+def encode(message: WarningMessage) -> str:
+    if not isinstance(message, WarningMessage):
+        raise TypeError(f"not a protocol message: {message!r}")
+    return (f"WARN {message.processor_id} {message.sound_class.value} "
+            f"{message.direction} {message.event_time:.3f}")
 
 
-def decode(line: str):
+def decode(line: str) -> WarningMessage:
+    """A WARN line, as a client reads it."""
     parts = line.strip().split(" ")
-    verb = parts[0] if parts else ""
-    if verb in ("REG", "POS"):
-        if len(parts) != 5:
-            raise ProtocolError(f"{verb} needs 4 fields")
-        cls = Register if verb == "REG" else PositionUpdate
-        return cls(_parse_client_id(parts[1]),
-                   _parse_decimal(parts[2], "x"),
-                   _parse_decimal(parts[3], "y"),
-                   _parse_decimal(parts[4], "t"))
-    if verb == "OK":
-        if len(parts) != 2:
-            raise ProtocolError("OK needs 1 field")
-        return Ack(_parse_client_id(parts[1]))
-    if verb == "ERR":
-        if len(parts) < 2:
-            raise ProtocolError("ERR needs a reason")
-        return Reject(" ".join(parts[1:]))
-    if verb == "WARN":
-        if len(parts) != 5:
-            raise ProtocolError("WARN needs 4 fields")
-        fields = _parse_alert(parts[1:])
-        try:
-            return WarningMessage(*fields)
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from None
-    raise ProtocolError(f"unknown verb {verb!r}")
+    if parts[0] != "WARN":
+        raise ProtocolError(f"unknown verb {parts[0]!r}")
+    if len(parts) != 5:
+        raise ProtocolError("WARN needs 4 fields")
+    fields = _parse_alert(parts[1:])
+    try:
+        return WarningMessage(*fields)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+
+
+def _parse_position(line: str) -> tuple[str, str, float, float, float]:
+    """A client line, `REG|POS <client_id> <x> <y> <t>`, as (verb, client_id, x, y, t)."""
+    parts = line.strip().split(" ")
+    verb = parts[0]
+    if verb not in ("REG", "POS"):
+        raise ProtocolError(f"unknown verb {verb!r}")
+    if len(parts) != 5:
+        raise ProtocolError(f"{verb} needs 4 fields")
+    return (verb, _parse_client_id(parts[1]), _parse_decimal(parts[2], "x"),
+            _parse_decimal(parts[3], "y"), _parse_decimal(parts[4], "t"))
 
 
 @dataclass(slots=True)
@@ -228,47 +192,36 @@ class Dispatcher:
         registered on this connection.
         """
         try:
-            message = decode(line)
+            verb, cid, x, y, t = _parse_position(line)
         except ProtocolError as exc:
-            return encode(Reject(f"malformed: {exc}"))
-        if isinstance(message, Register):
-            return self._upsert(message, send, register=True)
-        if isinstance(message, PositionUpdate):
-            return self._upsert(message, send, register=False)
-        return encode(Reject(f"unexpected {type(message).__name__} from client"))
-
-    def _upsert(self, message, send, register: bool) -> str:
-        cid = message.client_id
+            return f"ERR malformed: {exc}"
+        register = verb == "REG"
         with self._lock:
             record = self._clients.get(cid)
             if record is None and not register:
-                return encode(Reject("unknown-client"))
-            if record is not None and message.t < record.t:
-                return encode(Reject("stale"))
+                return "ERR unknown-client"
+            if record is not None and t < record.t:
+                return "ERR stale"
             if record is None:
-                record = self._clients[cid] = _ClientRecord(
-                    message.x, message.y, message.t, send)
+                record = self._clients[cid] = _ClientRecord(x, y, t, send)
                 self._by_send[send].add(cid)
             else:
-                record.x, record.y, record.t = message.x, message.y, message.t
+                record.x, record.y, record.t = x, y, t
                 if register and record.send != send:
-                    self._unbind(cid, record.send)
+                    bound = self._by_send[record.send]
+                    bound.discard(cid)
+                    if not bound:
+                        del self._by_send[record.send]
                     self._by_send[send].add(cid)
                     record.send = send
-            areas = self._areas_at(message.x, message.y)
+            areas = self._areas_at(x, y)
             if areas != record.areas:
                 for pid in record.areas:
                     del self._buckets[pid][cid]
                 for pid in areas:
                     self._buckets[pid][cid] = record
                 record.areas = areas
-        return encode(Ack(cid))
-
-    def _unbind(self, cid: str, send) -> None:
-        cids = self._by_send[send]
-        cids.discard(cid)
-        if not cids:
-            del self._by_send[send]
+        return f"OK {cid}"
 
     def drop_connection(self, send) -> None:
         """Evict every client whose WARNs go through `send`: its connection
@@ -365,7 +318,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                     raw += self.rfile.read(1)  # "\r\n" after a line at the cap?
                 body = raw.removesuffix(b"\n").removesuffix(b"\r")
                 if len(body) > MAX_LINE_BYTES:
-                    send(encode(Reject("line too long")))
+                    send("ERR line too long")
                     return
                 line = body.decode("utf-8", errors="replace").strip()
                 if line:
@@ -428,9 +381,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         host, port = parse_listen(args.listen)
-    except ValueError as exc:
+        plan = load_plan_config(args.plan)
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    plan = load_plan_config(args.plan)
     serve(plan, host, port)
     return 0
 

@@ -597,8 +597,9 @@ class TestCompareGrid:
         for i, label in enumerate(y):
             X[i, :5] += 4 * CLASS_ORDER.index(label)
         data = LabeledDataset(X, y)
-        grid = compare_feature_sets(data, seed=0, folds=3, mlp_kwargs={"epochs": 30})
-        again = compare_feature_sets(data, seed=0, folds=3, mlp_kwargs={"epochs": 30})
+        kwargs = {"mlp": {"epochs": 30}}
+        grid = compare_feature_sets(data, seed=0, folds=3, classifier_kwargs=kwargs)
+        again = compare_feature_sets(data, seed=0, folds=3, classifier_kwargs=kwargs)
         assert set(grid) == {"mlp", "knn", "nb", "dt"}
         cells = [grid[m][s] for m in grid for s in ("five", "cepstral", "all")]
         assert len(cells) == 12

@@ -124,6 +124,26 @@ class TestTrainEval:
             cells = [float(v) for v in line.split()[1:]]
             assert len(cells) == 3 and all(0 <= v <= 100 for v in cells)
 
+    def test_compare_honours_classifier_sections(self, tmp_path, capsys):
+        # four separable classes; a depth-1 tree has two leaves, so it names
+        # at most two of them and scores at most 50%, where depth 10 scores ~100%
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((48, 31))
+        labels = [CLASS_ORDER[i % 4] for i in range(48)]
+        for i, label in enumerate(labels):
+            X[i] += 5 * CLASS_ORDER.index(label)
+        csv = tmp_path / "small.csv"
+        features.save_dataset_csv(csv, X, labels, features.feature_names())
+        config = tmp_path / "run.ini"
+        config.write_text("[mlp]\nepochs = 20\n[dt]\nmax_depth = 1\n")
+        assert main(["eval", str(csv), "--compare", "--folds", "2",
+                     "--config", str(config)]) == 0
+        grid = [ln.split() for ln in capsys.readouterr().out.splitlines()
+                if not ln.startswith("#")]
+        rows = {cells[0]: [float(v) for v in cells[1:]] for cells in grid[1:]}
+        assert all(v <= 50.0 for v in rows["dt"])
+        assert all(v > 90.0 for v in rows["nb"])
+
     def test_compare_honours_feature_config(self, tmp_path, capsys):
         mfcc_cfg = MfccConfig(n_coeffs=10)
         names = features.feature_names(mfcc_cfg)
@@ -254,6 +274,31 @@ class TestSimulate:
         script = tmp_path / "bad.txt"
         script.write_text("DRIVE fast\n")
         assert main(["simulate", str(plan_file), str(script)]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_plan_value_rejected(self, tmp_path, capsys, value):
+        # a NaN window used to pass the `<= 0` check, and then no position was fresh
+        plan = tmp_path / "plan.ini"
+        plan.write_text(PLAN_INI + f"freshness_window = {value}\n")
+        script = tmp_path / "walk.txt"
+        script.write_text("PED walker 87.5 2.0 9.0\nVEHICLE LH 75 0 10.0\n")
+        assert main(["simulate", str(plan), str(script)]) == 2
+        captured = capsys.readouterr()
+        assert "freshness_window must be finite and positive" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("key", ["freshnes_window", "mic_height"])
+    def test_unknown_plan_key_rejected(self, tmp_path, capsys, key):
+        # a misspelt key used to be ignored, leaving the 5 s default window, so a
+        # walker stamped 2 s before the event was warned under a 1 s window
+        plan = tmp_path / "plan.ini"
+        plan.write_text(PLAN_INI + f"{key} = 1\n")
+        script = tmp_path / "walk.txt"
+        script.write_text("PED walker 87.5 2.0 8.0\nVEHICLE LH 75 0 10.0\n")
+        assert main(["simulate", str(plan), str(script)]) == 2
+        captured = capsys.readouterr()
+        assert f"unknown [plan] key {key!r}" in captured.err
+        assert captured.out == ""
 
 
 class TestRunConfig:

@@ -152,6 +152,13 @@ class TestTrackFrames:
         want = [interpolated_peak_hz_reference(m, lo_bin, hi_bin, bin_hz) for m in mags]
         assert np.array_equal(got, want)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_refinement_row_is_quiet(self):
+        # denom is 5e-324, so (alpha - gamma) / denom overflows; the row is not
+        # refined, and computing its unused delta must not warn
+        mags = np.array([[1.0, 0.5, 5e-324, 0.0]])
+        assert band_peak_hz(mags, (1.0, 1.0), 1.0).tolist() == [1.0]
+
     @settings(max_examples=150, deadline=None)
     @given(case=frame_matrices())
     def test_matches_per_frame_reference(self, case):

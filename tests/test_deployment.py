@@ -126,6 +126,15 @@ class TestplanConfig:
         assert plan.freshness_window == 4.0
         assert plan.processor(2).area.x0 == 50.0
 
+    @pytest.mark.parametrize("key", ["road_length", "danger_length", "freshness_window"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, key, value):
+        path = tmp_path / "plan.ini"
+        values = {"road_length": "150", key: value}
+        path.write_text("[plan]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            load_plan_config(path)
+
     def test_missing_section(self, tmp_path):
         path = tmp_path / "plan.ini"
         path.write_text("[other]\nroad_length = 150\n")

@@ -17,9 +17,8 @@ from roadwarn.classifiers import SoundClass
 from roadwarn.decision import APPROACHING, RECEDING, UNKNOWN, DetectionResult
 from roadwarn.deployment import (DangerArea, DeploymentPlan, Processor, build_plan,
                                  members_in_area)
-from roadwarn.warnd import (MAX_LINE_BYTES, Ack, Dispatcher, PositionUpdate, ProtocolError,
-                            Register, Reject, WarnServer, WarningMessage, decode, encode,
-                            parse_event_line)
+from roadwarn.warnd import (MAX_LINE_BYTES, Dispatcher, ProtocolError, WarnServer,
+                            WarningMessage, decode, encode, parse_event_line)
 
 
 class TestProtocol:
@@ -29,28 +28,32 @@ class TestProtocol:
         assert encode(msg) == "WARN 2 LH approaching 4.250"
 
     def test_roundtrip_random_messages(self):
+        # WARN lines round-trip through encode/decode; REG and POS lines in
+        # the same format are acknowledged and stored as written
         rng = np.random.default_rng(2)
 
         def coord():
             return float(rng.integers(-50000, 50000)) / 1000.0
 
         for _ in range(300):
-            kind = rng.integers(0, 5)
-            if kind == 0:
-                msg = Register(f"c{rng.integers(0, 999)}", coord(), coord(), abs(coord()))
-            elif kind == 1:
-                msg = PositionUpdate(f"p_{rng.integers(0, 999)}", coord(), coord(),
-                                     abs(coord()))
-            elif kind == 2:
-                msg = Ack(f"id-{rng.integers(0, 999)}")
-            elif kind == 3:
-                msg = Reject("stale")
-            else:
+            kind = rng.integers(0, 3)
+            if kind == 2:
                 msg = WarningMessage(int(rng.integers(0, 50)),
                                      [SoundClass.H, SoundClass.LH][rng.integers(0, 2)],
                                      [APPROACHING, RECEDING, UNKNOWN][rng.integers(0, 3)],
                                      abs(coord()))
-            assert decode(encode(msg)) == msg
+                assert decode(encode(msg)) == msg
+                continue
+            dispatcher = Dispatcher(build_plan(100.0))
+            if kind == 0:
+                verb, cid = "REG", f"c{rng.integers(0, 999)}"
+            else:
+                verb, cid = "POS", f"p_{rng.integers(0, 999)}"
+                assert dispatcher.handle_line(f"REG {cid} 0 0 0", print) == f"OK {cid}"
+            x, y, t = coord(), coord(), abs(coord())
+            line = f"{verb} {cid} {x:.3f} {y:.3f} {t:.3f}"
+            assert dispatcher.handle_line(line, print) == f"OK {cid}"
+            assert dispatcher.positions() == {cid: (x, y, t)}
 
     def test_bad_class_rejected(self):
         with pytest.raises(ProtocolError):
@@ -65,10 +68,24 @@ class TestProtocol:
             decode("HELLO world")
 
     def test_malformed_fields(self):
-        for line in ("REG p1", "REG p1 1 2", "POS p1 a b 0", "REG p$ 1 2 3",
-                     "REG p1 1.2345 0 0", "OK", "WARN 2 H upward 1.0"):
+        dispatcher = Dispatcher(build_plan(100.0))
+        for line, reason in (("REG p1", "REG needs 4 fields"),
+                             ("REG p1 1 2", "REG needs 4 fields"),
+                             ("POS p1 a b 0", "bad x 'a'"),
+                             ("REG p$ 1 2 3", "bad client_id 'p$'"),
+                             ("REG p1 1.2345 0 0", "bad x '1.2345'")):
+            assert dispatcher.handle_line(line, print) == f"ERR malformed: {reason}"
+        assert len(dispatcher) == 0
+        for line in ("OK", "WARN 2 H upward 1.0", "WARN 2 H approaching"):
             with pytest.raises(ProtocolError):
                 decode(line)
+
+    @pytest.mark.parametrize("line", ["OK a", "ERR x", "WARN 1 H approaching 1.000"])
+    def test_server_verbs_from_client_rejected(self, line):
+        dispatcher = Dispatcher(build_plan(100.0))
+        verb = line.split(" ")[0]
+        assert dispatcher.handle_line(line, print) == f"ERR malformed: unknown verb {verb!r}"
+        assert len(dispatcher) == 0
 
     def test_event_line(self):
         pid, result, t = parse_event_line("EVENT 3 H approaching 12.500")
@@ -281,6 +298,20 @@ class TestMainArgs:
         with pytest.raises(SystemExit):
             main(["--plan", str(plan), "--listen", "not-an-endpoint"])
 
+    def test_bad_plan_is_a_usage_error(self, tmp_path, capsys):
+        from roadwarn.warnd import main
+
+        plan = tmp_path / "plan.ini"
+        plan.write_text("[plan]\nroad_length = 100\nmic_height = 3\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--plan", str(plan), "--listen", "127.0.0.1:0"])
+        assert exit_info.value.code == 2
+        assert "unknown [plan] key 'mic_height'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--plan", str(tmp_path / "missing.ini"), "--listen", "127.0.0.1:0"])
+        assert exit_info.value.code == 2
+        assert "missing.ini" in capsys.readouterr().err
+
 
 class TestTcpServer:
     def test_end_to_end_over_sockets(self):
@@ -328,10 +359,10 @@ class TestNonFinite:
         ("t", f"POS p1 1.0 1.0 {_NINES}.5"),
     ])
     def test_overflowing_decimal_rejected(self, field, line):
-        with pytest.raises(ProtocolError, match=f"bad {field}"):
-            decode(line)
         dispatcher = Dispatcher(build_plan(100.0))
-        assert dispatcher.handle_line(line, print).startswith(f"ERR malformed: bad {field} ")
+        response = dispatcher.handle_line(line, print)
+        assert response.startswith(f"ERR malformed: bad {field} ")
+        assert response.endswith("... (not finite)")
         assert len(dispatcher) == 0
 
     def test_overflowing_event_time_rejected(self):
@@ -367,7 +398,7 @@ class TestFuzz:
             message = decode(line)
         except ProtocolError:
             return
-        assert _finite_fields(message)
+        assert isinstance(message, WarningMessage) and _finite_fields(message)
         assert decode(encode(message)) == message
 
     @settings(max_examples=400, deadline=None)
