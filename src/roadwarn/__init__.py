@@ -7,15 +7,3 @@ climax and vote (`decision`), and dispatch geofenced warnings
 """
 
 __version__ = "0.1.0"
-
-from .audio_io import SampleBuffer, frame_signal, load_wav, write_wav
-from .classifiers import SoundClass
-from .decision import DetectionResult, DopplerParams, doppler_observed
-from .deployment import DeploymentPlan, build_plan, warning_decision, warning_lead_time
-
-__all__ = [
-    "SampleBuffer", "frame_signal", "load_wav", "write_wav",
-    "SoundClass", "DetectionResult", "DopplerParams", "doppler_observed",
-    "DeploymentPlan", "build_plan", "warning_decision", "warning_lead_time",
-    "__version__",
-]

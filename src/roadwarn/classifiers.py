@@ -109,6 +109,8 @@ class MlpConfig:
     def __post_init__(self):
         if self.hidden_units < 1 or self.epochs < 1:
             raise ValueError("hidden_units and epochs must be >= 1")
+        if not 0 < self.learning_rate < np.inf:  # False for NaN too
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 # The activations overwrite their argument: the same ufuncs in the same order

@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import math
 import os
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import audio_io, classifiers, decision, features, synth, warnd
 from .classifiers import CLASS_ORDER, FEATURE_SETS, SoundClass
-from .deployment import load_plan_config, warning_decision, warning_lead_time
+from .deployment import load_plan_config, read_ini, warning_decision, warning_lead_time
 from .features import LpcConfig, MfccConfig
 
 
@@ -37,47 +36,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_RUN_CONFIG_KEYS = {
+    "features": {"n_filters": int, "n_coeffs": int, "pre_emphasis": float, "fmin": float,
+                 "fmax": float, "log_floor": float, "lpc_order": int},
+    "mlp": {"hidden_units": int, "learning_rate": float, "epochs": int},
+    "knn": {"k": int},
+    "dt": {"max_depth": int},
+}
+
+
 class RunConfig:
     """Module parameters loaded from an optional INI file.
 
-    Sections: [features] (n_filters, n_coeffs, pre_emphasis, fmin, fmax,
-    log_floor, lpc_order), [mlp] (hidden_units, learning_rate, epochs),
-    [knn] (k), [dt] (max_depth).  Anything not present keeps its default.
+    The file may set the sections and keys of `_RUN_CONFIG_KEYS`; anything
+    not present keeps its default, and any other section or key is an error.
     """
 
     def __init__(self, path=None):
-        parser = configparser.ConfigParser()
-        if path is not None:
-            with open(path, "r", encoding="utf-8") as fh:
-                parser.read_file(fh)
-        feat = parser["features"] if parser.has_section("features") else {}
-        kwargs = {}
-        for key, cast in (("n_filters", int), ("n_coeffs", int),
-                          ("pre_emphasis", float), ("fmin", float),
-                          ("fmax", float), ("log_floor", float)):
-            if key in feat:
-                kwargs[key] = cast(feat[key])
-        self.mfcc = MfccConfig(**kwargs)
-        self.lpc = LpcConfig(order=int(feat["lpc_order"])) if "lpc_order" in feat \
-            else LpcConfig()
-        self.classifier_kwargs = {"mlp": {}, "knn": {}, "nb": {}, "dt": {}}
-        for name, key, cast in (("mlp", "hidden_units", int), ("mlp", "learning_rate", float),
-                                ("mlp", "epochs", int), ("knn", "k", int),
-                                ("dt", "max_depth", int)):
-            if parser.has_option(name, key):
-                self.classifier_kwargs[name][key] = cast(parser[name][key])
-
-    def resolved(self) -> dict:
-        out = {f"features.{k}": v for k, v in asdict(self.mfcc).items()}
-        out["features.lpc_order"] = self.lpc.order
-        for name, kwargs in self.classifier_kwargs.items():
-            for k, v in kwargs.items():
-                out[f"{name}.{k}"] = v
-        return out
+        values = {} if path is None else read_ini(path, _RUN_CONFIG_KEYS)
+        feat = values.pop("features", {})
+        self.lpc = LpcConfig(order=feat.pop("lpc_order", LpcConfig.order))
+        self.mfcc = MfccConfig(**feat)
+        self.classifier_kwargs = {name: values.get(name, {})
+                                  for name in classifiers.CLASSIFIER_NAMES}
 
     def echo(self) -> None:
-        for key, value in self.resolved().items():
-            print(f"# {key} = {value}")
+        for key, value in asdict(self.mfcc).items():
+            print(f"# features.{key} = {value}")
+        print(f"# features.lpc_order = {self.lpc.order}")
+        for name, kwargs in self.classifier_kwargs.items():
+            for key, value in kwargs.items():
+                print(f"# {name}.{key} = {value}")
 
 
 def render_metrics(metrics: classifiers.Metrics) -> str:

@@ -95,41 +95,51 @@ def build_plan(road_length: float, **overrides) -> DeploymentPlan:
     return DeploymentPlan(**{**overrides, "processors": processors})
 
 
-def load_plan_config(path) -> DeploymentPlan:
-    """Build a plan from an INI file: a [plan] section with road_length plus
-    any of the DeploymentPlan fields as overrides; any other key is an error."""
+def read_ini(path, schema: dict) -> dict:
+    """section -> {key: value} of an INI file, each value cast by `schema`
+    (section -> {key: cast}).  A section or key the schema lacks, a value its
+    cast rejects (its ValueError's message follows the key) and a non-finite
+    number are errors that name the file and the key."""
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
-    if not parser.has_section("plan"):
+    if parser.defaults():
+        raise ValueError(f"{path}: unknown section [{parser.default_section}]")
+    values = {}
+    for name in parser.sections():
+        if name not in schema:
+            raise ValueError(f"{path}: unknown section [{name}]")
+        values[name] = {}
+        for key, text in parser[name].items():
+            if key not in schema[name]:
+                raise ValueError(f"{path}: unknown [{name}] key {key!r}")
+            try:
+                value = schema[name][key](text)
+                if not math.isfinite(value):
+                    raise ValueError(f"must be finite, got {text}")
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{name}] {key} {exc}") from None
+            values[name][key] = value
+    return values
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # False for NaN too
+        raise ValueError(f"must be finite and positive, got {text}")
+    return value
+
+
+def load_plan_config(path) -> DeploymentPlan:
+    """Build a plan from an INI file: a [plan] section with road_length plus
+    any of the DeploymentPlan fields as overrides; anything else is an error."""
+    values = read_ini(path, {"plan": dict.fromkeys(("road_length", *_PLAN_KEYS), _positive)})
+    if "plan" not in values:
         raise ValueError(f"{path}: missing [plan] section")
-    section = parser["plan"]
-    if "road_length" not in section:
+    overrides = values["plan"]
+    if "road_length" not in overrides:
         raise ValueError(f"{path}: plan needs a road_length")
-    unknown = sorted(set(section) - {"road_length", *_PLAN_KEYS})
-    if unknown:
-        raise ValueError(f"{path}: unknown [plan] key {unknown[0]!r}")
-    overrides = {key: section.getfloat(key) for key in _PLAN_KEYS if key in section}
-    return build_plan(section.getfloat("road_length"), **overrides)
-
-
-def members_in_area(area: DangerArea, registry, now: float,
-                    freshness_window: float = 5.0) -> list[str]:
-    """client_ids of `registry` (client_id -> record with x, y, t) whose
-    position is fresh at `now` and inside the rectangle, boundary included.
-
-    Fresh means stamped at most `freshness_window` before `now`, and at most
-    that long after it: a position stamped far in the future is not one.
-    """
-    contains = area.contains
-    youngest = -freshness_window  # the lowest age, now - t, that is still fresh
-    members = []
-    for cid, record in registry.items():
-        if not youngest <= now - record.t <= freshness_window:
-            continue
-        if contains(record.x, record.y):
-            members.append(cid)
-    return members
+    return build_plan(overrides.pop("road_length"), **overrides)
 
 
 def warning_lead_time(distance_m: float, speed_kmh: float) -> float:

@@ -17,7 +17,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 
 class SilentFrameError(ValueError):
@@ -117,6 +116,15 @@ def _mel_filterbank(n_filters: int, n_bins: int, bin_hz: float, fmin: float, fma
     return bank
 
 
+@functools.lru_cache(maxsize=32)
+def _dct_matrix(n_coeffs: int, n_filters: int) -> np.ndarray:
+    """The first n_coeffs rows of the orthonormal type-II DCT of length n_filters."""
+    k, j = np.arange(n_coeffs)[:, None], np.arange(n_filters)
+    basis = np.sqrt(2.0 / n_filters) * np.cos(np.pi * k * (2 * j + 1) / (2 * n_filters))
+    basis[0] /= np.sqrt(2.0)
+    return basis
+
+
 def _as_stack(frames) -> tuple[np.ndarray, bool]:
     """(frames as a 2-D float64 stack, whether a single 1-D frame came in)."""
     x = np.asarray(frames, dtype=np.float64)
@@ -130,7 +138,8 @@ def mfcc(frames: np.ndarray, sample_rate: int, config: MfccConfig = MfccConfig()
 
     Pipeline: pre-emphasis, hann window, power spectrum, triangular mel
     filterbank, log(energy + log_floor), orthonormal type-II DCT truncated
-    to n_coeffs.  The floor keeps silent channels finite; as long as filter
+    to n_coeffs, which is a product by a cached (n_coeffs x n_filters)
+    matrix.  The floor keeps silent channels finite; as long as filter
     energies dominate the floor, rescaling the frame only moves
     coefficient 0.  Returns n_coeffs values per frame.
     """
@@ -146,7 +155,7 @@ def mfcc(frames: np.ndarray, sample_rate: int, config: MfccConfig = MfccConfig()
     power = np.abs(np.fft.rfft(windowed, axis=1)) ** 2
     bank = _mel_filterbank(config.n_filters, power.shape[1], sample_rate / n, config.fmin, fmax)
     log_energy = np.log(power @ bank.T + config.log_floor)
-    coeffs = dct(log_energy, type=2, norm="ortho", axis=1)[:, :config.n_coeffs]
+    coeffs = log_energy @ _dct_matrix(config.n_coeffs, config.n_filters).T
     return coeffs[0] if single else coeffs
 
 

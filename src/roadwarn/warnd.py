@@ -38,8 +38,7 @@ from dataclasses import dataclass
 
 from .classifiers import SoundClass
 from .decision import DIRECTIONS, DetectionResult
-from .deployment import (WARN_CLASSES, DeploymentPlan, load_plan_config, members_in_area,
-                         warning_decision)
+from .deployment import WARN_CLASSES, DeploymentPlan, load_plan_config, warning_decision
 
 _CLIENT_ID = re.compile(r"[A-Za-z0-9_-]{1,32}\Z")
 _DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]{1,3})?\Z")
@@ -245,12 +244,13 @@ class Dispatcher:
     def dispatch(self, result: DetectionResult, processor_id: int, event_time: float) -> set:
         """Deliver a WARN to every fresh client in the processor's danger area.
 
-        A connection whose `send` raises OSError is dropped with all its
-        clients.  Returns the exact set of client_ids written to, on
+        Fresh means stamped at most `freshness_window` before or after
+        `event_time`.  A connection whose `send` raises OSError is dropped
+        with all its clients.  Returns the exact set of client_ids written to, on
         connections still open (empty when the policy suppresses the
         warning).
         """
-        processor = self.plan.processor(processor_id)  # raises KeyError if absent
+        self.plan.processor(processor_id)  # raises KeyError if absent
         if not warning_decision(result):
             return set()
         message = WarningMessage(processor_id=processor_id,
@@ -258,13 +258,13 @@ class Dispatcher:
                                  direction=result.direction,
                                  event_time=event_time)
         line = encode(message)
+        window = self.plan.freshness_window
         with self._lock:
-            bucket = self._buckets[processor_id]
-            members = members_in_area(processor.area, bucket, event_time,
-                                      self.plan.freshness_window)
-            sends = [bucket[cid].send for cid in members]
+            # the bucket holds exactly the clients inside the area
+            members = [(cid, record.send) for cid, record in self._buckets[processor_id].items()
+                       if -window <= event_time - record.t <= window]
         failed = []
-        for send in sends:
+        for _, send in members:
             if send in failed:
                 continue
             try:
@@ -272,7 +272,7 @@ class Dispatcher:
             except OSError:
                 failed.append(send)
                 self.drop_connection(send)
-        return {cid for cid, send in zip(members, sends) if send not in failed}
+        return {cid for cid, send in members if send not in failed}
 
 
 def parse_event_line(line: str) -> tuple[int, DetectionResult, float]:

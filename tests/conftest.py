@@ -26,3 +26,13 @@ def sine_frame(freq_hz, sample_rate=16000, n=1600, amplitude=1.0):
     """The samples of one frame holding a sine."""
     t = np.arange(n) / sample_rate
     return amplitude * np.sin(2 * np.pi * freq_hz * t)
+
+
+def members_in_area_reference(area, registry, now, freshness_window):
+    """client_ids of `registry` (client_id -> record with x, y, t) whose
+    position lies in `area`, boundary included, stamped at most
+    `freshness_window` before or after `now`: the geofence and freshness
+    rule over the whole registry, which a dispatch must agree with."""
+    return [cid for cid, record in registry.items()
+            if area.contains(record.x, record.y)
+            and -freshness_window <= now - record.t <= freshness_window]

@@ -1,15 +1,16 @@
-"""Every package name the benchmark's traced runs wrap still exists.
+"""Every package name and config file the benchmark uses still works.
 
 `perfbench/spans.py` replaces package attributes by timing wrappers, so
 deleting or renaming one of them makes every traced benchmark run fail.
 This loads spans.py by path (it only reads it), installs the client and
-the server wrappers, and undoes them.
+the server wrappers, and undoes them.  The benchmark's INI files are read
+the same way, through the loaders its runs call.
 """
 
 import importlib.util
 from pathlib import Path
 
-from roadwarn import classifiers, features, warnd
+from roadwarn import classifiers, cli, deployment, features, warnd
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -35,3 +36,11 @@ def test_traced_runs_find_every_wrapped_name():
     finally:
         tracer.restore()
     assert [getattr(owner, attr) for owner, attr in watched] == originals
+
+
+def test_benchmark_config_files_load():
+    # a reader that rejected a key these files use would fail every benchmark run
+    bench = SPANS.parent
+    assert cli.RunConfig(bench / "criterion02.ini").classifier_kwargs["mlp"] == {
+        "learning_rate": 0.5, "epochs": 300}
+    assert len(deployment.load_plan_config(bench / "plan.ini").processors) == 9

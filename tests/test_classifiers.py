@@ -205,12 +205,20 @@ class TestMlp:
         acc = compute_metrics(data.y, model.predict_batch(data.X)).overall_accuracy
         assert acc == 100.0
 
-    def test_zero_rate_is_deterministic(self):
+    def test_seeded_fit_is_deterministic(self):
         data = blobs(seed=1)
-        cfg = MlpConfig(epochs=1, learning_rate=0.0, seed=9)
+        cfg = MlpConfig(epochs=1, seed=9)
         a = train_mlp(data, cfg).predict_batch(data.X)
         b = train_mlp(data, cfg).predict_batch(data.X)
         assert a == b
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
+    def test_untrainable_learning_rate_rejected(self, rate):
+        # a NaN or infinite rate would never leave train_mlp's step-halving loop
+        with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+            MlpConfig(learning_rate=rate)
+        with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+            make_trainer("mlp", learning_rate=rate)
 
     def test_gradients_match_finite_differences(self):
         data = blobs(seed=3, per_class=20)

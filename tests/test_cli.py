@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +11,12 @@ import pytest
 
 from roadwarn import audio_io, features, synth
 from roadwarn.classifiers import CLASS_ORDER, SoundClass
-from roadwarn.cli import main, run_simulation
-from roadwarn.deployment import build_plan
+from roadwarn.cli import RunConfig, main, run_simulation
+from roadwarn.deployment import build_plan, load_plan_config
 from roadwarn.features import MfccConfig
 
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 PLAN_INI = """[plan]
 road_length = 200
@@ -335,6 +340,47 @@ class TestRunConfig:
         det_lines = capsys.readouterr().out.strip().splitlines()
         assert det_lines[0].startswith("DET ")
         assert det_lines[0].split()[2] in ("H", "LL", "LH", "NV")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[dt]\nmaxdepth = 1\n", "unknown [dt] key 'maxdepth'"),
+        ("[mlp]\nepoch = 5\n", "unknown [mlp] key 'epoch'"),
+        ("[featurs]\nn_coeffs = 3\n", "unknown section [featurs]"),
+        ("[mlp]\nlearning_rate = nan\n", "[mlp] learning_rate must be finite"),
+    ], ids=["dt-key", "mlp-key", "section", "nan-value"])
+    def test_config_typo_is_a_data_error(self, tmp_path, capsys, text, message):
+        csv = tmp_path / "small.csv"
+        labels = [CLASS_ORDER[i % 4] for i in range(8)]
+        features.save_dataset_csv(csv, np.arange(8 * 31.0).reshape(8, 31), labels,
+                                  features.feature_names())
+        config = tmp_path / "run.ini"
+        config.write_text(text)
+        model = tmp_path / "dt.json"
+        assert main(["train", str(csv), str(model), "--model", "dt",
+                     "--config", str(config)]) == 2
+        assert message in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("block", re.findall(r"```ini\n(.*?)```", README.read_text(),
+                                                 re.DOTALL),
+                             ids=lambda block: block[1:block.index("]")])
+    def test_readme_ini_examples_load(self, tmp_path, block):
+        path = tmp_path / "example.ini"
+        path.write_text(block)
+        if block.startswith("[plan]"):
+            assert len(load_plan_config(path).processors) == 9
+        else:
+            assert RunConfig(path).classifier_kwargs["mlp"]["epochs"] == 300
+
+
+class TestImports:
+    def test_cli_and_warnd_load_no_scipy(self):
+        code = ("import sys, roadwarn.cli, roadwarn.warnd; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestServeCommand:

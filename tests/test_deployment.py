@@ -1,12 +1,11 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from roadwarn.classifiers import SoundClass
 from roadwarn.decision import APPROACHING, RECEDING, UNKNOWN, DetectionResult
-from roadwarn.deployment import (DangerArea, DeploymentPlan, build_plan, load_plan_config,
-                                 members_in_area, warning_decision, warning_lead_time)
+from roadwarn.deployment import (DeploymentPlan, build_plan, load_plan_config,
+                                 warning_decision, warning_lead_time)
+from roadwarn.warnd import Dispatcher
 
 
 class TestBuildPlan:
@@ -37,45 +36,49 @@ class TestBuildPlan:
 
 
 class TestMembership:
-    AREA = DangerArea(processor_id=0, x0=0.0, length=25.0, width=7.0)
+    """Whom `Dispatcher.dispatch` warns: the fresh clients in the area."""
 
-    @staticmethod
-    def _registry(*entries):
-        """client_id -> record with x, y, t, the shape of warnd's registry."""
-        return {cid: SimpleNamespace(x=x, y=y, t=t) for cid, x, y, t in entries}
+    PLAN = build_plan(100.0)  # area 0 is [0, 25] x [0, 7], area 1 is [25, 50] x [0, 7]
+
+    def _delivered(self, entries, now, processor_id=0):
+        dispatcher = Dispatcher(self.PLAN)
+        inbox = []
+        for cid, x, y, t in entries:
+            line = f"REG {cid} {x:.3f} {y:.3f} {t:.3f}"
+            assert dispatcher.handle_line(line, inbox.append) == f"OK {cid}"
+        warn = DetectionResult(climax_index=9, sound_type=SoundClass.H, direction=APPROACHING)
+        return dispatcher.dispatch(warn, processor_id, now)
 
     def test_interior(self):
-        registry = self._registry(("p1", 10, 1, 0.0))
-        assert members_in_area(self.AREA, registry, now=0.0) == ["p1"]
+        assert self._delivered([("p1", 10, 1, 0.0)], now=0.0) == {"p1"}
 
     def test_closed_boundary(self):
         for x, y in ((25, 1), (0, 0), (10, 7)):
-            registry = self._registry(("p1", x, y, 0.0))
-            assert members_in_area(self.AREA, registry, now=0.0) == ["p1"]
+            assert self._delivered([("p1", x, y, 0.0)], now=0.0) == {"p1"}
 
     def test_exterior(self):
         for x, y in ((30, 1), (-0.001, 1), (10, 7.001), (10, -1)):
-            registry = self._registry(("p1", x, y, 0.0))
-            assert members_in_area(self.AREA, registry, now=0.0) == []
+            assert self._delivered([("p1", x, y, 0.0)], now=0.0) == set()
 
     def test_stale_positions_excluded(self):
-        registry = self._registry(("fresh", 10, 1, 7.0), ("edge", 12, 1, 5.0),
-                                  ("stale", 11, 1, 0.0), ("future_edge", 12, 1, 15.0),
-                                  ("future", 11, 1, 15.5), ("far_future", 10, 1, 99999999.0))
-        got = members_in_area(self.AREA, registry, now=10.0, freshness_window=5.0)
-        assert got == ["fresh", "edge", "future_edge"]
+        entries = [("fresh", 10, 1, 7.0), ("edge", 12, 1, 5.0), ("stale", 11, 1, 0.0),
+                   ("future_edge", 12, 1, 15.0), ("future", 11, 1, 15.5),
+                   ("far_future", 10, 1, 99999999.0)]
+        assert self.PLAN.freshness_window == 5.0
+        assert self._delivered(entries, now=10.0) == {"fresh", "edge", "future_edge"}
 
     def test_matches_brute_force_on_random_points(self):
         rng = np.random.default_rng(5)
-        area = DangerArea(processor_id=1, x0=25.0, length=25.0, width=7.0)
         pts = rng.uniform(-10, 70, (10000, 2))
         ages = rng.uniform(0, 10, 10000)
         # positions stamped after `now`: negative ages
         pts = np.r_[pts, rng.uniform(-10, 70, (2000, 2))]
         ages = np.r_[ages, rng.uniform(-10, 0, 2000)]
-        registry = self._registry(*((f"c{i}", float(x), float(y), float(-age))
-                                    for i, ((x, y), age) in enumerate(zip(pts, ages))))
-        got = set(members_in_area(area, registry, now=0.0, freshness_window=5.0))
+        # the wire carries 3 fraction digits
+        pts, ages = np.round(pts, 3), np.round(ages, 3)
+        entries = [(f"c{i}", float(x), float(y), float(-age))
+                   for i, ((x, y), age) in enumerate(zip(pts, ages))]
+        got = self._delivered(entries, now=0.0, processor_id=1)
         expected = {f"c{i}" for i, ((x, y), age) in enumerate(zip(pts, ages))
                     if 25.0 <= x <= 50.0 and 0.0 <= y <= 7.0 and -5.0 <= age <= 5.0}
         assert got == expected

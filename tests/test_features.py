@@ -204,6 +204,17 @@ class TestMfcc:
         want = mfcc_reference(samples, 8000)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("sample_rate", [8000, 16000])
+    @pytest.mark.parametrize("n_filters, n_coeffs",
+                             [(26, 1), (26, 13), (26, 26), (8, 3), (40, 20)])
+    def test_dct_matches_reference_at_every_shape(self, n_filters, n_coeffs, sample_rate):
+        rng = np.random.default_rng(n_filters * 100 + n_coeffs)
+        samples = rng.uniform(-1, 1, 400)
+        got = mfcc(samples, sample_rate, MfccConfig(n_filters=n_filters, n_coeffs=n_coeffs))
+        want = mfcc_reference(samples, sample_rate, n_filters, n_coeffs)
+        assert got.shape == (n_coeffs,)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             MfccConfig(n_coeffs=30, n_filters=26)

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from roadwarn import warnd
 from roadwarn.classifiers import SoundClass
 from roadwarn.decision import APPROACHING, RECEDING, UNKNOWN, DetectionResult
-from roadwarn.deployment import (DangerArea, DeploymentPlan, Processor, build_plan,
-                                 members_in_area)
+from roadwarn.deployment import DangerArea, DeploymentPlan, Processor, build_plan
 from roadwarn.warnd import (MAX_LINE_BYTES, Dispatcher, ProtocolError, WarnServer,
                             WarningMessage, decode, encode, parse_event_line)
+
+from conftest import members_in_area_reference
 
 
 class TestProtocol:
@@ -196,8 +197,8 @@ class TestDispatch:
                            float(rng.integers(-20, 90)) / 10.0,
                            float(rng.integers(0, 200)) / 10.0)
         for processor in self.plan.processors:
-            expected = members_in_area(processor.area, self.dispatcher._clients, 15.0,
-                                       self.plan.freshness_window)
+            expected = members_in_area_reference(processor.area, self.dispatcher._clients,
+                                                 15.0, self.plan.freshness_window)
             assert expected
             before = {cid: len(lines) for cid, lines in self.inbox.items()}
             delivered = self.dispatcher.dispatch(self._event(SoundClass.H),
@@ -527,8 +528,8 @@ class TestAreaIndex:
             else:
                 _, pid, now = step
                 area = plan.processor(pid).area
-                members = members_in_area(area, dispatcher._clients, float(now),
-                                          plan.freshness_window)
+                members = members_in_area_reference(area, dispatcher._clients, float(now),
+                                                    plan.freshness_window)
                 assert set(members) == {cid for cid, (x, y, t, _) in shadow.items()
                                         if area.contains(x, y)
                                         and -plan.freshness_window <= now - t
