@@ -12,11 +12,22 @@ A client sends only REG and POS; any other verb, OK, ERR and WARN included,
 is answered `ERR malformed: unknown verb '<verb>'`.  client_id matches
 [A-Za-z0-9_-]{1,32}; coordinates and times are finite decimals with at
 most 3 fraction digits; class is one of H/LL/LH/NV.  A line longer than
-MAX_LINE_BYTES is answered `ERR line too long` and ends the session.  A
-client whose connection closes, or whose connection fails a write, is
-dropped from the registry and must REG again; a write that cannot finish
-within WRITE_TIMEOUT_S (a peer that stopped reading) fails and closes the
-connection.
+MAX_LINE_BYTES is answered `ERR line too long` and ends the session.  A REG
+for a new client_id while the registry holds MAX_CLIENTS clients is
+answered `ERR registry full`.
+
+`WarnServer` runs every connection on one `selectors` loop in one thread.
+What the server writes to a connection is queued in that connection's
+outbox, and the loop writes it out without blocking: an event's WARNs
+leave each connection in one write, however many of its clients they are
+for, and a peer that stops reading holds up no one else.  A connection's
+clients are dropped from the registry, and must REG again on a new
+connection, when it ends (EOF, a read or write error, an over-long line),
+when a line would take its outbox past MAX_OUTBOX_BYTES, or when its
+outbox has not drained for WRITE_TIMEOUT_S (a peer that stopped reading);
+the last two close it.  `dispatch` counts a client as delivered when its
+WARN was queued on an open connection, the same guarantee a completed
+`sendall` gave: neither says the peer has read it.
 
 Detection events do not travel on the client wire: `dispatch` is called
 in-process (simulation) or fed EVENT lines on stdin (standalone server).
@@ -27,11 +38,11 @@ from __future__ import annotations
 import argparse
 import math
 import re
+import selectors
 import socket
-import socketserver
-import struct
 import sys
 import threading
+import time
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -43,7 +54,15 @@ from .deployment import WARN_CLASSES, DeploymentPlan, load_plan_config, warning_
 _CLIENT_ID = re.compile(r"[A-Za-z0-9_-]{1,32}\Z")
 _DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]{1,3})?\Z")
 MAX_LINE_BYTES = 1024  # longest client line, "\n" or "\r\n" excluded
-WRITE_TIMEOUT_S = 5.0  # longest a blocked write to one client may stall a dispatch
+WRITE_TIMEOUT_S = 5.0  # longest a connection's outbox may stay undrained before eviction
+# An outbox holds what a connection's peer has not read yet.  The largest
+# WARN block one event can put on a gateway connection, at the registry's
+# scale, is the whole 50,000-client benchmark registry standing in one area
+# and registered on that connection: 50,000 lines of about 32 bytes, 1.6 MB.
+# 4 MiB holds that block with room for the next event's.
+MAX_OUTBOX_BYTES = 4 << 20
+MAX_CLIENTS = 1_000_000  # registry cap; a REG for a new client_id beyond it is refused
+_READ_CHUNK = 65536
 
 
 class ProtocolError(ValueError):
@@ -135,8 +154,8 @@ class _ClientRecord:
 
 class Dispatcher:
     """Registry plus dispatch.  All registry mutations happen under one lock,
-    so concurrent sessions interleave without tearing, and every dispatch
-    sees a consistent snapshot.
+    so sessions and dispatches on different threads interleave without
+    tearing, and every dispatch sees a consistent snapshot.
 
     Besides `_clients` (client_id -> record) the registry keeps one bucket
     per processor, holding the records whose position lies in its danger
@@ -145,8 +164,11 @@ class Dispatcher:
     the target bucket, so its cost follows the area, not the registry.
     """
 
-    def __init__(self, plan: DeploymentPlan):
+    def __init__(self, plan: DeploymentPlan, flush=None):
+        """`flush`, if given, is called after each dispatch's sends: a
+        transport whose `send` only queues a line writes the lines out then."""
         self.plan = plan
+        self._flush = flush
         self._lock = threading.Lock()
         self._clients: dict[str, _ClientRecord] = {}
         self._by_send: dict[object, set] = defaultdict(set)
@@ -202,6 +224,8 @@ class Dispatcher:
             if record is not None and t < record.t:
                 return "ERR stale"
             if record is None:
+                if len(self._clients) >= MAX_CLIENTS:
+                    return "ERR registry full"
                 record = self._clients[cid] = _ClientRecord(x, y, t, send)
                 self._by_send[send].add(cid)
             else:
@@ -272,6 +296,8 @@ class Dispatcher:
             except OSError:
                 failed.append(send)
                 self.drop_connection(send)
+        if members and self._flush is not None:
+            self._flush()
         return {cid for cid, send in members if send not in failed}
 
 
@@ -285,70 +311,256 @@ def parse_event_line(line: str) -> tuple[int, DetectionResult, float]:
     return processor_id, result, event_time
 
 
-class _SessionHandler(socketserver.StreamRequestHandler):
-    def setup(self):
-        super().setup()
-        # a kernel send timeout, not settimeout(): that would poll before every
-        # write; a send blocked this long fails with BlockingIOError (an OSError)
-        seconds, fraction = divmod(WRITE_TIMEOUT_S, 1.0)
-        self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO,
-                                   struct.pack("ll", int(seconds), int(fraction * 1e6)))
+def _split_lines(buffered: bytes, eof: bool) -> tuple[list, bytes, bool]:
+    """Client bytes -> (line bodies, the unfinished rest, too_long).
 
-    def handle(self):
-        dispatcher = self.server.dispatcher
-        lock = threading.Lock()
-
-        def send(line):
-            payload = (line + "\n").encode("utf-8")
-            with lock:
-                try:
-                    self.wfile.write(payload)  # unbuffered: raises OSError if the peer is gone
-                except OSError:
-                    # end the read loop too, so no REG re-binds to this connection
-                    try:
-                        self.connection.shutdown(socket.SHUT_RDWR)
-                    except OSError:
-                        pass
-                    raise
-
-        try:
-            # at EOF the unterminated last line is returned, and handled, too
-            while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
-                if len(raw) > MAX_LINE_BYTES and raw.endswith(b"\r"):
-                    raw += self.rfile.read(1)  # "\r\n" after a line at the cap?
-                body = raw.removesuffix(b"\n").removesuffix(b"\r")
-                if len(body) > MAX_LINE_BYTES:
-                    send("ERR line too long")
-                    return
-                line = body.decode("utf-8", errors="replace").strip()
-                if line:
-                    send(dispatcher.handle_line(line, send))
-        except OSError:
-            pass
-        finally:
-            dispatcher.drop_connection(send)
+    A line ends at "\n", and one "\r" before it is not part of it; at EOF
+    the unterminated rest is a line too.  Bodies come out up to the first
+    line over MAX_LINE_BYTES, and too_long says there was one.  The
+    unfinished rest counts as too long as soon as it is, unless a "\r" at
+    the cap may yet start its "\r\n"."""
+    lines = buffered.split(b"\n")
+    rest = b"" if eof else lines.pop()
+    bodies = []
+    for raw in lines:
+        body = raw.removesuffix(b"\r")
+        if len(body) > MAX_LINE_BYTES:
+            return bodies, b"", True
+        bodies.append(body)
+    return bodies, rest, len(rest.removesuffix(b"\r")) > MAX_LINE_BYTES
 
 
-class WarnServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
+class _Connection:
+    """One client socket: the bytes read but not yet a whole line, and the
+    outbox that `send` fills and the server loop drains.  `lock` and
+    `dirty` are the server's."""
+
+    __slots__ = ("sock", "lock", "dirty", "inbox", "outbox", "open", "mask", "stalled_since")
+
+    def __init__(self, sock, lock, dirty):
+        self.sock, self.lock, self.dirty = sock, lock, dirty
+        self.inbox = b""
+        self.outbox = bytearray()
+        self.open = True  # takes lines; False after EOF, an over-long line or an eviction
+        self.mask = selectors.EVENT_READ
+        self.stalled_since = None  # when a flush first left bytes in the outbox
+
+    def send(self, line: str) -> None:
+        """Queue a server->client line; OSError once the connection takes no
+        more lines, or when the line would take its outbox past
+        MAX_OUTBOX_BYTES (the connection is then evicted)."""
+        data = (line + "\n").encode("utf-8")
+        with self.lock:
+            if not self.open:
+                raise ConnectionError("connection closed")
+            self.dirty.add(self)
+            if len(self.outbox) + len(data) > MAX_OUTBOX_BYTES:
+                self.open = False  # an empty outbox that takes no lines: the loop closes it
+                self.outbox.clear()
+                raise OSError(f"outbox over {MAX_OUTBOX_BYTES} bytes")
+            self.outbox += data
+
+
+class WarnServer:
+    """The TCP service: one `selectors` loop, run by `serve_forever` in one
+    thread, over the listening socket, every client socket and a wake-up
+    socketpair.  `send` only appends to an outbox, from any thread; the
+    loop writes each outbox with non-blocking sends, so all the lines
+    queued between two flushes (an event's WARNs, the replies to one read)
+    leave in one write."""
 
     def __init__(self, address, plan: DeploymentPlan):
-        super().__init__(address, _SessionHandler)
-        self.dispatcher = Dispatcher(plan)
+        self.dispatcher = Dispatcher(plan, flush=self._wake_loop)
+        self.socket = socket.create_server(address, backlog=socket.SOMAXCONN)
+        self.socket.setblocking(False)
+        self.server_address = self.socket.getsockname()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.socket, selectors.EVENT_READ)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        self._connections = set()
+        self._accepting = True
+        self._stalled = set()  # connections whose outbox a flush did not empty
+        self._lock = threading.Lock()  # guards outboxes, `open`, `_dirty` and `_woken`
+        self._dirty = set()  # connections with bytes queued since the loop last flushed
+        self._woken = False  # the loop will flush `_dirty` before it waits again
+        self._shutdown_request = False
+        self._stopped = threading.Event()
+
+    # -- any thread ---------------------------------------------------------
+
+    def _wake_loop(self) -> None:
+        """Make the loop flush what was queued now, not after `poll_interval`.
+        Called once a dispatch has queued all its lines: a wake-up per line
+        would let the loop take turns with the dispatching thread and send
+        the lines one by one."""
+        with self._lock:
+            if self._woken:
+                return
+            self._woken = True
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # full: a wake-up is pending anyway; closed: the server is gone
+            pass
+
+    def shutdown(self) -> None:
+        """Stop `serve_forever` and wait for it to return."""
+        self._shutdown_request = True
+        self._wake_loop()
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        for conn in list(self._connections):
+            self._close(conn)
+        self._selector.close()
+        for sock in (self.socket, self._wake_r, self._wake_w):
+            sock.close()
+
+    # -- the loop -----------------------------------------------------------
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        self._stopped.clear()
+        try:
+            while not self._shutdown_request:
+                timeout = poll_interval
+                if self._stalled:
+                    first = min(conn.stalled_since for conn in self._stalled)
+                    timeout = min(timeout, max(0.0, first + WRITE_TIMEOUT_S - time.monotonic()))
+                ready = self._selector.select(timeout)
+                with self._lock:
+                    self._woken = True  # what is queued from here on is flushed below
+                for key, mask in ready:
+                    if key.fileobj is self.socket:
+                        self._accept()
+                    elif key.fileobj is self._wake_r:
+                        self._wake_r.recv(4096)
+                    elif mask & selectors.EVENT_READ:
+                        self._read(key.data)
+                    else:
+                        self._flush(key.data)  # writable again
+                with self._lock:
+                    dirty = list(self._dirty)
+                    self._dirty.clear()
+                    self._woken = False
+                for conn in dirty:
+                    self._flush(conn)
+                if self._stalled:
+                    now = time.monotonic()
+                    for conn in [c for c in self._stalled
+                                 if now - c.stalled_since >= WRITE_TIMEOUT_S]:
+                        self._close(conn)
+        finally:
+            self._shutdown_request = False
+            self._stopped.set()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self.socket.accept()
+            except BlockingIOError:
+                return
+            except OSError:
+                # out of file descriptors: the listener stays ready, and the
+                # loop would spin on it, until one of the connections closes
+                if self._connections:
+                    self._selector.unregister(self.socket)
+                    self._accepting = False
+                return
+            sock.setblocking(False)
+            # the outbox batches the lines; Nagle could only hold a batch back
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Connection(sock, self._lock, self._dirty)
+            self._selector.register(sock, selectors.EVENT_READ, conn)
+            self._connections.add(conn)
+
+    def _read(self, conn: _Connection) -> None:
+        if not conn.open:  # evicted by a dispatch: the flush below closes it
+            return
+        try:
+            data = conn.sock.recv(_READ_CHUNK)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._close(conn)
+            return
+        bodies, conn.inbox, too_long = _split_lines(conn.inbox + data, eof=not data)
+        replies = []
+        for body in bodies:
+            line = body.decode("utf-8", errors="replace").strip()
+            if line:
+                replies.append(self.dispatcher.handle_line(line, conn.send))
+        if too_long:
+            replies.append("ERR line too long")
+        if replies:
+            try:
+                conn.send("\n".join(replies))
+            except OSError:
+                return  # evicted, closed by the flush
+        if too_long or not data:
+            with self._lock:
+                conn.open = False
+                self._dirty.add(conn)  # the flush closes it once the outbox is empty
+            self.dispatcher.drop_connection(conn.send)
+
+    def _flush(self, conn: _Connection) -> None:
+        """Write what the socket takes of the outbox; close a connection that
+        failed, or that takes no more lines and has nothing left to send."""
+        if conn not in self._connections:  # closed already
+            return
+        failed = False
+        with self._lock:
+            if conn.outbox:
+                try:
+                    del conn.outbox[:conn.sock.send(conn.outbox)]
+                except BlockingIOError:
+                    pass
+                except OSError:
+                    failed = True
+            pending = bool(conn.outbox)
+            done = not (pending or conn.open)
+        if failed or done:
+            self._close(conn)
+            return
+        mask = selectors.EVENT_WRITE if pending else selectors.EVENT_READ
+        if conn.mask != mask:  # no reading while replies wait: a peer that
+            conn.mask = mask   # does not read cannot grow its outbox by writing
+            self._selector.modify(conn.sock, mask, conn)
+        if not pending:
+            conn.stalled_since = None
+            self._stalled.discard(conn)
+        elif conn.stalled_since is None:
+            conn.stalled_since = time.monotonic()
+            self._stalled.add(conn)
+
+    def _close(self, conn: _Connection) -> None:
+        """Evict the connection's clients and close it."""
+        if conn not in self._connections:
+            return
+        with self._lock:
+            conn.open = False
+            conn.outbox.clear()
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+        self._connections.discard(conn)
+        self._stalled.discard(conn)
+        self.dispatcher.drop_connection(conn.send)
+        if not self._accepting:
+            self._selector.register(self.socket, selectors.EVENT_READ)
+            self._accepting = True
 
 
-def serve(plan: DeploymentPlan, host: str, port: int, event_stream=None) -> None:
-    """Run the TCP service; EVENT lines read from `event_stream` (stdin by
-    default) trigger dispatches until the stream closes."""
+def serve(plan: DeploymentPlan, host: str, port: int) -> None:
+    """Run the TCP service; EVENT lines read from stdin trigger dispatches
+    until stdin closes."""
     server = WarnServer((host, port), plan)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     bound = server.server_address
     print(f"warnd listening on {bound[0]}:{bound[1]}", flush=True)
-    stream = sys.stdin if event_stream is None else event_stream
     try:
-        for raw in stream:
+        for raw in sys.stdin:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -25,7 +25,8 @@ def _load_spans():
 def test_traced_runs_find_every_wrapped_name():
     spans = _load_spans()
     watched = [(classifiers.MlpModel, "loss"), (classifiers.KnnModel, "predict_batch"),
-               (features, "lpc"), (warnd.Dispatcher, "dispatch")]
+               (features, "lpc"), (warnd.Dispatcher, "dispatch"),
+               (warnd.Dispatcher, "handle_line"), (warnd, "parse_event_line")]
     originals = [getattr(owner, attr) for owner, attr in watched]
     tracer = spans.Tracer("hooks")
     try:

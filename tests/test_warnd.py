@@ -1,5 +1,7 @@
+import io
 import math
 import os
+import resource
 import select
 import socket
 import subprocess
@@ -787,6 +789,271 @@ class TestSession:
             reader.close()
 
 
+def _stalled_connection(srv, clients):
+    """A connection that registers `clients` clients in area 1, reads its
+    acks, and then never reads again."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(5)
+    sock.connect(("127.0.0.1", srv.server_address[1]))
+    tag = sock.getsockname()[1]
+    sock.sendall(b"".join(b"REG s%d_%d 30.0 1.0 0.0\n" % (tag, i) for i in range(clients)))
+    _read_lines(sock, clients)
+    return sock, {f"s{tag}_{i}" for i in range(clients)}
+
+
+def _registered_reader(srv, cid="r"):
+    sock = _connect(srv)
+    sock.sendall(f"REG {cid} 35.0 1.0 0.0\n".encode())
+    assert _read_lines(sock, 1) == f"OK {cid}\n".encode()
+    return sock
+
+
+_WARN_H = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
+
+
+class TestTransport:
+    """The selectors loop: outboxes, eviction, and one thread that serves
+    all connections."""
+
+    def test_stalled_readers_do_not_hold_dispatch(self, server):
+        stalled = [_stalled_connection(server, 200) for _ in range(3)]
+        stalled_ids = set().union(*(ids for _, ids in stalled))
+        reader = _registered_reader(server)
+        try:
+            rounds, slowest = [], 0.0
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                start = time.monotonic()
+                delivered = server.dispatcher.dispatch(_WARN_H, 1, 1.0)
+                slowest = max(slowest, time.monotonic() - start)
+                rounds.append(delivered)
+                if not delivered & stalled_ids:
+                    break
+                time.sleep(0.001)  # the loop flushes between events, as in `serve`
+            assert slowest < 1.0, f"a dispatch blocked for {slowest:.2f} s"
+            assert rounds[-1] == {"r"}, "the stalled clients were never evicted"
+            assert all("r" in delivered for delivered in rounds)
+            assert set(server.dispatcher.positions()) == {"r"}
+            warn = b"WARN 1 H approaching 1.000\n"
+            assert _read_lines(reader, len(rounds)) == warn * len(rounds)
+        finally:
+            for sock, _ in stalled:
+                sock.close()
+            reader.close()
+
+    def test_outbox_over_the_cap_evicts_its_connection(self, server, monkeypatch):
+        monkeypatch.setattr(warnd, "MAX_OUTBOX_BYTES", 64 * 1024)
+        monkeypatch.setattr(warnd, "WRITE_TIMEOUT_S", 600.0)  # only the cap can evict
+        stalled, stalled_ids = _stalled_connection(server, 200)
+        reader = _registered_reader(server)
+        try:
+            rounds = []
+            while len(rounds) < 20000:
+                delivered = server.dispatcher.dispatch(_WARN_H, 1, 1.0)
+                rounds.append(delivered)
+                if not delivered >= stalled_ids:
+                    break
+                time.sleep(0.001)  # the loop flushes between events, as in `serve`
+            # the dispatch that found the outbox full evicted every client of it, at once
+            assert rounds[-1] == {"r"}
+            assert all(delivered == stalled_ids | {"r"} for delivered in rounds[:-1])
+            assert set(server.dispatcher.positions()) == {"r"}
+            warn = b"WARN 1 H approaching 1.000\n"
+            assert _read_lines(reader, len(rounds)) == warn * len(rounds)
+            stalled.settimeout(10)
+            while stalled.recv(65536):  # what was written before the eviction, then EOF
+                pass
+        finally:
+            stalled.close()
+            reader.close()
+
+    def test_outbox_that_does_not_drain_is_evicted_without_further_events(
+            self, server, monkeypatch):
+        monkeypatch.setattr(warnd, "WRITE_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(warnd, "MAX_OUTBOX_BYTES", 256 << 20)  # only the timeout can evict
+        stalled, stalled_ids = _stalled_connection(server, 2000)
+        reader = _registered_reader(server)
+        try:
+            for _ in range(1000):
+                assert server.dispatcher.dispatch(_WARN_H, 1, 1.0) == stalled_ids | {"r"}
+                if server._stalled:  # the socket took only part of an outbox
+                    break
+            assert server._stalled
+            # no further dispatch: the loop's own timer evicts the connection
+            assert _wait_for_size(server.dispatcher, 1) == 1
+            assert server.dispatcher.dispatch(_WARN_H, 1, 1.0) == {"r"}
+        finally:
+            stalled.close()
+            reader.close()
+
+    def test_many_connections_one_client_each(self, server):
+        threads_before = threading.active_count()
+        socks = {}
+        try:
+            for i in range(300):
+                cid = f"c{i}"
+                socks[cid] = _connect(server)
+                socks[cid].sendall(f"REG {cid} {i * 0.5:.1f} 1.0 0.0\n".encode())
+            for cid, sock in socks.items():
+                assert _read_lines(sock, 1) == f"OK {cid}\n".encode()
+            assert threading.active_count() == threads_before
+            area = server.dispatcher.plan.processor(1).area
+            expected = {f"c{i}" for i in range(300) if area.contains(i * 0.5, 1.0)}
+            assert 40 < len(expected) < 300
+            assert server.dispatcher.dispatch(_WARN_H, 1, 1.0) == expected
+            for cid in sorted(expected):
+                assert _read_lines(socks[cid], 1) == b"WARN 1 H approaching 1.000\n"
+            # nothing more on any connection: one WARN per client in the area, none outside
+            quiet, _, _ = select.select(list(socks.values()), [], [], 0.2)
+            assert quiet == []
+            assert threading.active_count() == threads_before
+        finally:
+            for sock in socks.values():
+                sock.close()
+
+    def test_concurrent_dispatches_deliver_what_they_report(self, server):
+        # each connection, read all along, gets exactly the WARNs that the
+        # dispatches counted as delivered to its clients, however the
+        # dispatching threads and the loop interleave
+        conns = []
+        for k in range(4):
+            sock = _connect(server)
+            sock.sendall(b"".join(b"REG k%d_%d 30.0 1.0 0.0\n" % (k, i) for i in range(50)))
+            assert _read_lines(sock, 50).count(b"OK ") == 50
+            conns.append(sock)
+        counted = [0] * len(conns)
+        received = [b""] * len(conns)
+        lock = threading.Lock()
+        errors = []
+        done = threading.Event()
+
+        def dispatching():
+            try:
+                for _ in range(100):
+                    delivered = server.dispatcher.dispatch(_WARN_H, 1, 1.0)
+                    with lock:
+                        for cid in delivered:
+                            counted[int(cid[1:].split("_")[0])] += 1
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        def reading():
+            while not done.is_set() or any(select.select(conns, [], [], 0.2)[0]):
+                for sock in select.select(conns, [], [], 0.05)[0]:
+                    received[conns.index(sock)] += sock.recv(1 << 20)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader = threading.Thread(target=reading)
+            reader.start()
+            threads = [threading.Thread(target=dispatching) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads + [reader]) and not errors
+        assert counted == [4 * 100 * 50] * len(conns)
+        assert received == [b"WARN 1 H approaching 1.000\n" * count for count in counted]
+        for sock in conns:
+            sock.close()
+
+    def test_dispatch_wakes_the_loop(self):
+        srv = WarnServer(("127.0.0.1", 0), build_plan(100.0))
+        thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 600},
+                                  daemon=True)
+        thread.start()
+        try:
+            reader = _registered_reader(srv)
+            start = time.monotonic()
+            assert srv.dispatcher.dispatch(_WARN_H, 1, 1.0) == {"r"}
+            assert _read_lines(reader, 1) == b"WARN 1 H approaching 1.000\n"
+            assert time.monotonic() - start < 2.0  # not the 600 s poll interval
+            reader.close()
+        finally:
+            srv.shutdown()
+            srv.server_close()
+        thread.join(5)
+        assert not thread.is_alive()
+
+    def test_silent_connection_that_ends_is_closed(self, server):
+        sock = _connect(server)
+        sock.shutdown(socket.SHUT_WR)
+        assert sock.recv(100) == b""
+        sock.close()
+
+
+def _readline_reference(stream):
+    """The line rules of a blocking `readline` session: (bodies, too_long)."""
+    reader = io.BytesIO(stream)
+    bodies = []
+    while raw := reader.readline(MAX_LINE_BYTES + 1):
+        if len(raw) > MAX_LINE_BYTES and raw.endswith(b"\r"):
+            raw += reader.read(1)  # "\r\n" after a line at the cap?
+        body = raw.removesuffix(b"\n").removesuffix(b"\r")
+        if len(body) > MAX_LINE_BYTES:
+            return bodies, True
+        bodies.append(body)
+    return bodies, False
+
+
+# runs of "a" of a few bytes or about the cap, cut by "\r", "\n" and "\r\n"
+_STREAMS = st.lists(st.one_of(
+    st.one_of(st.integers(0, 3), st.integers(MAX_LINE_BYTES - 2, MAX_LINE_BYTES + 2))
+    .map(lambda n: b"a" * n),
+    st.sampled_from([b"\n", b"\r", b"\r\n", b"\r\r\n", b" \n"])), max_size=10).map(b"".join)
+
+
+class TestLineRules:
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_chunked_reads_match_readline(self, data):
+        stream = data.draw(_STREAMS)
+        # reads that end on either side of a "\r" or "\n", and anywhere
+        near = sorted({i + k for i, byte in enumerate(stream) if byte in b"\r\n" for k in (0, 1)})
+        cuts = data.draw(st.sets(st.one_of(st.sampled_from(near or [0]),
+                                           st.integers(0, len(stream)))))
+        bodies, inbox, too_long, start = [], b"", False, 0
+        for end in sorted(cuts) + [len(stream)]:
+            got, inbox, too_long = warnd._split_lines(inbox + stream[start:end], eof=False)
+            bodies += got
+            start = end
+            if too_long:
+                break
+        else:
+            got, inbox, too_long = warnd._split_lines(inbox, eof=True)
+            bodies += got
+        expected, expected_too_long = _readline_reference(stream)
+        assert [b for b in bodies if b] == [b for b in expected if b]
+        assert too_long == expected_too_long
+
+
+class TestRegistryCap:
+    def test_new_ids_refused_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(warnd, "MAX_CLIENTS", 3)
+        dispatcher = Dispatcher(build_plan(100.0))
+        first, second = _Connection(), _Connection()
+        for cid in ("a", "b", "c"):
+            assert dispatcher.handle_line(f"REG {cid} 30.0 1.0 0.0", first.send) == f"OK {cid}"
+        assert dispatcher.handle_line("REG d 30.0 1.0 0.0", second.send) == "ERR registry full"
+        assert dispatcher.handle_line("POS d 30.0 1.0 1.0", second.send) == "ERR unknown-client"
+        # known ids still register and move
+        assert dispatcher.handle_line("REG a 31.0 1.0 1.0", second.send) == "OK a"
+        assert dispatcher.handle_line("POS b 32.0 1.0 1.0", first.send) == "OK b"
+        assert dispatcher.positions() == {"a": (31.0, 1.0, 1.0), "b": (32.0, 1.0, 1.0),
+                                          "c": (30.0, 1.0, 0.0)}
+        # an eviction makes room
+        dispatcher.drop_connection(first.send)
+        assert dispatcher.handle_line("REG d 30.0 1.0 2.0", second.send) == "OK d"
+        assert set(dispatcher.positions()) == {"a", "d"}
+        _check_index(dispatcher, dispatcher.plan)
+
+
 class TestStandaloneService:
     """`python -m roadwarn.warnd` as operators run it: clients on TCP,
     EVENT lines on stdin, a `dispatched to N` line per event on stdout."""
@@ -838,3 +1105,42 @@ class TestStandaloneService:
                     proc.wait()
                 proc.stdout.close()
         assert proc.returncode == 0
+
+    def test_out_of_descriptors_the_loop_waits_for_a_close(self, tmp_path):
+        # with its descriptors used up, the server must not spin on the
+        # listener (which stays ready) and must accept again after a close
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text("[plan]\nroad_length = 100\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_NOFILE, (32, 32)); "
+                "from roadwarn.warnd import main; sys.exit(main(sys.argv[1:]))")
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "--plan", str(plan_path), "--listen", "127.0.0.1:0"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            env=dict(os.environ, PYTHONPATH=src))
+        socks = []
+        try:
+            port = int(proc.stdout.readline().rsplit(b":", 1)[1])
+            socks = [socket.create_connection(("127.0.0.1", port), timeout=10) for _ in range(40)]
+            time.sleep(2.0)
+            for sock in socks:
+                sock.close()
+            sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+            socks = [sock]
+            sock.sendall(b"REG a 30.0 1.0 0.0\n")
+            assert _read_lines(sock, 1) == b"OK a\n"
+        finally:
+            for sock in socks:
+                sock.close()
+            proc.stdin.close()
+            try:
+                proc.wait(timeout=10)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+                proc.stdout.close()
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+        assert cpu < 1.2, f"the server used {cpu:.2f} s of CPU in 2 s with nothing to do"
