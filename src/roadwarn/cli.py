@@ -69,6 +69,13 @@ class RunConfig:
                 print(f"# {name}.{key} = {value}")
 
 
+def _table(rows: list) -> str:
+    """Rows of cells as left-aligned columns two spaces apart."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
+                     for r in rows)
+
+
 def render_metrics(metrics: classifiers.Metrics) -> str:
     """Per-class metrics table, classes across, measures down."""
     names = ["precision", "recall", "accuracy", "f-measure"]
@@ -76,10 +83,7 @@ def render_metrics(metrics: classifiers.Metrics) -> str:
     values = {c: metrics.per_class[c] for c in CLASS_ORDER}
     for name, attr in zip(names, ["precision", "recall", "accuracy", "f_measure"]):
         rows.append([name] + ["%.2f" % getattr(values[c], attr) for c in CLASS_ORDER])
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows]
-    lines.append("overall accuracy: %.2f" % metrics.overall_accuracy)
-    return "\n".join(lines)
+    return _table(rows) + "\noverall accuracy: %.2f" % metrics.overall_accuracy
 
 
 def render_grid(grid: dict) -> str:
@@ -87,9 +91,7 @@ def render_grid(grid: dict) -> str:
     rows = [["classifier"] + set_names]
     for name, cells in grid.items():
         rows.append([name] + ["%.2f" % cells[s] for s in set_names])
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
-                     for r in rows)
+    return _table(rows)
 
 
 def _write_report(text: str, path) -> None:

@@ -145,7 +145,8 @@ def detect_climax(track: FrameTrack) -> int:
     Primary cue: the RMS energy maximum, accepted when the frequency track
     descends across it (or when a side window is missing, or when the whole
     track is flat to within 2 bins).  Otherwise the index with the steepest
-    3-frame frequency drop across it wins.
+    3-frame frequency drop across it wins, if the track drops anywhere; if
+    it drops nowhere, the energy maximum stands.
     """
     if len(track) < VOTE_WINDOW:
         raise TrackTooShortError(f"need >= {VOTE_WINDOW} frames, got {len(track)}")
@@ -158,7 +159,8 @@ def detect_climax(track: FrameTrack) -> int:
         return energy_peak
     candidates = range(3, len(freq) - 3)
     scores = [_descent_score(freq, i) for i in candidates]
-    return 3 + int(np.argmax(scores))
+    best = int(np.argmax(scores))
+    return 3 + best if scores[best] > 0.0 else energy_peak
 
 
 def infer_direction(track: FrameTrack, climax: int) -> str:

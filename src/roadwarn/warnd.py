@@ -18,16 +18,18 @@ answered `ERR registry full`.
 
 `WarnServer` runs every connection on one `selectors` loop in one thread.
 What the server writes to a connection is queued in that connection's
-outbox, and the loop writes it out without blocking: an event's WARNs
-leave each connection in one write, however many of its clients they are
-for, and a peer that stops reading holds up no one else.  A connection's
-clients are dropped from the registry, and must REG again on a new
-connection, when it ends (EOF, a read or write error, an over-long line),
-when a line would take its outbox past MAX_OUTBOX_BYTES, or when its
-outbox has not drained for WRITE_TIMEOUT_S (a peer that stopped reading);
-the last two close it.  `dispatch` counts a client as delivered when its
-WARN was queued on an open connection, the same guarantee a completed
-`sendall` gave: neither says the peer has read it.
+outbox, and the loop writes it out without blocking.  A connection gets one
+write per event: the event's WARNs are queued on it as one block, one line
+per client it carries.  A peer that stops reading holds up no one else.
+The loop sleeps until a socket is ready, a dispatch has queued lines, or a
+stalled outbox reaches its drain deadline.  A connection's clients are
+dropped from the registry, and must REG again on a new connection, when it
+ends (EOF, a read or write error, an over-long line), when a block would
+take its outbox past MAX_OUTBOX_BYTES, or when its outbox has not drained
+for WRITE_TIMEOUT_S (a peer that stopped reading); the last two close it.
+`dispatch` counts a client as delivered when its WARN was queued on an open
+connection, the same guarantee a completed `sendall` gave: neither says the
+peer has read it.
 
 Detection events do not travel on the client wire: `dispatch` is called
 in-process (simulation) or fed EVENT lines on stdin (standalone server).
@@ -146,8 +148,9 @@ class _ClientRecord:
     x: float
     y: float
     t: float
-    # callable(line) delivering a server->client line; it may raise OSError
-    # when the connection has failed
+    # callable(text) delivering one or more server->client lines, joined by
+    # "\n" and without the final "\n"; it may raise OSError when the
+    # connection has failed
     send: object
     areas: tuple = ()  # processor_ids whose bucket holds this record
 
@@ -166,7 +169,7 @@ class Dispatcher:
 
     def __init__(self, plan: DeploymentPlan, flush=None):
         """`flush`, if given, is called after each dispatch's sends: a
-        transport whose `send` only queues a line writes the lines out then."""
+        transport whose `send` only queues lines writes them out then."""
         self.plan = plan
         self._flush = flush
         self._lock = threading.Lock()
@@ -210,7 +213,8 @@ class Dispatcher:
         """Process one client line; returns the response line.
 
         `send` is the callable used later to deliver WARN lines to whoever
-        registered on this connection.
+        registered on this connection: a dispatch calls it once, with one
+        line per client, joined by "\n" and without the final "\n".
         """
         try:
             verb, cid, x, y, t = _parse_position(line)
@@ -269,10 +273,11 @@ class Dispatcher:
         """Deliver a WARN to every fresh client in the processor's danger area.
 
         Fresh means stamped at most `freshness_window` before or after
-        `event_time`.  A connection whose `send` raises OSError is dropped
-        with all its clients.  Returns the exact set of client_ids written to, on
-        connections still open (empty when the policy suppresses the
-        warning).
+        `event_time`.  Each connection's `send` is called once, with the
+        WARN line repeated for each of its clients; one that raises OSError
+        is dropped with all its clients.  Returns the exact set of client_ids
+        written to, on connections still open (empty when the policy
+        suppresses the warning).
         """
         self.plan.processor(processor_id)  # raises KeyError if absent
         if not warning_decision(result):
@@ -283,22 +288,23 @@ class Dispatcher:
                                  event_time=event_time)
         line = encode(message)
         window = self.plan.freshness_window
+        groups = defaultdict(list)  # send -> the client_ids it carries
         with self._lock:
             # the bucket holds exactly the clients inside the area
-            members = [(cid, record.send) for cid, record in self._buckets[processor_id].items()
-                       if -window <= event_time - record.t <= window]
-        failed = []
-        for _, send in members:
-            if send in failed:
-                continue
+            for cid, record in self._buckets[processor_id].items():
+                if -window <= event_time - record.t <= window:
+                    groups[record.send].append(cid)
+        delivered = []
+        for send, cids in groups.items():
             try:
-                send(line)
+                send("\n".join([line] * len(cids)))
             except OSError:
-                failed.append(send)
                 self.drop_connection(send)
-        if members and self._flush is not None:
+            else:
+                delivered += cids
+        if groups and self._flush is not None:
             self._flush()
-        return {cid for cid, send in members if send not in failed}
+        return set(delivered)
 
 
 def parse_event_line(line: str) -> tuple[int, DetectionResult, float]:
@@ -345,11 +351,12 @@ class _Connection:
         self.mask = selectors.EVENT_READ
         self.stalled_since = None  # when a flush first left bytes in the outbox
 
-    def send(self, line: str) -> None:
-        """Queue a server->client line; OSError once the connection takes no
-        more lines, or when the line would take its outbox past
-        MAX_OUTBOX_BYTES (the connection is then evicted)."""
-        data = (line + "\n").encode("utf-8")
+    def send(self, text: str) -> None:
+        """Queue one or more server->client lines, joined by "\n" and without
+        the final "\n"; OSError once the connection takes no more lines, or
+        when they would take its outbox past MAX_OUTBOX_BYTES (the
+        connection is then evicted)."""
+        data = (text + "\n").encode("utf-8")
         with self.lock:
             if not self.open:
                 raise ConnectionError("connection closed")
@@ -383,23 +390,17 @@ class WarnServer:
         self._connections = set()
         self._accepting = True
         self._stalled = set()  # connections whose outbox a flush did not empty
-        self._lock = threading.Lock()  # guards outboxes, `open`, `_dirty` and `_woken`
+        self._lock = threading.Lock()  # guards outboxes, `open` and `_dirty`
         self._dirty = set()  # connections with bytes queued since the loop last flushed
-        self._woken = False  # the loop will flush `_dirty` before it waits again
         self._shutdown_request = False
         self._stopped = threading.Event()
 
     # -- any thread ---------------------------------------------------------
 
     def _wake_loop(self) -> None:
-        """Make the loop flush what was queued now, not after `poll_interval`.
-        Called once a dispatch has queued all its lines: a wake-up per line
-        would let the loop take turns with the dispatching thread and send
-        the lines one by one."""
-        with self._lock:
-            if self._woken:
-                return
-            self._woken = True
+        """Make the loop flush what was queued.  Called once a dispatch has
+        queued all its lines: a wake-up per line would let the loop take
+        turns with the dispatching thread and send the lines one by one."""
         try:
             self._wake_w.send(b"\0")
         except OSError:  # full: a wake-up is pending anyway; closed: the server is gone
@@ -420,17 +421,17 @@ class WarnServer:
 
     # -- the loop -----------------------------------------------------------
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
+    def serve_forever(self) -> None:
+        """Run the loop until `shutdown`; with no stalled outbox, it waits for
+        its sockets with no timeout."""
         self._stopped.clear()
         try:
             while not self._shutdown_request:
-                timeout = poll_interval
+                timeout = None
                 if self._stalled:
                     first = min(conn.stalled_since for conn in self._stalled)
-                    timeout = min(timeout, max(0.0, first + WRITE_TIMEOUT_S - time.monotonic()))
+                    timeout = max(0.0, first + WRITE_TIMEOUT_S - time.monotonic())
                 ready = self._selector.select(timeout)
-                with self._lock:
-                    self._woken = True  # what is queued from here on is flushed below
                 for key, mask in ready:
                     if key.fileobj is self.socket:
                         self._accept()
@@ -443,7 +444,6 @@ class WarnServer:
                 with self._lock:
                     dirty = list(self._dirty)
                     self._dirty.clear()
-                    self._woken = False
                 for conn in dirty:
                     self._flush(conn)
                 if self._stalled:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -200,6 +202,23 @@ class TestDetectClimax:
                   for i in range(3, len(freqs) - 3)]
         assert idx == 3 + int(np.argmax(scores))
         assert idx in (6, 7)
+
+    @pytest.mark.parametrize("approach_from", ["front", "back"])
+    def test_no_descent_anywhere_keeps_the_energy_peak(self, approach_from):
+        # a slow H clip whose fundamental sits under the tracking band: the
+        # track reads the 50 Hz band edge but for a 2-frame spike, so no
+        # frame's descent score is above 0; the fallback used to take the
+        # first of those zeros, frame 3, and leave too few frames to vote on
+        profile, scenario = synth.corpus_clip_params(SoundClass.H, 1010)
+        scenario = dataclasses.replace(scenario, approach_from=approach_from)
+        buffer, truth = synth.synth_passby(profile, scenario)
+        frames = audio_io.frame_signal(buffer)
+        track = track_frames(frames, buffer.sample_rate, [SoundClass.H] * len(frames))
+        energy_peak = int(np.argmax(track.rms_energy))
+        assert energy_peak == {"front": 20, "back": 22}[approach_from]
+        assert detect_climax(track) == energy_peak
+        assert abs(energy_peak - truth.t_closest / 0.1) <= 2
+        assert finalize_detection(track, energy_peak).sound_type == SoundClass.H
 
     def test_invariance_to_energy_scale_and_frequency_offset(self):
         rng = np.random.default_rng(3)
