@@ -6,6 +6,8 @@ runs in under a minute; the shipped CLI does the same thing on the full
 210-clip corpus via `roadwarn synth / extract / eval`.
 """
 
+from collections import Counter
+
 import numpy as np
 
 from roadwarn import audio_io, features, synth
@@ -26,7 +28,7 @@ for cls in (SoundClass.LH, SoundClass.LL, SoundClass.H, SoundClass.NV):
         labels.extend([cls] * len(frames))
 data = LabeledDataset(np.vstack(rows), labels)
 print(f"dataset: {data.X.shape[0]} frames, counts "
-      f"{ {c.value: n for c, n in data.class_counts.items()} }")
+      f"{ {c.value: n for c, n in Counter(data.y).items()} }")
 
 # --- per-class metrics for the strongest model ------------------------------
 

@@ -1,10 +1,14 @@
 """The four frame classifiers, 6-fold evaluation and per-class metrics.
 
-All models z-score their inputs with statistics frozen at training time, so
-rescaling any raw input dimension by a positive constant never changes a
-prediction.  Every model predicts only in batches: `predict_batch` takes a
-(rows x features) array and rejects a width other than the model's, and
-rows that are not finite once z-scored.  Ties anywhere (vote counts, equal
+`CLASSIFIERS` declares each classifier once: its model class, its trainer
+and the run-config parameters the trainer takes.  All models z-score their
+inputs with statistics frozen at training time, so rescaling any raw input
+dimension by a positive constant never changes a prediction.  The models
+share one predict path and one file codec (`_Model`): `predict_batch` takes
+a (rows x features) array, rejects a width other than the model's and rows
+that are not finite once z-scored, and hands the z-scored rows to the
+model's own `_predict`; `to_dict`/`from_dict` write and read the fields a
+model class lists, in that order.  Ties anywhere (vote counts, equal
 posteriors, equal leaf majorities) resolve toward the more dangerous class:
 LH > H > LL > NV.  A warning system should err on the side of warning.
 """
@@ -46,13 +50,6 @@ class LabeledDataset:
             raise ValueError("X must be (n_samples, dim) with one label per row")
         if not np.all(np.isfinite(self.X)):
             raise ValueError("features must be finite")
-
-    @property
-    def class_counts(self) -> dict:
-        counts = {c: 0 for c in CLASS_ORDER}
-        for label in self.y:
-            counts[label] += 1
-        return counts
 
     def subset(self, indices) -> "LabeledDataset":
         return LabeledDataset(self.X[indices], [self.y[i] for i in indices])
@@ -96,6 +93,50 @@ def _danger_argmax(scores: np.ndarray, classes, tolerance: float = 0.0) -> list:
     return [classes[order[j]] for j in np.argmax(near_best, axis=1)]
 
 
+def _classes(values) -> list:
+    return [SoundClass(v) for v in values]
+
+
+def _jsonable(value):
+    """A persisted field as JSON: arrays as lists, classes by value, a tree as dicts."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, _TreeNode):
+        return _tree_to_dict(value)
+    if isinstance(value, list):
+        return [c.value for c in value]
+    return value
+
+
+class _Model:
+    """A subclass sets `kind`, implements `_predict` on z-scored rows and
+    lists its persisted fields in `_FIELDS` as (name, reader) pairs in file
+    key order.  The constructor takes the fields in that order and keeps each
+    as an attribute; the reader rebuilds a field from its JSON form."""
+
+    kind: str
+    _FIELDS: tuple
+
+    def __init__(self, *fields):
+        for (name, _), value in zip(self._FIELDS, fields, strict=True):
+            setattr(self, name, value)
+
+    def predict_batch(self, X) -> list:
+        return self._predict(_standardize(X, self.mean, self.std))
+
+    def to_dict(self) -> dict:
+        doc = {"kind": self.kind}
+        doc.update((name, _jsonable(getattr(self, name))) for name, _ in self._FIELDS)
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: dict, path="model"):
+        try:
+            return cls(*(read(doc[name]) for name, read in cls._FIELDS))
+        except KeyError as exc:
+            raise ValueError(f"{path}: {cls.kind} model has no field {exc.args[0]!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # MLP
 
@@ -137,14 +178,12 @@ def _softmax_inplace(z):
     return z
 
 
-class MlpModel:
+class MlpModel(_Model):
     """One sigmoid hidden layer, softmax over the four classes."""
 
     kind = "mlp"
-
-    def __init__(self, mean, std, w1, b1, w2, b2):
-        self.mean, self.std = mean, std
-        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
+    _FIELDS = (("mean", np.array), ("std", np.array), ("w1", np.array), ("b1", np.array),
+               ("w2", np.array), ("b2", np.array))
 
     def _forward(self, Xs):
         hidden = Xs @ self.w1
@@ -176,19 +215,9 @@ class MlpModel:
         _, probs = self._forward(Xs)
         return -np.mean(np.log(probs[np.arange(Xs.shape[0]), codes] + 1e-300))
 
-    def predict_batch(self, X) -> list:
-        _, probs = self._forward(_standardize(X, self.mean, self.std))
+    def _predict(self, Xs) -> list:
+        _, probs = self._forward(Xs)
         return _danger_argmax(probs, CLASS_ORDER)
-
-    def to_dict(self):
-        return {"kind": self.kind,
-                "mean": self.mean.tolist(), "std": self.std.tolist(),
-                "w1": self.w1.tolist(), "b1": self.b1.tolist(),
-                "w2": self.w2.tolist(), "b2": self.b2.tolist()}
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(*(np.array(doc[k]) for k in ("mean", "std", "w1", "b1", "w2", "b2")))
 
 
 def train_mlp(data: LabeledDataset, config: MlpConfig = MlpConfig()) -> MlpModel:
@@ -230,13 +259,13 @@ def train_mlp(data: LabeledDataset, config: MlpConfig = MlpConfig()) -> MlpModel
 # ---------------------------------------------------------------------------
 # KNN
 
-class KnnModel:
+class KnnModel(_Model):
     """k nearest training rows by Euclidean distance, majority vote.
 
     Ties in the ranking go to the lower training index; ties in the vote go
     to the class with the smaller mean distance, then to the riskier class.
 
-    predict_batch gives exactly these answers without measuring every
+    _predict gives exactly these answers without measuring every
     distance exactly.  One matrix product gives approximate squared distances
     |q|^2 + |x|^2 - 2 q.x for a block of queries; only the training rows within
     a margin of the k-th smallest of those are measured again with the exact
@@ -252,21 +281,19 @@ class KnnModel:
     """
 
     kind = "knn"
+    _FIELDS = (("k", int), ("mean", np.array), ("std", np.array), ("Xs", np.array),
+               ("labels", _classes))
 
     _QUERY_BLOCK = 256  # a 256 x 7,000 distance block is 14 MB
     _MARGIN = 1e-9
 
-    def __init__(self, mean, std, Xs, labels, k):
-        self.mean, self.std = mean, std
-        self.Xs = Xs
-        self.labels = labels
-        self.k = k
-        self._codes = _codes(labels)
-        self._sq_norms = (Xs ** 2).sum(axis=1)
+    def __init__(self, *fields):
+        super().__init__(*fields)
+        self._codes = _codes(self.labels)
+        self._sq_norms = (self.Xs ** 2).sum(axis=1)
         self._max_norm = float(np.sqrt(self._sq_norms.max()))
 
-    def predict_batch(self, X) -> list:
-        Q = _standardize(X, self.mean, self.std)
+    def _predict(self, Q) -> list:
         out = []
         for start in range(0, len(Q), self._QUERY_BLOCK):
             block = Q[start:start + self._QUERY_BLOCK]
@@ -299,35 +326,20 @@ class KnnModel:
             tied = [c for c in tied if means[c] <= closest]
         return most_dangerous([CLASS_ORDER[c] for c in tied])
 
-    def to_dict(self):
-        return {"kind": self.kind, "k": self.k,
-                "mean": self.mean.tolist(), "std": self.std.tolist(),
-                "Xs": self.Xs.tolist(), "labels": [c.value for c in self.labels]}
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(np.array(doc["mean"]), np.array(doc["std"]), np.array(doc["Xs"]),
-                   [SoundClass(v) for v in doc["labels"]], doc["k"])
-
 
 def train_knn(data: LabeledDataset, k: int = 5) -> KnnModel:
     if not (1 <= k <= len(data.y)):
         raise ValueError("need 1 <= k <= dataset size")
-    return KnnModel(*_fit_standardizer(data.X), list(data.y), k)
+    return KnnModel(k, *_fit_standardizer(data.X), list(data.y))
 
 
 # ---------------------------------------------------------------------------
 # Gaussian Naive Bayes
 
-class GnbModel:
+class GnbModel(_Model):
     kind = "nb"
-
-    def __init__(self, mean, std, classes, class_means, class_vars, log_priors):
-        self.mean, self.std = mean, std
-        self.classes = classes
-        self.class_means = class_means
-        self.class_vars = class_vars
-        self.log_priors = log_priors
+    _FIELDS = (("mean", np.array), ("std", np.array), ("classes", _classes),
+               ("class_means", np.array), ("class_vars", np.array), ("log_priors", np.array))
 
     def log_posteriors(self, Xs):
         out = np.empty((Xs.shape[0], len(self.classes)))
@@ -337,24 +349,8 @@ class GnbModel:
             out[:, i] = self.log_priors[i] + ll
         return out
 
-    def predict_batch(self, X) -> list:
-        post = self.log_posteriors(_standardize(X, self.mean, self.std))
-        return _danger_argmax(post, self.classes, tolerance=1e-9)
-
-    def to_dict(self):
-        return {"kind": self.kind,
-                "mean": self.mean.tolist(), "std": self.std.tolist(),
-                "classes": [c.value for c in self.classes],
-                "class_means": self.class_means.tolist(),
-                "class_vars": self.class_vars.tolist(),
-                "log_priors": self.log_priors.tolist()}
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(np.array(doc["mean"]), np.array(doc["std"]),
-                   [SoundClass(v) for v in doc["classes"]],
-                   np.array(doc["class_means"]), np.array(doc["class_vars"]),
-                   np.array(doc["log_priors"]))
+    def _predict(self, Xs) -> list:
+        return _danger_argmax(self.log_posteriors(Xs), self.classes, tolerance=1e-9)
 
 
 def train_gnb(data: LabeledDataset, var_floor: float = 1e-9) -> GnbModel:
@@ -382,6 +378,20 @@ class _TreeNode:
     threshold: float = 0.0
     left: "_TreeNode | None" = None
     right: "_TreeNode | None" = None
+
+
+def _tree_to_dict(node: _TreeNode) -> dict:
+    if node.label is not None:
+        return {"label": node.label.value}
+    return {"feature": node.feature, "threshold": node.threshold,
+            "left": _tree_to_dict(node.left), "right": _tree_to_dict(node.right)}
+
+
+def _tree_from_dict(doc: dict) -> _TreeNode:
+    if "label" in doc:
+        return _TreeNode(label=SoundClass(doc["label"]))
+    return _TreeNode(feature=doc["feature"], threshold=doc["threshold"],
+                     left=_tree_from_dict(doc["left"]), right=_tree_from_dict(doc["right"]))
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -440,19 +450,19 @@ def _grow(Xs, codes, depth, max_depth) -> _TreeNode:
                      right=_grow(Xs[~mask], codes[~mask], depth + 1, max_depth))
 
 
-class DtModel:
+class DtModel(_Model):
     kind = "dt"
+    _FIELDS = (("mean", np.array), ("std", np.array), ("tree", _tree_from_dict))
 
-    def __init__(self, mean, std, root):
-        self.mean, self.std = mean, std
-        self.root = root
+    @property
+    def root(self) -> _TreeNode:
+        return self.tree
 
-    def predict_batch(self, X) -> list:
+    def _predict(self, Xs) -> list:
         """Send arrays of row indices down the tree: at each split the rows
         with value <= threshold go left, the rest right; a leaf labels its rows."""
-        Xs = _standardize(X, self.mean, self.std)
         out = np.empty(len(Xs), dtype=object)
-        pending = [(self.root, np.arange(len(Xs)))]
+        pending = [(self.tree, np.arange(len(Xs)))]
         while pending:
             node, rows = pending.pop()
             if node.label is not None:
@@ -461,31 +471,6 @@ class DtModel:
                 left = Xs[rows, node.feature] <= node.threshold
                 pending += [(node.left, rows[left]), (node.right, rows[~left])]
         return out.tolist()
-
-    @staticmethod
-    def _node_to_dict(node):
-        if node.label is not None:
-            return {"label": node.label.value}
-        return {"feature": node.feature, "threshold": node.threshold,
-                "left": DtModel._node_to_dict(node.left),
-                "right": DtModel._node_to_dict(node.right)}
-
-    @staticmethod
-    def _node_from_dict(doc):
-        if "label" in doc:
-            return _TreeNode(label=SoundClass(doc["label"]))
-        return _TreeNode(feature=doc["feature"], threshold=doc["threshold"],
-                         left=DtModel._node_from_dict(doc["left"]),
-                         right=DtModel._node_from_dict(doc["right"]))
-
-    def to_dict(self):
-        return {"kind": self.kind, "mean": self.mean.tolist(), "std": self.std.tolist(),
-                "tree": self._node_to_dict(self.root)}
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(np.array(doc["mean"]), np.array(doc["std"]),
-                   cls._node_from_dict(doc["tree"]))
 
 
 def train_dt(data: LabeledDataset, max_depth: int = 10) -> DtModel:
@@ -582,22 +567,38 @@ FEATURE_SETS = {
 # The narrowest vector extraction can produce: 5 scalars, 1 MFCC, the LPC gain.
 MIN_FEATURE_DIM = 7
 
-CLASSIFIER_NAMES = ["mlp", "knn", "nb", "dt"]
+
+@dataclass(frozen=True)
+class Classifier:
+    model: type       # the _Model subclass whose kind is the classifier's name
+    trainer: str      # name of the module's train function
+    params: dict      # run-config parameter -> type, passed to the trainer
 
 
-def make_trainer(name: str, seed: int = 0, **kwargs):
+CLASSIFIERS = {
+    "mlp": Classifier(MlpModel, "train_mlp",
+                      {"hidden_units": int, "learning_rate": float, "epochs": int}),
+    "knn": Classifier(KnnModel, "train_knn", {"k": int}),
+    "nb": Classifier(GnbModel, "train_gnb", {}),
+    "dt": Classifier(DtModel, "train_dt", {"max_depth": int}),
+}
+CLASSIFIER_NAMES = list(CLASSIFIERS)
+
+
+def make_trainer(name: str, seed: int = 0, **params):
+    """data -> fitted model for classifier `name`; `params` go to its trainer,
+    which holds their defaults, and `seed` seeds the MLP."""
+    if name not in CLASSIFIERS:
+        raise ValueError(f"unknown classifier {name!r}")
+    spec = CLASSIFIERS[name]
+    for key in params:
+        if key not in spec.params:
+            raise ValueError(f"classifier {name!r} takes no parameter {key!r}")
     if name == "mlp":
-        config = MlpConfig(seed=seed, **kwargs)
-        return lambda data: train_mlp(data, config)
-    if name == "knn":
-        k = kwargs.get("k", 5)
-        return lambda data: train_knn(data, k)
-    if name == "nb":
-        return lambda data: train_gnb(data)
-    if name == "dt":
-        depth = kwargs.get("max_depth", 10)
-        return lambda data: train_dt(data, depth)
-    raise ValueError(f"unknown classifier {name!r}")
+        params = {"config": MlpConfig(seed=seed, **params)}
+    # looked up at each fit, not bound here, so that a wrapper installed on
+    # the module attribute (as the benchmark's span recorder does) sees it
+    return lambda data: globals()[spec.trainer](data, **params)
 
 
 def compare_feature_sets(data: LabeledDataset, seed: int = 0, folds: int = 6,
@@ -612,7 +613,7 @@ def compare_feature_sets(data: LabeledDataset, seed: int = 0, folds: int = 6,
         raise ValueError(f"compare_feature_sets expects whole feature vectors "
                          f"(>= {MIN_FEATURE_DIM} columns), got {data.X.shape[1]}")
     grid = {}
-    for name in CLASSIFIER_NAMES:
+    for name in CLASSIFIERS:
         kwargs = (classifier_kwargs or {}).get(name, {})
         grid[name] = {}
         for set_name, cols in FEATURE_SETS.items():
@@ -624,9 +625,6 @@ def compare_feature_sets(data: LabeledDataset, seed: int = 0, folds: int = 6,
 
 # ---------------------------------------------------------------------------
 # Persistence
-
-_MODEL_KINDS = {cls.kind: cls for cls in (MlpModel, KnnModel, GnbModel, DtModel)}
-
 
 def save_model(path, model, extra: dict | None = None) -> None:
     """JSON persistence; floats round-trip exactly through repr."""
@@ -641,7 +639,8 @@ def save_model(path, model, extra: dict | None = None) -> None:
 def _read_doc(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != "roadwarn-model" or doc.get("version") != 1:
+    if not (isinstance(doc, dict) and doc.get("format") == "roadwarn-model"
+            and doc.get("version") == 1):
         raise ValueError(f"{path}: not a roadwarn model file")
     return doc
 
@@ -651,9 +650,9 @@ def load_model(path):
     kind = doc.get("kind")
     if kind == "gnb":  # Naive Bayes files saved before the kind took the CLI name
         kind = "nb"
-    if kind not in _MODEL_KINDS:
+    if kind not in CLASSIFIERS:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
-    return _MODEL_KINDS[kind].from_dict(doc)
+    return CLASSIFIERS[kind].model.from_dict(doc, path)
 
 
 def load_model_meta(path) -> dict:

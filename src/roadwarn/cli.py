@@ -39,9 +39,7 @@ class _Parser(argparse.ArgumentParser):
 _RUN_CONFIG_KEYS = {
     "features": {"n_filters": int, "n_coeffs": int, "pre_emphasis": float, "fmin": float,
                  "fmax": float, "log_floor": float, "lpc_order": int},
-    "mlp": {"hidden_units": int, "learning_rate": float, "epochs": int},
-    "knn": {"k": int},
-    "dt": {"max_depth": int},
+    **{name: c.params for name, c in classifiers.CLASSIFIERS.items() if c.params},
 }
 
 
@@ -133,10 +131,16 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _load_labeled(path):
-    matrix, labels, _ = features.load_dataset_csv(path)
+def _load_labeled(path, config: RunConfig | None = None):
+    """The labelled rows of a feature CSV; with `config`, its columns must be
+    the ones config's [features] settings extract."""
+    matrix, labels, names = features.load_dataset_csv(path)
     if any(label is None for label in labels):
         raise ValueError(f"{path}: every row needs a label")
+    expected = None if config is None else features.feature_names(config.mfcc, config.lpc)
+    if expected is not None and names != expected:
+        raise ValueError(f"{path}: its {len(names)} columns are not the {len(expected)} that "
+                         "the [features] settings extract; pass the --config it was extracted with")
     return classifiers.LabeledDataset(matrix, labels)
 
 
@@ -144,7 +148,7 @@ def cmd_train(args) -> int:
     config = RunConfig(args.config)
     if args.config:
         config.echo()
-    data = _load_labeled(args.features_csv)
+    data = _load_labeled(args.features_csv, config)
     cols = FEATURE_SETS[args.feature_set]
     kwargs = config.classifier_kwargs[args.model]
     trainer = classifiers.make_trainer(args.model, seed=args.seed, **kwargs)
@@ -202,16 +206,9 @@ def detect_buffer(buffer: audio_io.SampleBuffer, model, feature_set: str = "all"
 def cmd_detect(args) -> int:
     model = classifiers.load_model(args.model_file)
     meta = classifiers.load_model_meta(args.model_file)
-    if args.config:
-        config = RunConfig(args.config)
-        config.echo()
-        mfcc_cfg, lpc_cfg = config.mfcc, config.lpc
-    else:
-        mfcc_cfg = MfccConfig(**meta["mfcc"]) if "mfcc" in meta else MfccConfig()
-        lpc_cfg = LpcConfig(**meta["lpc"]) if "lpc" in meta else LpcConfig()
     buffer = audio_io.load_wav(args.wav)
     result, _ = detect_buffer(buffer, model, meta.get("feature_set", "all"),
-                              mfcc_cfg, lpc_cfg)
+                              MfccConfig(**meta.get("mfcc", {})), LpcConfig(**meta.get("lpc", {})))
     print(result.to_line())
     if warning_decision(result):
         message = warnd.WarningMessage(processor_id=0, sound_class=result.sound_type,
@@ -352,7 +349,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("detect", help="three-phase detection on one WAV")
     p.add_argument("wav")
     p.add_argument("model_file")
-    p.add_argument("--config", help="INI with [features] parameter overrides")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("simulate", help="replay a scripted scenario")

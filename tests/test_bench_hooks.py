@@ -10,6 +10,8 @@ the same way, through the loaders its runs call.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from roadwarn import classifiers, cli, deployment, features, warnd
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -25,6 +27,7 @@ def _load_spans():
 def test_traced_runs_find_every_wrapped_name():
     spans = _load_spans()
     watched = [(classifiers.MlpModel, "loss"), (classifiers.KnnModel, "predict_batch"),
+               (classifiers.MlpModel, "predict_batch"), (classifiers, "train_mlp"),
                (features, "lpc"), (warnd.Dispatcher, "dispatch"),
                (warnd.Dispatcher, "handle_line"), (warnd, "parse_event_line")]
     originals = [getattr(owner, attr) for owner, attr in watched]
@@ -37,6 +40,28 @@ def test_traced_runs_find_every_wrapped_name():
     finally:
         tracer.restore()
     assert [getattr(owner, attr) for owner, attr in watched] == originals
+
+
+def test_traced_fits_and_predictions_record_spans():
+    # a trainer bound to the function object when make_trainer runs (a
+    # table of functions, functools.partial) would bypass the wrapper
+    spans = _load_spans()
+    rng = np.random.default_rng(0)
+    data = classifiers.LabeledDataset(rng.standard_normal((16, 3)),
+                                      [classifiers.CLASS_ORDER[i % 4] for i in range(16)])
+    tracer = spans.Tracer("hooks")
+    try:
+        spans.install_client(tracer)
+        mlp = classifiers.make_trainer("mlp", epochs=3)(data)
+        mlp.predict_batch(data.X)
+        classifiers.make_trainer("knn", k=3)(data).predict_batch(data.X)
+    finally:
+        tracer.restore()
+    names = [span[2] for span in tracer.spans]
+    for name in ("classifiers.train_mlp", "classifiers.MlpModel.predict_batch",
+                 "classifiers.KnnModel.predict_batch"):
+        assert names.count(name) == 1, name
+    assert tracer.counts["classifiers.mlp.forward_passes"] >= 4  # 1 + one per epoch
 
 
 def test_benchmark_config_files_load():

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -581,6 +582,23 @@ class TestCrossValidation:
         assert np.array_equal(a.confusion, b.confusion)
 
 
+class TestMakeTrainer:
+    def test_parameter_the_classifier_does_not_take(self):
+        with pytest.raises(ValueError, match="classifier 'knn' takes no parameter 'max_depth'"):
+            make_trainer("knn", max_depth=3)
+        with pytest.raises(ValueError, match="takes no parameter 'k'"):
+            make_trainer("nb", k=3)
+
+    def test_unknown_classifier(self):
+        with pytest.raises(ValueError, match="unknown classifier 'svm'"):
+            make_trainer("svm")
+
+    def test_parameters_reach_the_trainer(self):
+        data = blobs(seed=4, per_class=10)
+        assert make_trainer("knn", k=7)(data).k == 7
+        assert make_trainer("knn")(data).k == 5  # train_knn's default
+
+
 class TestScaleInvariance:
     def test_argmax_predictions_survive_feature_scaling(self):
         data = blobs(seed=6, spread=1.0, per_class=15, dim=3)
@@ -650,3 +668,49 @@ class TestPersistence:
         path.write_text('{"hello": 1}')
         with pytest.raises(ValueError):
             load_model(path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"roadwarn-model"'])
+    def test_rejects_json_that_is_not_an_object(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a roadwarn model file"):
+            load_model(path)
+        with pytest.raises(ValueError, match="not a roadwarn model file"):
+            load_model_meta(path)
+
+    @pytest.mark.parametrize("name,field", [("knn", "labels"), ("dt", "threshold")])
+    def test_missing_field_names_path_and_field(self, tmp_path, name, field):
+        path = tmp_path / f"{name}.json"
+        save_model(path, make_trainer(name)(blobs(seed=8, per_class=12)))
+        doc = json.loads(path.read_text())
+        if field == "threshold":  # a key of the tree's root split
+            del doc["tree"][field]
+        else:
+            del doc[field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{name}.json: {name} model has no field '{field}'"):
+            load_model(path)
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+class TestGoldenModelFiles:
+    """Tiny model files of each kind, written by the codec before it was
+    shared: 8 training rows in 2 columns, 2 per class, trained by
+    MlpConfig(hidden_units=2, epochs=100, seed=0), train_knn(k=3), train_gnb
+    and train_dt(max_depth=2), saved with meta {"feature_set": "all"}."""
+
+    PROBES = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0], [2.0, 2.0], [-1.0, 5.0]])
+
+    @pytest.mark.parametrize("kind,labels", [
+        ("mlp", "H LL LH NV H LH"), ("knn", "H LL LH NV LL LH"),
+        ("nb", "H LL LH NV H LH"), ("dt", "H LL LH NV H LH")])
+    def test_loads_predicts_and_saves_the_same_bytes(self, tmp_path, kind, labels):
+        path = GOLDEN / f"model_{kind}.json"
+        model = load_model(path)
+        assert model.kind == kind
+        assert [c.value for c in model.predict_batch(self.PROBES)] == labels.split()
+        again = tmp_path / path.name
+        save_model(again, model, extra=load_model_meta(path))
+        assert again.read_bytes() == path.read_bytes()

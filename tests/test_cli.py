@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from roadwarn import audio_io, features, synth
-from roadwarn.classifiers import CLASS_ORDER, SoundClass
+from roadwarn.classifiers import CLASS_ORDER, SoundClass, load_model_meta
 from roadwarn.cli import RunConfig, main, run_simulation
 from roadwarn.deployment import build_plan, load_plan_config
 from roadwarn.features import MfccConfig
@@ -103,6 +103,25 @@ class TestTrainEval:
         assert main(["train", str(features_csv), str(tmp_path / "mlp.json")]) == 0
         accuracy = re.search(r"training accuracy ([0-9.]+)%", capsys.readouterr().out)
         assert float(accuracy.group(1)) >= 95.0
+
+    def test_train_refuses_csv_of_other_feature_settings(self, tmp_path, capsys):
+        # 28 columns from [features] n_coeffs = 10; without that config, train
+        # would record 13 MFCCs and detect would extract 31 columns
+        csv = tmp_path / "narrow.csv"
+        labels = [CLASS_ORDER[i % 4] for i in range(8)]
+        names = features.feature_names(MfccConfig(n_coeffs=10))
+        features.save_dataset_csv(csv, np.arange(8 * 28.0).reshape(8, 28), labels, names)
+        model = tmp_path / "dt.json"
+        assert main(["train", str(csv), str(model), "--model", "dt"]) == 2
+        assert "its 28 columns are not the 31 that the [features] settings extract" in \
+            capsys.readouterr().err
+        assert not model.exists()
+
+        config = tmp_path / "run.ini"
+        config.write_text("[features]\nn_coeffs = 10\n")
+        assert main(["train", str(csv), str(model), "--model", "dt",
+                     "--config", str(config)]) == 0
+        assert load_model_meta(model)["mfcc"]["n_coeffs"] == 10
 
     def test_cv_eval_report(self, features_csv, tmp_path):
         report = tmp_path / "cv.txt"
@@ -202,15 +221,22 @@ class TestDetectCommand:
         wav = self._render_wav(tmp_path, "short.wav", short)
         assert main(["detect", str(wav), str(dt_model_file)]) == 2
 
-    def test_feature_config_the_model_was_not_trained_on(self, dt_model_file, tmp_path,
-                                                        capsys):
-        # the model reads 31 columns; order-6 LPC extracts 25
-        config = tmp_path / "run.ini"
-        config.write_text("[features]\nlpc_order = 6\n")
+    def test_model_file_that_is_not_an_object(self, features_csv, tmp_path, capsys):
+        model = tmp_path / "list.json"
+        model.write_text("[1, 2]")
         wav = self._render_wav(tmp_path, "birds.wav", synth.synth_nv("birds", 4.0, 3))
-        assert main(["detect", str(wav), str(dt_model_file), "--config", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert "rows of 31 features" in err and ", 25)" in err
+        assert main(["detect", str(wav), str(model)]) == 2
+        assert main(["eval", str(features_csv), "--model-file", str(model)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {model}: not a roadwarn model file"] * 2
+
+    def test_model_file_missing_a_field(self, tmp_path, capsys):
+        model = tmp_path / "mlp.json"
+        model.write_text(json.dumps({"format": "roadwarn-model", "version": 1, "kind": "mlp",
+                                     "mean": [0.0], "std": [1.0]}))
+        wav = self._render_wav(tmp_path, "birds.wav", synth.synth_nv("birds", 4.0, 3))
+        assert main(["detect", str(wav), str(model)]) == 2
+        assert capsys.readouterr().err == f"error: {model}: mlp model has no field 'w1'\n"
 
 
 class TestSimulate:
