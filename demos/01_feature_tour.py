@@ -10,7 +10,7 @@ the whole clip's feature matrix.
 import numpy as np
 
 from roadwarn import audio_io, features, synth
-from roadwarn.classifiers import SoundClass
+from roadwarn.labels import SoundClass
 
 # --- render a pass-by ------------------------------------------------------
 

@@ -11,9 +11,10 @@ from collections import Counter
 import numpy as np
 
 from roadwarn import audio_io, features, synth
-from roadwarn.classifiers import (FEATURE_SETS, LabeledDataset, MlpConfig, SoundClass,
-                                  evaluate_cv, make_trainer, train_mlp)
+from roadwarn.classifiers import (FEATURE_SETS, LabeledDataset, MlpConfig, evaluate_cv,
+                                  make_trainer, train_mlp)
 from roadwarn.cli import render_grid, render_metrics
+from roadwarn.labels import SoundClass
 
 PER_CLASS = 8
 FOLDS = 4

@@ -10,10 +10,11 @@ pass and a birds clip show the three interesting outcomes.
 import numpy as np
 
 from roadwarn import audio_io, features, synth
-from roadwarn.classifiers import LabeledDataset, SoundClass, train_dt
+from roadwarn.classifiers import LabeledDataset, train_dt
 from roadwarn.cli import detect_buffer
 from roadwarn.decision import doppler_observed, DopplerParams
 from roadwarn.deployment import warning_decision
+from roadwarn.labels import SoundClass
 
 # --- quick frame classifier off a small training set ------------------------
 

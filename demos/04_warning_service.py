@@ -6,10 +6,9 @@ line protocol real clients would speak, then replays detection events and
 shows exactly who gets warned and how much time they have.
 """
 
-from roadwarn.classifiers import SoundClass
-from roadwarn.decision import APPROACHING, RECEDING, DetectionResult
 from roadwarn.deployment import build_plan, warning_lead_time
 from roadwarn.cli import run_simulation
+from roadwarn.labels import APPROACHING, RECEDING, DetectionResult, SoundClass
 from roadwarn.warnd import Dispatcher
 
 plan = build_plan(200.0)

@@ -15,28 +15,13 @@ LH > H > LL > NV.  A warning system should err on the side of warning.
 
 from __future__ import annotations
 
-import enum
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-
-class SoundClass(enum.Enum):
-    H = "H"    # heavy vehicle
-    LL = "LL"  # light vehicle, low speed
-    LH = "LH"  # light vehicle, high speed
-    NV = "NV"  # no vehicle (birds, airplane, crowd)
-
-
-CLASS_ORDER = [SoundClass.H, SoundClass.LL, SoundClass.LH, SoundClass.NV]
-DANGER_ORDER = [SoundClass.LH, SoundClass.H, SoundClass.LL, SoundClass.NV]
-_DANGER_RANK = {c: len(DANGER_ORDER) - i for i, c in enumerate(DANGER_ORDER)}
-
-
-def most_dangerous(classes) -> SoundClass:
-    """Tie-break helper: the riskiest class among the candidates."""
-    return max(classes, key=_DANGER_RANK.__getitem__)
+from .labels import CLASS_ORDER, DANGER_ORDER, SoundClass, most_dangerous
 
 
 @dataclass
@@ -86,14 +71,44 @@ def _codes(labels) -> np.ndarray:
 def _danger_argmax(scores: np.ndarray, classes, tolerance: float = 0.0) -> list:
     """Per row of `scores` (one column per entry of `classes`): the riskiest
     class whose score is at least the row's best minus `tolerance`."""
-    order = sorted(range(len(classes)), key=lambda i: _DANGER_RANK[classes[i]], reverse=True)
+    order = sorted(range(len(classes)), key=lambda i: DANGER_ORDER.index(classes[i]))
     ranked = scores[:, order]
     near_best = ranked >= ranked.max(axis=1, keepdims=True) - tolerance
     # argmax of a boolean row is its first True: the riskiest candidate
     return [classes[order[j]] for j in np.argmax(near_best, axis=1)]
 
 
+# Readers of the persisted fields: each rebuilds a field from its JSON form
+# and raises ValueError when that form has the wrong type.
+
+def _numbers(ndim: int):
+    """Reader of a field that holds finite numbers in lists nested `ndim` deep."""
+    what = "a list of finite numbers" if ndim == 1 else "a list of equal-length lists of finite numbers"
+
+    def read(value) -> np.ndarray:
+        try:
+            array = np.array(value)
+        except ValueError:  # lists of unequal lengths
+            array = None
+        if (array is None or array.ndim != ndim or array.dtype.kind not in "iuf"
+                or not np.all(np.isfinite(array))):
+            raise ValueError(f"must be {what}")
+        return array
+    return read
+
+
+_VECTOR, _MATRIX = _numbers(1), _numbers(2)
+
+
+def _positive_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"must be a positive integer, got {value!r}")
+    return value
+
+
 def _classes(values) -> list:
+    if not isinstance(values, list):
+        raise ValueError(f"must be a list of class names, got {values!r}")
     return [SoundClass(v) for v in values]
 
 
@@ -112,7 +127,8 @@ class _Model:
     """A subclass sets `kind`, implements `_predict` on z-scored rows and
     lists its persisted fields in `_FIELDS` as (name, reader) pairs in file
     key order.  The constructor takes the fields in that order and keeps each
-    as an attribute; the reader rebuilds a field from its JSON form."""
+    as an attribute; the reader rebuilds a field from its JSON form, and
+    raises ValueError when the form has the wrong type."""
 
     kind: str
     _FIELDS: tuple
@@ -131,10 +147,15 @@ class _Model:
 
     @classmethod
     def from_dict(cls, doc: dict, path="model"):
-        try:
-            return cls(*(read(doc[name]) for name, read in cls._FIELDS))
-        except KeyError as exc:
-            raise ValueError(f"{path}: {cls.kind} model has no field {exc.args[0]!r}") from None
+        fields = []
+        for name, read in cls._FIELDS:
+            try:
+                fields.append(read(doc[name]))
+            except KeyError as exc:  # the field, or a key of a tree node inside it
+                raise ValueError(f"{path}: {cls.kind} model has no field {exc.args[0]!r}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: {cls.kind} model field {name!r}: {exc}") from None
+        return cls(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +203,8 @@ class MlpModel(_Model):
     """One sigmoid hidden layer, softmax over the four classes."""
 
     kind = "mlp"
-    _FIELDS = (("mean", np.array), ("std", np.array), ("w1", np.array), ("b1", np.array),
-               ("w2", np.array), ("b2", np.array))
+    _FIELDS = (("mean", _VECTOR), ("std", _VECTOR), ("w1", _MATRIX), ("b1", _VECTOR),
+               ("w2", _MATRIX), ("b2", _VECTOR))
 
     def _forward(self, Xs):
         hidden = Xs @ self.w1
@@ -281,7 +302,7 @@ class KnnModel(_Model):
     """
 
     kind = "knn"
-    _FIELDS = (("k", int), ("mean", np.array), ("std", np.array), ("Xs", np.array),
+    _FIELDS = (("k", _positive_int), ("mean", _VECTOR), ("std", _VECTOR), ("Xs", _MATRIX),
                ("labels", _classes))
 
     _QUERY_BLOCK = 256  # a 256 x 7,000 distance block is 14 MB
@@ -338,8 +359,8 @@ def train_knn(data: LabeledDataset, k: int = 5) -> KnnModel:
 
 class GnbModel(_Model):
     kind = "nb"
-    _FIELDS = (("mean", np.array), ("std", np.array), ("classes", _classes),
-               ("class_means", np.array), ("class_vars", np.array), ("log_priors", np.array))
+    _FIELDS = (("mean", _VECTOR), ("std", _VECTOR), ("classes", _classes),
+               ("class_means", _MATRIX), ("class_vars", _MATRIX), ("log_priors", _VECTOR))
 
     def log_posteriors(self, Xs):
         out = np.empty((Xs.shape[0], len(self.classes)))
@@ -387,10 +408,18 @@ def _tree_to_dict(node: _TreeNode) -> dict:
             "left": _tree_to_dict(node.left), "right": _tree_to_dict(node.right)}
 
 
-def _tree_from_dict(doc: dict) -> _TreeNode:
+def _tree_from_dict(doc) -> _TreeNode:
+    if not isinstance(doc, dict):
+        raise ValueError(f"tree nodes must be objects, got {doc!r}")
     if "label" in doc:
         return _TreeNode(label=SoundClass(doc["label"]))
-    return _TreeNode(feature=doc["feature"], threshold=doc["threshold"],
+    feature, threshold = doc["feature"], doc["threshold"]
+    if isinstance(feature, bool) or not isinstance(feature, int) or feature < 0:
+        raise ValueError(f"a split's feature must be a column index, got {feature!r}")
+    if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+            or not math.isfinite(threshold)):
+        raise ValueError(f"a split's threshold must be a finite number, got {threshold!r}")
+    return _TreeNode(feature=feature, threshold=threshold,
                      left=_tree_from_dict(doc["left"]), right=_tree_from_dict(doc["right"]))
 
 
@@ -452,7 +481,7 @@ def _grow(Xs, codes, depth, max_depth) -> _TreeNode:
 
 class DtModel(_Model):
     kind = "dt"
-    _FIELDS = (("mean", np.array), ("std", np.array), ("tree", _tree_from_dict))
+    _FIELDS = (("mean", _VECTOR), ("std", _VECTOR), ("tree", _tree_from_dict))
 
     @property
     def root(self) -> _TreeNode:
@@ -650,10 +679,22 @@ def load_model(path):
     kind = doc.get("kind")
     if kind == "gnb":  # Naive Bayes files saved before the kind took the CLI name
         kind = "nb"
-    if kind not in CLASSIFIERS:
+    if not isinstance(kind, str) or kind not in CLASSIFIERS:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
     return CLASSIFIERS[kind].model.from_dict(doc, path)
 
 
 def load_model_meta(path) -> dict:
-    return _read_doc(path).get("meta", {})
+    """The `meta` object of a model file: the feature subset and the
+    extraction settings (`mfcc`, `lpc` objects) the model was trained on."""
+    meta = _read_doc(path).get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: field 'meta' must be an object, got {meta!r}")
+    feature_set = meta.get("feature_set", "all")
+    if not isinstance(feature_set, str) or feature_set not in FEATURE_SETS:
+        raise ValueError(f"{path}: meta feature_set must be one of {', '.join(FEATURE_SETS)}, "
+                         f"got {feature_set!r}")
+    for key in ("mfcc", "lpc"):
+        if not isinstance(meta.get(key, {}), dict):
+            raise ValueError(f"{path}: meta {key} must be an object, got {meta[key]!r}")
+    return meta

@@ -25,9 +25,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import audio_io, classifiers, decision, features, synth, warnd
-from .classifiers import CLASS_ORDER, FEATURE_SETS, SoundClass
+from .classifiers import FEATURE_SETS
 from .deployment import load_plan_config, read_ini, warning_decision, warning_lead_time
 from .features import LpcConfig, MfccConfig
+from .labels import APPROACHING, CLASS_ORDER, DetectionResult, SoundClass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,8 +38,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _RUN_CONFIG_KEYS = {
-    "features": {"n_filters": int, "n_coeffs": int, "pre_emphasis": float, "fmin": float,
-                 "fmax": float, "log_floor": float, "lpc_order": int},
+    "features": features.SETTINGS,
     **{name: c.params for name, c in classifiers.CLASSIFIERS.items() if c.params},
 }
 
@@ -52,9 +52,8 @@ class RunConfig:
 
     def __init__(self, path=None):
         values = {} if path is None else read_ini(path, _RUN_CONFIG_KEYS)
-        feat = values.pop("features", {})
-        self.lpc = LpcConfig(order=feat.pop("lpc_order", LpcConfig.order))
-        self.mfcc = MfccConfig(**feat)
+        self.features = values.pop("features", {})  # the [features] keys the file sets
+        self.mfcc, self.lpc = features.configs_of(self.features)
         self.classifier_kwargs = {name: values.get(name, {})
                                   for name in classifiers.CLASSIFIER_NAMES}
 
@@ -126,18 +125,35 @@ def cmd_extract(args) -> int:
         labels.extend([entry.sound_class] * len(frames))
     matrix = np.vstack(rows)
     features.save_dataset_csv(args.features_csv, matrix, labels,
-                              features.feature_names(config.mfcc, config.lpc))
+                              features.feature_names(config.mfcc, config.lpc),
+                              features.settings_of(config.mfcc, config.lpc))
     print(f"wrote {matrix.shape[0]} frames x {matrix.shape[1]} features to {args.features_csv}")
     return 0
 
 
-def _load_labeled(path, config: RunConfig | None = None):
-    """The labelled rows of a feature CSV; with `config`, its columns must be
-    the ones config's [features] settings extract."""
+def _extraction_configs(path, config: RunConfig) -> tuple[MfccConfig, LpcConfig]:
+    """The [features] settings a feature CSV was extracted with, as configs.
+
+    A setting the CSV's record names is taken from there.  One it does not
+    name is at its default, except n_coeffs and lpc_order: the header shows
+    those, so they come from `config` and the columns must match them.  A
+    key that `config`'s [features] sets to another value is an error."""
+    recorded = features.load_dataset_settings(path)
+    extracted = {**features.settings_of(), **recorded}
+    for key, value in config.features.items():
+        if (key in recorded or key not in ("n_coeffs", "lpc_order")) and value != extracted[key]:
+            raise ValueError(f"{path}: [features] {key} = {value} differs from the "
+                             f"{extracted[key]} the CSV was extracted with")
+    return features.configs_of({**config.features, **recorded})
+
+
+def _load_labeled(path, configs: tuple | None = None):
+    """The labelled rows of a feature CSV; with (MfccConfig, LpcConfig)
+    `configs`, its columns must be the ones those settings extract."""
     matrix, labels, names = features.load_dataset_csv(path)
     if any(label is None for label in labels):
         raise ValueError(f"{path}: every row needs a label")
-    expected = None if config is None else features.feature_names(config.mfcc, config.lpc)
+    expected = None if configs is None else features.feature_names(*configs)
     if expected is not None and names != expected:
         raise ValueError(f"{path}: its {len(names)} columns are not the {len(expected)} that "
                          "the [features] settings extract; pass the --config it was extracted with")
@@ -148,15 +164,16 @@ def cmd_train(args) -> int:
     config = RunConfig(args.config)
     if args.config:
         config.echo()
-    data = _load_labeled(args.features_csv, config)
+    mfcc_cfg, lpc_cfg = _extraction_configs(args.features_csv, config)
+    data = _load_labeled(args.features_csv, (mfcc_cfg, lpc_cfg))
     cols = FEATURE_SETS[args.feature_set]
     kwargs = config.classifier_kwargs[args.model]
     trainer = classifiers.make_trainer(args.model, seed=args.seed, **kwargs)
     model = trainer(data.select_columns(cols))
     classifiers.save_model(args.model_out, model, extra={
         "feature_set": args.feature_set,
-        "mfcc": asdict(config.mfcc),
-        "lpc": asdict(config.lpc),
+        "mfcc": asdict(mfcc_cfg),
+        "lpc": asdict(lpc_cfg),
     })
     training_acc = classifiers.compute_metrics(
         data.y, model.predict_batch(data.X[:, cols])).overall_accuracy
@@ -178,8 +195,7 @@ def cmd_eval(args) -> int:
         return 0
     if args.model_file:
         model = classifiers.load_model(args.model_file)
-        feature_set = classifiers.load_model_meta(args.model_file).get("feature_set", "all")
-        cols = FEATURE_SETS[feature_set]
+        cols = FEATURE_SETS[_model_settings(args.model_file)[0]]
         metrics = classifiers.compute_metrics(data.y, model.predict_batch(data.X[:, cols]))
     else:
         cols = FEATURE_SETS[args.feature_set]
@@ -203,12 +219,21 @@ def detect_buffer(buffer: audio_io.SampleBuffer, model, feature_set: str = "all"
     return decision.finalize_detection(track, climax), track
 
 
+def _model_settings(path) -> tuple[str, MfccConfig, LpcConfig]:
+    """The feature subset and extraction configs a model file records."""
+    meta = classifiers.load_model_meta(path)
+    try:
+        mfcc_cfg, lpc_cfg = MfccConfig(**meta.get("mfcc", {})), LpcConfig(**meta.get("lpc", {}))
+    except (TypeError, ValueError) as exc:  # an unknown key, or a value of the wrong type
+        raise ValueError(f"{path}: meta mfcc/lpc: {exc}") from None
+    return meta.get("feature_set", "all"), mfcc_cfg, lpc_cfg
+
+
 def cmd_detect(args) -> int:
     model = classifiers.load_model(args.model_file)
-    meta = classifiers.load_model_meta(args.model_file)
+    settings = _model_settings(args.model_file)
     buffer = audio_io.load_wav(args.wav)
-    result, _ = detect_buffer(buffer, model, meta.get("feature_set", "all"),
-                              MfccConfig(**meta.get("mfcc", {})), LpcConfig(**meta.get("lpc", {})))
+    result, _ = detect_buffer(buffer, model, *settings)
     print(result.to_line())
     if warning_decision(result):
         message = warnd.WarningMessage(processor_id=0, sound_class=result.sound_type,
@@ -274,8 +299,8 @@ def run_simulation(plan, script_lines) -> list[str]:
             except KeyError:
                 log.append(f"# event at x={start_x:g}: no instrumented area downstream")
                 continue
-            result = decision.DetectionResult(climax_index=0, sound_type=sound_class,
-                                              direction=decision.APPROACHING)
+            result = DetectionResult(climax_index=0, sound_type=sound_class,
+                                     direction=APPROACHING)
             delivered = dispatcher.dispatch(result, target_id, t)
             positions = dispatcher.positions()
             for cid in sorted(delivered):

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import features
-from .classifiers import SoundClass, most_dangerous
-
-APPROACHING = "approaching"
-RECEDING = "receding"
-UNKNOWN = "unknown"
-
-DIRECTIONS = (APPROACHING, RECEDING, UNKNOWN)
+from .labels import APPROACHING, RECEDING, UNKNOWN, DetectionResult, SoundClass, most_dangerous
 
 VOTE_WINDOW = 8  # final frames voted on, climax frame included
 
@@ -69,16 +63,6 @@ class FrameTrack:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    climax_index: int
-    sound_type: SoundClass
-    direction: str
-
-    def to_line(self) -> str:
-        return f"DET {self.climax_index} {self.sound_type.value} {self.direction}"
 
 
 def band_peak_hz(mags: np.ndarray, band: tuple[float, float], bin_hz: float) -> np.ndarray:

@@ -12,8 +12,7 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-from .classifiers import SoundClass
-from .decision import RECEDING, DetectionResult
+from .labels import RECEDING, DetectionResult, SoundClass
 
 WARN_CLASSES = (SoundClass.H, SoundClass.LH)
 

@@ -14,13 +14,28 @@ on the whole stack at once.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+
+from .labels import SoundClass
 
 
 class SilentFrameError(ValueError):
     """Raised when an extractor needs a non-silent frame and got all zeros."""
+
+
+def _check_numbers(config) -> None:
+    """Each field of an extraction config holds a number of its annotated
+    type: an int for `int`, an int or a float for `float`, and None too
+    for `float | None`.  A bool is neither."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value is None and f.type.endswith("None"):
+            continue
+        if isinstance(value, bool) or not isinstance(value, int if f.type == "int" else (int, float)):
+            raise ValueError(f"{f.name} must be {'an integer' if f.type == 'int' else 'a number'}, "
+                             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +48,7 @@ class MfccConfig:
     log_floor: float = 1e-10
 
     def __post_init__(self):
+        _check_numbers(self)
         if not (0 < self.n_coeffs <= self.n_filters):
             raise ValueError("need 0 < n_coeffs <= n_filters")
         if self.log_floor <= 0:
@@ -51,8 +67,26 @@ class LpcConfig:
     order: int = 12
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.order < 0:
             raise ValueError("order must be >= 0")
+
+
+# The [features] settings of a run config and a feature CSV's record: key -> type.
+SETTINGS = {"n_filters": int, "n_coeffs": int, "pre_emphasis": float, "fmin": float,
+            "fmax": float, "log_floor": float, "lpc_order": int}
+
+
+def settings_of(mfcc_cfg: MfccConfig = MfccConfig(), lpc_cfg: LpcConfig = LpcConfig()) -> dict:
+    """The [features] settings (key -> value) of two extraction configs."""
+    return {**asdict(mfcc_cfg), "lpc_order": lpc_cfg.order}
+
+
+def configs_of(settings: dict) -> tuple[MfccConfig, LpcConfig]:
+    """The extraction configs of [features] settings; a key not given keeps its default."""
+    settings = dict(settings)
+    lpc_cfg = LpcConfig(order=settings.pop("lpc_order", LpcConfig.order))
+    return MfccConfig(**settings), lpc_cfg
 
 
 def fft_magnitude(samples: np.ndarray) -> np.ndarray:
@@ -244,15 +278,26 @@ def extract_features(frames: np.ndarray, sample_rate: int,
 # ---------------------------------------------------------------------------
 # Dataset CSV persistence
 
-def save_dataset_csv(path, matrix: np.ndarray, labels, names: list[str]) -> None:
+_RECORD = "# [features]"
+
+
+def save_dataset_csv(path, matrix: np.ndarray, labels, names: list[str],
+                     settings: dict | None = None) -> None:
     """Write a feature dataset: header, %.9g values, final label column.
 
-    The fixed 9-significant-digit formatting makes re-runs byte-identical.
+    The [features] `settings` it was extracted with that differ from the
+    defaults go first, as the record line `# [features] key=value ...`;
+    with none, there is no record line.  The fixed 9-significant-digit
+    formatting makes re-runs byte-identical.
     """
     matrix = np.asarray(matrix)
     if matrix.shape[1] != len(names):
         raise ValueError("header does not match matrix width")
-    lines = [",".join(names + ["label"])]
+    defaults = settings_of()
+    record = [f"{key}={value!r}" for key, value in (settings or {}).items()
+              if value != defaults[key]]
+    lines = [" ".join([_RECORD] + record)] if record else []
+    lines.append(",".join(names + ["label"]))
     for row, label in zip(matrix, labels):
         text = ",".join("%.9g" % v for v in row)
         lines.append(text + "," + (label.value if label is not None else ""))
@@ -260,12 +305,30 @@ def save_dataset_csv(path, matrix: np.ndarray, labels, names: list[str]) -> None
         fh.write("\n".join(lines) + "\n")
 
 
-def load_dataset_csv(path):
-    """Read back (matrix, labels, names); labels are SoundClass or None."""
-    from .classifiers import SoundClass
+def load_dataset_settings(path) -> dict:
+    """The [features] settings a feature CSV records (key -> value): the
+    ones it was extracted with that differ from the defaults."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline().split()
+    if first[:2] != _RECORD.split():
+        return {}
+    settings = {}
+    for item in first[2:]:
+        key, _, text = item.partition("=")
+        try:
+            settings[key] = SETTINGS[key](text)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: bad [features] record item {item!r}") from None
+    return settings
 
+
+def load_dataset_csv(path):
+    """Read back (matrix, labels, names); labels are SoundClass or None.
+    The settings record, if any, is skipped: `load_dataset_settings` reads it."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if lines and lines[0].startswith("#"):
+        del lines[0]
     if not lines:
         raise ValueError(f"{path}: empty dataset")
     header = lines[0].split(",")

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import DEFAULT_FRAME_SECONDS, SampleBuffer, write_wav
-from .classifiers import SoundClass
 from .decision import band_peak_hz
 from .features import fft_magnitude
+from .labels import SoundClass
 
 SPEED_OF_SOUND = 343.0
 DEFAULT_SAMPLE_RATE = 16000

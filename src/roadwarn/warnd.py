@@ -49,9 +49,8 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .classifiers import SoundClass
-from .decision import DIRECTIONS, DetectionResult
 from .deployment import WARN_CLASSES, DeploymentPlan, load_plan_config, warning_decision
+from .labels import DIRECTIONS, DetectionResult, SoundClass
 
 _CLIENT_ID = re.compile(r"[A-Za-z0-9_-]{1,32}\Z")
 _DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]{1,3})?\Z")

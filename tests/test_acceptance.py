@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 from roadwarn import audio_io, classifiers, features, synth
-from roadwarn.classifiers import (LabeledDataset, MlpConfig, SoundClass,
-                                  evaluate_cv, f_measure, train_mlp)
-from roadwarn.decision import (APPROACHING, RECEDING, DetectionResult, DopplerParams,
-                               FrameTrack, detect_climax, doppler_observed,
+from roadwarn.classifiers import LabeledDataset, MlpConfig, evaluate_cv, f_measure, train_mlp
+from roadwarn.decision import (DopplerParams, FrameTrack, detect_climax, doppler_observed,
                                finalize_detection, track_frames)
 from roadwarn.deployment import build_plan, warning_lead_time
+from roadwarn.labels import APPROACHING, RECEDING, DetectionResult, SoundClass
 from roadwarn.warnd import Dispatcher, decode, encode
 
 from test_classifiers import blobs

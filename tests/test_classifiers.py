@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from roadwarn import classifiers as C
-from roadwarn.classifiers import (CLASS_ORDER, LabeledDataset, MlpConfig, SoundClass,
-                                  compare_feature_sets, compute_metrics, evaluate_cv,
-                                  f_measure, load_model, load_model_meta, make_trainer,
-                                  most_dangerous, save_model, train_dt, train_gnb,
-                                  train_knn, train_mlp)
+from roadwarn.classifiers import (LabeledDataset, MlpConfig, compare_feature_sets,
+                                  compute_metrics, evaluate_cv, f_measure, load_model,
+                                  load_model_meta, make_trainer, save_model, train_dt,
+                                  train_gnb, train_knn, train_mlp)
+from roadwarn.labels import CLASS_ORDER, SoundClass, most_dangerous
 
 
 def blobs(seed=0, spread=0.3, per_class=50, dim=2):
@@ -714,3 +716,73 @@ class TestGoldenModelFiles:
         again = tmp_path / path.name
         save_model(again, model, extra=load_model_meta(path))
         assert again.read_bytes() == path.read_bytes()
+
+
+_GOLDEN_DOCS = {kind: json.loads((GOLDEN / f"model_{kind}.json").read_text())
+                for kind in ("mlp", "knn", "nb", "dt")}
+
+# Any JSON value, with the names a model file uses among the strings and keys
+# and every golden field's own value among the leaves, so that some of the
+# values load and reach the model constructors.
+_NAMES = ["H", "LL", "LH", "NV", "mlp", "knn", "nb", "dt", "gnb", "all", "five", "label",
+          "feature", "threshold", "left", "right", "feature_set", "mfcc", "lpc", "order"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats()
+    | st.text(max_size=4) | st.sampled_from(_NAMES)
+    | st.sampled_from([v for doc in _GOLDEN_DOCS.values() for v in doc.values()]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(_NAMES) | st.text(max_size=3), inner,
+                                     max_size=4)),
+    max_leaves=12)
+
+
+class TestModelFileFieldTypes:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_any_json_value_in_any_field_loads_or_is_a_value_error(self, data):
+        kind = data.draw(st.sampled_from(sorted(_GOLDEN_DOCS)))
+        doc = dict(_GOLDEN_DOCS[kind])
+        field = data.draw(st.sampled_from(sorted(doc)))
+        doc[field] = data.draw(_JSON)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"model_{kind}.json"
+            path.write_text(json.dumps(doc))
+            for load in (load_model, load_model_meta):
+                try:
+                    load(path)
+                except ValueError as exc:
+                    assert str(exc).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("kind,field,value,message", [
+        ("mlp", "kind", ["mlp"], "unknown model kind ['mlp']"),
+        ("mlp", "w1", [[1.0], [1.0, 2.0]], "mlp model field 'w1': must be a list of"),
+        ("mlp", "b2", ["1.0", 1.0, 1.0, 1.0], "mlp model field 'b2': must be a list of finite"),
+        ("mlp", "b2", [float("nan"), 1.0, 1.0, 1.0], "mlp model field 'b2': must be a list of"),
+        ("knn", "labels", 5, "knn model field 'labels': must be a list of class names"),
+        ("knn", "labels", ["H", "XX"], "knn model field 'labels': 'XX' is not a valid"),
+        ("knn", "k", 3.0, "knn model field 'k': must be a positive integer"),
+        ("nb", "class_vars", "1", "nb model field 'class_vars': must be a list of"),
+        ("dt", "tree", [1], "dt model field 'tree': tree nodes must be objects"),
+        ("dt", "tree", {"feature": "0", "threshold": 0.5, "left": {}, "right": {}},
+         "dt model field 'tree': a split's feature must be a column index"),
+    ])
+    def test_wrong_type_names_the_file_and_the_field(self, tmp_path, kind, field, value,
+                                                     message):
+        doc = dict(_GOLDEN_DOCS[kind], **{field: value})
+        path = tmp_path / f"model_{kind}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize("meta,message", [
+        ([1], "field 'meta' must be an object"),
+        ({"feature_set": ["all"]}, "meta feature_set must be one of five, cepstral, all"),
+        ({"feature_set": "none"}, "meta feature_set must be one of"),
+        ({"mfcc": 3}, "meta mfcc must be an object"),
+    ])
+    def test_wrong_meta_names_the_file_and_the_field(self, tmp_path, meta, message):
+        path = tmp_path / "model_mlp.json"
+        path.write_text(json.dumps(dict(_GOLDEN_DOCS["mlp"], meta=meta)))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            load_model_meta(path)

@@ -4,16 +4,18 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from roadwarn import audio_io, features, synth
-from roadwarn.classifiers import CLASS_ORDER, SoundClass, load_model_meta
+from roadwarn.classifiers import load_model_meta
 from roadwarn.cli import RunConfig, main, run_simulation
 from roadwarn.deployment import build_plan, load_plan_config
-from roadwarn.features import MfccConfig
+from roadwarn.features import LpcConfig, MfccConfig
+from roadwarn.labels import CLASS_ORDER, SoundClass
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -122,6 +124,47 @@ class TestTrainEval:
         assert main(["train", str(csv), str(model), "--model", "dt",
                      "--config", str(config)]) == 0
         assert load_model_meta(model)["mfcc"]["n_coeffs"] == 10
+
+    def test_train_takes_feature_settings_from_the_csv_record(self, tmp_path, capsys):
+        # the header cannot show pre_emphasis, fmin or n_filters; the record does
+        extracted = MfccConfig(pre_emphasis=0.5, fmin=300.0, n_filters=40)
+        csv = tmp_path / "emphasis.csv"
+        labels = [CLASS_ORDER[i % 4] for i in range(8)]
+        features.save_dataset_csv(csv, np.arange(8 * 31.0).reshape(8, 31), labels,
+                                  features.feature_names(extracted),
+                                  features.settings_of(extracted, LpcConfig()))
+        model = tmp_path / "dt.json"
+        assert main(["train", str(csv), str(model), "--model", "dt"]) == 0
+        assert load_model_meta(model)["mfcc"] == asdict(extracted)
+
+        config = tmp_path / "run.ini"
+        config.write_text("[features]\npre_emphasis = 0.5\nn_coeffs = 13\n[dt]\nmax_depth = 3\n")
+        assert main(["train", str(csv), str(model), "--model", "dt",
+                     "--config", str(config)]) == 0
+        assert load_model_meta(model)["mfcc"] == asdict(extracted)
+
+        config.write_text("[features]\npre_emphasis = 0.3\n")
+        model.unlink()
+        capsys.readouterr()
+        assert main(["train", str(csv), str(model), "--model", "dt",
+                     "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (f"error: {csv}: [features] pre_emphasis = 0.3 differs "
+                                           "from the 0.5 the CSV was extracted with\n")
+        assert not model.exists()
+
+    def test_csv_without_record_was_extracted_with_the_defaults(self, tmp_path, capsys):
+        csv = tmp_path / "plain.csv"
+        labels = [CLASS_ORDER[i % 4] for i in range(8)]
+        features.save_dataset_csv(csv, np.arange(8 * 31.0).reshape(8, 31), labels,
+                                  features.feature_names())
+        config = tmp_path / "run.ini"
+        config.write_text("[features]\nfmin = 300\n")
+        model = tmp_path / "dt.json"
+        assert main(["train", str(csv), str(model), "--model", "dt",
+                     "--config", str(config)]) == 2
+        assert "[features] fmin = 300.0 differs from the 0.0 the CSV was extracted with" in \
+            capsys.readouterr().err
+        assert not model.exists()
 
     def test_cv_eval_report(self, features_csv, tmp_path):
         report = tmp_path / "cv.txt"
@@ -237,6 +280,27 @@ class TestDetectCommand:
         wav = self._render_wav(tmp_path, "birds.wav", synth.synth_nv("birds", 4.0, 3))
         assert main(["detect", str(wav), str(model)]) == 2
         assert capsys.readouterr().err == f"error: {model}: mlp model has no field 'w1'\n"
+
+    @pytest.mark.parametrize("kind,field,value,message", [
+        ("mlp", "kind", ["mlp"], "unknown model kind ['mlp']"),
+        ("mlp", "meta", [1], "field 'meta' must be an object, got [1]"),
+        ("knn", "labels", 5, "knn model field 'labels': must be a list of class names, got 5"),
+        ("dt", "meta", {"mfcc": {"n_filters": 26.0}},
+         "meta mfcc/lpc: n_filters must be an integer, got 26.0"),
+        ("nb", "meta", {"lpc": {"rank": 3}},
+         "meta mfcc/lpc: LpcConfig.__init__() got an unexpected keyword argument 'rank'"),
+    ], ids=["kind", "meta", "labels", "mfcc-type", "lpc-key"])
+    def test_model_file_field_of_the_wrong_type(self, tmp_path, capsys, kind, field, value,
+                                                message):
+        doc = json.loads((ROOT / "tests" / "data" / f"model_{kind}.json").read_text())
+        model = tmp_path / f"{kind}.json"
+        model.write_text(json.dumps(dict(doc, **{field: value})))
+        csv = tmp_path / "two.csv"  # the golden models read 2 columns
+        features.save_dataset_csv(csv, np.arange(8.0).reshape(4, 2), CLASS_ORDER, ["a", "b"])
+        wav = self._render_wav(tmp_path, "birds.wav", synth.synth_nv("birds", 4.0, 3))
+        assert main(["detect", str(wav), str(model)]) == 2
+        assert main(["eval", str(csv), "--model-file", str(model)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {model}: {message}"] * 2
 
 
 class TestSimulate:
@@ -356,8 +420,14 @@ class TestRunConfig:
         assert matrix.shape[1] == 5 + 8 + 6 + 1
         out = capsys.readouterr().out
         assert "# features.n_coeffs = 8" in out
+        assert csv.read_text().splitlines()[0] == "# [features] n_coeffs=8 lpc_order=6"
 
+        # train reads the two settings from the CSV's record
         model = tmp_path / "mini.json"
+        assert main(["train", str(csv), str(model), "--model", "dt"]) == 0
+        assert load_model_meta(model)["mfcc"]["n_coeffs"] == 8
+        assert load_model_meta(model)["lpc"] == {"order": 6}
+
         assert main(["train", str(csv), str(model), "--model", "dt",
                      "--config", str(config)]) == 0
         capsys.readouterr()

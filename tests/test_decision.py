@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from roadwarn import audio_io, synth
-from roadwarn.classifiers import SoundClass
-from roadwarn.decision import (APPROACHING, RECEDING, UNKNOWN, DetectionResult,
-                               DopplerParams, FrameTrack, TrackTooShortError, band_peak_hz,
+from roadwarn.decision import (DopplerParams, FrameTrack, TrackTooShortError, band_peak_hz,
                                detect_climax, doppler_observed, finalize_detection,
                                infer_direction, track_frames, vote_final_frames)
+from roadwarn.labels import APPROACHING, RECEDING, UNKNOWN, DetectionResult, SoundClass
 
 
 def build_track(freqs, energies, labels=None, bin_hz=10.0):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from roadwarn.classifiers import SoundClass
-from roadwarn.decision import APPROACHING, RECEDING, UNKNOWN, DetectionResult
 from roadwarn.deployment import (DeploymentPlan, build_plan, load_plan_config,
                                  warning_decision, warning_lead_time)
+from roadwarn.labels import APPROACHING, RECEDING, UNKNOWN, DetectionResult, SoundClass
 from roadwarn.warnd import Dispatcher
 
 

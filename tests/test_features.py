@@ -443,7 +443,7 @@ class TestAssemble:
 
 class TestDatasetCsv:
     def test_roundtrip_and_stability(self, tmp_path):
-        from roadwarn.classifiers import SoundClass
+        from roadwarn.labels import SoundClass
 
         rng = np.random.default_rng(8)
         X = rng.standard_normal((6, 4))
@@ -457,3 +457,46 @@ class TestDatasetCsv:
         back, labels2, names2 = features.load_dataset_csv(p1)
         assert names2 == names and labels2 == labels
         np.testing.assert_allclose(back, X, rtol=1e-8)
+
+    def test_settings_record_holds_the_non_defaults_only(self, tmp_path):
+        X = np.arange(8.0).reshape(2, 4)
+        labels = [None, None]
+        plain, recorded = tmp_path / "plain.csv", tmp_path / "recorded.csv"
+        features.save_dataset_csv(plain, X, labels, list("abcd"))
+        features.save_dataset_csv(recorded, X, labels, list("abcd"), features.settings_of(
+            MfccConfig(pre_emphasis=0.5, fmin=300.0, n_filters=40, fmax=8000.0),
+            LpcConfig(order=12)))
+        # all defaults, or no settings: no record line, the same bytes as before it existed
+        features.save_dataset_csv(tmp_path / "defaults.csv", X, labels, list("abcd"),
+                                  features.settings_of())
+        assert (tmp_path / "defaults.csv").read_bytes() == plain.read_bytes()
+        assert recorded.read_text().splitlines()[0] == \
+            "# [features] n_filters=40 pre_emphasis=0.5 fmin=300.0 fmax=8000.0"
+        assert recorded.read_text().splitlines()[1:] == plain.read_text().splitlines()
+        assert features.load_dataset_settings(plain) == {}
+        assert features.load_dataset_settings(recorded) == {
+            "n_filters": 40, "pre_emphasis": 0.5, "fmin": 300.0, "fmax": 8000.0}
+        back, _, names = features.load_dataset_csv(recorded)
+        assert names == list("abcd") and np.array_equal(back, X)
+
+    @pytest.mark.parametrize("item", ["n_filter=40", "n_filters=4.5", "fmin"])
+    def test_bad_record_item_names_it(self, tmp_path, item):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# [features] {item}\na,label\n1,H\n")
+        with pytest.raises(ValueError, match=f"bad.csv: bad \\[features\\] record item '{item}'"):
+            features.load_dataset_settings(path)
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("kwargs", [{"n_filters": 26.0}, {"n_coeffs": True},
+                                        {"pre_emphasis": "0.97"}, {"fmax": [1]}])
+    def test_mfcc_settings_of_the_wrong_type(self, kwargs):
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be"):
+            MfccConfig(**kwargs)
+
+    def test_lpc_order_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            LpcConfig(order=12.0)
+
+    def test_ints_stand_for_floats_and_fmax_may_be_none(self):
+        assert MfccConfig(fmin=300, fmax=None, log_floor=1).fmin == 300

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from roadwarn import audio_io
-from roadwarn.classifiers import SoundClass
+from roadwarn.labels import SoundClass
 from roadwarn.synth import (CORPUS_COUNTS, PassbyScenario, VehicleProfile,
                             corpus_clip_params, corpus_plan, load_manifest,
                             measure_tone_frequency, synth_nv, synth_passby)
