@@ -91,7 +91,9 @@ def _numbers(ndim: int):
         except ValueError:  # lists of unequal lengths
             array = None
         if (array is None or array.ndim != ndim or array.dtype.kind not in "iuf"
-                or not np.all(np.isfinite(array))):
+                or not np.all(np.isfinite(array))
+                # numpy reads true/false beside numbers as 1.0/0.0
+                or any(bool in map(type, row) for row in (value if ndim == 2 else [value]))):
             raise ValueError(f"must be {what}")
         return array
     return read
@@ -125,16 +127,19 @@ def _jsonable(value):
 
 class _Model:
     """A subclass sets `kind`, implements `_predict` on z-scored rows and
-    lists its persisted fields in `_FIELDS` as (name, reader) pairs in file
-    key order.  The constructor takes the fields in that order and keeps each
-    as an attribute; the reader rebuilds a field from its JSON form, and
-    raises ValueError when the form has the wrong type."""
+    lists its persisted fields in `_FIELDS` as (name, reader, axes) triples
+    in file key order.  The constructor takes the fields in that order and
+    keeps each as an attribute; the reader rebuilds a field from its JSON
+    form, and raises ValueError when the form has the wrong type.  `axes`
+    names the size of each axis of an array or list field (None for other
+    fields): axes of the same name must have the same size in every field,
+    and an int axis has that size."""
 
     kind: str
     _FIELDS: tuple
 
     def __init__(self, *fields):
-        for (name, _), value in zip(self._FIELDS, fields, strict=True):
+        for (name, _, _), value in zip(self._FIELDS, fields, strict=True):
             setattr(self, name, value)
 
     def predict_batch(self, X) -> list:
@@ -142,20 +147,43 @@ class _Model:
 
     def to_dict(self) -> dict:
         doc = {"kind": self.kind}
-        doc.update((name, _jsonable(getattr(self, name))) for name, _ in self._FIELDS)
+        doc.update((name, _jsonable(getattr(self, name))) for name, _, _ in self._FIELDS)
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict, path="model"):
-        fields = []
-        for name, read in cls._FIELDS:
+        fields = {}
+        for name, read, _ in cls._FIELDS:
             try:
-                fields.append(read(doc[name]))
+                fields[name] = read(doc[name])
             except KeyError as exc:  # the field, or a key of a tree node inside it
                 raise ValueError(f"{path}: {cls.kind} model has no field {exc.args[0]!r}") from None
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: {cls.kind} model field {name!r}: {exc}") from None
-        return cls(*fields)
+        mismatch = cls._mismatch(fields)
+        if mismatch is not None:
+            name, what = mismatch
+            raise ValueError(f"{path}: {cls.kind} model field {name!r}: {what}")
+        return cls(*fields.values())
+
+    @classmethod
+    def _mismatch(cls, fields: dict):
+        """(name, what) of the first field, in file order, whose size along
+        an axis of `_FIELDS` differs from an earlier field's along the axis
+        of the same name, or from an int axis; None when all agree."""
+        sizes, shapes = {}, {}  # axis name -> (size, the first field with it); field -> shape
+        for name, _, axes in cls._FIELDS:
+            if axes is None:
+                continue
+            value = fields[name]
+            shape = shapes[name] = value.shape if isinstance(value, np.ndarray) else (len(value),)
+            for axis, size in zip(axes, shape):
+                want, source = ((axis, None) if isinstance(axis, int)
+                                else sizes.setdefault(axis, (size, name)))
+                if size != want:
+                    fit = f"{source!r} of shape {shapes[source]}" if source else f"{axis} classes"
+                    return name, f"has shape {shape}, which does not fit {fit}"
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -203,29 +231,37 @@ class MlpModel(_Model):
     """One sigmoid hidden layer, softmax over the four classes."""
 
     kind = "mlp"
-    _FIELDS = (("mean", _VECTOR), ("std", _VECTOR), ("w1", _MATRIX), ("b1", _VECTOR),
-               ("w2", _MATRIX), ("b2", _VECTOR))
+    _FIELDS = (("mean", _VECTOR, ("d",)), ("std", _VECTOR, ("d",)),
+               ("w1", _MATRIX, ("d", "h")), ("b1", _VECTOR, ("h",)),
+               ("w2", _MATRIX, ("h", len(CLASS_ORDER))), ("b2", _VECTOR, (len(CLASS_ORDER),)))
 
-    def _forward(self, Xs):
-        hidden = Xs @ self.w1
+    def _forward(self, Xs, hidden=None, logits=None):
+        """(hidden activations, class probabilities) of the rows, written into
+        `hidden` (rows x hidden units) and `logits` (rows x 4) when given."""
+        hidden = np.matmul(Xs, self.w1, out=hidden)
         hidden += self.b1
         _sigmoid_inplace(hidden)
-        logits = hidden @ self.w2
+        logits = np.matmul(hidden, self.w2, out=logits)
         logits += self.b2
         return hidden, _softmax_inplace(logits)
 
-    def loss_and_gradients(self, Xs, codes):
-        """Mean cross-entropy and its analytic gradients at the current weights."""
+    def loss_and_gradients(self, Xs, codes, work=(None, None, None)):
+        """Mean cross-entropy and its analytic gradients at the current weights.
+
+        `work` holds the pass's scratch arrays, (rows x hidden units,
+        rows x 4, rows x hidden units), which a fit allocates once for all
+        its passes; by default the pass allocates its own.  The gradients
+        never share memory with them."""
         n = Xs.shape[0]
         rows = np.arange(n)
-        hidden, delta_out = self._forward(Xs)
+        hidden, delta_out = self._forward(Xs, work[0], work[1])
         loss = -np.mean(np.log(delta_out[rows, codes] + 1e-300))
         # from here on the buffers of probs and hidden hold the deltas
         delta_out[rows, codes] -= 1.0
         delta_out /= n
         gw2 = hidden.T @ delta_out
         gb2 = delta_out.sum(axis=0)
-        delta_hidden = delta_out @ self.w2.T
+        delta_hidden = np.matmul(delta_out, self.w2.T, out=work[2])
         delta_hidden *= hidden
         delta_hidden *= np.subtract(1.0, hidden, out=hidden)
         gw1 = Xs.T @ delta_hidden
@@ -249,7 +285,8 @@ def train_mlp(data: LabeledDataset, config: MlpConfig = MlpConfig()) -> MlpModel
     rate is halved (persistently) until the step no longer hurts, so the
     training loss is non-increasing by construction.  Each candidate step is
     evaluated once, loss and gradients together, and an accepted candidate
-    keeps both, so a fit costs 1 + epochs + halvings forward passes.
+    keeps both, so a fit costs 1 + epochs + halvings forward passes, all
+    writing into one set of work arrays.
     """
     if len(set(data.y)) < 2:
         raise ValueError("training data must contain at least 2 classes")
@@ -263,13 +300,15 @@ def train_mlp(data: LabeledDataset, config: MlpConfig = MlpConfig()) -> MlpModel
                      rng.uniform(-0.5, 0.5, (hidden, n_out)),
                      rng.uniform(-0.5, 0.5, n_out))
     rate = config.learning_rate
-    loss, grads = model.loss_and_gradients(Xs, codes)
+    n = Xs.shape[0]
+    work = (np.empty((n, hidden)), np.empty((n, n_out)), np.empty((n, hidden)))
+    loss, grads = model.loss_and_gradients(Xs, codes, work)
     for _ in range(config.epochs):
         while True:
             candidate = MlpModel(mean, std,
                                  model.w1 - rate * grads[0], model.b1 - rate * grads[1],
                                  model.w2 - rate * grads[2], model.b2 - rate * grads[3])
-            candidate_loss, candidate_grads = candidate.loss_and_gradients(Xs, codes)
+            candidate_loss, candidate_grads = candidate.loss_and_gradients(Xs, codes, work)
             if candidate_loss <= loss or rate <= 1e-12:
                 break
             rate *= 0.5
@@ -302,8 +341,8 @@ class KnnModel(_Model):
     """
 
     kind = "knn"
-    _FIELDS = (("k", _positive_int), ("mean", _VECTOR), ("std", _VECTOR), ("Xs", _MATRIX),
-               ("labels", _classes))
+    _FIELDS = (("k", _positive_int, None), ("mean", _VECTOR, ("d",)), ("std", _VECTOR, ("d",)),
+               ("Xs", _MATRIX, ("n", "d")), ("labels", _classes, ("n",)))
 
     _QUERY_BLOCK = 256  # a 256 x 7,000 distance block is 14 MB
     _MARGIN = 1e-9
@@ -313,6 +352,14 @@ class KnnModel(_Model):
         self._codes = _codes(self.labels)
         self._sq_norms = (self.Xs ** 2).sum(axis=1)
         self._max_norm = float(np.sqrt(self._sq_norms.max()))
+
+    @classmethod
+    def _mismatch(cls, fields: dict):
+        mismatch = super()._mismatch(fields)
+        rows = len(fields["labels"])
+        if mismatch is None and fields["k"] > rows:
+            mismatch = "k", f"must be at most the {rows} training rows, got {fields['k']}"
+        return mismatch
 
     def _predict(self, Q) -> list:
         out = []
@@ -359,8 +406,9 @@ def train_knn(data: LabeledDataset, k: int = 5) -> KnnModel:
 
 class GnbModel(_Model):
     kind = "nb"
-    _FIELDS = (("mean", _VECTOR), ("std", _VECTOR), ("classes", _classes),
-               ("class_means", _MATRIX), ("class_vars", _MATRIX), ("log_priors", _VECTOR))
+    _FIELDS = (("mean", _VECTOR, ("d",)), ("std", _VECTOR, ("d",)),
+               ("classes", _classes, ("c",)), ("class_means", _MATRIX, ("c", "d")),
+               ("class_vars", _MATRIX, ("c", "d")), ("log_priors", _VECTOR, ("c",)))
 
     def log_posteriors(self, Xs):
         out = np.empty((Xs.shape[0], len(self.classes)))
@@ -481,7 +529,22 @@ def _grow(Xs, codes, depth, max_depth) -> _TreeNode:
 
 class DtModel(_Model):
     kind = "dt"
-    _FIELDS = (("mean", _VECTOR), ("std", _VECTOR), ("tree", _tree_from_dict))
+    _FIELDS = (("mean", _VECTOR, ("d",)), ("std", _VECTOR, ("d",)),
+               ("tree", _tree_from_dict, None))
+
+    @classmethod
+    def _mismatch(cls, fields: dict):
+        mismatch = super()._mismatch(fields)
+        width = len(fields["mean"])
+        pending = [fields["tree"]]
+        while pending and mismatch is None:
+            node = pending.pop()
+            if node.label is None:
+                if node.feature >= width:
+                    mismatch = ("tree",
+                                f"a split's feature {node.feature} is not one of {width} columns")
+                pending += [node.left, node.right]
+        return mismatch
 
     @property
     def root(self) -> _TreeNode:

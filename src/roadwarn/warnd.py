@@ -52,8 +52,13 @@ from dataclasses import dataclass
 from .deployment import WARN_CLASSES, DeploymentPlan, load_plan_config, warning_decision
 from .labels import DIRECTIONS, DetectionResult, SoundClass
 
-_CLIENT_ID = re.compile(r"[A-Za-z0-9_-]{1,32}\Z")
-_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]{1,3})?\Z")
+_CLIENT_ID_TOKEN = r"[A-Za-z0-9_-]{1,32}"
+_DECIMAL_TOKEN = r"-?[0-9]+(?:\.[0-9]{1,3})?"
+_CLIENT_ID = re.compile(_CLIENT_ID_TOKEN + r"\Z")
+_DECIMAL = re.compile(_DECIMAL_TOKEN + r"\Z")
+# a whole well-formed REG/POS line, to be matched with fullmatch
+_POSITION = re.compile(rf"(REG|POS) ({_CLIENT_ID_TOKEN}) ({_DECIMAL_TOKEN}) "
+                       rf"({_DECIMAL_TOKEN}) ({_DECIMAL_TOKEN})")
 MAX_LINE_BYTES = 1024  # longest client line, "\n" or "\r\n" excluded
 WRITE_TIMEOUT_S = 5.0  # longest a connection's outbox may stay undrained before eviction
 # An outbox holds what a connection's peer has not read yet.  The largest
@@ -131,8 +136,19 @@ def decode(line: str) -> WarningMessage:
 
 
 def _parse_position(line: str) -> tuple[str, str, float, float, float]:
-    """A client line, `REG|POS <client_id> <x> <y> <t>`, as (verb, client_id, x, y, t)."""
-    parts = line.strip().split(" ")
+    """A client line, `REG|POS <client_id> <x> <y> <t>`, as (verb, client_id, x, y, t).
+
+    One match of the whole line takes a well-formed line; any other line,
+    and one whose decimal overflows, is read field by field to name its
+    fault."""
+    line = line.strip()
+    match = _POSITION.fullmatch(line)
+    if match:
+        verb, cid, x, y, t = match.groups()
+        x, y, t = float(x), float(y), float(t)
+        if math.isfinite(x) and math.isfinite(y) and math.isfinite(t):
+            return verb, cid, x, y, t
+    parts = line.split(" ")
     verb = parts[0]
     if verb not in ("REG", "POS"):
         raise ProtocolError(f"unknown verb {verb!r}")
@@ -157,7 +173,12 @@ class _ClientRecord:
 class Dispatcher:
     """Registry plus dispatch.  All registry mutations happen under one lock,
     so sessions and dispatches on different threads interleave without
-    tearing, and every dispatch sees a consistent snapshot.
+    tearing, and every dispatch sees a consistent snapshot.  `handle_lines`
+    holds the lock for all the lines of one read, so a dispatch on another
+    thread may wait for up to one read's worth of lines (64 KiB, about 2,000
+    REGs, a few ms); the GIL's switch interval (5 ms) already allows a
+    similar wait, and a loop that also ran dispatches would order them the
+    same way.
 
     Besides `_clients` (client_id -> record) the registry keeps one bucket
     per processor, holding the records whose position lies in its danger
@@ -209,45 +230,58 @@ class Dispatcher:
     # -- client sessions ----------------------------------------------------
 
     def handle_line(self, line: str, send) -> str:
-        """Process one client line; returns the response line.
+        """Process one client line; returns the response line."""
+        return self.handle_lines([line], send)[0]
+
+    def handle_lines(self, lines, send) -> list[str]:
+        """Process client lines in order, all from one connection; returns
+        one response line per line.
 
         `send` is the callable used later to deliver WARN lines to whoever
         registered on this connection: a dispatch calls it once, with one
         line per client, joined by "\n" and without the final "\n".
         """
-        try:
-            verb, cid, x, y, t = _parse_position(line)
-        except ProtocolError as exc:
-            return f"ERR malformed: {exc}"
-        register = verb == "REG"
+        clients, buckets, by_send, areas_at = (self._clients, self._buckets, self._by_send,
+                                               self._areas_at)
+        replies = []
         with self._lock:
-            record = self._clients.get(cid)
-            if record is None and not register:
-                return "ERR unknown-client"
-            if record is not None and t < record.t:
-                return "ERR stale"
-            if record is None:
-                if len(self._clients) >= MAX_CLIENTS:
-                    return "ERR registry full"
-                record = self._clients[cid] = _ClientRecord(x, y, t, send)
-                self._by_send[send].add(cid)
-            else:
-                record.x, record.y, record.t = x, y, t
-                if register and record.send != send:
-                    bound = self._by_send[record.send]
-                    bound.discard(cid)
-                    if not bound:
-                        del self._by_send[record.send]
-                    self._by_send[send].add(cid)
-                    record.send = send
-            areas = self._areas_at(x, y)
-            if areas != record.areas:
-                for pid in record.areas:
-                    del self._buckets[pid][cid]
-                for pid in areas:
-                    self._buckets[pid][cid] = record
-                record.areas = areas
-        return f"OK {cid}"
+            for line in lines:
+                try:
+                    verb, cid, x, y, t = _parse_position(line)
+                except ProtocolError as exc:
+                    replies.append(f"ERR malformed: {exc}")
+                    continue
+                record = clients.get(cid)
+                if record is None:
+                    if verb != "REG":
+                        replies.append("ERR unknown-client")
+                        continue
+                    if len(clients) >= MAX_CLIENTS:
+                        replies.append("ERR registry full")
+                        continue
+                    record = clients[cid] = _ClientRecord(x, y, t, send)
+                    by_send[send].add(cid)
+                elif t < record.t:
+                    replies.append("ERR stale")
+                    continue
+                else:
+                    record.x, record.y, record.t = x, y, t
+                    if verb == "REG" and record.send != send:
+                        bound = by_send[record.send]
+                        bound.discard(cid)
+                        if not bound:
+                            del by_send[record.send]
+                        by_send[send].add(cid)
+                        record.send = send
+                areas = areas_at(x, y)
+                if areas != record.areas:
+                    for pid in record.areas:
+                        del buckets[pid][cid]
+                    for pid in areas:
+                        buckets[pid][cid] = record
+                    record.areas = areas
+                replies.append(f"OK {cid}")
+        return replies
 
     def drop_connection(self, send) -> None:
         """Evict every client whose WARNs go through `send`: its connection
@@ -485,11 +519,9 @@ class WarnServer:
             self._close(conn)
             return
         bodies, conn.inbox, too_long = _split_lines(conn.inbox + data, eof=not data)
-        replies = []
-        for body in bodies:
-            line = body.decode("utf-8", errors="replace").strip()
-            if line:
-                replies.append(self.dispatcher.handle_line(line, conn.send))
+        lines = [line for line in (body.decode("utf-8", errors="replace").strip()
+                                   for body in bodies) if line]
+        replies = self.dispatcher.handle_lines(lines, conn.send)
         if too_long:
             replies.append("ERR line too long")
         if replies:

@@ -275,9 +275,9 @@ class TestMlp:
         calls = []
         inner = C.MlpModel.loss_and_gradients
 
-        def counted(model, Xs, codes):
+        def counted(model, Xs, codes, *work):
             calls.append(1)
-            return inner(model, Xs, codes)
+            return inner(model, Xs, codes, *work)
 
         monkeypatch.setattr(C.MlpModel, "loss_and_gradients", counted)
         model = train_mlp(data, config)
@@ -758,6 +758,8 @@ class TestModelFileFieldTypes:
         ("mlp", "w1", [[1.0], [1.0, 2.0]], "mlp model field 'w1': must be a list of"),
         ("mlp", "b2", ["1.0", 1.0, 1.0, 1.0], "mlp model field 'b2': must be a list of finite"),
         ("mlp", "b2", [float("nan"), 1.0, 1.0, 1.0], "mlp model field 'b2': must be a list of"),
+        ("mlp", "b2", [True, 1.0, 1.0, 1.0], "mlp model field 'b2': must be a list of finite"),
+        ("knn", "Xs", [[1.0, False]] * 8, "knn model field 'Xs': must be a list of equal-length"),
         ("knn", "labels", 5, "knn model field 'labels': must be a list of class names"),
         ("knn", "labels", ["H", "XX"], "knn model field 'labels': 'XX' is not a valid"),
         ("knn", "k", 3.0, "knn model field 'k': must be a positive integer"),
@@ -786,3 +788,52 @@ class TestModelFileFieldTypes:
         path.write_text(json.dumps(dict(_GOLDEN_DOCS["mlp"], meta=meta)))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
             load_model_meta(path)
+
+
+_SPLIT_ON_7 = {"feature": 7, "threshold": 0.5, "left": {"label": "H"}, "right": {"label": "NV"}}
+
+
+class TestModelFileFieldAgreement:
+    """Fields of the right types whose sizes disagree are refused at load,
+    naming the field, before a prediction can index past an array or label
+    every frame with the one class named."""
+
+    @pytest.mark.parametrize("kind,edits,message", [
+        ("mlp", {"std": [1.0, 1.0, 1.0]},
+         "'std': has shape (3,), which does not fit 'mean' of shape (2,)"),
+        ("mlp", {"w1": [[1.0, 2.0, 3.0]] * 2},
+         "'b1': has shape (2,), which does not fit 'w1' of shape (2, 3)"),
+        ("mlp", {"w2": [[1.0, 2.0, 3.0]] * 2, "b2": [0.0, 0.0, 0.0]},
+         "'w2': has shape (2, 3), which does not fit 4 classes"),
+        ("knn", {"labels": ["H", "LL", "LH"]},
+         "'labels': has shape (3,), which does not fit 'Xs' of shape (8, 2)"),
+        ("knn", {"Xs": [[1.0, 2.0, 3.0]] * 8},
+         "'Xs': has shape (8, 3), which does not fit 'mean' of shape (2,)"),
+        ("knn", {"k": 9}, "'k': must be at most the 8 training rows, got 9"),
+        ("nb", {"classes": ["H"]},
+         "'class_means': has shape (4, 2), which does not fit 'classes' of shape (1,)"),
+        ("nb", {"log_priors": [-1.0, -1.0]},
+         "'log_priors': has shape (2,), which does not fit 'classes' of shape (4,)"),
+        ("nb", {"class_vars": [[1.0]] * 4},
+         "'class_vars': has shape (4, 1), which does not fit 'mean' of shape (2,)"),
+        ("dt", {"tree": _SPLIT_ON_7}, "'tree': a split's feature 7 is not one of 2 columns"),
+        ("dt", {"tree": dict(_SPLIT_ON_7, feature=0, right=dict(_SPLIT_ON_7, feature=2))},
+         "'tree': a split's feature 2 is not one of 2 columns"),
+    ])
+    def test_sizes_that_disagree_name_the_file_and_the_field(self, tmp_path, kind, edits,
+                                                              message):
+        path = tmp_path / f"model_{kind}.json"
+        path.write_text(json.dumps(dict(_GOLDEN_DOCS[kind], **edits)))
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: {kind} model field {message}"
+
+    @pytest.mark.parametrize("kind,edits", [
+        ("knn", {"k": 8}),
+        ("dt", {"tree": dict(_SPLIT_ON_7, feature=1)}),
+        ("nb", {"classes": ["NV", "LH", "LL", "H"]}),
+    ])
+    def test_sizes_that_agree_load(self, tmp_path, kind, edits):
+        path = tmp_path / f"model_{kind}.json"
+        path.write_text(json.dumps(dict(_GOLDEN_DOCS[kind], **edits)))
+        assert load_model(path).predict_batch(TestGoldenModelFiles.PROBES)

@@ -289,7 +289,16 @@ class TestDetectCommand:
          "meta mfcc/lpc: n_filters must be an integer, got 26.0"),
         ("nb", "meta", {"lpc": {"rank": 3}},
          "meta mfcc/lpc: LpcConfig.__init__() got an unexpected keyword argument 'rank'"),
-    ], ids=["kind", "meta", "labels", "mfcc-type", "lpc-key"])
+        ("dt", "tree", {"feature": 7, "threshold": 0.5, "left": {"label": "H"},
+                        "right": {"label": "NV"}},
+         "dt model field 'tree': a split's feature 7 is not one of 2 columns"),
+        ("knn", "labels", ["H", "LL", "LH"],
+         "knn model field 'labels': has shape (3,), which does not fit 'Xs' of shape (8, 2)"),
+        ("nb", "classes", ["H"],
+         "nb model field 'class_means': has shape (4, 2), which does not fit 'classes' "
+         "of shape (1,)"),
+    ], ids=["kind", "meta", "labels", "mfcc-type", "lpc-key", "split-feature", "label-count",
+            "class-count"])
     def test_model_file_field_of_the_wrong_type(self, tmp_path, capsys, kind, field, value,
                                                 message):
         doc = json.loads((ROOT / "tests" / "data" / f"model_{kind}.json").read_text())

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import resource
 import select
 import socket
@@ -421,6 +422,116 @@ class TestFuzz:
             return
         assert isinstance(processor_id, int) and math.isfinite(event_time)
         assert isinstance(result, DetectionResult)
+
+
+_CLIENT_ID_REFERENCE = re.compile(r"[A-Za-z0-9_-]{1,32}\Z")
+_DECIMAL_REFERENCE = re.compile(r"-?[0-9]+(\.[0-9]{1,3})?\Z")
+
+
+def _parse_position_reference(line):
+    """`warnd._parse_position` before one pattern matched the whole line:
+    split, then check each field.  Kept as the oracle for its results and
+    its error messages."""
+    parts = line.strip().split(" ")
+    verb = parts[0]
+    if verb not in ("REG", "POS"):
+        raise ProtocolError(f"unknown verb {verb!r}")
+    if len(parts) != 5:
+        raise ProtocolError(f"{verb} needs 4 fields")
+    if not _CLIENT_ID_REFERENCE.match(parts[1]):
+        raise ProtocolError(f"bad client_id {parts[1]!r}")
+    values = []
+    for what, token in zip("xyt", parts[2:]):
+        if not _DECIMAL_REFERENCE.match(token):
+            raise ProtocolError(f"bad {what} {token!r}")
+        value = float(token)
+        if math.isinf(value):
+            raise ProtocolError(f"bad {what} {token[:16]}... (not finite)")
+        values.append(value)
+    return (verb, parts[1], *values)
+
+
+def _parsed_or_error(parse, line):
+    try:
+        return repr(parse(line))  # repr tells -0.0 from 0.0
+    except ProtocolError as exc:
+        return f"ProtocolError: {exc}"
+
+
+_DECIMAL_TOKENS = st.one_of(
+    st.decimals(allow_nan=False, allow_infinity=False, places=3).map(str),
+    st.integers(-10**400, 10**400).map(str),
+    st.integers(0, 1000).map(lambda zeros: "-" + "0" * zeros + "1.5"),  # up to 1024-byte lines
+    st.sampled_from([_NINES, "-" + _NINES, _NINES + ".5", "1.2345", "1.", ".5", "1e3", "nan",
+                     "-0", "-0.000", "١", "1_0", "+1", "1\t", "1\r"]))
+_CLIENT_ID_TOKENS = st.one_of(st.from_regex(r"[A-Za-z0-9_-]{1,32}", fullmatch=True),
+                              st.sampled_from(["x" * 33, "p$", "", "p\t1", "ä"]))
+# REG/POS-shaped lines: mostly well formed, with overflowing decimals, tabs,
+# "\r", doubled spaces, missing or extra fields and lines up to 1024 bytes
+_POSITION_LINES = st.builds(
+    lambda verb, cid, values, sep, lead, end: lead + sep.join([verb, cid, *values]) + end,
+    st.sampled_from(["REG", "POS", "reg", "OK"]), _CLIENT_ID_TOKENS,
+    st.lists(_DECIMAL_TOKENS, min_size=2, max_size=4),
+    st.sampled_from([" ", " ", " ", "\t", "  "]), st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["", "", "\r", "\t", " \r", "\n", "\r\n"]))
+
+
+class TestClientLinePath:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(_LINES, _POSITION_LINES))
+    @example(f"REG p1 1.5 {_NINES} 0")
+    @example(f"POS p1 {_NINES} {_NINES} 0")
+    @example("REG p1 1.5 2.5 " + "0" * 1006 + "1.5")  # MAX_LINE_BYTES long
+    @example("REG\tp1 1.5 2.5 3.5")
+    @example("POS p1 1.5 2.5 3.5\r")
+    def test_parse_matches_field_by_field_reference(self, line):
+        assert (_parsed_or_error(warnd._parse_position, line)
+                == _parsed_or_error(_parse_position_reference, line))
+
+    def test_batch_matches_line_by_line(self, monkeypatch):
+        monkeypatch.setattr(warnd, "MAX_CLIENTS", 4)
+        batches = [
+            (0, ["REG a 30.0 1.0 5.0", "REG b 10.0 1.0 5.0", "POS a 55.0 2.0 6.0",
+                 "POS a 56.0 2.0 4.0",                                # stale
+                 "POS zz 1.0 1.0 1.0",                                # unknown
+                 "REG a 1.2345 0 0", "HELLO", f"REG c 1.0 {_NINES} 0",  # malformed
+                 "REG c 50.0 0.0 5.0", "REG d 75.0 7.0 5.0",
+                 "REG e 20.0 1.0 5.0",                                # registry full
+                 "POS d 80.0 3.0 5.0"]),
+            (1, ["REG a 25.0 1.0 7.0",                                # re-REG on another send
+                 "REG b 12.0 1.0 4.0",                                # stale re-REG keeps its send
+                 "POS c 25.0 3.5 6.0", "REG e 20.0 1.0 5.0"]),
+            (0, ["REG a 26.0 1.0 8.0", "POS b 200.0 1.0 9.0"]),
+        ]
+        plan = build_plan(100.0)
+        batched, single = Dispatcher(plan), Dispatcher(plan)
+        batched_conns = [_Connection(), _Connection()]
+        single_conns = [_Connection(), _Connection()]
+        replies = []
+        for conn, lines in batches:
+            replies.append(batched.handle_lines(lines, batched_conns[conn].send))
+            assert replies[-1] == [single.handle_line(line, single_conns[conn].send)
+                                   for line in lines]
+        assert replies == [
+            ["OK a", "OK b", "OK a", "ERR stale", "ERR unknown-client",
+             "ERR malformed: bad x '1.2345'", "ERR malformed: unknown verb 'HELLO'",
+             f"ERR malformed: bad y {_NINES[:16]}... (not finite)", "OK c", "OK d",
+             "ERR registry full", "OK d"],
+            ["OK a", "ERR stale", "OK c", "ERR registry full"],
+            ["OK a", "OK b"]]
+
+        def state(dispatcher, conns):
+            sends = [conn.send for conn in conns]
+            return (dispatcher.positions(),
+                    {pid: {cid: sends.index(r.send) for cid, r in bucket.items()}
+                     for pid, bucket in dispatcher._buckets.items()},
+                    {sends.index(send): cids for send, cids in dispatcher._by_send.items()})
+
+        assert state(batched, batched_conns) == state(single, single_conns)
+        assert batched.positions() == {"a": (26.0, 1.0, 8.0), "b": (200.0, 1.0, 9.0),
+                                       "c": (25.0, 3.5, 6.0), "d": (80.0, 3.0, 5.0)}
+        assert state(batched, batched_conns)[2] == {0: {"a", "b", "c", "d"}}  # POS binds nothing
+        _check_index(batched, plan)
 
 
 # -- the area index -------------------------------------------------------------
