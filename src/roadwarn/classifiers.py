@@ -81,9 +81,11 @@ def _danger_argmax(scores: np.ndarray, classes, tolerance: float = 0.0) -> list:
 # Readers of the persisted fields: each rebuilds a field from its JSON form
 # and raises ValueError when that form has the wrong type.
 
-def _numbers(ndim: int):
-    """Reader of a field that holds finite numbers in lists nested `ndim` deep."""
-    what = "a list of finite numbers" if ndim == 1 else "a list of equal-length lists of finite numbers"
+def _numbers(ndim: int, positive: bool = False):
+    """Reader of a field that holds finite numbers, all above 0 if
+    `positive`, in lists nested `ndim` deep."""
+    numbers = "positive finite numbers" if positive else "finite numbers"
+    what = f"a list of {numbers}" if ndim == 1 else f"a list of equal-length lists of {numbers}"
 
     def read(value) -> np.ndarray:
         try:
@@ -92,6 +94,7 @@ def _numbers(ndim: int):
             array = None
         if (array is None or array.ndim != ndim or array.dtype.kind not in "iuf"
                 or not np.all(np.isfinite(array))
+                or positive and not np.all(array > 0)
                 # numpy reads true/false beside numbers as 1.0/0.0
                 or any(bool in map(type, row) for row in (value if ndim == 2 else [value]))):
             raise ValueError(f"must be {what}")
@@ -100,6 +103,8 @@ def _numbers(ndim: int):
 
 
 _VECTOR, _MATRIX = _numbers(1), _numbers(2)
+# divisors: a standardizer's std and a Gaussian's variances
+_POSITIVE_VECTOR, _POSITIVE_MATRIX = _numbers(1, positive=True), _numbers(2, positive=True)
 
 
 def _positive_int(value) -> int:
@@ -231,7 +236,7 @@ class MlpModel(_Model):
     """One sigmoid hidden layer, softmax over the four classes."""
 
     kind = "mlp"
-    _FIELDS = (("mean", _VECTOR, ("d",)), ("std", _VECTOR, ("d",)),
+    _FIELDS = (("mean", _VECTOR, ("d",)), ("std", _POSITIVE_VECTOR, ("d",)),
                ("w1", _MATRIX, ("d", "h")), ("b1", _VECTOR, ("h",)),
                ("w2", _MATRIX, ("h", len(CLASS_ORDER))), ("b2", _VECTOR, (len(CLASS_ORDER),)))
 
@@ -341,7 +346,8 @@ class KnnModel(_Model):
     """
 
     kind = "knn"
-    _FIELDS = (("k", _positive_int, None), ("mean", _VECTOR, ("d",)), ("std", _VECTOR, ("d",)),
+    _FIELDS = (("k", _positive_int, None), ("mean", _VECTOR, ("d",)),
+               ("std", _POSITIVE_VECTOR, ("d",)),
                ("Xs", _MATRIX, ("n", "d")), ("labels", _classes, ("n",)))
 
     _QUERY_BLOCK = 256  # a 256 x 7,000 distance block is 14 MB
@@ -406,9 +412,9 @@ def train_knn(data: LabeledDataset, k: int = 5) -> KnnModel:
 
 class GnbModel(_Model):
     kind = "nb"
-    _FIELDS = (("mean", _VECTOR, ("d",)), ("std", _VECTOR, ("d",)),
+    _FIELDS = (("mean", _VECTOR, ("d",)), ("std", _POSITIVE_VECTOR, ("d",)),
                ("classes", _classes, ("c",)), ("class_means", _MATRIX, ("c", "d")),
-               ("class_vars", _MATRIX, ("c", "d")), ("log_priors", _VECTOR, ("c",)))
+               ("class_vars", _POSITIVE_MATRIX, ("c", "d")), ("log_priors", _VECTOR, ("c",)))
 
     def log_posteriors(self, Xs):
         out = np.empty((Xs.shape[0], len(self.classes)))
@@ -529,7 +535,7 @@ def _grow(Xs, codes, depth, max_depth) -> _TreeNode:
 
 class DtModel(_Model):
     kind = "dt"
-    _FIELDS = (("mean", _VECTOR, ("d",)), ("std", _VECTOR, ("d",)),
+    _FIELDS = (("mean", _VECTOR, ("d",)), ("std", _POSITIVE_VECTOR, ("d",)),
                ("tree", _tree_from_dict, None))
 
     @classmethod

@@ -16,34 +16,36 @@ MAX_LINE_BYTES is answered `ERR line too long` and ends the session.  A REG
 for a new client_id while the registry holds MAX_CLIENTS clients is
 answered `ERR registry full`.
 
-`WarnServer` runs every connection on one `selectors` loop in one thread.
-What the server writes to a connection is queued in that connection's
-outbox, and the loop writes it out without blocking.  A connection gets one
-write per event: the event's WARNs are queued on it as one block, one line
-per client it carries.  A peer that stops reading holds up no one else.
-The loop sleeps until a socket is ready, a dispatch has queued lines, or a
-stalled outbox reaches its drain deadline.  A connection's clients are
-dropped from the registry, and must REG again on a new connection, when it
-ends (EOF, a read or write error, an over-long line), when a block would
-take its outbox past MAX_OUTBOX_BYTES, or when its outbox has not drained
-for WRITE_TIMEOUT_S (a peer that stopped reading); the last two close it.
-`dispatch` counts a client as delivered when its WARN was queued on an open
-connection, the same guarantee a completed `sendall` gave: neither says the
-peer has read it.
+`WarnServer` is one `selectors` loop in one thread: it reads the EVENT
+feed and every client.  Detection events do not travel on the client wire:
+the loop reads `EVENT <processor_id> <class> <direction> <t>` lines from
+its feed (stdin for the standalone server), and `cli simulate` calls
+`dispatch` in-process.  The loop stops when the feed ends.
 
-Detection events do not travel on the client wire: `dispatch` is called
-in-process (simulation) or fed EVENT lines on stdin (standalone server).
+A connection gets one write per event: the event's WARNs go to it as one
+block, one line per client it carries.  What the socket does not take at
+once waits in the connection's outbox until it takes more, so a peer that
+stops reading holds up no one else.  The loop sleeps until the feed or a
+socket is ready, or a stalled outbox reaches its drain deadline.  A
+connection's clients are dropped from the registry, and must REG again on
+a new connection, when it ends (EOF, a read or write error, an over-long
+line), when a block would take its outbox past MAX_OUTBOX_BYTES, or when
+its outbox has not drained for WRITE_TIMEOUT_S (a peer that stopped
+reading); the last two close it.  `dispatch` counts a client as delivered
+when its WARN was written or queued on a connection still open after the
+write, the same guarantee a completed `sendall` gave: neither says the
+peer has read it.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import selectors
 import socket
 import sys
-import threading
 import time
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
@@ -171,14 +173,8 @@ class _ClientRecord:
 
 
 class Dispatcher:
-    """Registry plus dispatch.  All registry mutations happen under one lock,
-    so sessions and dispatches on different threads interleave without
-    tearing, and every dispatch sees a consistent snapshot.  `handle_lines`
-    holds the lock for all the lines of one read, so a dispatch on another
-    thread may wait for up to one read's worth of lines (64 KiB, about 2,000
-    REGs, a few ms); the GIL's switch interval (5 ms) already allows a
-    similar wait, and a loop that also ran dispatches would order them the
-    same way.
+    """Registry plus dispatch, for one thread: a `WarnServer` calls it from
+    its loop only, `cli simulate` from its one thread.
 
     Besides `_clients` (client_id -> record) the registry keeps one bucket
     per processor, holding the records whose position lies in its danger
@@ -187,12 +183,8 @@ class Dispatcher:
     the target bucket, so its cost follows the area, not the registry.
     """
 
-    def __init__(self, plan: DeploymentPlan, flush=None):
-        """`flush`, if given, is called after each dispatch's sends: a
-        transport whose `send` only queues lines writes them out then."""
+    def __init__(self, plan: DeploymentPlan):
         self.plan = plan
-        self._flush = flush
-        self._lock = threading.Lock()
         self._clients: dict[str, _ClientRecord] = {}
         self._by_send: dict[object, set] = defaultdict(set)
         areas = {}  # processor_id -> area, the first processor of an id as plan.processor
@@ -244,61 +236,57 @@ class Dispatcher:
         clients, buckets, by_send, areas_at = (self._clients, self._buckets, self._by_send,
                                                self._areas_at)
         replies = []
-        with self._lock:
-            for line in lines:
-                try:
-                    verb, cid, x, y, t = _parse_position(line)
-                except ProtocolError as exc:
-                    replies.append(f"ERR malformed: {exc}")
+        for line in lines:
+            try:
+                verb, cid, x, y, t = _parse_position(line)
+            except ProtocolError as exc:
+                replies.append(f"ERR malformed: {exc}")
+                continue
+            record = clients.get(cid)
+            if record is None:
+                if verb != "REG":
+                    replies.append("ERR unknown-client")
                     continue
-                record = clients.get(cid)
-                if record is None:
-                    if verb != "REG":
-                        replies.append("ERR unknown-client")
-                        continue
-                    if len(clients) >= MAX_CLIENTS:
-                        replies.append("ERR registry full")
-                        continue
-                    record = clients[cid] = _ClientRecord(x, y, t, send)
+                if len(clients) >= MAX_CLIENTS:
+                    replies.append("ERR registry full")
+                    continue
+                record = clients[cid] = _ClientRecord(x, y, t, send)
+                by_send[send].add(cid)
+            elif t < record.t:
+                replies.append("ERR stale")
+                continue
+            else:
+                record.x, record.y, record.t = x, y, t
+                if verb == "REG" and record.send != send:
+                    bound = by_send[record.send]
+                    bound.discard(cid)
+                    if not bound:
+                        del by_send[record.send]
                     by_send[send].add(cid)
-                elif t < record.t:
-                    replies.append("ERR stale")
-                    continue
-                else:
-                    record.x, record.y, record.t = x, y, t
-                    if verb == "REG" and record.send != send:
-                        bound = by_send[record.send]
-                        bound.discard(cid)
-                        if not bound:
-                            del by_send[record.send]
-                        by_send[send].add(cid)
-                        record.send = send
-                areas = areas_at(x, y)
-                if areas != record.areas:
-                    for pid in record.areas:
-                        del buckets[pid][cid]
-                    for pid in areas:
-                        buckets[pid][cid] = record
-                    record.areas = areas
-                replies.append(f"OK {cid}")
+                    record.send = send
+            areas = areas_at(x, y)
+            if areas != record.areas:
+                for pid in record.areas:
+                    del buckets[pid][cid]
+                for pid in areas:
+                    buckets[pid][cid] = record
+                record.areas = areas
+            replies.append(f"OK {cid}")
         return replies
 
     def drop_connection(self, send) -> None:
         """Evict every client whose WARNs go through `send`: its connection
         closed or failed."""
-        with self._lock:
-            for cid in self._by_send.pop(send, ()):
-                for pid in self._clients.pop(cid).areas:
-                    del self._buckets[pid][cid]
+        for cid in self._by_send.pop(send, ()):
+            for pid in self._clients.pop(cid).areas:
+                del self._buckets[pid][cid]
 
     def positions(self) -> dict:
         """Snapshot: client_id -> (x, y, t)."""
-        with self._lock:
-            return {cid: (r.x, r.y, r.t) for cid, r in self._clients.items()}
+        return {cid: (r.x, r.y, r.t) for cid, r in self._clients.items()}
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._clients)
+        return len(self._clients)
 
     # -- events -------------------------------------------------------------
 
@@ -322,11 +310,10 @@ class Dispatcher:
         line = encode(message)
         window = self.plan.freshness_window
         groups = defaultdict(list)  # send -> the client_ids it carries
-        with self._lock:
-            # the bucket holds exactly the clients inside the area
-            for cid, record in self._buckets[processor_id].items():
-                if -window <= event_time - record.t <= window:
-                    groups[record.send].append(cid)
+        # the bucket holds exactly the clients inside the area
+        for cid, record in self._buckets[processor_id].items():
+            if -window <= event_time - record.t <= window:
+                groups[record.send].append(cid)
         delivered = []
         for send, cids in groups.items():
             try:
@@ -335,8 +322,6 @@ class Dispatcher:
                 self.drop_connection(send)
             else:
                 delivered += cids
-        if groups and self._flush is not None:
-            self._flush()
         return set(delivered)
 
 
@@ -371,122 +356,124 @@ def _split_lines(buffered: bytes, eof: bool) -> tuple[list, bytes, bool]:
 
 class _Connection:
     """One client socket: the bytes read but not yet a whole line, and the
-    outbox that `send` fills and the server loop drains.  `lock` and
-    `dirty` are the server's."""
+    outbox of what the socket has not taken yet."""
 
-    __slots__ = ("sock", "lock", "dirty", "inbox", "outbox", "open", "mask", "stalled_since")
+    __slots__ = ("server", "sock", "inbox", "outbox", "open", "mask", "stalled_since")
 
-    def __init__(self, sock, lock, dirty):
-        self.sock, self.lock, self.dirty = sock, lock, dirty
+    def __init__(self, server, sock):
+        self.server, self.sock = server, sock
         self.inbox = b""
         self.outbox = bytearray()
-        self.open = True  # takes lines; False after EOF, an over-long line or an eviction
+        self.open = True  # takes lines; False after EOF, an over-long line or a close
         self.mask = selectors.EVENT_READ
-        self.stalled_since = None  # when a flush first left bytes in the outbox
+        self.stalled_since = None  # when a write first left bytes in the outbox
 
     def send(self, text: str) -> None:
-        """Queue one or more server->client lines, joined by "\n" and without
-        the final "\n"; OSError once the connection takes no more lines, or
-        when they would take its outbox past MAX_OUTBOX_BYTES (the
-        connection is then evicted)."""
+        """Write one or more server->client lines, joined by "\n" and without
+        the final "\n"; what the socket does not take at once waits in the
+        outbox.  OSError once the connection takes no more lines; lines that
+        would take the outbox past MAX_OUTBOX_BYTES, and a write that fails,
+        close the connection and raise OSError too."""
+        if not self.open:
+            raise ConnectionError("connection closed")
         data = (text + "\n").encode("utf-8")
-        with self.lock:
-            if not self.open:
-                raise ConnectionError("connection closed")
-            self.dirty.add(self)
-            if len(self.outbox) + len(data) > MAX_OUTBOX_BYTES:
-                self.open = False  # an empty outbox that takes no lines: the loop closes it
-                self.outbox.clear()
-                raise OSError(f"outbox over {MAX_OUTBOX_BYTES} bytes")
-            self.outbox += data
+        if len(self.outbox) + len(data) > MAX_OUTBOX_BYTES:
+            self.server._close(self)
+            raise OSError(f"outbox over {MAX_OUTBOX_BYTES} bytes")
+        self.outbox += data
+        self.server._flush(self)
+        if not self.open:
+            raise ConnectionError("write failed")
 
 
 class WarnServer:
-    """The TCP service: one `selectors` loop, run by `serve_forever` in one
-    thread, over the listening socket, every client socket and a wake-up
-    socketpair.  `send` only appends to an outbox, from any thread; the
-    loop writes each outbox with non-blocking sends, so all the lines
-    queued between two flushes (an event's WARNs, the replies to one read)
-    leave in one write."""
+    """The TCP service: one `selectors` loop, run by `run` in one thread,
+    over the listening socket, every client socket and the EVENT feed.
+    Replies and WARNs are written as they are made; the loop writes the
+    rest of an outbox when its socket takes more."""
 
-    def __init__(self, address, plan: DeploymentPlan):
-        self.dispatcher = Dispatcher(plan, flush=self._wake_loop)
+    def __init__(self, address, plan: DeploymentPlan, feed, out, err):
+        """`feed` (an object with a `fileno()`) carries EVENT lines; the
+        report on each event goes to the text stream `out` (`dispatched to
+        N client(s)`) or `err` (`event error: ...`)."""
+        self.dispatcher = Dispatcher(plan)
         self.socket = socket.create_server(address, backlog=socket.SOMAXCONN)
         self.socket.setblocking(False)
         self.server_address = self.socket.getsockname()
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._wake_w.setblocking(False)
+        self._feed, self._out, self._err = feed, out, err
+        self._feed_rest = b""  # the feed's unfinished last line
+        self._feed_open = True
         self._selector = selectors.DefaultSelector()
         self._selector.register(self.socket, selectors.EVENT_READ)
-        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        try:
+            self._selector.register(feed, selectors.EVENT_READ)
+            self._feed_polled = True
+        except PermissionError:
+            # epoll refuses a regular file or /dev/null; a read of either
+            # never blocks, so the loop reads it on every turn
+            self._feed_polled = False
         self._connections = set()
         self._accepting = True
-        self._stalled = set()  # connections whose outbox a flush did not empty
-        self._lock = threading.Lock()  # guards outboxes, `open` and `_dirty`
-        self._dirty = set()  # connections with bytes queued since the loop last flushed
-        self._shutdown_request = False
-        self._stopped = threading.Event()
-
-    # -- any thread ---------------------------------------------------------
-
-    def _wake_loop(self) -> None:
-        """Make the loop flush what was queued.  Called once a dispatch has
-        queued all its lines: a wake-up per line would let the loop take
-        turns with the dispatching thread and send the lines one by one."""
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:  # full: a wake-up is pending anyway; closed: the server is gone
-            pass
-
-    def shutdown(self) -> None:
-        """Stop `serve_forever` and wait for it to return."""
-        self._shutdown_request = True
-        self._wake_loop()
-        self._stopped.wait()
+        self._stalled = set()  # connections whose outbox a write did not empty
 
     def server_close(self) -> None:
+        """Close every connection and the listening socket; the feed is the
+        caller's to close."""
         for conn in list(self._connections):
             self._close(conn)
         self._selector.close()
-        for sock in (self.socket, self._wake_r, self._wake_w):
-            sock.close()
+        self.socket.close()
 
-    # -- the loop -----------------------------------------------------------
+    def run(self) -> None:
+        """Serve until the feed ends.  With no stalled outbox, and a feed the
+        selector can watch, the loop waits with no timeout."""
+        while self._feed_open:
+            timeout = None
+            if not self._feed_polled:
+                timeout = 0.0
+            elif self._stalled:
+                first = min(conn.stalled_since for conn in self._stalled)
+                timeout = max(0.0, first + WRITE_TIMEOUT_S - time.monotonic())
+            for key, _ in self._selector.select(timeout):
+                conn = key.data
+                if key.fileobj is self.socket:
+                    self._accept()
+                elif key.fileobj is self._feed:
+                    self._read_feed()
+                elif conn not in self._connections:  # closed by an earlier key of this turn
+                    continue
+                elif conn.mask == selectors.EVENT_WRITE:
+                    self._flush(conn)  # writable again, or failed
+                else:
+                    self._read(conn)
+            if not self._feed_polled:
+                self._read_feed()
+            if self._stalled:
+                now = time.monotonic()
+                for conn in [c for c in self._stalled
+                             if now - c.stalled_since >= WRITE_TIMEOUT_S]:
+                    self._close(conn)
 
-    def serve_forever(self) -> None:
-        """Run the loop until `shutdown`; with no stalled outbox, it waits for
-        its sockets with no timeout."""
-        self._stopped.clear()
-        try:
-            while not self._shutdown_request:
-                timeout = None
-                if self._stalled:
-                    first = min(conn.stalled_since for conn in self._stalled)
-                    timeout = max(0.0, first + WRITE_TIMEOUT_S - time.monotonic())
-                ready = self._selector.select(timeout)
-                for key, mask in ready:
-                    if key.fileobj is self.socket:
-                        self._accept()
-                    elif key.fileobj is self._wake_r:
-                        self._wake_r.recv(4096)
-                    elif mask & selectors.EVENT_READ:
-                        self._read(key.data)
-                    else:
-                        self._flush(key.data)  # writable again
-                with self._lock:
-                    dirty = list(self._dirty)
-                    self._dirty.clear()
-                for conn in dirty:
-                    self._flush(conn)
-                if self._stalled:
-                    now = time.monotonic()
-                    for conn in [c for c in self._stalled
-                                 if now - c.stalled_since >= WRITE_TIMEOUT_S]:
-                        self._close(conn)
-        finally:
-            self._shutdown_request = False
-            self._stopped.set()
+    def _read_feed(self) -> None:
+        """Dispatch the EVENT lines of one read of the feed and report on
+        each; EOF ends the loop.  The reports are flushed once the read's
+        WARNs are written."""
+        data = os.read(self._feed.fileno(), _READ_CHUNK)
+        lines = (self._feed_rest + data).split(b"\n")
+        self._feed_rest = lines.pop() if data else b""
+        self._feed_open = bool(data)
+        for raw in lines:
+            line = raw.decode("utf-8", errors="replace").strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                processor_id, result, event_time = parse_event_line(line)
+                delivered = self.dispatcher.dispatch(result, processor_id, event_time)
+                print(f"dispatched to {len(delivered)} client(s)", file=self._out)
+            except (ProtocolError, KeyError) as exc:
+                print(f"event error: {exc}", file=self._err)
+        self._out.flush()
+        self._err.flush()
 
     def _accept(self) -> None:
         while True:
@@ -502,15 +489,13 @@ class WarnServer:
                     self._accepting = False
                 return
             sock.setblocking(False)
-            # the outbox batches the lines; Nagle could only hold a batch back
+            # a `send` is one write of whole lines; Nagle could only hold it back
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn = _Connection(sock, self._lock, self._dirty)
+            conn = _Connection(self, sock)
             self._selector.register(sock, selectors.EVENT_READ, conn)
             self._connections.add(conn)
 
     def _read(self, conn: _Connection) -> None:
-        if not conn.open:  # evicted by a dispatch: the flush below closes it
-            return
         try:
             data = conn.sock.recv(_READ_CHUNK)
         except BlockingIOError:
@@ -528,30 +513,25 @@ class WarnServer:
             try:
                 conn.send("\n".join(replies))
             except OSError:
-                return  # evicted, closed by the flush
+                return  # closed
         if too_long or not data:
-            with self._lock:
-                conn.open = False
-                self._dirty.add(conn)  # the flush closes it once the outbox is empty
+            conn.open = False
             self.dispatcher.drop_connection(conn.send)
+            self._flush(conn)  # closes it once the outbox is empty
 
     def _flush(self, conn: _Connection) -> None:
         """Write what the socket takes of the outbox; close a connection that
         failed, or that takes no more lines and has nothing left to send."""
-        if conn not in self._connections:  # closed already
-            return
-        failed = False
-        with self._lock:
-            if conn.outbox:
-                try:
-                    del conn.outbox[:conn.sock.send(conn.outbox)]
-                except BlockingIOError:
-                    pass
-                except OSError:
-                    failed = True
-            pending = bool(conn.outbox)
-            done = not (pending or conn.open)
-        if failed or done:
+        if conn.outbox:
+            try:
+                del conn.outbox[:conn.sock.send(conn.outbox)]
+            except BlockingIOError:
+                pass
+            except OSError:
+                self._close(conn)
+                return
+        pending = bool(conn.outbox)
+        if not (pending or conn.open):
             self._close(conn)
             return
         mask = selectors.EVENT_WRITE if pending else selectors.EVENT_READ
@@ -569,9 +549,8 @@ class WarnServer:
         """Evict the connection's clients and close it."""
         if conn not in self._connections:
             return
-        with self._lock:
-            conn.open = False
-            conn.outbox.clear()
+        conn.open = False
+        conn.outbox.clear()
         self._selector.unregister(conn.sock)
         conn.sock.close()
         self._connections.discard(conn)
@@ -583,28 +562,16 @@ class WarnServer:
 
 
 def serve(plan: DeploymentPlan, host: str, port: int) -> None:
-    """Run the TCP service; EVENT lines read from stdin trigger dispatches
-    until stdin closes."""
-    server = WarnServer((host, port), plan)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    """Run the TCP service on this thread until stdin, the EVENT feed,
+    ends."""
+    server = WarnServer((host, port), plan, sys.stdin, sys.stdout, sys.stderr)
     bound = server.server_address
     print(f"warnd listening on {bound[0]}:{bound[1]}", flush=True)
     try:
-        for raw in sys.stdin:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                processor_id, result, event_time = parse_event_line(line)
-                delivered = server.dispatcher.dispatch(result, processor_id, event_time)
-                print(f"dispatched to {len(delivered)} client(s)", flush=True)
-            except (ProtocolError, KeyError) as exc:
-                print(f"event error: {exc}", file=sys.stderr, flush=True)
+        server.run()
     except KeyboardInterrupt:
         pass
     finally:
-        server.shutdown()
         server.server_close()
 
 

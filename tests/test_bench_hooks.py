@@ -3,11 +3,15 @@
 `perfbench/spans.py` replaces package attributes by timing wrappers, so
 deleting or renaming one of them makes every traced benchmark run fail.
 This loads spans.py by path (it only reads it), installs the client and
-the server wrappers, and undoes them.  The benchmark's INI files are read
-the same way, through the loaders its runs call.
+the server wrappers, checks that the code the benchmark runs calls them,
+and undoes them.  The benchmark's INI files are read the same way, through
+the loaders its runs call.
 """
 
 import importlib.util
+import io
+import socket
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +66,40 @@ def test_traced_fits_and_predictions_record_spans():
                  "classifiers.KnnModel.predict_batch"):
         assert names.count(name) == 1, name
     assert tracer.counts["classifiers.mlp.forward_passes"] >= 4  # 1 + one per epoch
+
+
+def test_traced_server_records_the_event_path():
+    # the server's loop must look `parse_event_line` and `dispatch` up where
+    # spans.py wraps them; a local alias would leave the traced warn_fanout
+    # figures of both at 0
+    spans = _load_spans()
+    tracer = spans.Tracer("hooks")
+    feed, server_feed = socket.socketpair()
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        spans.install_server(tracer)
+        server = warnd.WarnServer(("127.0.0.1", 0), deployment.build_plan(100.0), server_feed,
+                                  out, err)
+        loop = threading.Thread(target=server.run, daemon=True)
+        loop.start()
+        try:
+            with socket.create_connection(server.server_address, timeout=10) as client:
+                client.sendall(b"REG a 30.0 1.0 0.0\n")
+                assert client.recv(100) == b"OK a\n"
+                feed.sendall(b"EVENT 1 H approaching 1.000\n")
+                assert client.recv(100) == b"WARN 1 H approaching 1.000\n"
+        finally:
+            feed.close()  # EOF ends the loop
+            loop.join(10)
+        assert not loop.is_alive()
+        server.server_close()
+    finally:
+        tracer.restore()
+        server_feed.close()
+    assert (out.getvalue(), err.getvalue()) == ("dispatched to 1 client(s)\n", "")
+    names = [span[2] for span in tracer.spans]
+    for name in ("warnd.parse_event_line", "warnd.Dispatcher.dispatch"):
+        assert names.count(name) == 1, name
 
 
 def test_benchmark_config_files_load():

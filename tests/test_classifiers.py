@@ -794,9 +794,10 @@ _SPLIT_ON_7 = {"feature": 7, "threshold": 0.5, "left": {"label": "H"}, "right": 
 
 
 class TestModelFileFieldAgreement:
-    """Fields of the right types whose sizes disagree are refused at load,
-    naming the field, before a prediction can index past an array or label
-    every frame with the one class named."""
+    """Fields of the right types whose sizes disagree, and a std or a
+    variance at or below 0, are refused at load, naming the field, before a
+    prediction can index past an array, label every frame with the one class
+    named, or divide by it."""
 
     @pytest.mark.parametrize("kind,edits,message", [
         ("mlp", {"std": [1.0, 1.0, 1.0]},
@@ -819,6 +820,14 @@ class TestModelFileFieldAgreement:
         ("dt", {"tree": _SPLIT_ON_7}, "'tree': a split's feature 7 is not one of 2 columns"),
         ("dt", {"tree": dict(_SPLIT_ON_7, feature=0, right=dict(_SPLIT_ON_7, feature=2))},
          "'tree': a split's feature 2 is not one of 2 columns"),
+        ("mlp", {"std": [1.0, 0.0]}, "'std': must be a list of positive finite numbers"),
+        ("knn", {"std": [0.0, 1.0]}, "'std': must be a list of positive finite numbers"),
+        ("nb", {"std": [1.0, -2.0]}, "'std': must be a list of positive finite numbers"),
+        ("dt", {"std": [-0.0, 1.0]}, "'std': must be a list of positive finite numbers"),
+        ("nb", {"class_vars": [[0.0, 0.0], [-1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]},
+         "'class_vars': must be a list of equal-length lists of positive finite numbers"),
+        ("nb", {"class_vars": [[1.0, 1.0]] * 3 + [[1.0, -1e-300]]},
+         "'class_vars': must be a list of equal-length lists of positive finite numbers"),
     ])
     def test_sizes_that_disagree_name_the_file_and_the_field(self, tmp_path, kind, edits,
                                                               message):

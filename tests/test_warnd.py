@@ -251,6 +251,8 @@ class TestDispatch:
 
 class TestConcurrency:
     def test_interleaved_sessions_match_sequential_oracle(self):
+        # eight sessions whose reads, of one to five lines each, reach the
+        # dispatcher in a random order, as the server's loop applies them
         plan = build_plan(100.0)
         dispatcher = Dispatcher(plan)
         rng = np.random.default_rng(7)
@@ -262,23 +264,15 @@ class TestConcurrency:
                 lines.append(f"POS {cid} {rng.integers(0, 100)}.0 1.0 {t}.0")
             streams[cid] = lines
 
-        errors = []
-
-        def run(cid):
-            sink = []
-            try:
-                for line in streams[cid]:
-                    response = dispatcher.handle_line(line, sink.append)
-                    assert response == f"OK {cid}"
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=run, args=(cid,)) for cid in streams]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
+        pending = {cid: list(lines) for cid, lines in streams.items()}
+        sinks = {cid: [] for cid in streams}
+        while pending:
+            cid = sorted(pending)[rng.integers(len(pending))]
+            size = int(rng.integers(1, 6))
+            batch, pending[cid] = pending[cid][:size], pending[cid][size:]
+            assert dispatcher.handle_lines(batch, sinks[cid].append) == [f"OK {cid}"] * len(batch)
+            if not pending[cid]:
+                del pending[cid]
         positions = dispatcher.positions()
         for cid, lines in streams.items():
             last = lines[-1].split()
@@ -317,37 +311,27 @@ class TestMainArgs:
 
 
 class TestTcpServer:
-    def test_end_to_end_over_sockets(self):
-        plan = build_plan(100.0)
-        server = WarnServer(("127.0.0.1", 0), plan)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            port = server.server_address[1]
+    def test_end_to_end_over_sockets(self, server):
+        port = server.server_address[1]
 
-            def connect(reg_line):
-                sock = socket.create_connection(("127.0.0.1", port), timeout=5)
-                fh = sock.makefile("rwb")
-                fh.write((reg_line + "\n").encode())
-                fh.flush()
-                assert fh.readline().decode().startswith("OK ")
-                return sock, fh
+        def connect(reg_line):
+            sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+            fh = sock.makefile("rwb")
+            fh.write((reg_line + "\n").encode())
+            fh.flush()
+            assert fh.readline().decode().startswith("OK ")
+            return sock, fh
 
-            s1, f1 = connect("REG alice 30.0 1.0 0.0")
-            s2, f2 = connect("REG bob 90.0 1.0 0.0")
-            deadline = time.time() + 5
-            while len(server.dispatcher) < 2 and time.time() < deadline:
-                time.sleep(0.01)
-            result = DetectionResult(climax_index=8, sound_type=SoundClass.LH,
-                                     direction=APPROACHING)
-            delivered = server.dispatcher.dispatch(result, 1, 1.0)
-            assert delivered == {"alice"}
-            assert f1.readline().decode().strip() == "WARN 1 LH approaching 1.000"
-            s1.close()
-            s2.close()
-        finally:
-            server.shutdown()
-            server.server_close()
+        s1, f1 = connect("REG alice 30.0 1.0 0.0")
+        s2, f2 = connect("REG bob 90.0 1.0 0.0")
+        assert server.warned("EVENT 1 LH approaching 1.000") == 1
+        assert f1.readline().decode().strip() == "WARN 1 LH approaching 1.000"
+        assert server.report("EVENT 7 LH approaching 1.000") == (
+            "event error: 'no processor 7 in plan'")
+        assert server.report("EVENT 1 LH") == (
+            "event error: expected: EVENT <processor_id> <class> <direction> <t>")
+        s1.close()
+        s2.close()
 
 
 # -- hostile input --------------------------------------------------------------
@@ -729,64 +713,97 @@ class TestEviction:
 
 
     def test_concurrent_sessions_keep_index_and_connections_consistent(self):
+        # six sessions and a stream of dispatches, interleaved step by step
+        # in a random order on one thread, as the server's loop runs them
         plan = build_plan(100.0, danger_length=40.0)
         dispatcher = Dispatcher(plan)
         warn = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
-        errors = []
-        stop = threading.Event()
 
         def session(k):
             rng = np.random.default_rng(k)
             conn = _Connection()
-            try:
-                for step in range(400):
-                    cid = f"c{rng.integers(0, 12)}"  # ids shared between sessions
-                    verb = "REG" if rng.random() < 0.5 else "POS"
-                    x = rng.integers(-20, 150)
-                    dispatcher.handle_line(f"{verb} {cid} {x}.5 {rng.integers(-1, 9)}.0 {step}.0",
-                                           conn.send)
-                    if rng.random() < 0.1:
-                        dispatcher.drop_connection(conn.send)
-                        conn = _Connection()
-                    conn.broken = rng.random() < 0.05
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
+            for step in range(400):
+                cid = f"c{rng.integers(0, 12)}"  # ids shared between sessions
+                verb = "REG" if rng.random() < 0.5 else "POS"
+                x = rng.integers(-20, 150)
+                dispatcher.handle_line(f"{verb} {cid} {x}.5 {rng.integers(-1, 9)}.0 {step}.0",
+                                       conn.send)
+                if rng.random() < 0.1:
+                    dispatcher.drop_connection(conn.send)
+                    conn = _Connection()
+                conn.broken = rng.random() < 0.05
+                yield
 
         def events():
             i = 0
-            while not stop.is_set():
+            while True:
                 dispatcher.dispatch(warn, i % len(plan.processors), float(i % 400))
                 i += 1
+                yield
 
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            dispatching = threading.Thread(target=events)
-            dispatching.start()
-            threads = [threading.Thread(target=session, args=(k,)) for k in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            stop.set()
-            dispatching.join(timeout=60)
-        finally:
-            sys.setswitchinterval(previous)
-        assert not any(t.is_alive() for t in threads + [dispatching])
-        assert not errors
-        _check_index(dispatcher, plan)
+        runs = [session(k) for k in range(6)] + [events()]
+        order = np.random.default_rng(99)
+        while len(runs) > 1:  # until every session has ended
+            run = runs[order.integers(len(runs))]
+            try:
+                next(run)
+            except StopIteration:
+                runs.remove(run)
+            _check_index(dispatcher, plan)
 
 
 # -- the TCP session --------------------------------------------------------------
 
+class _LiveServer:
+    """A `WarnServer` whose loop runs on its own thread: the test writes
+    EVENT lines into one end of a socketpair, the server's feed, and reads
+    the server's report on each event, `dispatched to N client(s)` or
+    `event error: ...`, from another."""
+
+    def __init__(self, plan):
+        self.feed, server_feed = socket.socketpair()
+        self._reports, server_reports = socket.socketpair()
+        self._reports.settimeout(30)
+        self.reports = self._reports.makefile("r", encoding="utf-8")
+        self._server_stream = server_reports.makefile("w", encoding="utf-8")
+        self._server_ends = (server_feed, server_reports)
+        self.srv = WarnServer(("127.0.0.1", 0), plan, server_feed,
+                              self._server_stream, self._server_stream)
+        self.server_address = self.srv.server_address
+        self.thread = threading.Thread(target=self.srv.run, daemon=True)
+        self.thread.start()
+
+    def report(self, line: str) -> str:
+        """Feed one EVENT line; the server's report on it."""
+        self.feed.sendall(f"{line}\n".encode())
+        return self.reports.readline().removesuffix("\n")
+
+    def warned(self, line: str = "EVENT 1 H approaching 1.000") -> int:
+        """Feed one EVENT line; the N of its `dispatched to N client(s)`."""
+        report = self.report(line)
+        match = re.fullmatch(r"dispatched to (\d+) client\(s\)", report)
+        assert match, report
+        return int(match[1])
+
+    def size(self) -> int:
+        """The registry's size, read from this thread: one `len` of a dict."""
+        return len(self.srv.dispatcher)
+
+    def stop(self) -> None:
+        self.feed.close()  # EOF on the feed ends the loop
+        self.thread.join(10)
+        assert not self.thread.is_alive(), "the loop did not end at the feed's EOF"
+        self.srv.server_close()
+        for stream in (self.reports, self._server_stream, self._reports,
+                       *self._server_ends):
+            stream.close()
+
+
 @pytest.fixture
 def server():
-    srv = WarnServer(("127.0.0.1", 0), build_plan(100.0))
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
+    live = _LiveServer(build_plan(100.0))
+    yield live
+    live.stop()
 
 
 def _connect(srv):
@@ -802,11 +819,11 @@ def _read_lines(sock, count):
     return data
 
 
-def _wait_for_size(dispatcher, size):
-    deadline = time.time() + 5
-    while len(dispatcher) != size and time.time() < deadline:
+def _wait_for_size(server, size):
+    deadline = time.time() + 10
+    while server.size() != size and time.time() < deadline:
         time.sleep(0.01)
-    return len(dispatcher)
+    return server.size()
 
 
 class TestSession:
@@ -814,8 +831,7 @@ class TestSession:
         sock = _connect(server)
         sock.sendall(b"REG a 30.0 1.0 0.0\nREG b 40.0 1.0 0.0\n")
         assert _read_lines(sock, 2) == b"OK a\nOK b\n"
-        result = DetectionResult(climax_index=8, sound_type=SoundClass.LH, direction=APPROACHING)
-        assert server.dispatcher.dispatch(result, 1, 1.0) == {"a", "b"}
+        assert server.warned("EVENT 1 LH approaching 1.000") == 2
         assert _read_lines(sock, 2) == b"WARN 1 LH approaching 1.000\n" * 2
         sock.close()
 
@@ -825,11 +841,10 @@ class TestSession:
         staying.sendall(b"REG here 35.0 1.0 0.0\n")
         assert _read_lines(leaving, 1) == b"OK gone\n"
         assert _read_lines(staying, 1) == b"OK here\n"
-        assert len(server.dispatcher) == 2
+        assert server.size() == 2
         leaving.close()
-        assert _wait_for_size(server.dispatcher, 1) == 1
-        result = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
-        assert server.dispatcher.dispatch(result, 1, 1.0) == {"here"}
+        assert _wait_for_size(server, 1) == 1
+        assert server.warned() == 1
         assert _read_lines(staying, 1) == b"WARN 1 H approaching 1.000\n"
         staying.close()
 
@@ -840,7 +855,7 @@ class TestSession:
         assert _read_lines(sock, 2) == b"OK a\nOK b\n"
         assert sock.recv(100) == b""
         sock.close()
-        assert _wait_for_size(server.dispatcher, 0) == 0
+        assert _wait_for_size(server, 0) == 0
 
     @pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
     def test_line_at_the_cap_accepted(self, server, ending):
@@ -864,7 +879,7 @@ class TestSession:
         assert _read_lines(sock, 1) == b"ERR line too long\n"
         assert sock.recv(100) == b""
         sock.close()
-        assert _wait_for_size(server.dispatcher, 0) == 0
+        assert _wait_for_size(server, 0) == 0
 
     def test_client_that_stops_reading_is_evicted(self, server, monkeypatch):
         monkeypatch.setattr(warnd, "WRITE_TIMEOUT_S", 0.2)
@@ -880,25 +895,15 @@ class TestSession:
             _read_lines(stalled, 200)
             reader.sendall(b"REG r 35.0 1.0 0.0\n")
             assert _read_lines(reader, 1) == b"OK r\n"
-            result = DetectionResult(climax_index=8, sound_type=SoundClass.H,
-                                     direction=APPROACHING)
-            rounds = []
-
-            def dispatch_until_evicted():
-                while True:
-                    delivered = server.dispatcher.dispatch(result, 1, 1.0)
-                    rounds.append(delivered)
-                    if "s0" not in delivered or len(rounds) > 100000:
-                        return
-
-            worker = threading.Thread(target=dispatch_until_evicted, daemon=True)
-            worker.start()
-            worker.join(30)
-            assert not worker.is_alive(), "dispatch blocked on a client that stopped reading"
-            assert rounds[-1] == {"r"}
-            assert all("r" in delivered for delivered in rounds)
-            assert _wait_for_size(server.dispatcher, 1) == 1
-            assert server.dispatcher.dispatch(result, 1, 1.0) == {"r"}
+            # each report comes within the report socket's timeout: no event
+            # waits on the client that stopped reading
+            rounds = [server.warned()]
+            while rounds[-1] == 201 and len(rounds) <= 100000:
+                rounds.append(server.warned())
+            assert rounds[-1] == 1  # r alone
+            assert all(count == 201 for count in rounds[:-1])
+            assert server.size() == 1
+            assert server.warned() == 1
             warn = b"WARN 1 H approaching 1.000\n"
             assert _read_lines(reader, len(rounds) + 1) == warn * (len(rounds) + 1)
         finally:
@@ -916,7 +921,7 @@ def _stalled_connection(srv, clients):
     tag = sock.getsockname()[1]
     sock.sendall(b"".join(b"REG s%d_%d 30.0 1.0 0.0\n" % (tag, i) for i in range(clients)))
     _read_lines(sock, clients)
-    return sock, {f"s{tag}_{i}" for i in range(clients)}
+    return sock
 
 
 def _registered_reader(srv, cid="r"):
@@ -926,56 +931,46 @@ def _registered_reader(srv, cid="r"):
     return sock
 
 
-_WARN_H = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
-
-
 class TestTransport:
     """The selectors loop: outboxes, eviction, and one thread that serves
-    all connections."""
+    the feed and all connections."""
 
     def test_stalled_readers_do_not_hold_dispatch(self, server):
         stalled = [_stalled_connection(server, 200) for _ in range(3)]
-        stalled_ids = set().union(*(ids for _, ids in stalled))
         reader = _registered_reader(server)
         try:
             rounds, slowest = [], 0.0
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline:
                 start = time.monotonic()
-                delivered = server.dispatcher.dispatch(_WARN_H, 1, 1.0)
+                rounds.append(server.warned())
                 slowest = max(slowest, time.monotonic() - start)
-                rounds.append(delivered)
-                if not delivered & stalled_ids:
+                if rounds[-1] != 601:  # the 600 stalled clients and r
                     break
-                time.sleep(0.001)  # the loop flushes between events, as in `serve`
-            assert slowest < 1.0, f"a dispatch blocked for {slowest:.2f} s"
-            assert rounds[-1] == {"r"}, "the stalled clients were never evicted"
-            assert all("r" in delivered for delivered in rounds)
-            assert set(server.dispatcher.positions()) == {"r"}
+            assert slowest < 1.0, f"an event took {slowest:.2f} s"
+            assert rounds[-1] == 1, "the stalled clients were never evicted"  # r alone
+            assert all(count == 601 for count in rounds[:-1])
+            assert server.size() == 1
             warn = b"WARN 1 H approaching 1.000\n"
             assert _read_lines(reader, len(rounds)) == warn * len(rounds)
         finally:
-            for sock, _ in stalled:
+            for sock in stalled:
                 sock.close()
             reader.close()
 
     def test_outbox_over_the_cap_evicts_its_connection(self, server, monkeypatch):
         monkeypatch.setattr(warnd, "MAX_OUTBOX_BYTES", 64 * 1024)
         monkeypatch.setattr(warnd, "WRITE_TIMEOUT_S", 600.0)  # only the cap can evict
-        stalled, stalled_ids = _stalled_connection(server, 200)
+        stalled = _stalled_connection(server, 200)
         reader = _registered_reader(server)
         try:
-            rounds = []
-            while len(rounds) < 20000:
-                delivered = server.dispatcher.dispatch(_WARN_H, 1, 1.0)
-                rounds.append(delivered)
-                if not delivered >= stalled_ids:
-                    break
-                time.sleep(0.001)  # the loop flushes between events, as in `serve`
-            # the dispatch that found the outbox full evicted every client of it, at once
-            assert rounds[-1] == {"r"}
-            assert all(delivered == stalled_ids | {"r"} for delivered in rounds[:-1])
-            assert set(server.dispatcher.positions()) == {"r"}
+            rounds = [server.warned()]
+            while rounds[-1] == 201 and len(rounds) < 20000:
+                rounds.append(server.warned())
+            # the event that found the outbox full evicted every client of it, at once
+            assert rounds[-1] == 1
+            assert all(count == 201 for count in rounds[:-1])
+            assert server.size() == 1
             warn = b"WARN 1 H approaching 1.000\n"
             assert _read_lines(reader, len(rounds)) == warn * len(rounds)
             stalled.settimeout(10)
@@ -987,21 +982,22 @@ class TestTransport:
 
     def test_outbox_that_does_not_drain_is_evicted_without_further_events(
             self, server, monkeypatch):
-        monkeypatch.setattr(warnd, "WRITE_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(warnd, "WRITE_TIMEOUT_S", 2.0)
         monkeypatch.setattr(warnd, "MAX_OUTBOX_BYTES", 256 << 20)  # only the timeout can evict
-        stalled, stalled_ids = _stalled_connection(server, 2000)
+        stalled = _stalled_connection(server, 2000)
         reader = _registered_reader(server)
         try:
-            for _ in range(1000):
-                assert server.dispatcher.dispatch(_WARN_H, 1, 1.0) == stalled_ids | {"r"}
-                # one read, kept: the loop may evict, and empty the set, at any time after it
-                stall_seen = bool(server._stalled)  # the socket took only part of an outbox
-                if stall_seen:
-                    break
-            assert stall_seen
-            # no further dispatch: the loop's own timer evicts the connection
-            assert _wait_for_size(server.dispatcher, 1) == 1
-            assert server.dispatcher.dispatch(_WARN_H, 1, 1.0) == {"r"}
+            # 8 MiB of WARNs, twice Linux's ceiling on a TCP send buffer
+            # (tcp_wmem): the socket cannot take them all, so the outbox
+            # stalls, long before WRITE_TIMEOUT_S has passed
+            block = 2000 * len(b"WARN 1 H approaching 1.000\n")
+            events = (8 << 20) // block + 1
+            assert [server.warned() for _ in range(events)] == [2001] * events
+            # no further event: the loop's own timer evicts the connection
+            assert _wait_for_size(server, 1) == 1
+            assert server.warned() == 1
+            warn = b"WARN 1 H approaching 1.000\n"
+            assert _read_lines(reader, events + 1) == warn * (events + 1)
         finally:
             stalled.close()
             reader.close()
@@ -1017,10 +1013,10 @@ class TestTransport:
             for cid, sock in socks.items():
                 assert _read_lines(sock, 1) == f"OK {cid}\n".encode()
             assert threading.active_count() == threads_before
-            area = server.dispatcher.plan.processor(1).area
+            area = build_plan(100.0).processor(1).area
             expected = {f"c{i}" for i in range(300) if area.contains(i * 0.5, 1.0)}
             assert 40 < len(expected) < 300
-            assert server.dispatcher.dispatch(_WARN_H, 1, 1.0) == expected
+            assert server.warned() == len(expected)
             for cid in sorted(expected):
                 assert _read_lines(socks[cid], 1) == b"WARN 1 H approaching 1.000\n"
             # nothing more on any connection: one WARN per client in the area, none outside
@@ -1033,71 +1029,55 @@ class TestTransport:
 
     def test_concurrent_dispatches_deliver_what_they_report(self, server):
         # each connection, read all along, gets exactly the WARNs that the
-        # dispatches counted as delivered to its clients, however the
-        # dispatching threads and the loop interleave
+        # events counted as delivered, however the feed's reads cut the
+        # events and however the loop's writes and the client's reads
+        # interleave; a bad EVENT line between good ones is reported in turn
         conns = []
         for k in range(4):
             sock = _connect(server)
             sock.sendall(b"".join(b"REG k%d_%d 30.0 1.0 0.0\n" % (k, i) for i in range(50)))
             assert _read_lines(sock, 50).count(b"OK ") == 50
             conns.append(sock)
-        counted = [0] * len(conns)
         received = [b""] * len(conns)
-        lock = threading.Lock()
-        errors = []
         done = threading.Event()
-
-        def dispatching():
-            try:
-                for _ in range(100):
-                    delivered = server.dispatcher.dispatch(_WARN_H, 1, 1.0)
-                    with lock:
-                        for cid in delivered:
-                            counted[int(cid[1:].split("_")[0])] += 1
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
 
         def reading():
             while not done.is_set() or any(select.select(conns, [], [], 0.2)[0]):
                 for sock in select.select(conns, [], [], 0.05)[0]:
                     received[conns.index(sock)] += sock.recv(1 << 20)
 
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+        lines = [("EVENT 9 H approaching 1.000" if i % 10 == 9 else "EVENT 1 H approaching 1.000")
+                 for i in range(440)]
+        feed = "".join(line + "\n" for line in lines).encode()
+        rng = np.random.default_rng(5)
+        cuts = sorted(rng.choice(len(feed), size=60, replace=False))
+        reader = threading.Thread(target=reading)
+        reader.start()
         try:
-            reader = threading.Thread(target=reading)
-            reader.start()
-            threads = [threading.Thread(target=dispatching) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
+            for start, end in zip([0, *cuts], [*cuts, len(feed)]):
+                server.feed.sendall(feed[start:end])
+            reports = [server.reports.readline() for _ in lines]
+        finally:
             done.set()
             reader.join(timeout=60)
-        finally:
-            sys.setswitchinterval(previous)
-        assert not any(t.is_alive() for t in threads + [reader]) and not errors
-        assert counted == [4 * 100 * 50] * len(conns)
-        assert received == [b"WARN 1 H approaching 1.000\n" * count for count in counted]
+        assert not reader.is_alive()
+        assert reports == [("event error: 'no processor 9 in plan'\n" if i % 10 == 9
+                            else "dispatched to 200 client(s)\n") for i in range(440)]
+        events = reports.count("dispatched to 200 client(s)\n")
+        assert received == [b"WARN 1 H approaching 1.000\n" * 50 * events] * len(conns)
         for sock in conns:
             sock.close()
 
-    def test_dispatch_wakes_the_loop(self):
-        srv = WarnServer(("127.0.0.1", 0), build_plan(100.0))
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        try:
-            reader = _registered_reader(srv)
-            start = time.monotonic()
-            assert srv.dispatcher.dispatch(_WARN_H, 1, 1.0) == {"r"}
-            assert _read_lines(reader, 1) == b"WARN 1 H approaching 1.000\n"
-            assert time.monotonic() - start < 2.0  # the loop has no poll: the dispatch woke it
-            reader.close()
-        finally:
-            srv.shutdown()
-            srv.server_close()
-        thread.join(5)
-        assert not thread.is_alive()
+    def test_dispatch_wakes_the_loop(self, server):
+        reader = _registered_reader(server)
+        start = time.monotonic()
+        assert server.warned() == 1
+        assert _read_lines(reader, 1) == b"WARN 1 H approaching 1.000\n"
+        assert time.monotonic() - start < 2.0  # the loop has no poll: the EVENT woke it
+        reader.close()
+        server.feed.close()  # and the feed's EOF ends it
+        server.thread.join(10)
+        assert not server.thread.is_alive()
 
     def test_silent_connection_that_ends_is_closed(self, server):
         sock = _connect(server)
@@ -1172,20 +1152,27 @@ class TestRegistryCap:
         _check_index(dispatcher, dispatcher.plan)
 
 
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _plan_file(tmp_path):
+    plan_path = tmp_path / "plan.ini"
+    plan_path.write_text("[plan]\nroad_length = 100\n")
+    return str(plan_path)
+
+
 class TestStandaloneService:
     """`python -m roadwarn.warnd` as operators run it: clients on TCP,
     EVENT lines on stdin, a `dispatched to N` line per event on stdout."""
 
+    def _argv(self, tmp_path):
+        return [sys.executable, "-m", "roadwarn.warnd", "--plan", _plan_file(tmp_path),
+                "--listen", "127.0.0.1:0"]
+
     def test_pipelined_registrations_and_one_event(self, tmp_path):
-        plan_path = tmp_path / "plan.ini"
-        plan_path.write_text("[plan]\nroad_length = 100\n")
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.Popen(
-            [sys.executable, "-m", "roadwarn.warnd", "--plan", str(plan_path),
-             "--listen", "127.0.0.1:0"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            env=env, bufsize=0)
+            self._argv(tmp_path), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=_SRC), bufsize=0)
 
         def stdout_line():
             ready, _, _ = select.select([proc.stdout], [], [], 10)
@@ -1212,6 +1199,9 @@ class TestStandaloneService:
             warns = _read_lines(sock, expected)
             assert warns == b"WARN 2 H approaching 3.000\n" * expected
             assert stdout_line() == f"dispatched to {expected} client(s)\n"
+            if os.path.isdir(f"/proc/{proc.pid}/task"):
+                # one thread reads the feed and every client
+                assert len(os.listdir(f"/proc/{proc.pid}/task")) == 1
             sock.close()
         finally:
             proc.stdin.close()
@@ -1224,19 +1214,42 @@ class TestStandaloneService:
                 proc.stdout.close()
         assert proc.returncode == 0
 
+    def test_file_and_dev_null_feeds(self, tmp_path):
+        # epoll refuses to watch a regular file or /dev/null: warnd reads
+        # them plainly, reports on each EVENT line and exits at their end
+        events = tmp_path / "events.txt"
+        events.write_text("EVENT 2 H approaching 3.000\n# a comment\n\n"
+                          "EVENT 9 H approaching 3.000\nEVENT 2 LL approaching 3.000\r\n"
+                          "EVENT 2 H")  # the last line unterminated
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        with open(events, "rb") as feed:
+            done = subprocess.run(self._argv(tmp_path), stdin=feed, capture_output=True,
+                                  env=env, timeout=30)
+        assert done.returncode == 0
+        banner, *reports = done.stdout.decode().splitlines()
+        assert banner.startswith("warnd listening on 127.0.0.1:")
+        assert reports == ["dispatched to 0 client(s)"] * 2
+        assert done.stderr.decode().splitlines() == [
+            "event error: 'no processor 9 in plan'",
+            "event error: expected: EVENT <processor_id> <class> <direction> <t>"]
+        with open(os.devnull, "rb") as feed:
+            done = subprocess.run(self._argv(tmp_path), stdin=feed, capture_output=True,
+                                  env=env, timeout=30)
+        assert done.returncode == 0 and done.stderr == b""
+        assert done.stdout.decode().startswith("warnd listening on 127.0.0.1:")
+        assert done.stdout.count(b"\n") == 1
+
     def test_out_of_descriptors_the_loop_waits_for_a_close(self, tmp_path):
         # with its descriptors used up, the server must not spin on the
         # listener (which stays ready) and must accept again after a close
-        plan_path = tmp_path / "plan.ini"
-        plan_path.write_text("[plan]\nroad_length = 100\n")
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_NOFILE, (32, 32)); "
                 "from roadwarn.warnd import main; sys.exit(main(sys.argv[1:]))")
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         proc = subprocess.Popen(
-            [sys.executable, "-c", code, "--plan", str(plan_path), "--listen", "127.0.0.1:0"],
+            [sys.executable, "-c", code, "--plan", _plan_file(tmp_path),
+             "--listen", "127.0.0.1:0"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            env=dict(os.environ, PYTHONPATH=src))
+            env=dict(os.environ, PYTHONPATH=_SRC))
         socks = []
         try:
             port = int(proc.stdout.readline().rsplit(b":", 1)[1])
