@@ -208,28 +208,63 @@ class MlpConfig:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
-# The activations overwrite their argument: the same ufuncs in the same order
-# as 1 / (1 + exp(-clip(z))) and exp(z - max) / sum, without a temporary per
-# operation.
+# The MLP's passes overwrite their arrays in place and give the bytes of the
+# plain formulas, 1 / (1 + exp(-clip(Xs @ w1 + b1, -500, 500))) for the hidden
+# layer and exp(z - max) / sum for the softmax: train_mlp's docstring lists
+# the identities that make the cheaper forms bit-equal.
 
-def _sigmoid_inplace(z):
-    np.clip(z, -500, 500, out=z)
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    np.add(1.0, z, out=z)
-    return np.divide(1.0, z, out=z)
+_BIAS_BLOCK = 256  # rows per row of the view a bias is added over
 
 
-def _softmax_inplace(z):
-    # the row maxima column by column: max is exact in any order, and numpy
-    # reduces along a 4-wide row axis about 20 times slower
-    top = z[:, 0].copy()
-    for j in range(1, z.shape[1]):
-        np.maximum(top, z[:, j], out=top)
-    z -= top[:, np.newaxis]
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+def _add_bias(z, b):
+    """z += b on every row of the C-contiguous z.  Whole blocks of
+    _BIAS_BLOCK rows take it over a view with one block per row: numpy's
+    loop per 32-wide row costs more than the additions.  The rows past the
+    last whole block (all rows of a small batch) take b plainly."""
+    rows, width = z.shape
+    whole = rows - rows % _BIAS_BLOCK
+    if whole:
+        blocked = z[:whole].reshape(whole // _BIAS_BLOCK, _BIAS_BLOCK * width)  # a view
+        blocked += np.tile(b, _BIAS_BLOCK)
+    z[whole:] += b
+
+
+def _sigmoid_of_negated(t):
+    """Overwrite t = -z with sigmoid(z) = 1 / (1 + exp(-clip(z, -500, 500)))."""
+    np.minimum(t, 500.0, out=t)
+    np.exp(t, out=t)
+    np.add(t, 1.0, out=t)
+    return np.divide(1.0, t, out=t)
+
+
+def _softmax_inplace(z, b):
+    """Overwrite the logits z (rows x classes) with softmax(z + b) per row.
+
+    The work runs on a classes x rows copy, where each operation is a few
+    contiguous loops; numpy's loop per 4-wide row of z costs more than its
+    arithmetic."""
+    zt = z.T.copy()
+    zt += b[:, np.newaxis]
+    zt -= zt.max(axis=0)
+    np.exp(zt, out=zt)
+    zt /= zt.sum(axis=0)
+    z[...] = zt.T
     return z
+
+
+class _MlpWork:
+    """What the training passes of one fit share, built from its z-scored
+    rows and their class codes (see train_mlp)."""
+
+    def __init__(self, Xs, codes, hidden_units):
+        n, n_out = Xs.shape[0], len(CLASS_ORDER)
+        self.XT = np.ascontiguousarray(Xs.T)
+        self.targets = np.arange(n) * n_out + codes
+        self.onehot = np.zeros((n, n_out))
+        self.onehot.ravel()[self.targets] = 1.0
+        self.hidden = np.empty((n, hidden_units))
+        self.logits = np.empty((n, n_out))
+        self.delta_hidden = np.empty((n, hidden_units))
 
 
 class MlpModel(_Model):
@@ -239,38 +274,37 @@ class MlpModel(_Model):
     _FIELDS = (("mean", _VECTOR, ("d",)), ("std", _POSITIVE_VECTOR, ("d",)),
                ("w1", _MATRIX, ("d", "h")), ("b1", _VECTOR, ("h",)),
                ("w2", _MATRIX, ("h", len(CLASS_ORDER))), ("b2", _VECTOR, (len(CLASS_ORDER),)))
+    convergence = None  # an MlpConvergence on a model train_mlp returns; not persisted
 
     def _forward(self, Xs, hidden=None, logits=None):
         """(hidden activations, class probabilities) of the rows, written into
-        `hidden` (rows x hidden units) and `logits` (rows x 4) when given."""
-        hidden = np.matmul(Xs, self.w1, out=hidden)
-        hidden += self.b1
-        _sigmoid_inplace(hidden)
+        `hidden` (rows x hidden units) and `logits` (rows x 4) when given.
+        The hidden layer is computed negated, then turned into sigmoids."""
+        hidden = np.matmul(Xs, -self.w1, out=hidden)
+        _add_bias(hidden, -self.b1)
+        _sigmoid_of_negated(hidden)
         logits = np.matmul(hidden, self.w2, out=logits)
-        logits += self.b2
-        return hidden, _softmax_inplace(logits)
+        return hidden, _softmax_inplace(logits, self.b2)
 
-    def loss_and_gradients(self, Xs, codes, work=(None, None, None)):
+    def loss_and_gradients(self, Xs, codes, work=None):
         """Mean cross-entropy and its analytic gradients at the current weights.
 
-        `work` holds the pass's scratch arrays, (rows x hidden units,
-        rows x 4, rows x hidden units), which a fit allocates once for all
-        its passes; by default the pass allocates its own.  The gradients
-        never share memory with them."""
-        n = Xs.shape[0]
-        rows = np.arange(n)
-        hidden, delta_out = self._forward(Xs, work[0], work[1])
-        loss = -np.mean(np.log(delta_out[rows, codes] + 1e-300))
+        `work` is the fit's _MlpWork for these rows and codes; by default
+        the pass builds its own.  The gradients never share memory with it."""
+        if work is None:
+            work = _MlpWork(Xs, codes, self.w1.shape[1])
+        hidden, delta_out = self._forward(Xs, work.hidden, work.logits)
+        loss = -np.mean(np.log(delta_out.take(work.targets) + 1e-300))
         # from here on the buffers of probs and hidden hold the deltas
-        delta_out[rows, codes] -= 1.0
-        delta_out /= n
+        delta_out -= work.onehot
+        delta_out /= Xs.shape[0]
         gw2 = hidden.T @ delta_out
-        gb2 = delta_out.sum(axis=0)
-        delta_hidden = np.matmul(delta_out, self.w2.T, out=work[2])
+        gb2 = np.einsum("ij->j", delta_out)
+        delta_hidden = np.matmul(delta_out, self.w2.T, out=work.delta_hidden)
         delta_hidden *= hidden
         delta_hidden *= np.subtract(1.0, hidden, out=hidden)
-        gw1 = Xs.T @ delta_hidden
-        gb1 = delta_hidden.sum(axis=0)
+        gw1 = work.XT @ delta_hidden
+        gb1 = np.einsum("ij->j", delta_hidden)
         return loss, (gw1, gb1, gw2, gb2)
 
     def loss(self, Xs, codes):
@@ -282,16 +316,49 @@ class MlpModel(_Model):
         return _danger_argmax(probs, CLASS_ORDER)
 
 
+@dataclass(frozen=True)
+class MlpConvergence:
+    """How a fit ended: the training loss at the returned weights, the
+    number of rate halvings and the rate of the last step."""
+    loss: float
+    halvings: int
+    rate: float
+
+
 def train_mlp(data: LabeledDataset, config: MlpConfig = MlpConfig()) -> MlpModel:
     """Full-batch gradient descent with a halving step control.
 
     Weights and biases start from a seeded uniform(-0.5, 0.5) draw.  Each
     epoch takes one descent step; if the step would increase the loss the
-    rate is halved (persistently) until the step no longer hurts, so the
-    training loss is non-increasing by construction.  Each candidate step is
-    evaluated once, loss and gradients together, and an accepted candidate
-    keeps both, so a fit costs 1 + epochs + halvings forward passes, all
-    writing into one set of work arrays.
+    rate is halved (persistently) until the step no longer hurts.  Once the
+    rate is at or below 1e-12 the step is taken even if the loss rises, so
+    the training loss is non-increasing only while the rate stays above
+    that floor.  Each candidate step is evaluated once, loss and gradients
+    together, and an accepted candidate keeps both, so a fit costs
+    1 + epochs + halvings forward passes.  The returned model's
+    `convergence` holds the final loss, the halvings and the final rate.
+
+    The passes share one _MlpWork, built once per fit: the z-scored rows
+    transposed into contiguous memory, each row's flat index at its true
+    class into the rows x 4 probabilities, the one-hot matrix of the
+    classes, and the arrays each pass overwrites (the hidden layer, the
+    logits and the hidden delta).  A pass sweeps those arrays fewer times
+    than the plain formulas would, and these identities keep every weight
+    bit for bit what the plain formulas give:
+    - Xs @ (-w1) + (-b1) is -(Xs @ w1 + b1): negation is exact and rounding
+      symmetric, so no sweep negates the hidden layer.
+    - Of the clip only the bound at 500 is kept: 1 + exp(t) is 1.0 for
+      every t <= -500.
+    - A bias added over a view of 256 rows per row adds the same numbers.
+    - The softmax's row maxima are exact in any order, and adding the
+      rows of its classes x rows copy gives ((e0 + e1) + e2) + e3, the
+      order of sum(axis=1) over 4 columns.
+    - take() at the flat indices gathers what probs[rows, codes] does, and
+      subtracting the one-hot matrix subtracts 1.0 or 0.0 exactly.
+    - einsum('ij->j') adds each column's rows in the order sum(axis=0)
+      does (numpy 2.4), without its loop per row.
+    - The contiguous transpose times the hidden delta is the product
+      Xs.T @ delta at the same OpenBLAS thread count.
     """
     if len(set(data.y)) < 2:
         raise ValueError("training data must contain at least 2 classes")
@@ -304,9 +371,8 @@ def train_mlp(data: LabeledDataset, config: MlpConfig = MlpConfig()) -> MlpModel
                      rng.uniform(-0.5, 0.5, hidden),
                      rng.uniform(-0.5, 0.5, (hidden, n_out)),
                      rng.uniform(-0.5, 0.5, n_out))
-    rate = config.learning_rate
-    n = Xs.shape[0]
-    work = (np.empty((n, hidden)), np.empty((n, n_out)), np.empty((n, hidden)))
+    rate, halvings = config.learning_rate, 0
+    work = _MlpWork(Xs, codes, hidden)
     loss, grads = model.loss_and_gradients(Xs, codes, work)
     for _ in range(config.epochs):
         while True:
@@ -317,7 +383,9 @@ def train_mlp(data: LabeledDataset, config: MlpConfig = MlpConfig()) -> MlpModel
             if candidate_loss <= loss or rate <= 1e-12:
                 break
             rate *= 0.5
+            halvings += 1
         model, loss, grads = candidate, candidate_loss, candidate_grads
+    model.convergence = MlpConvergence(float(loss), halvings, rate)
     return model
 
 

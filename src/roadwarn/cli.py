@@ -177,8 +177,11 @@ def cmd_train(args) -> int:
     })
     training_acc = classifiers.compute_metrics(
         data.y, model.predict_batch(data.X[:, cols])).overall_accuracy
+    c = getattr(model, "convergence", None)  # how an MLP fit ended
+    converged = (f", final loss {c.loss:.6g}, {c.halvings} rate halvings, final rate {c.rate:g}"
+                 if c else "")
     print(f"saved {args.model} model to {args.model_out} "
-          f"(training accuracy {training_acc:.2f}%)")
+          f"(training accuracy {training_acc:.2f}%{converged})")
     return 0
 
 

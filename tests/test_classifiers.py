@@ -29,6 +29,15 @@ def blobs(seed=0, spread=0.3, per_class=50, dim=2):
     return LabeledDataset(X, y)
 
 
+def mlp_reference_forward(Xs, w1, b1, w2, b2):
+    """(hidden activations, class probabilities) of z-scored rows by the
+    plain formulas, kept as the oracle for the in-place forward pass."""
+    hidden = 1.0 / (1.0 + np.exp(-np.clip(Xs @ w1 + b1, -500, 500)))
+    z = hidden @ w2 + b2
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return hidden, e / e.sum(axis=1, keepdims=True)
+
+
 def mlp_reference_fit(data, config):
     """train_mlp before a step kept its own loss and gradients: two forward
     passes per epoch and activations that allocate.  Kept as the oracle for
@@ -38,18 +47,12 @@ def mlp_reference_fit(data, config):
     codes = C._codes(data.y)
     n = Xs.shape[0]
 
-    def forward(w1, b1, w2, b2):
-        hidden = 1.0 / (1.0 + np.exp(-np.clip(Xs @ w1 + b1, -500, 500)))
-        z = hidden @ w2 + b2
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        return hidden, e / e.sum(axis=1, keepdims=True)
-
     def loss(params):
-        _, probs = forward(*params)
+        _, probs = mlp_reference_forward(Xs, *params)
         return -np.mean(np.log(probs[np.arange(n), codes] + 1e-300))
 
     def loss_and_gradients(params):
-        hidden, probs = forward(*params)
+        hidden, probs = mlp_reference_forward(Xs, *params)
         value = -np.mean(np.log(probs[np.arange(n), codes] + 1e-300))
         delta_out = probs.copy()
         delta_out[np.arange(n), codes] -= 1.0
@@ -262,13 +265,17 @@ class TestMlp:
             train_mlp(LabeledDataset(X, [SoundClass.H] * 10))
 
 
-    @pytest.mark.parametrize("config", [
-        MlpConfig(epochs=30, seed=3),
-        MlpConfig(hidden_units=5, learning_rate=0.5, epochs=30, seed=1),
-        MlpConfig(learning_rate=50.0, epochs=30, seed=2),  # forces rate halvings
+    @pytest.mark.parametrize("config, per_class, dim", [
+        (MlpConfig(epochs=30, seed=3), 30, 3),
+        (MlpConfig(hidden_units=5, learning_rate=0.5, epochs=30, seed=1), 30, 3),
+        (MlpConfig(learning_rate=50.0, epochs=30, seed=2), 30, 3),  # forces rate halvings
+        # 4,000 rows x 31 columns, the corpus's width: sizes at which OpenBLAS
+        # splits the matrix products across its threads
+        (MlpConfig(epochs=20, seed=0), 1000, 31),
+        (MlpConfig(learning_rate=50.0, epochs=20, seed=0), 1000, 31),
     ])
-    def test_weights_equal_reference_loop(self, config, monkeypatch):
-        data = blobs(seed=8, spread=1.5, per_class=30, dim=3)
+    def test_weights_equal_reference_loop(self, config, per_class, dim, monkeypatch):
+        data = blobs(seed=8, spread=1.5, per_class=per_class, dim=dim)
         ref, halvings = mlp_reference_fit(data, config)
         if config.learning_rate == 50.0:
             assert halvings > 0
@@ -284,6 +291,36 @@ class TestMlp:
         for got, want in zip((model.w1, model.b1, model.w2, model.b2), ref):
             assert np.array_equal(got, want)
         assert len(calls) == 1 + config.epochs + halvings
+        assert model.convergence.halvings == halvings
+        assert model.convergence.rate == config.learning_rate * 0.5 ** halvings
+
+    def test_pass_without_workspace_equals_the_fits(self, monkeypatch):
+        # a pass that builds its own workspace gives the bytes of the fit's;
+        # predict batches of 1 and 40 rows add the hidden bias plainly, one of
+        # 7,000 rows over whole 256-row blocks and then its last 88 rows
+        data = blobs(seed=8, spread=1.5, per_class=1000, dim=31)
+        passes = []
+        inner = C.MlpModel.loss_and_gradients
+
+        def kept(model, Xs, codes, *work):
+            passes.append((Xs, codes, *work))
+            return inner(model, Xs, codes, *work)
+
+        monkeypatch.setattr(C.MlpModel, "loss_and_gradients", kept)
+        model = train_mlp(data, MlpConfig(epochs=3, seed=0))
+        monkeypatch.undo()
+        Xs, codes, work = passes[-1]
+        loss, grads = model.loss_and_gradients(Xs, codes, work)
+        alone_loss, alone_grads = model.loss_and_gradients(Xs, codes)
+        assert loss == alone_loss == model.convergence.loss
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in alone_grads]
+        queries = np.random.default_rng(8).uniform(-4, 10, (7000, 31))
+        for rows in (1, 40, 7000):
+            Q = queries[:rows]
+            Qs = (Q - model.mean) / model.std
+            _, probs = mlp_reference_forward(Qs, model.w1, model.b1, model.w2, model.b2)
+            assert model._forward(Qs)[1].tobytes() == probs.tobytes()
+            assert model.predict_batch(Q) == [argmax_danger_reference(p) for p in probs]
 
 class TestKnn:
     def test_query_on_training_point(self):

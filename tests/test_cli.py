@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from roadwarn import audio_io, features, synth
-from roadwarn.classifiers import load_model_meta
+from roadwarn.classifiers import _codes, load_model, load_model_meta
 from roadwarn.cli import RunConfig, main, run_simulation
 from roadwarn.deployment import build_plan, load_plan_config
 from roadwarn.features import LpcConfig, MfccConfig
@@ -105,6 +105,27 @@ class TestTrainEval:
         assert main(["train", str(features_csv), str(tmp_path / "mlp.json")]) == 0
         accuracy = re.search(r"training accuracy ([0-9.]+)%", capsys.readouterr().out)
         assert float(accuracy.group(1)) >= 95.0
+
+    def test_mlp_train_says_how_training_converged(self, features_csv, tmp_path, capsys):
+        # a learning rate of 50 overshoots, so the fit halves it; the final
+        # loss, the halvings and the final rate are printed, not saved
+        config = tmp_path / "run.ini"
+        config.write_text("[mlp]\nlearning_rate = 50\nepochs = 10\n")
+        model_path = tmp_path / "mlp.json"
+        assert main(["train", str(features_csv), str(model_path), "--config", str(config)]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        said = re.search(r"\(training accuracy [0-9.]+%, final loss ([0-9.e+-]+), "
+                         r"(\d+) rate halvings, final rate ([0-9.e+-]+)\)$", line)
+        loss, halvings, rate = float(said.group(1)), int(said.group(2)), float(said.group(3))
+        assert halvings > 0
+        assert rate == pytest.approx(50 * 0.5 ** halvings, rel=1e-5)
+        model = load_model(model_path)
+        matrix, labels, _ = features.load_dataset_csv(features_csv)
+        at_saved_weights, _ = model.loss_and_gradients((matrix - model.mean) / model.std,
+                                                       _codes(labels))
+        assert loss == pytest.approx(at_saved_weights, rel=1e-5)
+        assert set(json.loads(model_path.read_text())) == {
+            "format", "version", "kind", "mean", "std", "w1", "b1", "w2", "b2", "meta"}
 
     def test_train_refuses_csv_of_other_feature_settings(self, tmp_path, capsys):
         # 28 columns from [features] n_coeffs = 10; without that config, train
