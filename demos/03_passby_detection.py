@@ -12,7 +12,6 @@ import numpy as np
 from roadwarn import audio_io, features, synth
 from roadwarn.classifiers import LabeledDataset, train_dt
 from roadwarn.cli import detect_buffer
-from roadwarn.decision import doppler_observed, DopplerParams
 from roadwarn.deployment import warning_decision
 from roadwarn.labels import SoundClass
 
@@ -35,9 +34,7 @@ buffer, truth = synth.synth_passby(profile, scenario)
 result, track = detect_buffer(buffer, model)
 print(f"\nheavy pass at {scenario.speed_kmh:.0f} km/h, "
       f"closest approach t = {truth.t_closest:.2f} s")
-print("  expected received fundamental on approach:",
-      round(doppler_observed(DopplerParams(profile.fundamental,
-                                           scenario.speed_kmh / 3.6), "approaching"), 2), "Hz")
+print("  received fundamental in the first frame:", round(truth.received_hz[0], 2), "Hz")
 print("  detection line:", result.to_line())
 print("  climax at t =", round(result.climax_index * 0.1, 1), "s")
 print("  warn?", "YES" if warning_decision(result) else "no")

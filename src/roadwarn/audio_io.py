@@ -70,7 +70,8 @@ def load_wav(path) -> SampleBuffer:
     """Read a WAV file as a mono buffer with samples in [-1, 1].
 
     Accepts 16-bit PCM and 32-bit float, 1 or 2 channels (stereo is averaged
-    to mono).  Raises FileNotFoundError, WavFormatError or UnsupportedWavError.
+    to mono).  Raises FileNotFoundError, WavFormatError (also for a partial
+    sample frame, a sample rate of 0 or a non-finite float) or UnsupportedWavError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -80,16 +81,22 @@ def load_wav(path) -> SampleBuffer:
     audio_format, n_channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
     if n_channels not in (1, 2):
         raise UnsupportedWavError(f"{n_channels} channels not supported")
-    if audio_format == 1 and bits == 16:
-        raw = np.frombuffer(body, dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
-    elif audio_format == 3 and bits == 32:
-        raw = np.frombuffer(body, dtype="<f4")
-        samples = np.clip(raw.astype(np.float64), -1.0, 1.0)
-    else:
+    if (audio_format, bits) not in ((1, 16), (3, 32)):
         raise UnsupportedWavError(f"codec (format={audio_format}, bits={bits}) not supported")
+    if len(body) % (n_channels * bits // 8):
+        raise WavFormatError(f"data chunk of {len(body)} bytes is not a whole number "
+                             f"of {n_channels}-channel {bits}-bit sample frames")
+    if sample_rate == 0:
+        raise WavFormatError("sample rate is 0")
+    if audio_format == 1:
+        samples = np.frombuffer(body, dtype="<i2").astype(np.float64) / 32768.0
+    else:
+        raw = np.frombuffer(body, dtype="<f4")
+        if not np.isfinite(raw).all():
+            raise WavFormatError("non-finite float sample")
+        samples = np.clip(raw.astype(np.float64), -1.0, 1.0)
     if n_channels == 2:
-        samples = samples[:2 * (len(samples) // 2)].reshape(-1, 2).mean(axis=1)
+        samples = samples.reshape(-1, 2).mean(axis=1)
     return SampleBuffer(samples=samples, sample_rate=sample_rate)
 
 

@@ -496,7 +496,10 @@ class GnbModel(_Model):
         return _danger_argmax(self.log_posteriors(Xs), self.classes, tolerance=1e-9)
 
 
-def train_gnb(data: LabeledDataset, var_floor: float = 1e-9) -> GnbModel:
+_VAR_FLOOR = 1e-9  # lower bound of a fitted class variance
+
+
+def train_gnb(data: LabeledDataset) -> GnbModel:
     """Per-class per-dimension Gaussians (MLE variance, floored) + count priors."""
     mean, std, Xs = _fit_standardizer(data.X)
     present = [c for c in CLASS_ORDER if c in set(data.y)]
@@ -506,7 +509,7 @@ def train_gnb(data: LabeledDataset, var_floor: float = 1e-9) -> GnbModel:
         if rows.shape[0] < 2:
             raise ValueError(f"class {c.value} needs >= 2 samples for a variance")
         means.append(rows.mean(axis=0))
-        variances.append(np.maximum(rows.var(axis=0), var_floor))
+        variances.append(np.maximum(rows.var(axis=0), _VAR_FLOOR))
         priors.append(np.log(rows.shape[0] / Xs.shape[0]))
     return GnbModel(mean, std, present, np.array(means), np.array(variances), np.array(priors))
 
@@ -619,10 +622,6 @@ class DtModel(_Model):
                                 f"a split's feature {node.feature} is not one of {width} columns")
                 pending += [node.left, node.right]
         return mismatch
-
-    @property
-    def root(self) -> _TreeNode:
-        return self.tree
 
     def _predict(self, Xs) -> list:
         """Send arrays of row indices down the tree: at each split the rows

@@ -58,9 +58,8 @@ class RunConfig:
                                   for name in classifiers.CLASSIFIER_NAMES}
 
     def echo(self) -> None:
-        for key, value in asdict(self.mfcc).items():
+        for key, value in features.settings_of(self.mfcc, self.lpc).items():
             print(f"# features.{key} = {value}")
-        print(f"# features.lpc_order = {self.lpc.order}")
         for name, kwargs in self.classifier_kwargs.items():
             for key, value in kwargs.items():
                 print(f"# {name}.{key} = {value}")
@@ -131,20 +130,20 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _extraction_configs(path, config: RunConfig) -> tuple[MfccConfig, LpcConfig]:
+def _extraction_configs(path, settings: dict) -> tuple[MfccConfig, LpcConfig]:
     """The [features] settings a feature CSV was extracted with, as configs.
 
     A setting the CSV's record names is taken from there.  One it does not
     name is at its default, except n_coeffs and lpc_order: the header shows
-    those, so they come from `config` and the columns must match them.  A
-    key that `config`'s [features] sets to another value is an error."""
+    those, so they come from `settings` and the columns must match them.  A
+    key that `settings` (a run config's or a model's) gives another value is an error."""
     recorded = features.load_dataset_settings(path)
     extracted = {**features.settings_of(), **recorded}
-    for key, value in config.features.items():
+    for key, value in settings.items():
         if (key in recorded or key not in ("n_coeffs", "lpc_order")) and value != extracted[key]:
             raise ValueError(f"{path}: [features] {key} = {value} differs from the "
                              f"{extracted[key]} the CSV was extracted with")
-    return features.configs_of({**config.features, **recorded})
+    return features.configs_of({**settings, **recorded})
 
 
 def _load_labeled(path, configs: tuple | None = None):
@@ -164,7 +163,7 @@ def cmd_train(args) -> int:
     config = RunConfig(args.config)
     if args.config:
         config.echo()
-    mfcc_cfg, lpc_cfg = _extraction_configs(args.features_csv, config)
+    mfcc_cfg, lpc_cfg = _extraction_configs(args.features_csv, config.features)
     data = _load_labeled(args.features_csv, (mfcc_cfg, lpc_cfg))
     cols = FEATURE_SETS[args.feature_set]
     kwargs = config.classifier_kwargs[args.model]
@@ -189,7 +188,14 @@ def cmd_eval(args) -> int:
     config = RunConfig(args.config)
     if args.config:
         config.echo()
-    data = _load_labeled(args.features_csv)
+    if args.model_file:
+        feature_set, settings = _model_settings(args.model_file)
+    else:
+        settings = config.features
+    # with no [features] settings to check against, any CSV is taken (--compare
+    # runs on CSVs of other dimensions)
+    configs = _extraction_configs(args.features_csv, settings) if settings else None
+    data = _load_labeled(args.features_csv, configs)
     if args.compare:
         grid = classifiers.compare_feature_sets(
             data, seed=args.seed, folds=args.folds,
@@ -198,7 +204,7 @@ def cmd_eval(args) -> int:
         return 0
     if args.model_file:
         model = classifiers.load_model(args.model_file)
-        cols = FEATURE_SETS[_model_settings(args.model_file)[0]]
+        cols = FEATURE_SETS[feature_set]
         metrics = classifiers.compute_metrics(data.y, model.predict_batch(data.X[:, cols]))
     else:
         cols = FEATURE_SETS[args.feature_set]
@@ -222,21 +228,23 @@ def detect_buffer(buffer: audio_io.SampleBuffer, model, feature_set: str = "all"
     return decision.finalize_detection(track, climax), track
 
 
-def _model_settings(path) -> tuple[str, MfccConfig, LpcConfig]:
-    """The feature subset and extraction configs a model file records."""
+def _model_settings(path) -> tuple[str, dict]:
+    """The feature subset a model file records, and its [features] settings:
+    all of them, or none (the defaults) if it records no extraction configs."""
     meta = classifiers.load_model_meta(path)
     try:
         mfcc_cfg, lpc_cfg = MfccConfig(**meta.get("mfcc", {})), LpcConfig(**meta.get("lpc", {}))
     except (TypeError, ValueError) as exc:  # an unknown key, or a value of the wrong type
         raise ValueError(f"{path}: meta mfcc/lpc: {exc}") from None
-    return meta.get("feature_set", "all"), mfcc_cfg, lpc_cfg
+    settings = features.settings_of(mfcc_cfg, lpc_cfg) if "mfcc" in meta or "lpc" in meta else {}
+    return meta.get("feature_set", "all"), settings
 
 
 def cmd_detect(args) -> int:
     model = classifiers.load_model(args.model_file)
-    settings = _model_settings(args.model_file)
+    feature_set, settings = _model_settings(args.model_file)
     buffer = audio_io.load_wav(args.wav)
-    result, _ = detect_buffer(buffer, model, *settings)
+    result, _ = detect_buffer(buffer, model, feature_set, *features.configs_of(settings))
     print(result.to_line())
     if warning_decision(result):
         message = warnd.WarningMessage(processor_id=0, sound_class=result.sound_type,
@@ -295,7 +303,7 @@ def run_simulation(plan, script_lines) -> list[str]:
                 raise ValueError(f"script line {lineno}: {response}")
         elif parts[0] == "VEHICLE" and len(parts) == 5:
             sound_class, speed, start_x, t = _vehicle_fields(lineno, parts[1:])
-            nearest = min(plan.processors, key=lambda p: abs(p.x - start_x))
+            nearest = min(plan.processors, key=lambda p: abs(p.area.x0 - start_x))
             target_id = nearest.processor_id + plan.warning_offset_areas
             try:
                 plan.processor(target_id)

@@ -29,28 +29,6 @@ class TrackTooShortError(ValueError):
 
 
 @dataclass(frozen=True)
-class DopplerParams:
-    f0: float          # source frequency, Hz
-    v: float           # source speed, m/s
-    c: float = 343.0   # speed of sound, m/s
-
-    def __post_init__(self):
-        if self.f0 <= 0:
-            raise ValueError("f0 must be positive")
-        if not (0 <= self.v < self.c):
-            raise ValueError("need 0 <= v < c")
-
-
-def doppler_observed(params: DopplerParams, phase: str) -> float:
-    """Received frequency of a source moving straight at/away from the receiver."""
-    if phase == APPROACHING:
-        return params.f0 * params.c / (params.c - params.v)
-    if phase == RECEDING:
-        return params.f0 * params.c / (params.c + params.v)
-    raise ValueError(f"phase must be approaching or receding, got {phase!r}")
-
-
-@dataclass(frozen=True)
 class FrameTrack:
     dominant_freq: np.ndarray  # Hz per frame, median-smoothed
     rms_energy: np.ndarray

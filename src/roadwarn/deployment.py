@@ -25,7 +25,6 @@ _PLAN_KEYS = ("processor_spacing", "danger_length", "road_width",
 class DangerArea:
     """Axis-aligned rectangle [x0, x0+length] x [0, width], boundary included."""
 
-    processor_id: int
     x0: float
     length: float
     width: float
@@ -37,7 +36,6 @@ class DangerArea:
 @dataclass(frozen=True)
 class Processor:
     processor_id: int
-    x: float
     area: DangerArea
 
 
@@ -87,8 +85,8 @@ def build_plan(road_length: float, **overrides) -> DeploymentPlan:
             f"road of {road_length} m is shorter than one {base.processor_spacing} m spacing")
     count = int(road_length / base.processor_spacing) + 1
     processors = tuple(
-        Processor(processor_id=i, x=i * base.processor_spacing,
-                  area=DangerArea(processor_id=i, x0=i * base.processor_spacing,
+        Processor(processor_id=i,
+                  area=DangerArea(x0=i * base.processor_spacing,
                                   length=base.danger_length, width=base.road_width))
         for i in range(count))
     return DeploymentPlan(**{**overrides, "processors": processors})

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import DEFAULT_FRAME_SECONDS, SampleBuffer, write_wav
-from .decision import band_peak_hz
-from .features import fft_magnitude
 from .labels import SoundClass
 
 SPEED_OF_SOUND = 343.0
@@ -78,10 +76,7 @@ class PassbyTruth:
     """What the renderer knows exactly about its own clip."""
 
     t_closest: float           # receive time of the closest-approach wavefront
-    frame_times: np.ndarray    # centers of 0.1 s frames
-    received_hz: np.ndarray    # true received fundamental at each frame center
-    speed_kmh: float
-    sound_class: SoundClass
+    received_hz: np.ndarray    # true received fundamental at frame centres 0.05 + 0.1 i s
 
 
 def _emission_times(t: np.ndarray, t_c: float, v: float, r0: float, c: float) -> np.ndarray:
@@ -160,9 +155,7 @@ def synth_passby(profile: VehicleProfile, scenario: PassbyScenario,
     tau_f = _emission_times(frame_times, t_c, v, r0, c)
     d_rate = v * v * (tau_f - t_c) / np.sqrt(v * v * (tau_f - t_c) ** 2 + r0 * r0)
     received = profile.fundamental * c / (c + d_rate)
-    truth = PassbyTruth(t_closest=t_c + r0 / c, frame_times=frame_times,
-                        received_hz=received, speed_kmh=scenario.speed_kmh,
-                        sound_class=profile.sound_class)
+    truth = PassbyTruth(t_closest=t_c + r0 / c, received_hz=received)
     return SampleBuffer(samples=np.clip(rendered, -1.0, 1.0), sample_rate=sample_rate), truth
 
 
@@ -212,6 +205,7 @@ def synth_nv(kind: str, duration: float, seed: int,
 
 CORPUS_COUNTS = {SoundClass.LH: 70, SoundClass.LL: 50, SoundClass.H: 44, SoundClass.NV: 46}
 NV_KINDS = ("birds", "airplane", "crowd")
+CLIP_SECONDS = 4.0  # length of every corpus clip
 
 
 @dataclass(frozen=True)
@@ -262,8 +256,8 @@ def _draw_speed(sound_class: SoundClass, rng) -> float:
     raise ValueError("NV has no speed")
 
 
-def corpus_clip_params(sound_class: SoundClass, clip_seed: int,
-                       duration: float = 4.0) -> tuple[VehicleProfile, PassbyScenario]:
+def corpus_clip_params(sound_class: SoundClass,
+                       clip_seed: int) -> tuple[VehicleProfile, PassbyScenario]:
     """Deterministic profile + scenario for one vehicle clip of the corpus."""
     rng = np.random.default_rng(clip_seed)
     speed = _draw_speed(sound_class, rng)
@@ -272,22 +266,20 @@ def corpus_clip_params(sound_class: SoundClass, clip_seed: int,
         speed_kmh=speed,
         closest_distance=rng.uniform(2.5, 6.0),
         approach_from="front",
-        duration=duration,
+        duration=CLIP_SECONDS,
         seed=clip_seed,
-        closest_time=duration / 2.0 + rng.uniform(-0.25, 0.25),
+        closest_time=CLIP_SECONDS / 2.0 + rng.uniform(-0.25, 0.25),
     )
     return profile, scenario
 
 
-def render_corpus_clip(sound_class: SoundClass, index: int, clip_seed: int,
-                       duration: float = 4.0,
-                       sample_rate: int = DEFAULT_SAMPLE_RATE):
+def render_corpus_clip(sound_class: SoundClass, index: int, clip_seed: int):
     """(buffer, speed, t_closest) for one corpus clip; NV fields are None."""
     if sound_class == SoundClass.NV:
         kind = NV_KINDS[index % len(NV_KINDS)]
-        return synth_nv(kind, duration, clip_seed, sample_rate), None, None
-    profile, scenario = corpus_clip_params(sound_class, clip_seed, duration)
-    buffer, truth = synth_passby(profile, scenario, sample_rate)
+        return synth_nv(kind, CLIP_SECONDS, clip_seed), None, None
+    profile, scenario = corpus_clip_params(sound_class, clip_seed)
+    buffer, truth = synth_passby(profile, scenario)
     return buffer, scenario.speed_kmh, truth.t_closest
 
 
@@ -302,8 +294,7 @@ def corpus_plan(seed: int) -> list[tuple[SoundClass, int, int]]:
     return plan
 
 
-def generate_corpus(out_dir, seed: int = 0,
-                    sample_rate: int = DEFAULT_SAMPLE_RATE) -> list[ManifestEntry]:
+def generate_corpus(out_dir, seed: int = 0) -> list[ManifestEntry]:
     """Write the 210-clip corpus (70 LH / 50 LL / 44 H / 46 NV) plus manifest.csv.
 
     Fully deterministic for a given seed; the manifest is written last, in
@@ -314,8 +305,7 @@ def generate_corpus(out_dir, seed: int = 0,
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for n, (sound_class, i, clip_seed) in enumerate(corpus_plan(seed)):
-        buffer, speed, t_closest = render_corpus_clip(sound_class, i, clip_seed,
-                                                      sample_rate=sample_rate)
+        buffer, speed, t_closest = render_corpus_clip(sound_class, i, clip_seed)
         name = f"clip_{n:03d}_{sound_class.value}.wav"
         write_wav(os.path.join(out_dir, name), buffer)
         entries.append(ManifestEntry(file=name, sound_class=sound_class,
@@ -348,18 +338,3 @@ def load_manifest(path) -> list[ManifestEntry]:
             t_closest=float(t_closest) if t_closest else None,
             seed=int(seed)))
     return entries
-
-
-# ---------------------------------------------------------------------------
-# Measurement helper used by tests and demos
-
-def measure_tone_frequency(buffer: SampleBuffer, t0: float, t1: float,
-                           band: tuple[float, float]) -> float:
-    """Dominant frequency (Hz) of buffer[t0:t1] within band: the tracker's
-    refined peak of the hann-windowed spectrum."""
-    i0, i1 = int(t0 * buffer.sample_rate), int(t1 * buffer.sample_rate)
-    segment = buffer.samples[i0:i1]
-    if len(segment) < 16:
-        raise ValueError("segment too short to measure")
-    mags = fft_magnitude(segment * np.hanning(len(segment)))
-    return float(band_peak_hz(mags[np.newaxis], band, buffer.sample_rate / len(segment))[0])

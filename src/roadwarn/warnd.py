@@ -117,8 +117,6 @@ def _parse_alert(fields: list[str]) -> tuple[int, SoundClass, str, float]:
 
 
 def encode(message: WarningMessage) -> str:
-    if not isinstance(message, WarningMessage):
-        raise TypeError(f"not a protocol message: {message!r}")
     return (f"WARN {message.processor_id} {message.sound_class.value} "
             f"{message.direction} {message.event_time:.3f}")
 

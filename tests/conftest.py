@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from roadwarn import synth
+from roadwarn.decision import band_peak_hz
+from roadwarn.features import fft_magnitude
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +28,21 @@ def sine_frame(freq_hz, sample_rate=16000, n=1600, amplitude=1.0):
     """The samples of one frame holding a sine."""
     t = np.arange(n) / sample_rate
     return amplitude * np.sin(2 * np.pi * freq_hz * t)
+
+
+def doppler_hz(f0, v, approaching, c=343.0):
+    """Received frequency (Hz) of an `f0` Hz source moving at `v` m/s
+    straight at (`approaching`) or away from the receiver: f0 c / (c -+ v)."""
+    return f0 * c / (c - v if approaching else c + v)
+
+
+def measure_tone_frequency(buffer, t0, t1, band):
+    """Dominant frequency (Hz) of buffer[t0:t1] within band: the tracker's
+    refined peak of the hann-windowed spectrum."""
+    i0, i1 = int(t0 * buffer.sample_rate), int(t1 * buffer.sample_rate)
+    segment = buffer.samples[i0:i1]
+    mags = fft_magnitude(segment * np.hanning(len(segment)))
+    return float(band_peak_hz(mags[np.newaxis], band, buffer.sample_rate / len(segment))[0])
 
 
 def members_in_area_reference(area, registry, now, freshness_window):

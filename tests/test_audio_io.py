@@ -2,18 +2,25 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadwarn.audio_io import (SampleBuffer, UnsupportedWavError, WavFormatError,
                                frame_signal, load_wav, write_wav)
 
 
-def _pcm16_wav_bytes(samples_int16, sample_rate=16000, channels=1):
-    body = np.asarray(samples_int16, dtype="<i2").tobytes()
-    fmt = struct.pack("<HHIIHH", 1, channels, sample_rate,
-                      sample_rate * 2 * channels, 2 * channels, 16)
+def _wav_bytes(audio_format, channels, sample_rate, bits, body):
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", audio_format, channels, sample_rate,
+                      (sample_rate * block) % 2 ** 32, block, bits)
     return (b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(body)) + b"WAVE"
             + b"fmt " + struct.pack("<I", len(fmt)) + fmt
             + b"data" + struct.pack("<I", len(body)) + body)
+
+
+def _pcm16_wav_bytes(samples_int16, sample_rate=16000, channels=1):
+    return _wav_bytes(1, channels, sample_rate, 16,
+                      np.asarray(samples_int16, dtype="<i2").tobytes())
 
 
 class TestLoadWav:
@@ -73,6 +80,25 @@ class TestLoadWav:
         path.write_bytes(_pcm16_wav_bytes(np.arange(320, dtype="<i2")))
         a, b = load_wav(path), load_wav(path)
         assert np.array_equal(a.samples, b.samples) and a.sample_rate == b.sample_rate
+
+    @settings(max_examples=300, deadline=None)
+    @given(codec=st.sampled_from([(1, 16), (3, 32), (1, 8), (1, 32), (3, 64), (6, 8)]),
+           channels=st.integers(0, 3),
+           sample_rate=st.one_of(st.sampled_from([0, 1, 16000, 2 ** 32 - 1]),
+                                 st.integers(0, 2 ** 32 - 1)),
+           body=st.one_of(st.binary(max_size=40),
+                          st.lists(st.floats(width=32), max_size=10).map(
+                              lambda xs: np.array(xs, dtype="<f4").tobytes())))
+    def test_any_header_loads_or_raises_a_wav_error(self, tmp_path_factory, codec, channels,
+                                                    sample_rate, body):
+        path = tmp_path_factory.getbasetemp() / "fuzz.wav"
+        path.write_bytes(_wav_bytes(codec[0], channels, sample_rate, codec[1], body))
+        try:
+            buf = load_wav(path)
+        except (WavFormatError, UnsupportedWavError):
+            return
+        assert isinstance(buf, SampleBuffer)
+        assert len(buf.samples) * channels * codec[1] // 8 == len(body)
 
     def test_writer_reader_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -127,7 +127,7 @@ def dt_predict_reference(model, X):
     the oracle for the descent of row-index arrays."""
     def predict(vector):
         x = (np.asarray(vector, dtype=np.float64) - model.mean) / model.std
-        node = model.root
+        node = model.tree
         while node.label is None:
             node = node.left if x[node.feature] <= node.threshold else node.right
         return node.label
@@ -531,13 +531,13 @@ class TestDecisionTree:
     def test_pure_data_gives_leaf(self):
         X = np.random.default_rng(0).standard_normal((8, 3))
         model = train_dt(LabeledDataset(X, [SoundClass.NV] * 8))
-        assert model.root.label == SoundClass.NV
+        assert model.tree.label == SoundClass.NV
 
     def test_single_split_1d(self):
         X = np.array([[-3.0], [-2.0], [-1.0], [1.0], [2.0], [3.0]])
         y = [SoundClass.LL] * 3 + [SoundClass.H] * 3
         model = train_dt(LabeledDataset(X, y))
-        root = model.root
+        root = model.tree
         assert root.label is None and root.feature == 0
         # threshold separates the classes on the standardized axis
         z = (X[:, 0] - X.mean()) / X.std()
@@ -555,11 +555,11 @@ class TestDecisionTree:
             model = train_dt(LabeledDataset(X, y), max_depth=1)
             Xs = (X - model.mean) / model.std
             oracle = exhaustive_best_split(Xs, C._codes(y))
-            if oracle is None or model.root.label is not None:
+            if oracle is None or model.tree.label is not None:
                 assert oracle is None or oracle[0] <= 1e-15
                 continue
-            assert model.root.feature == oracle[1]
-            assert model.root.threshold == pytest.approx(oracle[2], abs=1e-12)
+            assert model.tree.feature == oracle[1]
+            assert model.tree.threshold == pytest.approx(oracle[2], abs=1e-12)
 
     def test_max_depth_respected(self):
         data = blobs(seed=9, spread=2.0)
@@ -570,7 +570,7 @@ class TestDecisionTree:
                 return 0
             return 1 + max(depth(node.left), depth(node.right))
 
-        assert depth(model.root) <= 2
+        assert depth(model.tree) <= 2
 
 
 class TestMetrics:

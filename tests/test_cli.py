@@ -187,6 +187,29 @@ class TestTrainEval:
             capsys.readouterr().err
         assert not model.exists()
 
+    def test_eval_refuses_feature_settings_the_csv_contradicts(self, tmp_path, capsys):
+        # the rule train applies: the model file's settings, or else --config's
+        labels = [CLASS_ORDER[i % 4] for i in range(8)]
+        plain, pe05 = tmp_path / "plain.csv", tmp_path / "pe05.csv"
+        features.save_dataset_csv(plain, np.arange(8 * 31.0).reshape(8, 31), labels,
+                                  features.feature_names())
+        features.save_dataset_csv(pe05, np.arange(8 * 31.0).reshape(8, 31), labels,
+                                  features.feature_names(),
+                                  features.settings_of(MfccConfig(pre_emphasis=0.5)))
+        model = tmp_path / "dt.json"
+        assert main(["train", str(plain), str(model), "--model", "dt"]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(pe05), "--model-file", str(model)]) == 2
+        assert capsys.readouterr().err == (f"error: {pe05}: [features] pre_emphasis = 0.97 "
+                                           "differs from the 0.5 the CSV was extracted with\n")
+
+        config = tmp_path / "run.ini"
+        config.write_text("[features]\npre_emphasis = 0.3\n")
+        assert main(["eval", str(pe05), "--model", "nb", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (f"error: {pe05}: [features] pre_emphasis = 0.3 "
+                                           "differs from the 0.5 the CSV was extracted with\n")
+        assert main(["eval", str(pe05), "--model", "dt", "--folds", "2"]) == 0
+
     def test_cv_eval_report(self, features_csv, tmp_path):
         report = tmp_path / "cv.txt"
         assert main(["eval", str(features_csv), "--model", "dt",
@@ -502,6 +525,16 @@ class TestImports:
     def test_cli_and_warnd_load_no_scipy(self):
         code = ("import sys, roadwarn.cli, roadwarn.warnd; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_synth_loads_neither_decision_nor_features(self):
+        code = ("import sys, roadwarn.synth; "
+                "print(sorted(m for m in ('roadwarn.decision', 'roadwarn.features') "
+                "if m in sys.modules))")
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from roadwarn import audio_io, synth
-from roadwarn.decision import (DopplerParams, FrameTrack, TrackTooShortError, band_peak_hz,
-                               detect_climax, doppler_observed, finalize_detection,
-                               infer_direction, track_frames, vote_final_frames)
+from roadwarn.decision import (FrameTrack, TrackTooShortError, band_peak_hz, detect_climax,
+                               finalize_detection, infer_direction, track_frames,
+                               vote_final_frames)
 from roadwarn.labels import APPROACHING, RECEDING, UNKNOWN, DetectionResult, SoundClass
 
 
@@ -19,27 +19,6 @@ def build_track(freqs, energies, labels=None, bin_hz=10.0):
                       rms_energy=np.asarray(energies, dtype=float),
                       labels=list(labels) if labels else [SoundClass.H] * n,
                       bin_hz=bin_hz)
-
-
-class TestDoppler:
-    def test_stationary_source(self):
-        p = DopplerParams(f0=220.0, v=0.0)
-        assert doppler_observed(p, APPROACHING) == 220.0
-        assert doppler_observed(p, RECEDING) == 220.0
-
-    def test_75_kmh_values(self):
-        p = DopplerParams(f0=100.0, v=20.833)
-        assert doppler_observed(p, APPROACHING) == pytest.approx(106.47, abs=0.01)
-        assert doppler_observed(p, RECEDING) == pytest.approx(94.27, abs=0.01)
-
-    def test_ordering_for_all_speeds(self):
-        for v in np.linspace(0.5, 340.0, 40):
-            p = DopplerParams(f0=150.0, v=float(v))
-            assert doppler_observed(p, APPROACHING) > 150.0 > doppler_observed(p, RECEDING)
-
-    def test_superluminal_rejected(self):
-        with pytest.raises(ValueError):
-            DopplerParams(f0=100.0, v=400.0)
 
 
 def interpolated_peak_hz_reference(magnitudes, lo_bin, hi_bin, bin_hz):

@@ -10,7 +10,7 @@ from roadwarn.warnd import Dispatcher
 class TestBuildPlan:
     def test_100m_road(self):
         plan = build_plan(100.0)
-        assert [p.x for p in plan.processors] == [0, 25, 50, 75, 100]
+        assert [p.area.x0 for p in plan.processors] == [0, 25, 50, 75, 100]
 
     def test_25m_road(self):
         assert len(build_plan(25.0).processors) == 2

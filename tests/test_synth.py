@@ -4,8 +4,10 @@ import pytest
 from roadwarn import audio_io
 from roadwarn.labels import SoundClass
 from roadwarn.synth import (CORPUS_COUNTS, PassbyScenario, VehicleProfile,
-                            corpus_clip_params, corpus_plan, load_manifest,
-                            measure_tone_frequency, synth_nv, synth_passby)
+                            corpus_clip_params, corpus_plan, load_manifest, synth_nv,
+                            synth_passby)
+
+from conftest import measure_tone_frequency
 
 
 def spectral_energy_split(buffer, split_hz):

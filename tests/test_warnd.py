@@ -523,7 +523,7 @@ class TestClientLinePath:
 def _irregular_plan():
     """Areas that overlap, nest, touch and leave gaps, out of x order."""
     spans = [(60.0, 0.5), (0.0, 30.0), (12.5, 5.0), (10.0, 40.0), (60.5, 9.5), (90.0, 10.0)]
-    processors = tuple(Processor(i, x0, DangerArea(i, x0, length, 7.0))
+    processors = tuple(Processor(i, DangerArea(x0, length, 7.0))
                        for i, (x0, length) in enumerate(spans))
     return DeploymentPlan(processors=processors)
 
