@@ -32,7 +32,12 @@ def sine_frame(freq_hz, sample_rate=16000, n=1600, amplitude=1.0):
 
 def doppler_hz(f0, v, approaching, c=343.0):
     """Received frequency (Hz) of an `f0` Hz source moving at `v` m/s
-    straight at (`approaching`) or away from the receiver: f0 c / (c -+ v)."""
+    straight at (`approaching`) or away from the receiver: f0 c / (c -+ v).
+    Raises ValueError unless f0 > 0 and 0 <= v < c."""
+    if f0 <= 0:
+        raise ValueError("f0 must be positive")
+    if not 0 <= v < c:
+        raise ValueError("need 0 <= v < c")
     return f0 * c / (c - v if approaching else c + v)
 
 

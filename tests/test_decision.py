@@ -12,6 +12,8 @@ from roadwarn.decision import (FrameTrack, TrackTooShortError, band_peak_hz, det
                                vote_final_frames)
 from roadwarn.labels import APPROACHING, RECEDING, UNKNOWN, DetectionResult, SoundClass
 
+from conftest import doppler_hz
+
 
 def build_track(freqs, energies, labels=None, bin_hz=10.0):
     n = len(freqs)
@@ -19,6 +21,25 @@ def build_track(freqs, energies, labels=None, bin_hz=10.0):
                       rms_energy=np.asarray(energies, dtype=float),
                       labels=list(labels) if labels else [SoundClass.H] * n,
                       bin_hz=bin_hz)
+
+
+class TestDoppler:
+    def test_stationary_source(self):
+        assert doppler_hz(220.0, 0.0, approaching=True) == 220.0
+        assert doppler_hz(220.0, 0.0, approaching=False) == 220.0
+
+    def test_75_kmh_values(self):
+        assert doppler_hz(100.0, 20.833, approaching=True) == pytest.approx(106.47, abs=0.01)
+        assert doppler_hz(100.0, 20.833, approaching=False) == pytest.approx(94.27, abs=0.01)
+
+    def test_ordering_for_all_speeds(self):
+        for v in np.linspace(0.5, 340.0, 40):
+            assert (doppler_hz(150.0, float(v), approaching=True) > 150.0
+                    > doppler_hz(150.0, float(v), approaching=False))
+
+    def test_superluminal_rejected(self):
+        with pytest.raises(ValueError):
+            doppler_hz(100.0, 400.0, approaching=True)
 
 
 def interpolated_peak_hz_reference(magnitudes, lo_bin, hi_bin, bin_hz):
