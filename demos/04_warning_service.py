@@ -6,13 +6,13 @@ line protocol real clients would speak, then replays detection events and
 shows exactly who gets warned and how much time they have.
 """
 
-from roadwarn.deployment import build_plan, warning_lead_time
+from roadwarn.deployment import DeploymentPlan, warning_lead_time
 from roadwarn.cli import run_simulation
 from roadwarn.labels import APPROACHING, RECEDING, DetectionResult, SoundClass
 from roadwarn.warnd import Dispatcher
 
-plan = build_plan(200.0)
-print(f"plan: {len(plan.processors)} processors every {plan.processor_spacing:.0f} m; "
+plan = DeploymentPlan(200.0)
+print(f"plan: {plan.processor_count} processors every {plan.processor_spacing:.0f} m; "
       f"each warns the area {plan.warning_offset_areas} spacings downstream")
 print(f"lead-time window at {plan.max_design_speed:.0f} km/h: "
       f"{warning_lead_time(75, plan.max_design_speed):.1f} s to "

@@ -15,8 +15,6 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import sys
@@ -29,12 +27,6 @@ from .classifiers import FEATURE_SETS
 from .deployment import load_plan_config, read_ini, warning_decision, warning_lead_time
 from .features import LpcConfig, MfccConfig
 from .labels import APPROACHING, CLASS_ORDER, DetectionResult, SoundClass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 _RUN_CONFIG_KEYS = {
@@ -303,11 +295,10 @@ def run_simulation(plan, script_lines) -> list[str]:
                 raise ValueError(f"script line {lineno}: {response}")
         elif parts[0] == "VEHICLE" and len(parts) == 5:
             sound_class, speed, start_x, t = _vehicle_fields(lineno, parts[1:])
-            nearest = min(plan.processors, key=lambda p: abs(p.area.x0 - start_x))
-            target_id = nearest.processor_id + plan.warning_offset_areas
-            try:
-                plan.processor(target_id)
-            except KeyError:
+            nearest = min(range(plan.processor_count),
+                          key=lambda i: abs(i * plan.processor_spacing - start_x))
+            target_id = nearest + plan.warning_offset_areas
+            if target_id >= plan.processor_count:
                 log.append(f"# event at x={start_x:g}: no instrumented area downstream")
                 continue
             result = DetectionResult(climax_index=0, sound_type=sound_class,
@@ -333,20 +324,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    plan = load_plan_config(args.plan)
-    try:
-        host, port = warnd.parse_listen(args.listen)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    warnd.serve(plan, host, port)
-    return 0
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="roadwarn",
-                     description="acoustic roadside vehicle warning toolkit")
+def build_parser() -> warnd.UsageParser:
+    parser = warnd.UsageParser(prog="roadwarn",
+                               description="acoustic roadside vehicle warning toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate the labeled synthetic corpus")
@@ -394,9 +374,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("serve", help="run the TCP warning service")
-    p.add_argument("--plan", required=True)
-    p.add_argument("--listen", required=True)
-    p.set_defaults(func=cmd_serve)
+    warnd.add_arguments(p)
+    p.set_defaults(func=warnd.serve)
 
     return parser
 
@@ -406,7 +385,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .labels import RECEDING, DetectionResult, SoundClass
 
 WARN_CLASSES = (SoundClass.H, SoundClass.LH)
-
-# The DeploymentPlan fields a plan file may set; each must be finite and positive.
-_PLAN_KEYS = ("processor_spacing", "danger_length", "road_width",
-              "max_design_speed", "min_warning_time", "freshness_window")
 
 
 @dataclass(frozen=True)
@@ -34,32 +31,63 @@ class DangerArea:
 
 
 @dataclass(frozen=True)
-class Processor:
-    processor_id: int
-    area: DangerArea
-
-
-@dataclass(frozen=True)
 class DeploymentPlan:
+    """The numbers of a plan file, each finite and positive.  Processors sit
+    at x = 0, spacing, 2*spacing, ... <= road_length, and processor i owns
+    the danger area [i*spacing, i*spacing + danger_length] x [0, road_width]."""
+
+    road_length: float
     processor_spacing: float = 25.0
     danger_length: float = 25.0
     road_width: float = 7.0
     max_design_speed: float = 75.0   # km/h
     min_warning_time: float = 3.0    # seconds
     freshness_window: float = 5.0    # seconds a position stays usable
-    processors: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        for name in _PLAN_KEYS:
+        for name in (f.name for f in fields(self)):  # the keys of a plan file
             value = getattr(self, name)
             if not 0 < value < math.inf:  # False for NaN too
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.road_length < self.processor_spacing:
+            raise ValueError(f"road of {self.road_length} m is shorter than one "
+                             f"{self.processor_spacing} m spacing")
 
-    def processor(self, processor_id: int) -> Processor:
-        for p in self.processors:
-            if p.processor_id == processor_id:
-                return p
-        raise KeyError(f"no processor {processor_id} in plan")
+    @cached_property
+    def processor_count(self) -> int:
+        return int(self.road_length / self.processor_spacing) + 1
+
+    def processor(self, processor_id: int) -> DangerArea:
+        """The danger area of processor `processor_id`."""
+        if not 0 <= processor_id < self.processor_count:
+            raise KeyError(f"no processor {processor_id} in plan")
+        return DangerArea(processor_id * self.processor_spacing, self.danger_length,
+                          self.road_width)
+
+    def areas_at(self, x: float, y: float) -> tuple[int, ...]:
+        """Ids of the danger areas that hold (x, y), ascending, by the
+        comparisons of `DangerArea.contains`."""
+        spacing, length = self.processor_spacing, self.danger_length
+        last = self.processor_count - 1
+        # also keeps x / spacing finite for any finite x
+        if not (0.0 <= y <= self.road_width and 0.0 <= x <= last * spacing + length):
+            return ()
+        i = int(x / spacing)
+        if i >= last:
+            i = last
+        elif (i + 1) * spacing <= x:  # x / spacing rounded down across an integer
+            i += 1
+        # No area above i starts at or before x.  The areas' ends grow with
+        # their ids, so the walk down stops at the first one that ends before x.
+        found = ()
+        while i >= 0:
+            x0 = i * spacing
+            if x0 + length < x:
+                break
+            if x0 <= x:
+                found = (i,) + found
+            i -= 1
+        return found
 
     @property
     def warning_offset_areas(self) -> int:
@@ -73,23 +101,6 @@ class DeploymentPlan:
         v_mps = self.max_design_speed / 3.6
         distance = self.min_warning_time * v_mps
         return math.ceil(distance / self.processor_spacing - 1e-9)
-
-
-def build_plan(road_length: float, **overrides) -> DeploymentPlan:
-    """Plan with processors at x = 0, spacing, 2*spacing, ... <= road_length."""
-    base = DeploymentPlan(**overrides)
-    if not math.isfinite(road_length):
-        raise ValueError(f"road_length must be finite, got {road_length}")
-    if road_length < base.processor_spacing:
-        raise ValueError(
-            f"road of {road_length} m is shorter than one {base.processor_spacing} m spacing")
-    count = int(road_length / base.processor_spacing) + 1
-    processors = tuple(
-        Processor(processor_id=i,
-                  area=DangerArea(x0=i * base.processor_spacing,
-                                  length=base.danger_length, width=base.road_width))
-        for i in range(count))
-    return DeploymentPlan(**{**overrides, "processors": processors})
 
 
 def read_ini(path, schema: dict) -> dict:
@@ -129,14 +140,13 @@ def _positive(text: str) -> float:
 
 def load_plan_config(path) -> DeploymentPlan:
     """Build a plan from an INI file: a [plan] section with road_length plus
-    any of the DeploymentPlan fields as overrides; anything else is an error."""
-    values = read_ini(path, {"plan": dict.fromkeys(("road_length", *_PLAN_KEYS), _positive)})
+    any of the other DeploymentPlan fields as overrides; anything else is an error."""
+    values = read_ini(path, {"plan": {f.name: _positive for f in fields(DeploymentPlan)}})
     if "plan" not in values:
         raise ValueError(f"{path}: missing [plan] section")
-    overrides = values["plan"]
-    if "road_length" not in overrides:
+    if "road_length" not in values["plan"]:
         raise ValueError(f"{path}: plan needs a road_length")
-    return build_plan(overrides.pop("road_length"), **overrides)
+    return DeploymentPlan(**values["plan"])
 
 
 def warning_lead_time(distance_m: float, speed_kmh: float) -> float:

@@ -47,7 +47,6 @@ import selectors
 import socket
 import sys
 import time
-from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -185,37 +184,8 @@ class Dispatcher:
         self.plan = plan
         self._clients: dict[str, _ClientRecord] = {}
         self._by_send: dict[object, set] = defaultdict(set)
-        areas = {}  # processor_id -> area, the first processor of an id as plan.processor
-        for p in plan.processors:
-            areas.setdefault(p.processor_id, p.area)
-        self._buckets: dict[int, dict[str, _ClientRecord]] = {pid: {} for pid in areas}
-        # Which areas' [x0, x0 + length] hold x is the same all along each
-        # open interval between two neighbouring area edges, so one cell per
-        # interval and per edge: (-inf, e0), [e0], (e0, e1), [e1], ..., (ek, inf).
-        self._edges = sorted({a.x0 for a in areas.values()}
-                             | {a.x0 + a.length for a in areas.values()})
-
-        def spanning(lo, hi):
-            return tuple((pid, area.contains) for pid, area in areas.items()
-                         if area.x0 <= lo and hi <= area.x0 + area.length)
-
-        self._cells = []
-        lo = -math.inf
-        for edge in self._edges:
-            self._cells += [spanning(lo, edge), spanning(edge, edge)]
-            lo = edge
-        self._cells.append(spanning(lo, math.inf))
-
-    def _areas_at(self, x: float, y: float) -> tuple:
-        """processor_ids whose area contains (x, y): the cell of x names the
-        candidates, `contains` decides."""
-        edges = self._edges
-        found = ()
-        # x on edge i: i + (i + 1), the cell [ei]; x in (e(i-1), ei): 2 i
-        for pid, contains in self._cells[bisect_left(edges, x) + bisect_right(edges, x)]:
-            if contains(x, y):
-                found += (pid,)
-        return found
+        self._buckets: dict[int, dict[str, _ClientRecord]] = {
+            pid: {} for pid in range(plan.processor_count)}
 
     # -- client sessions ----------------------------------------------------
 
@@ -232,7 +202,7 @@ class Dispatcher:
         line per client, joined by "\n" and without the final "\n".
         """
         clients, buckets, by_send, areas_at = (self._clients, self._buckets, self._by_send,
-                                               self._areas_at)
+                                               self.plan.areas_at)
         replies = []
         for line in lines:
             try:
@@ -559,10 +529,32 @@ class WarnServer:
             self._accepting = True
 
 
-def serve(plan: DeploymentPlan, host: str, port: int) -> None:
-    """Run the TCP service on this thread until stdin, the EVENT feed,
-    ends."""
-    server = WarnServer((host, port), plan, sys.stdin, sys.stdout, sys.stderr)
+class UsageParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the code every roadwarn
+    command gives them (2 is a data error)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The options of `warnd` and of `roadwarn serve`."""
+    parser.add_argument("--plan", required=True, help="INI deployment plan")
+    parser.add_argument("--listen", required=True, type=parse_listen, help="addr:port to bind")
+
+
+def serve(args) -> int:
+    """Run the TCP service for the plan file `args.plan` on the (host, port)
+    `args.listen`, on this thread, until stdin, the EVENT feed, ends.  A plan
+    that does not load or an address that does not bind returns 2, after one
+    `error:` line on stderr."""
+    try:
+        server = WarnServer(args.listen, load_plan_config(args.plan), sys.stdin, sys.stdout,
+                            sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     bound = server.server_address
     print(f"warnd listening on {bound[0]}:{bound[1]}", flush=True)
     try:
@@ -571,29 +563,22 @@ def serve(plan: DeploymentPlan, host: str, port: int) -> None:
         pass
     finally:
         server.server_close()
+    return 0
 
 
 def parse_listen(text: str) -> tuple[str, int]:
-    """`addr:port` -> (addr, port)."""
+    """`addr:port` -> (addr, port), the port in 0-65535: the type of --listen,
+    so that any other value is a usage error."""
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"--listen must be addr:port, got {text!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"must be addr:port, got {text!r}")
     return host, int(port)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="warnd",
-                                     description="geofenced pedestrian warning dispatcher")
-    parser.add_argument("--plan", required=True, help="INI deployment plan")
-    parser.add_argument("--listen", required=True, help="addr:port to bind")
-    args = parser.parse_args(argv)
-    try:
-        host, port = parse_listen(args.listen)
-        plan = load_plan_config(args.plan)
-    except (ValueError, OSError) as exc:
-        parser.error(str(exc))
-    serve(plan, host, port)
-    return 0
+    parser = UsageParser(prog="warnd", description="geofenced pedestrian warning dispatcher")
+    add_arguments(parser)
+    return serve(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import pytest
 from roadwarn import audio_io, classifiers, features, synth
 from roadwarn.classifiers import LabeledDataset, MlpConfig, evaluate_cv, f_measure, train_mlp
 from roadwarn.decision import FrameTrack, detect_climax, finalize_detection, track_frames
-from roadwarn.deployment import build_plan, warning_lead_time
+from roadwarn.deployment import DeploymentPlan, warning_lead_time
 from roadwarn.labels import APPROACHING, RECEDING, DetectionResult, SoundClass
 from roadwarn.warnd import Dispatcher, decode, encode
 
@@ -194,7 +194,7 @@ def test_criterion_10_timing_arithmetic():
 
 
 def test_criterion_11_dispatch_exactness_and_protocol():
-    plan = build_plan(100.0)
+    plan = DeploymentPlan(100.0)
     dispatcher = Dispatcher(plan)
     rng = np.random.default_rng(11)
     classes = list(SoundClass)
@@ -214,11 +214,11 @@ def test_criterion_11_dispatch_exactness_and_protocol():
                 shadow[cid] = (x, y, float(round_no))
         cls = classes[rng.integers(0, 4)]
         direction = directions[rng.integers(0, 3)]
-        pid = int(rng.integers(0, len(plan.processors)))
+        pid = int(rng.integers(0, plan.processor_count))
         t = float(round_no)
         result = DetectionResult(climax_index=9, sound_type=cls, direction=direction)
         delivered = dispatcher.dispatch(result, pid, t)
-        area = plan.processor(pid).area
+        area = plan.processor(pid)
         warnable = cls in (SoundClass.H, SoundClass.LH) and direction != RECEDING
         expected = {cid for cid, (x, y, ts) in shadow.items()
                     if warnable and t - ts <= plan.freshness_window
@@ -242,7 +242,7 @@ def test_criterion_11_dispatch_exactness_and_protocol():
 def test_criterion_12_end_to_end_simulation():
     from roadwarn.cli import run_simulation
 
-    plan = build_plan(200.0)
+    plan = DeploymentPlan(200.0)
     lh_script = ["PED walker 87.5 2.0 9.0", "VEHICLE LH 75 0 10.0"]
     log = run_simulation(plan, lh_script)
     warns = [ln for ln in log if ln.startswith("WARN")]

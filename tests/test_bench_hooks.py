@@ -5,7 +5,8 @@ deleting or renaming one of them makes every traced benchmark run fail.
 This loads spans.py by path (it only reads it), installs the client and
 the server wrappers, checks that the code the benchmark runs calls them,
 and undoes them.  The benchmark's INI files are read the same way, through
-the loaders its runs call.
+the loaders its runs call, and the danger areas fanout.py derives from its
+plan must be the ones `deployment` derives.
 """
 
 import importlib.util
@@ -21,11 +22,15 @@ from roadwarn import classifiers, cli, deployment, features, warnd
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _load_by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_spans():
+    return _load_by_path("bench_spans", SPANS)
 
 
 def test_traced_runs_find_every_wrapped_name():
@@ -79,7 +84,7 @@ def test_traced_server_records_the_event_path():
     out, err = io.StringIO(), io.StringIO()
     try:
         spans.install_server(tracer)
-        server = warnd.WarnServer(("127.0.0.1", 0), deployment.build_plan(100.0), server_feed,
+        server = warnd.WarnServer(("127.0.0.1", 0), deployment.DeploymentPlan(100.0), server_feed,
                                   out, err)
         loop = threading.Thread(target=server.run, daemon=True)
         loop.start()
@@ -103,9 +108,18 @@ def test_traced_server_records_the_event_path():
         assert names.count(name) == 1, name
 
 
-def test_benchmark_config_files_load():
+def test_benchmark_config_files_load(monkeypatch):
     # a reader that rejected a key these files use would fail every benchmark run
     bench = SPANS.parent
     assert cli.RunConfig(bench / "criterion02.ini").classifier_kwargs["mlp"] == {
         "learning_rate": 0.5, "epochs": 300}
-    assert len(deployment.load_plan_config(bench / "plan.ini").processors) == 9
+    plan = deployment.load_plan_config(bench / "plan.ini")
+    assert plan.processor_count == 9
+    # warn_fanout places its registry by the areas fanout.py derives from the
+    # same file; they must be the ones warnd serves
+    monkeypatch.syspath_prepend(str(bench))  # fanout.py imports its sibling modules
+    fanout = _load_by_path("bench_fanout", bench / "fanout.py")
+    areas, width, window = fanout.read_plan(bench / "plan.ini")
+    assert areas == [(a.x0, a.x0 + a.length)
+                     for a in map(plan.processor, range(plan.processor_count))]
+    assert (width, window) == (plan.road_width, plan.freshness_window)

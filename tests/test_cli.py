@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 from dataclasses import asdict
@@ -13,7 +14,7 @@ import pytest
 from roadwarn import audio_io, features, synth
 from roadwarn.classifiers import _codes, load_model, load_model_meta
 from roadwarn.cli import RunConfig, main, run_simulation
-from roadwarn.deployment import build_plan, load_plan_config
+from roadwarn.deployment import DeploymentPlan, load_plan_config
 from roadwarn.features import LpcConfig, MfccConfig
 from roadwarn.labels import CLASS_ORDER, SoundClass
 
@@ -373,14 +374,14 @@ class TestSimulate:
         script = tmp_path / "out.txt"
         script.write_text("PED far 87.5 30.0 9.0\n"
                           "VEHICLE LH 75 0 10.0\n")
-        log = run_simulation(build_plan(200.0), script.read_text().splitlines())
+        log = run_simulation(DeploymentPlan(200.0), script.read_text().splitlines())
         assert [ln for ln in log if ln.startswith("WARN")] == []
 
     def test_ll_vehicle_never_warns(self, plan_file, tmp_path):
         script = tmp_path / "ll.txt"
         script.write_text("PED walker 87.5 2.0 9.0\n"
                           "VEHICLE LL 40 0 10.0\n")
-        log = run_simulation(build_plan(200.0), script.read_text().splitlines())
+        log = run_simulation(DeploymentPlan(200.0), script.read_text().splitlines())
         assert [ln for ln in log if ln.startswith("WARN")] == []
 
     @pytest.mark.parametrize("speed", ["0", "-50", "nan", "inf"])
@@ -516,7 +517,7 @@ class TestRunConfig:
         path = tmp_path / "example.ini"
         path.write_text(block)
         if block.startswith("[plan]"):
-            assert len(load_plan_config(path).processors) == 9
+            assert load_plan_config(path).processor_count == 9
         else:
             assert RunConfig(path).classifier_kwargs["mlp"]["epochs"] == 300
 
@@ -543,8 +544,21 @@ class TestImports:
 
 
 class TestServeCommand:
-    def test_bad_listen_argument(self, plan_file):
-        assert main(["serve", "--plan", str(plan_file), "--listen", "nonsense"]) == 1
+    @pytest.mark.parametrize("listen", ["nonsense", "127.0.0.1:99999"])
+    def test_bad_listen_argument(self, plan_file, capsys, listen):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--plan", str(plan_file), "--listen", listen])
+        assert exit_info.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            f"roadwarn serve: error: argument --listen: must be addr:port, got {listen!r}\n")
+
+    def test_port_in_use_is_a_data_error(self, plan_file, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            listen = f"127.0.0.1:{taken.getsockname()[1]}"
+            assert main(["serve", "--plan", str(plan_file), "--listen", listen]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestExitCodes:

@@ -1,43 +1,84 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from roadwarn.deployment import (DeploymentPlan, build_plan, load_plan_config,
+from roadwarn.deployment import (DeploymentPlan, load_plan_config,
                                  warning_decision, warning_lead_time)
 from roadwarn.labels import APPROACHING, RECEDING, UNKNOWN, DetectionResult, SoundClass
 from roadwarn.warnd import Dispatcher
 
 
-class TestBuildPlan:
+class TestPlanLayout:
     def test_100m_road(self):
-        plan = build_plan(100.0)
-        assert [p.area.x0 for p in plan.processors] == [0, 25, 50, 75, 100]
+        plan = DeploymentPlan(100.0)
+        assert [plan.processor(i).x0 for i in range(plan.processor_count)] == [0, 25, 50, 75, 100]
+        for pid in (-1, 5):
+            with pytest.raises(KeyError):
+                plan.processor(pid)
 
     def test_25m_road(self):
-        assert len(build_plan(25.0).processors) == 2
+        assert DeploymentPlan(25.0).processor_count == 2
 
     def test_short_road_rejected(self):
         with pytest.raises(ValueError):
-            build_plan(10.0)
+            DeploymentPlan(10.0)
 
     def test_areas_tile_the_roadside(self):
-        plan = build_plan(100.0)
+        plan = DeploymentPlan(100.0)
         rng = np.random.default_rng(0)
         xs = np.r_[rng.uniform(0, 100, 2000), np.arange(0.0, 100.5, 0.5)]
         for x in xs:
-            owners = [p.processor_id for p in plan.processors
-                      if p.area.contains(float(x), 1.0)]
+            owners = [i for i in range(plan.processor_count)
+                      if plan.processor(i).contains(float(x), 1.0)]
             assert 1 <= len(owners) <= 2
             if len(owners) == 2:  # only on shared boundaries
                 assert x == pytest.approx(owners[1] * 25.0)
 
     def test_warning_offset(self):
-        assert DeploymentPlan().warning_offset_areas == 3
+        assert DeploymentPlan(100.0).warning_offset_areas == 3
+
+
+# (processor_spacing, danger_length): shared edges, gaps, overlaps two and
+# three deep, and spacings that are not binary fractions
+_LAYOUTS = [(25.0, 25.0), (25.0, 10.0), (25.0, 40.0), (12.5, 30.0), (0.3, 0.7), (0.1, 0.1)]
+
+
+@st.composite
+def _plan_and_point(draw):
+    spacing, length = draw(st.sampled_from(_LAYOUTS))
+    road = draw(st.sampled_from([spacing, 100.0]))
+    plan = DeploymentPlan(road, processor_spacing=spacing, danger_length=length)
+    edges = [e for pid in range(plan.processor_count)
+             for e in (plan.processor(pid).x0, plan.processor(pid).x0 + length)]
+    on_edge = st.tuples(st.sampled_from(edges), st.sampled_from([-math.inf, None, math.inf]))
+    x = draw(st.one_of(on_edge.map(lambda e: e[0] if e[1] is None else math.nextafter(*e)),
+                       st.sampled_from([-1e308, 1e308]),
+                       st.floats(-1.0, road + length + 1.0)))
+    width = plan.road_width
+    y = draw(st.one_of(st.sampled_from([0.0, width, math.nextafter(0.0, -1.0),
+                                        math.nextafter(width, math.inf)]),
+                       st.floats(0.0, width)))
+    return plan, x, y
+
+
+class TestAreasAt:
+    @settings(max_examples=1000, deadline=None)
+    @given(_plan_and_point())
+    # area 43 starts at 43 * 0.1 = 4.3, but 4.3 / 0.1 rounds to 42.99999999999999
+    @example((DeploymentPlan(100.0, processor_spacing=0.1, danger_length=0.1), 4.3, 1.0))
+    def test_matches_every_area_contains(self, case):
+        plan, x, y = case
+        assert list(plan.areas_at(x, y)) == [
+            i for i in range(plan.processor_count) if plan.processor(i).contains(x, y)]
 
 
 class TestMembership:
     """Whom `Dispatcher.dispatch` warns: the fresh clients in the area."""
 
-    PLAN = build_plan(100.0)  # area 0 is [0, 25] x [0, 7], area 1 is [25, 50] x [0, 7]
+    PLAN = DeploymentPlan(100.0)  # area 0 is [0, 25] x [0, 7], area 1 is [25, 50] x [0, 7]
 
     def _delivered(self, entries, now, processor_id=0):
         dispatcher = Dispatcher(self.PLAN)
@@ -123,10 +164,10 @@ class TestplanConfig:
         path.write_text("[plan]\nroad_length = 150\nroad_width = 9\n"
                         "freshness_window = 4\n")
         plan = load_plan_config(path)
-        assert len(plan.processors) == 7
+        assert plan.processor_count == 7
         assert plan.road_width == 9.0
         assert plan.freshness_window == 4.0
-        assert plan.processor(2).area.x0 == 50.0
+        assert plan.processor(2).x0 == 50.0
 
     @pytest.mark.parametrize("key", ["road_length", "danger_length", "freshness_window"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roadwarn import warnd
-from roadwarn.deployment import DangerArea, DeploymentPlan, Processor, build_plan
+from roadwarn.deployment import DeploymentPlan
 from roadwarn.labels import APPROACHING, RECEDING, UNKNOWN, DetectionResult, SoundClass
 from roadwarn.warnd import (MAX_LINE_BYTES, Dispatcher, ProtocolError, WarnServer,
                             WarningMessage, decode, encode, parse_event_line)
@@ -47,7 +47,7 @@ class TestProtocol:
                                      abs(coord()))
                 assert decode(encode(msg)) == msg
                 continue
-            dispatcher = Dispatcher(build_plan(100.0))
+            dispatcher = Dispatcher(DeploymentPlan(100.0))
             if kind == 0:
                 verb, cid = "REG", f"c{rng.integers(0, 999)}"
             else:
@@ -71,7 +71,7 @@ class TestProtocol:
             decode("HELLO world")
 
     def test_malformed_fields(self):
-        dispatcher = Dispatcher(build_plan(100.0))
+        dispatcher = Dispatcher(DeploymentPlan(100.0))
         for line, reason in (("REG p1", "REG needs 4 fields"),
                              ("REG p1 1 2", "REG needs 4 fields"),
                              ("POS p1 a b 0", "bad x 'a'"),
@@ -85,7 +85,7 @@ class TestProtocol:
 
     @pytest.mark.parametrize("line", ["OK a", "ERR x", "WARN 1 H approaching 1.000"])
     def test_server_verbs_from_client_rejected(self, line):
-        dispatcher = Dispatcher(build_plan(100.0))
+        dispatcher = Dispatcher(DeploymentPlan(100.0))
         verb = line.split(" ")[0]
         assert dispatcher.handle_line(line, print) == f"ERR malformed: unknown verb {verb!r}"
         assert len(dispatcher) == 0
@@ -104,7 +104,7 @@ def _sink():
 
 class TestRegistry:
     def setup_method(self):
-        self.dispatcher = Dispatcher(build_plan(100.0))
+        self.dispatcher = Dispatcher(DeploymentPlan(100.0))
 
     def test_register_ack(self):
         lines, send = _sink()
@@ -147,7 +147,7 @@ class TestRegistry:
 
 class TestDispatch:
     def setup_method(self):
-        self.plan = build_plan(100.0)
+        self.plan = DeploymentPlan(100.0)
         self.dispatcher = Dispatcher(self.plan)
         self.inbox = {}
 
@@ -198,13 +198,13 @@ class TestDispatch:
             self._register(f"c{i}", float(rng.integers(-200, 1200)) / 10.0,
                            float(rng.integers(-20, 90)) / 10.0,
                            float(rng.integers(0, 200)) / 10.0)
-        for processor in self.plan.processors:
-            expected = members_in_area_reference(processor.area, self.dispatcher._clients,
+        for pid in range(self.plan.processor_count):
+            expected = members_in_area_reference(self.plan.processor(pid),
+                                                 self.dispatcher._clients,
                                                  15.0, self.plan.freshness_window)
             assert expected
             before = {cid: len(lines) for cid, lines in self.inbox.items()}
-            delivered = self.dispatcher.dispatch(self._event(SoundClass.H),
-                                                 processor.processor_id, 15.0)
+            delivered = self.dispatcher.dispatch(self._event(SoundClass.H), pid, 15.0)
             assert delivered == set(expected)
             grown = {cid for cid, lines in self.inbox.items() if len(lines) > before[cid]}
             assert grown == delivered
@@ -238,7 +238,7 @@ class TestDispatch:
             event_t = float(round_no)
             result = DetectionResult(climax_index=8, sound_type=cls, direction=direction)
             delivered = dispatcher.dispatch(result, pid, event_t)
-            area = self.plan.processor(pid).area
+            area = self.plan.processor(pid)
             warnable = cls in (SoundClass.H, SoundClass.LH) and direction != RECEDING
             expected = {cid for cid, (x, y, t) in shadow.items()
                         if warnable and event_t - t <= self.plan.freshness_window
@@ -253,7 +253,7 @@ class TestConcurrency:
     def test_interleaved_sessions_match_sequential_oracle(self):
         # eight sessions whose reads, of one to five lines each, reach the
         # dispatcher in a random order, as the server's loop applies them
-        plan = build_plan(100.0)
+        plan = DeploymentPlan(100.0)
         dispatcher = Dispatcher(plan)
         rng = np.random.default_rng(7)
         streams = {}
@@ -280,34 +280,51 @@ class TestConcurrency:
         result = DetectionResult(climax_index=8, sound_type=SoundClass.H,
                                  direction=APPROACHING)
         delivered = dispatcher.dispatch(result, 2, 29.0)
-        area = plan.processor(2).area
+        area = plan.processor(2)
         expected = {cid for cid, (x, y, t) in positions.items()
                     if area.contains(x, y) and 29.0 - t <= plan.freshness_window}
         assert delivered == expected
 
 
 class TestMainArgs:
-    def test_listen_must_be_addr_port(self, tmp_path):
+    @pytest.mark.parametrize("listen", ["not-an-endpoint", "127.0.0.1:99999"])
+    def test_listen_must_be_addr_port(self, tmp_path, capsys, listen):
         from roadwarn.warnd import main
 
         plan = tmp_path / "plan.ini"
         plan.write_text("[plan]\nroad_length = 100\n")
-        with pytest.raises(SystemExit):
-            main(["--plan", str(plan), "--listen", "not-an-endpoint"])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--plan", str(plan), "--listen", listen])
+        assert exit_info.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            f"warnd: error: argument --listen: must be addr:port, got {listen!r}\n")
 
-    def test_bad_plan_is_a_usage_error(self, tmp_path, capsys):
+    def test_missing_option_is_a_usage_error(self):
+        from roadwarn.warnd import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--listen", "127.0.0.1:0"])
+        assert exit_info.value.code == 1
+
+    def test_bad_plan_is_a_data_error(self, tmp_path, capsys):
         from roadwarn.warnd import main
 
         plan = tmp_path / "plan.ini"
         plan.write_text("[plan]\nroad_length = 100\nmic_height = 3\n")
-        with pytest.raises(SystemExit) as exit_info:
-            main(["--plan", str(plan), "--listen", "127.0.0.1:0"])
-        assert exit_info.value.code == 2
+        assert main(["--plan", str(plan), "--listen", "127.0.0.1:0"]) == 2
         assert "unknown [plan] key 'mic_height'" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as exit_info:
-            main(["--plan", str(tmp_path / "missing.ini"), "--listen", "127.0.0.1:0"])
-        assert exit_info.value.code == 2
+        assert main(["--plan", str(tmp_path / "missing.ini"), "--listen", "127.0.0.1:0"]) == 2
         assert "missing.ini" in capsys.readouterr().err
+
+    def test_port_in_use_is_a_data_error(self, tmp_path, capsys):
+        from roadwarn.warnd import main
+
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            listen = f"127.0.0.1:{taken.getsockname()[1]}"
+            assert main(["--plan", _plan_file(tmp_path), "--listen", listen]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTcpServer:
@@ -346,7 +363,7 @@ class TestNonFinite:
         ("t", f"POS p1 1.0 1.0 {_NINES}.5"),
     ])
     def test_overflowing_decimal_rejected(self, field, line):
-        dispatcher = Dispatcher(build_plan(100.0))
+        dispatcher = Dispatcher(DeploymentPlan(100.0))
         response = dispatcher.handle_line(line, print)
         assert response.startswith(f"ERR malformed: bad {field} ")
         assert response.endswith("... (not finite)")
@@ -391,7 +408,7 @@ class TestFuzz:
     @settings(max_examples=400, deadline=None)
     @given(_LINES)
     def test_handle_line_answers_ok_or_err(self, line):
-        dispatcher = Dispatcher(build_plan(100.0))
+        dispatcher = Dispatcher(DeploymentPlan(100.0))
         response = dispatcher.handle_line(line, print)
         assert response.startswith(("OK ", "ERR "))
         assert all(_finite_fields(r) for r in dispatcher._clients.values())
@@ -487,7 +504,7 @@ class TestClientLinePath:
                  "POS c 25.0 3.5 6.0", "REG e 20.0 1.0 5.0"]),
             (0, ["REG a 26.0 1.0 8.0", "POS b 200.0 1.0 9.0"]),
         ]
-        plan = build_plan(100.0)
+        plan = DeploymentPlan(100.0)
         batched, single = Dispatcher(plan), Dispatcher(plan)
         batched_conns = [_Connection(), _Connection()]
         single_conns = [_Connection(), _Connection()]
@@ -520,18 +537,13 @@ class TestClientLinePath:
 
 # -- the area index -------------------------------------------------------------
 
-def _irregular_plan():
-    """Areas that overlap, nest, touch and leave gaps, out of x order."""
-    spans = [(60.0, 0.5), (0.0, 30.0), (12.5, 5.0), (10.0, 40.0), (60.5, 9.5), (90.0, 10.0)]
-    processors = tuple(Processor(i, DangerArea(x0, length, 7.0))
-                       for i, (x0, length) in enumerate(spans))
-    return DeploymentPlan(processors=processors)
-
-
-_PLANS = {"below": build_plan(100.0, danger_length=10.0),   # gaps between areas
-          "equal": build_plan(100.0),                      # areas share their edges
-          "above": build_plan(100.0, danger_length=40.0),  # areas overlap
-          "irregular": _irregular_plan()}
+# Every edge is a 3-decimal value, as the wire carries it, so a registered
+# position equals the drawn one on each edge.
+_PLANS = {"below": DeploymentPlan(100.0, danger_length=10.0),   # gaps between areas
+          "equal": DeploymentPlan(100.0),                      # areas share their edges
+          "above": DeploymentPlan(100.0, danger_length=40.0),  # areas overlap
+          # a point can lie in three areas
+          "triple": DeploymentPlan(100.0, processor_spacing=12.5, danger_length=30.0)}
 
 
 class _Connection:
@@ -553,9 +565,9 @@ class _Connection:
 
 
 def _coordinates(plan):
-    edges = sorted({p.area.x0 for p in plan.processors}
-                   | {p.area.x0 + p.area.length for p in plan.processors})
-    width = plan.processors[0].area.width
+    areas = [plan.processor(pid) for pid in range(plan.processor_count)]
+    edges = sorted({a.x0 for a in areas} | {a.x0 + a.length for a in areas})
+    width = plan.road_width
     xs = st.one_of(st.sampled_from(edges),                              # on an area edge
                    st.sampled_from(edges).map(lambda e: e + 0.001),
                    st.sampled_from(edges).map(lambda e: e - 0.001),
@@ -570,7 +582,7 @@ def _coordinates(plan):
 def _scenario(draw):
     plan = _PLANS[draw(st.sampled_from(sorted(_PLANS)))]
     xs, ys = _coordinates(plan)
-    pids = [p.processor_id for p in plan.processors]
+    pids = list(range(plan.processor_count))
     step = st.one_of(
         st.tuples(st.sampled_from(["REG", "POS"]), st.integers(0, 7), xs, ys,
                   st.integers(0, 12), st.integers(0, 2)),
@@ -582,9 +594,9 @@ def _scenario(draw):
 
 def _check_index(dispatcher, plan):
     clients = dispatcher._clients
-    for processor in plan.processors:
-        bucket = dispatcher._buckets[processor.processor_id]
-        inside = {cid for cid, r in clients.items() if processor.area.contains(r.x, r.y)}
+    for pid in range(plan.processor_count):
+        bucket = dispatcher._buckets[pid]
+        inside = {cid for cid, r in clients.items() if plan.processor(pid).contains(r.x, r.y)}
         assert set(bucket) == inside
         assert all(bucket[cid] is clients[cid] for cid in bucket)
     # each client is bound to the connection it registered on, and no connection is kept
@@ -631,7 +643,7 @@ class TestAreaIndex:
                 conns[step[1]].broken = True
             else:
                 _, pid, now = step
-                area = plan.processor(pid).area
+                area = plan.processor(pid)
                 members = members_in_area_reference(area, dispatcher._clients, float(now),
                                                     plan.freshness_window)
                 assert set(members) == {cid for cid, (x, y, t, _) in shadow.items()
@@ -653,7 +665,7 @@ class TestAreaIndex:
             _check_index(dispatcher, plan)
 
     def test_position_updates_move_client_between_buckets(self):
-        dispatcher = Dispatcher(build_plan(100.0))
+        dispatcher = Dispatcher(DeploymentPlan(100.0))
         path = [("REG", 30.0, 1.0, ["1"]), ("POS", 25.0, 7.0, ["0", "1"]),
                 ("POS", 60.0, 0.0, ["2"]), ("POS", 60.0, 7.5, []),
                 ("POS", 125.0, 3.0, ["4"]), ("POS", 125.5, 3.0, []), ("REG", 0.0, 0.0, ["0"])]
@@ -663,7 +675,7 @@ class TestAreaIndex:
             _check_index(dispatcher, dispatcher.plan)
 
     def test_shared_connection_gets_one_line_per_client(self):
-        dispatcher = Dispatcher(build_plan(100.0))
+        dispatcher = Dispatcher(DeploymentPlan(100.0))
         conn = _Connection()
         assert dispatcher.handle_line("REG a 30.0 1.0 0.0", conn.send) == "OK a"
         assert dispatcher.handle_line("REG b 40.0 1.0 0.0", conn.send) == "OK b"
@@ -673,7 +685,7 @@ class TestAreaIndex:
 
     def test_reregistering_through_new_sinks_keeps_one_binding(self):
         # cli.simulate hands every line a fresh callable
-        dispatcher = Dispatcher(build_plan(100.0))
+        dispatcher = Dispatcher(DeploymentPlan(100.0))
         for t in range(50):
             assert dispatcher.handle_line(f"REG a 30.0 1.0 {t}.0", lambda line: None) == "OK a"
         assert len(dispatcher._by_send) == 1
@@ -686,7 +698,7 @@ class TestEviction:
         return dispatcher.dispatch(result, pid, t)
 
     def test_failing_send_is_evicted_and_not_reported(self):
-        dispatcher = Dispatcher(build_plan(100.0))
+        dispatcher = Dispatcher(DeploymentPlan(100.0))
         dead, alive = _Connection(), _Connection()
         dead.broken = True
         dispatcher.handle_line("REG gone 30.0 1.0 0.0", dead.send)
@@ -701,7 +713,7 @@ class TestEviction:
         _check_index(dispatcher, dispatcher.plan)
 
     def test_drop_connection_skips_clients_that_moved(self):
-        dispatcher = Dispatcher(build_plan(100.0))
+        dispatcher = Dispatcher(DeploymentPlan(100.0))
         old, new = _Connection(), _Connection()
         dispatcher.handle_line("REG a 30.0 1.0 0.0", old.send)
         dispatcher.handle_line("REG b 31.0 1.0 0.0", old.send)
@@ -715,7 +727,7 @@ class TestEviction:
     def test_concurrent_sessions_keep_index_and_connections_consistent(self):
         # six sessions and a stream of dispatches, interleaved step by step
         # in a random order on one thread, as the server's loop runs them
-        plan = build_plan(100.0, danger_length=40.0)
+        plan = DeploymentPlan(100.0, danger_length=40.0)
         dispatcher = Dispatcher(plan)
         warn = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
 
@@ -737,7 +749,7 @@ class TestEviction:
         def events():
             i = 0
             while True:
-                dispatcher.dispatch(warn, i % len(plan.processors), float(i % 400))
+                dispatcher.dispatch(warn, i % plan.processor_count, float(i % 400))
                 i += 1
                 yield
 
@@ -801,7 +813,7 @@ class _LiveServer:
 
 @pytest.fixture
 def server():
-    live = _LiveServer(build_plan(100.0))
+    live = _LiveServer(DeploymentPlan(100.0))
     yield live
     live.stop()
 
@@ -1013,7 +1025,7 @@ class TestTransport:
             for cid, sock in socks.items():
                 assert _read_lines(sock, 1) == f"OK {cid}\n".encode()
             assert threading.active_count() == threads_before
-            area = build_plan(100.0).processor(1).area
+            area = DeploymentPlan(100.0).processor(1)
             expected = {f"c{i}" for i in range(300) if area.contains(i * 0.5, 1.0)}
             assert 40 < len(expected) < 300
             assert server.warned() == len(expected)
@@ -1134,7 +1146,7 @@ class TestLineRules:
 class TestRegistryCap:
     def test_new_ids_refused_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(warnd, "MAX_CLIENTS", 3)
-        dispatcher = Dispatcher(build_plan(100.0))
+        dispatcher = Dispatcher(DeploymentPlan(100.0))
         first, second = _Connection(), _Connection()
         for cid in ("a", "b", "c"):
             assert dispatcher.handle_line(f"REG {cid} 30.0 1.0 0.0", first.send) == f"OK {cid}"
@@ -1192,7 +1204,7 @@ class TestStandaloneService:
             replies = _read_lines(sock, len(regs)).decode().splitlines()
             assert replies == [f"OK {cid}" for cid, _, _ in regs]
 
-            area = build_plan(100.0).processor(2).area
+            area = DeploymentPlan(100.0).processor(2)
             expected = sum(area.contains(x, y) for _, x, y in regs)
             assert expected > 50
             proc.stdin.write(b"EVENT 2 H approaching 3.000\n")
