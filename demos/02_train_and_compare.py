@@ -11,8 +11,8 @@ from collections import Counter
 import numpy as np
 
 from roadwarn import audio_io, features, synth
-from roadwarn.classifiers import (FEATURE_SETS, LabeledDataset, MlpConfig, evaluate_cv,
-                                  make_trainer, train_mlp)
+from roadwarn.classifiers import (LabeledDataset, compare_feature_sets, evaluate_cv,
+                                  make_trainer)
 from roadwarn.cli import render_grid, render_metrics
 from roadwarn.labels import SoundClass
 
@@ -33,7 +33,7 @@ print(f"dataset: {data.X.shape[0]} frames, counts "
 
 # --- per-class metrics for the strongest model ------------------------------
 
-trainer = lambda d: train_mlp(d, MlpConfig(learning_rate=0.5, epochs=200, seed=0))
+trainer = make_trainer("mlp", seed=0, learning_rate=0.5, epochs=200)
 metrics = evaluate_cv(data, trainer, folds=FOLDS, seed=0)
 print(f"\nMLP, all features, {FOLDS}-fold CV:")
 print(render_metrics(metrics))
@@ -41,14 +41,8 @@ print(render_metrics(metrics))
 # --- classifier x feature-set grid ------------------------------------------
 
 print("\naccuracy grid (rows: classifier, columns: feature subset):")
-grid = {}
-for name in ("mlp", "knn", "nb", "dt"):
-    kwargs = {"learning_rate": 0.5, "epochs": 200} if name == "mlp" else {}
-    grid[name] = {}
-    for set_name, cols in FEATURE_SETS.items():
-        m = evaluate_cv(data.select_columns(cols),
-                        make_trainer(name, seed=0, **kwargs), folds=FOLDS, seed=0)
-        grid[name][set_name] = m.overall_accuracy
+grid = compare_feature_sets(data, folds=FOLDS,
+                            classifier_kwargs={"mlp": {"learning_rate": 0.5, "epochs": 200}})
 print(render_grid(grid))
 print("\nthe cepstral features carry most of the signal; "
       "the spectral scalars alone trail behind")

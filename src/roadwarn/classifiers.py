@@ -308,8 +308,7 @@ class MlpModel(_Model):
         return loss, (gw1, gb1, gw2, gb2)
 
     def loss(self, Xs, codes):
-        _, probs = self._forward(Xs)
-        return -np.mean(np.log(probs[np.arange(Xs.shape[0]), codes] + 1e-300))
+        return self.loss_and_gradients(Xs, codes)[0]
 
     def _predict(self, Xs) -> list:
         _, probs = self._forward(Xs)

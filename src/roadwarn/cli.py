@@ -45,12 +45,12 @@ class RunConfig:
     def __init__(self, path=None):
         values = {} if path is None else read_ini(path, _RUN_CONFIG_KEYS)
         self.features = values.pop("features", {})  # the [features] keys the file sets
-        self.mfcc, self.lpc = features.configs_of(self.features)
+        features.configs_of(self.features)  # raises if they make no extraction config
         self.classifier_kwargs = {name: values.get(name, {})
                                   for name in classifiers.CLASSIFIER_NAMES}
 
     def echo(self) -> None:
-        for key, value in features.settings_of(self.mfcc, self.lpc).items():
+        for key, value in {**features.settings_of(), **self.features}.items():
             print(f"# features.{key} = {value}")
         for name, kwargs in self.classifier_kwargs.items():
             for key, value in kwargs.items():
@@ -107,23 +107,23 @@ def cmd_extract(args) -> int:
     if not entries:
         print("error: empty manifest", file=sys.stderr)
         return 2
+    configs = features.configs_of(config.features)
     rows, labels = [], []
     for entry in entries:
         buffer = audio_io.load_wav(os.path.join(args.corpus_dir, entry.file))
         frames = audio_io.frame_signal(buffer)
-        rows.append(features.extract_features(frames, buffer.sample_rate,
-                                              config.mfcc, config.lpc))
+        rows.append(features.extract_features(frames, buffer.sample_rate, *configs))
         labels.extend([entry.sound_class] * len(frames))
     matrix = np.vstack(rows)
     features.save_dataset_csv(args.features_csv, matrix, labels,
-                              features.feature_names(config.mfcc, config.lpc),
-                              features.settings_of(config.mfcc, config.lpc))
+                              features.feature_names(*configs), features.settings_of(*configs))
     print(f"wrote {matrix.shape[0]} frames x {matrix.shape[1]} features to {args.features_csv}")
     return 0
 
 
-def _extraction_configs(path, settings: dict) -> tuple[MfccConfig, LpcConfig]:
-    """The [features] settings a feature CSV was extracted with, as configs.
+def _load_labeled(path, settings: dict):
+    """The labelled rows of a feature CSV, and the (MfccConfig, LpcConfig)
+    it was extracted with; its columns must be the ones those extract.
 
     A setting the CSV's record names is taken from there.  One it does not
     name is at its default, except n_coeffs and lpc_order: the header shows
@@ -135,28 +135,35 @@ def _extraction_configs(path, settings: dict) -> tuple[MfccConfig, LpcConfig]:
         if (key in recorded or key not in ("n_coeffs", "lpc_order")) and value != extracted[key]:
             raise ValueError(f"{path}: [features] {key} = {value} differs from the "
                              f"{extracted[key]} the CSV was extracted with")
-    return features.configs_of({**settings, **recorded})
-
-
-def _load_labeled(path, configs: tuple | None = None):
-    """The labelled rows of a feature CSV; with (MfccConfig, LpcConfig)
-    `configs`, its columns must be the ones those settings extract."""
+    configs = features.configs_of({**settings, **recorded})
     matrix, labels, names = features.load_dataset_csv(path)
     if any(label is None for label in labels):
         raise ValueError(f"{path}: every row needs a label")
-    expected = None if configs is None else features.feature_names(*configs)
-    if expected is not None and names != expected:
+    expected = features.feature_names(*configs)
+    if names != expected:
         raise ValueError(f"{path}: its {len(names)} columns are not the {len(expected)} that "
                          "the [features] settings extract; pass the --config it was extracted with")
-    return classifiers.LabeledDataset(matrix, labels)
+    return classifiers.LabeledDataset(matrix, labels), configs
+
+
+def _load_model(path):
+    """A model file's model, the feature subset it records, and its [features]
+    settings: all of them, or none if it records no extraction configs."""
+    model = classifiers.load_model(path)
+    meta = classifiers.load_model_meta(path)
+    try:
+        mfcc_cfg, lpc_cfg = MfccConfig(**meta.get("mfcc", {})), LpcConfig(**meta.get("lpc", {}))
+    except (TypeError, ValueError) as exc:  # an unknown key, or a value of the wrong type
+        raise ValueError(f"{path}: meta mfcc/lpc: {exc}") from None
+    settings = features.settings_of(mfcc_cfg, lpc_cfg) if "mfcc" in meta or "lpc" in meta else {}
+    return model, meta.get("feature_set", "all"), settings
 
 
 def cmd_train(args) -> int:
     config = RunConfig(args.config)
     if args.config:
         config.echo()
-    mfcc_cfg, lpc_cfg = _extraction_configs(args.features_csv, config.features)
-    data = _load_labeled(args.features_csv, (mfcc_cfg, lpc_cfg))
+    data, (mfcc_cfg, lpc_cfg) = _load_labeled(args.features_csv, config.features)
     cols = FEATURE_SETS[args.feature_set]
     kwargs = config.classifier_kwargs[args.model]
     trainer = classifiers.make_trainer(args.model, seed=args.seed, **kwargs)
@@ -180,14 +187,11 @@ def cmd_eval(args) -> int:
     config = RunConfig(args.config)
     if args.config:
         config.echo()
-    if args.model_file:
-        feature_set, settings = _model_settings(args.model_file)
-    else:
-        settings = config.features
-    # with no [features] settings to check against, any CSV is taken (--compare
-    # runs on CSVs of other dimensions)
-    configs = _extraction_configs(args.features_csv, settings) if settings else None
-    data = _load_labeled(args.features_csv, configs)
+    settings = config.features
+    if args.model_file:  # loaded first: a broken model file is the error to report
+        model, feature_set, recorded = _load_model(args.model_file)
+        settings = recorded or settings  # a model that records none takes --config's
+    data, _ = _load_labeled(args.features_csv, settings)
     if args.compare:
         grid = classifiers.compare_feature_sets(
             data, seed=args.seed, folds=args.folds,
@@ -195,7 +199,6 @@ def cmd_eval(args) -> int:
         _write_report(render_grid(grid), args.report)
         return 0
     if args.model_file:
-        model = classifiers.load_model(args.model_file)
         cols = FEATURE_SETS[feature_set]
         metrics = classifiers.compute_metrics(data.y, model.predict_batch(data.X[:, cols]))
     else:
@@ -220,21 +223,8 @@ def detect_buffer(buffer: audio_io.SampleBuffer, model, feature_set: str = "all"
     return decision.finalize_detection(track, climax), track
 
 
-def _model_settings(path) -> tuple[str, dict]:
-    """The feature subset a model file records, and its [features] settings:
-    all of them, or none (the defaults) if it records no extraction configs."""
-    meta = classifiers.load_model_meta(path)
-    try:
-        mfcc_cfg, lpc_cfg = MfccConfig(**meta.get("mfcc", {})), LpcConfig(**meta.get("lpc", {}))
-    except (TypeError, ValueError) as exc:  # an unknown key, or a value of the wrong type
-        raise ValueError(f"{path}: meta mfcc/lpc: {exc}") from None
-    settings = features.settings_of(mfcc_cfg, lpc_cfg) if "mfcc" in meta or "lpc" in meta else {}
-    return meta.get("feature_set", "all"), settings
-
-
 def cmd_detect(args) -> int:
-    model = classifiers.load_model(args.model_file)
-    feature_set, settings = _model_settings(args.model_file)
+    model, feature_set, settings = _load_model(args.model_file)
     buffer = audio_io.load_wav(args.wav)
     result, _ = detect_buffer(buffer, model, feature_set, *features.configs_of(settings))
     print(result.to_line())

@@ -16,6 +16,11 @@ from functools import cached_property
 from .labels import RECEDING, DetectionResult, SoundClass
 
 WARN_CLASSES = (SoundClass.H, SoundClass.LH)
+# Plan bounds: warnd keeps a bucket per processor, and a REG or POS reads each
+# area at its point.  danger_length is at most 7 spacings, so a point lies in at
+# most 8 areas, also where rounding puts one area's end on another's start.
+MAX_PROCESSORS = 100_000
+MAX_AREAS_AT_A_POINT = 8
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,12 @@ class DeploymentPlan:
         if self.road_length < self.processor_spacing:
             raise ValueError(f"road of {self.road_length} m is shorter than one "
                              f"{self.processor_spacing} m spacing")
+        if self.road_length / self.processor_spacing >= MAX_PROCESSORS:  # also for inf
+            raise ValueError(f"road of {self.road_length} m at {self.processor_spacing} m spacing "
+                             f"needs more than {MAX_PROCESSORS} processors")
+        if self.danger_length > (MAX_AREAS_AT_A_POINT - 1) * self.processor_spacing:
+            raise ValueError(f"danger_length of {self.danger_length} m is longer than "
+                             f"{MAX_AREAS_AT_A_POINT - 1} spacings of {self.processor_spacing} m")
 
     @cached_property
     def processor_count(self) -> int:

@@ -111,8 +111,8 @@ def _band_noise(n: int, sample_rate: int, f_lo: float, f_hi: float, rng,
     return shaped / rms if rms > 0 else shaped
 
 
-def synth_passby(profile: VehicleProfile, scenario: PassbyScenario,
-                 sample_rate: int = DEFAULT_SAMPLE_RATE) -> tuple[SampleBuffer, PassbyTruth]:
+def synth_passby(profile: VehicleProfile,
+                 scenario: PassbyScenario) -> tuple[SampleBuffer, PassbyTruth]:
     """Render one vehicle pass and return the audio plus its ground truth.
 
     The source is a harmonic stack mixed with band-limited noise; the
@@ -128,8 +128,8 @@ def synth_passby(profile: VehicleProfile, scenario: PassbyScenario,
     t_c = scenario.duration / 2.0 if scenario.closest_time is None else scenario.closest_time
     sign = 1.0 if scenario.approach_from == "front" else -1.0
 
-    n = int(round(scenario.duration * sample_rate))
-    t = np.arange(n) / sample_rate
+    n = int(round(scenario.duration * DEFAULT_SAMPLE_RATE))
+    t = np.arange(n) / DEFAULT_SAMPLE_RATE
     tau = _emission_times(t, t_c, v, r0, c)
     d = c * (t - tau)
     x = sign * v * (tau - t_c)  # along-road source position at emission
@@ -142,7 +142,7 @@ def synth_passby(profile: VehicleProfile, scenario: PassbyScenario,
     source = _source_harmonics(tau, profile, rng)
     if profile.broadband_level > 0:
         grid_tau = np.linspace(tau[0], tau[-1], n)
-        noise = _band_noise(n, sample_rate, 50.0, 2500.0, rng)
+        noise = _band_noise(n, DEFAULT_SAMPLE_RATE, 50.0, 2500.0, rng)
         source = ((1.0 - profile.broadband_level) * source
                   + profile.broadband_level * np.interp(tau, grid_tau, noise))
     rendered = gain / d * source
@@ -156,37 +156,36 @@ def synth_passby(profile: VehicleProfile, scenario: PassbyScenario,
     d_rate = v * v * (tau_f - t_c) / np.sqrt(v * v * (tau_f - t_c) ** 2 + r0 * r0)
     received = profile.fundamental * c / (c + d_rate)
     truth = PassbyTruth(t_closest=t_c + r0 / c, received_hz=received)
-    return SampleBuffer(samples=np.clip(rendered, -1.0, 1.0), sample_rate=sample_rate), truth
+    return SampleBuffer(np.clip(rendered, -1.0, 1.0), DEFAULT_SAMPLE_RATE), truth
 
 
-def synth_nv(kind: str, duration: float, seed: int,
-             sample_rate: int = DEFAULT_SAMPLE_RATE) -> SampleBuffer:
+def synth_nv(kind: str, duration: float, seed: int) -> SampleBuffer:
     """Ambient clips for the no-vehicle class: birds, airplane or crowd."""
     if duration <= 0:
         raise ValueError("duration must be positive")
     rng = np.random.default_rng(seed)
-    n = int(round(duration * sample_rate))
-    t = np.arange(n) / sample_rate
+    n = int(round(duration * DEFAULT_SAMPLE_RATE))
+    t = np.arange(n) / DEFAULT_SAMPLE_RATE
     if kind == "birds":
         out = np.zeros(n)
         for _ in range(max(3, int(duration * 3))):
-            length = int(rng.uniform(0.08, 0.2) * sample_rate)
+            length = int(rng.uniform(0.08, 0.2) * DEFAULT_SAMPLE_RATE)
             start = rng.integers(0, max(1, n - length))
             f_start = rng.uniform(2000.0, 5500.0)
             f_end = float(np.clip(f_start + rng.uniform(-1200.0, 1200.0), 2000.0, 6000.0))
-            seg_t = np.arange(length) / sample_rate
+            seg_t = np.arange(length) / DEFAULT_SAMPLE_RATE
             freq = np.linspace(f_start, f_end, length)
-            phase = 2.0 * np.pi * np.cumsum(freq) / sample_rate
+            phase = 2.0 * np.pi * np.cumsum(freq) / DEFAULT_SAMPLE_RATE
             out[start:start + length] += (rng.uniform(0.4, 1.0)
                                           * np.hanning(length) * np.sin(phase))
         out += 1e-4 * rng.standard_normal(n)
     elif kind == "airplane":
-        rumble = _band_noise(n, sample_rate, 20.0, 300.0, rng, shape_power=1.0)
+        rumble = _band_noise(n, DEFAULT_SAMPLE_RATE, 20.0, 300.0, rng, shape_power=1.0)
         slow = 1.0 + 0.25 * np.sin(2.0 * np.pi * rng.uniform(0.05, 0.12) * t
                                    + rng.uniform(0, 2 * np.pi))
         out = rumble * slow
     elif kind == "crowd":
-        babble = _band_noise(n, sample_rate, 300.0, 3000.0, rng)
+        babble = _band_noise(n, DEFAULT_SAMPLE_RATE, 300.0, 3000.0, rng)
         mod = np.ones(n)
         for _ in range(3):
             mod += 0.15 * np.sin(2.0 * np.pi * rng.uniform(0.3, 2.0) * t
@@ -197,7 +196,7 @@ def synth_nv(kind: str, duration: float, seed: int,
     peak = np.max(np.abs(out))
     if peak > 0:
         out = out / peak * 0.7
-    return SampleBuffer(samples=out, sample_rate=sample_rate)
+    return SampleBuffer(samples=out, sample_rate=DEFAULT_SAMPLE_RATE)
 
 
 # ---------------------------------------------------------------------------

@@ -326,14 +326,13 @@ class _Connection:
     """One client socket: the bytes read but not yet a whole line, and the
     outbox of what the socket has not taken yet."""
 
-    __slots__ = ("server", "sock", "inbox", "outbox", "open", "mask", "stalled_since")
+    __slots__ = ("server", "sock", "inbox", "outbox", "open", "stalled_since")
 
     def __init__(self, server, sock):
         self.server, self.sock = server, sock
         self.inbox = b""
         self.outbox = bytearray()
         self.open = True  # takes lines; False after EOF, an over-long line or a close
-        self.mask = selectors.EVENT_READ
         self.stalled_since = None  # when a write first left bytes in the outbox
 
     def send(self, text: str) -> None:
@@ -410,7 +409,7 @@ class WarnServer:
                     self._read_feed()
                 elif conn not in self._connections:  # closed by an earlier key of this turn
                     continue
-                elif conn.mask == selectors.EVENT_WRITE:
+                elif conn.stalled_since is not None:
                     self._flush(conn)  # writable again, or failed
                 else:
                     self._read(conn)
@@ -502,16 +501,16 @@ class WarnServer:
         if not (pending or conn.open):
             self._close(conn)
             return
+        if pending == (conn.stalled_since is not None):
+            return
+        # no reading while stalled: a peer that does not read cannot grow its outbox by writing
         mask = selectors.EVENT_WRITE if pending else selectors.EVENT_READ
-        if conn.mask != mask:  # no reading while replies wait: a peer that
-            conn.mask = mask   # does not read cannot grow its outbox by writing
-            self._selector.modify(conn.sock, mask, conn)
-        if not pending:
-            conn.stalled_since = None
-            self._stalled.discard(conn)
-        elif conn.stalled_since is None:
-            conn.stalled_since = time.monotonic()
+        self._selector.modify(conn.sock, mask, conn)
+        conn.stalled_since = time.monotonic() if pending else None
+        if pending:
             self._stalled.add(conn)
+        else:
+            self._stalled.discard(conn)
 
     def _close(self, conn: _Connection) -> None:
         """Evict the connection's clients and close it."""

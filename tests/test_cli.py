@@ -211,6 +211,50 @@ class TestTrainEval:
                                            "differs from the 0.5 the CSV was extracted with\n")
         assert main(["eval", str(pe05), "--model", "dt", "--folds", "2"]) == 0
 
+    def test_eval_refuses_recordless_csv_of_other_dimensions(self, tmp_path, capsys):
+        # 28 columns and no record: extracted with n_coeffs = 10, which only a
+        # --config can say; without it, CV eval and --compare refuse as train does
+        X = np.random.default_rng(2).standard_normal((48, 28))
+        labels = [CLASS_ORDER[i % 4] for i in range(48)]
+        for i, label in enumerate(labels):
+            X[i] += 3 * CLASS_ORDER.index(label)
+        csv = tmp_path / "narrow.csv"
+        features.save_dataset_csv(csv, X, labels, features.feature_names(MfccConfig(n_coeffs=10)))
+        modes = [["--model", "nb"], ["--compare"]]
+        for mode in modes:
+            assert main(["eval", str(csv), "--folds", "2", *mode]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {csv}: its 28 columns are not the 31 that the [features] settings "
+                "extract; pass the --config it was extracted with\n")
+        config = tmp_path / "run.ini"
+        config.write_text("[features]\nn_coeffs = 10\n[mlp]\nepochs = 20\n")
+        for mode in modes:
+            assert main(["eval", str(csv), "--folds", "2", "--config", str(config), *mode]) == 0
+            assert "error" not in capsys.readouterr().err
+
+    def test_eval_model_file_without_settings_takes_the_config(self, tmp_path, capsys):
+        # a model file from before settings were recorded: --config's [features] say
+        # what the CSV's columns must be
+        csv = tmp_path / "narrow.csv"
+        labels = [CLASS_ORDER[i % 4] for i in range(8)]
+        features.save_dataset_csv(csv, np.arange(8 * 28.0).reshape(8, 28), labels,
+                                  features.feature_names(MfccConfig(n_coeffs=10)))
+        config = tmp_path / "run.ini"
+        config.write_text("[features]\nn_coeffs = 10\n")
+        model = tmp_path / "dt.json"
+        assert main(["train", str(csv), str(model), "--model", "dt", "--config", str(config)]) == 0
+        doc = json.loads(model.read_text())
+        del doc["meta"]["mfcc"], doc["meta"]["lpc"]
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", str(csv), "--model-file", str(model)]) == 2
+        assert "its 28 columns are not the 31 that the [features] settings extract" in \
+            capsys.readouterr().err
+        report = tmp_path / "report.txt"
+        assert main(["eval", str(csv), "--model-file", str(model), "--config", str(config),
+                     "--report", str(report)]) == 0
+        assert "overall accuracy: 100.00" in report.read_text()
+
     def test_cv_eval_report(self, features_csv, tmp_path):
         report = tmp_path / "cv.txt"
         assert main(["eval", str(features_csv), "--model", "dt",

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from roadwarn import deployment
+from roadwarn.cli import main
 from roadwarn.deployment import (DeploymentPlan, load_plan_config,
                                  warning_decision, warning_lead_time)
 from roadwarn.labels import APPROACHING, RECEDING, UNKNOWN, DetectionResult, SoundClass
@@ -39,6 +41,47 @@ class TestPlanLayout:
 
     def test_warning_offset(self):
         assert DeploymentPlan(100.0).warning_offset_areas == 3
+
+
+class TestPlanBounds:
+    """A plan holds at most 100,000 processors, and a point lies in at most 8
+    of their areas.  Each check runs on the plan alone: no dispatcher is
+    built for a plan over a bound."""
+
+    def test_processor_count(self):
+        assert (deployment.MAX_PROCESSORS, deployment.MAX_AREAS_AT_A_POINT) == (100_000, 8)
+        for road in (99_999.0, math.nextafter(100_000.0, 0.0)):
+            plan = DeploymentPlan(road, processor_spacing=1.0, danger_length=1.0)
+            assert plan.processor_count == 100_000
+        for road, spacing in ((100_000.0, 1.0), (1e9, 0.001), (1e308, 1e-300)):
+            with pytest.raises(ValueError, match="needs more than 100000 processors"):
+                DeploymentPlan(road, processor_spacing=spacing, danger_length=spacing)
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.1, 12.5])
+    def test_areas_at_a_point(self, spacing):
+        # 8 areas hold a point where 7 spacings of danger_length end: edges included
+        plan = DeploymentPlan(100 * spacing, processor_spacing=spacing, danger_length=7 * spacing)
+        xs = np.arange(0.0, 108.0, 0.25) * spacing
+        assert max(len(plan.areas_at(x, 1.0)) for x in xs) == 8
+        for length in (math.nextafter(7 * spacing, math.inf), 8 * spacing, 25 * spacing):
+            with pytest.raises(ValueError, match=f"is longer than 7 spacings of {spacing} m"):
+                DeploymentPlan(100 * spacing, processor_spacing=spacing, danger_length=length)
+
+    @pytest.mark.parametrize("plan_text,message", [
+        ("road_length = 1e9\nprocessor_spacing = 0.001\n",
+         "road of 1000000000.0 m at 0.001 m spacing needs more than 100000 processors"),
+        ("road_length = 100\nprocessor_spacing = 0.01\ndanger_length = 25\n",
+         "danger_length of 25.0 m is longer than 7 spacings of 0.01 m"),
+    ], ids=["processors", "areas"])
+    def test_simulate_refuses_the_plan(self, tmp_path, capsys, plan_text, message):
+        path = tmp_path / "plan.ini"
+        path.write_text("[plan]\n" + plan_text)
+        with pytest.raises(ValueError, match=message):
+            load_plan_config(path)  # before simulate builds anything from it
+        script = tmp_path / "script.txt"
+        script.write_text("PED p1 50 1 0\nVEHICLE H 60 0 1\n")
+        assert main(["simulate", str(path), str(script)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # (processor_spacing, danger_length): shared edges, gaps, overlaps two and
