@@ -176,16 +176,25 @@ class Dispatcher:
     Besides `_clients` (client_id -> record) the registry keeps one bucket
     per processor, holding the records whose position lies in its danger
     area (areas are closed, so a client on a shared edge is in both), and
-    the client_ids registered through each `send`.  A dispatch scans only
-    the target bucket, so its cost follows the area, not the registry.
+    the client_ids registered through each `send`.  Each bucket is split in
+    two: `_aged[pid]` holds records too old for any event stamped at or
+    after the area's mark `_aged_at[pid]`, `_live[pid]` the rest.  A
+    dispatch stamped at or after the mark reads only `_live`, so its cost
+    follows the records that can still be fresh, not the area or the
+    registry; it sets aside the stale ones it reads and raises the mark, so
+    the first such event of an area pays once for the records that aged
+    before it.  An event stamped before the mark reads both halves, and a
+    REG or POS puts its record back in `_live`.
     """
 
     def __init__(self, plan: DeploymentPlan):
         self.plan = plan
         self._clients: dict[str, _ClientRecord] = {}
         self._by_send: dict[object, set] = defaultdict(set)
-        self._buckets: dict[int, dict[str, _ClientRecord]] = {
-            pid: {} for pid in range(plan.processor_count)}
+        pids = range(plan.processor_count)
+        self._live: dict[int, dict[str, _ClientRecord]] = {pid: {} for pid in pids}
+        self._aged: dict[int, dict[str, _ClientRecord]] = {pid: {} for pid in pids}
+        self._aged_at: dict[int, float] = dict.fromkeys(pids, -math.inf)
 
     # -- client sessions ----------------------------------------------------
 
@@ -201,8 +210,8 @@ class Dispatcher:
         registered on this connection: a dispatch calls it once, with one
         line per client, joined by "\n" and without the final "\n".
         """
-        clients, buckets, by_send, areas_at = (self._clients, self._buckets, self._by_send,
-                                               self.plan.areas_at)
+        clients, live, aged, by_send, areas_at = (self._clients, self._live, self._aged,
+                                                  self._by_send, self.plan.areas_at)
         replies = []
         for line in lines:
             try:
@@ -232,12 +241,15 @@ class Dispatcher:
                         del by_send[record.send]
                     by_send[send].add(cid)
                     record.send = send
+                for pid in record.areas:  # the new t may be fresh for events past the mark
+                    if aged[pid].pop(cid, None) is not None:
+                        live[pid][cid] = record
             areas = areas_at(x, y)
             if areas != record.areas:
                 for pid in record.areas:
-                    del buckets[pid][cid]
+                    del live[pid][cid]
                 for pid in areas:
-                    buckets[pid][cid] = record
+                    live[pid][cid] = record
                 record.areas = areas
             replies.append(f"OK {cid}")
         return replies
@@ -247,7 +259,8 @@ class Dispatcher:
         closed or failed."""
         for cid in self._by_send.pop(send, ()):
             for pid in self._clients.pop(cid).areas:
-                del self._buckets[pid][cid]
+                if self._live[pid].pop(cid, None) is None:
+                    del self._aged[pid][cid]
 
     def positions(self) -> dict:
         """Snapshot: client_id -> (x, y, t)."""
@@ -277,11 +290,27 @@ class Dispatcher:
                                  event_time=event_time)
         line = encode(message)
         window = self.plan.freshness_window
+        live, aged = self._live[processor_id], self._aged[processor_id]
         groups = defaultdict(list)  # send -> the client_ids it carries
-        # the bucket holds exactly the clients inside the area
-        for cid, record in self._buckets[processor_id].items():
-            if -window <= event_time - record.t <= window:
+        stale = []
+        # live and aged together hold exactly the clients inside the area
+        for cid, record in live.items():
+            age = event_time - record.t
+            if age > window:
+                stale.append(cid)
+            elif age >= -window:
                 groups[record.send].append(cid)
+        if event_time >= self._aged_at[processor_id]:
+            # Rounding is monotone, so for every later event E' >= event_time,
+            # fl(E' - t) >= fl(event_time - t): a record too old now stays too
+            # old.  `t < event_time - window` rounds otherwise and would not do.
+            for cid in stale:
+                aged[cid] = live.pop(cid)
+            self._aged_at[processor_id] = event_time
+        else:  # stamped before the mark: an aged record may be fresh for it
+            for cid, record in aged.items():
+                if -window <= event_time - record.t <= window:
+                    groups[record.send].append(cid)
         delivered = []
         for send, cids in groups.items():
             try:

@@ -525,7 +525,7 @@ class TestClientLinePath:
             sends = [conn.send for conn in conns]
             return (dispatcher.positions(),
                     {pid: {cid: sends.index(r.send) for cid, r in bucket.items()}
-                     for pid, bucket in dispatcher._buckets.items()},
+                     for pid, bucket in dispatcher._live.items()},
                     {sends.index(send): cids for send, cids in dispatcher._by_send.items()})
 
         assert state(batched, batched_conns) == state(single, single_conns)
@@ -583,22 +583,45 @@ def _scenario(draw):
     plan = _PLANS[draw(st.sampled_from(sorted(_PLANS)))]
     xs, ys = _coordinates(plan)
     pids = list(range(plan.processor_count))
-    step = st.one_of(
-        st.tuples(st.sampled_from(["REG", "POS"]), st.integers(0, 7), xs, ys,
-                  st.integers(0, 12), st.integers(0, 2)),
-        st.tuples(st.just("close"), st.integers(0, 2)),
-        st.tuples(st.just("break"), st.integers(0, 2)),
-        st.tuples(st.just("dispatch"), st.sampled_from(pids), st.integers(0, 14)))
-    return plan, draw(st.lists(step, max_size=40))
+    # A few sites recur, and events go to the areas that hold them as often as
+    # to any area, so that records live to age and an aged record is dispatched to.
+    sites = draw(st.lists(st.tuples(xs, ys), min_size=1, max_size=3))
+    held = sorted({pid for x, y in sites for pid in plan.areas_at(x, y)}) or pids
+    # Times are 3-decimal values, drawn in ms.  A few stamps recur, and
+    # dispatch times fall on and 1 ms either side of each stamp +- the
+    # window, where `event_time - t` may round onto or past the window.
+    whole_or_ms = st.one_of(st.integers(0, 12).map(lambda s: s * 1000), st.integers(0, 12000))
+    stamps = draw(st.lists(whole_or_ms, min_size=1, max_size=4))
+    window_ms = round(plan.freshness_window * 1000)
+    band = sorted({s + side * window_ms + d for s in stamps for side in (-1, 1)
+                   for d in (-1, 0, 1)})
+    ts = st.one_of(st.sampled_from(stamps), whole_or_ms).map(lambda ms: ms / 1000)
+    nows = st.one_of(st.sampled_from(band), st.integers(0, 14000)).map(lambda ms: ms / 1000)
+    update = st.tuples(st.sampled_from(["REG", "POS"]), st.integers(0, 7),
+                       st.one_of(st.sampled_from(sites), st.tuples(xs, ys)), ts,
+                       st.integers(0, 2)).map(lambda u: (u[0], u[1], *u[2], *u[3:]))
+    dispatch = st.tuples(st.just("dispatch"),
+                         st.one_of(st.sampled_from(held), st.sampled_from(pids)), nows)
+    ending = st.tuples(st.sampled_from(["close", "break"]), st.integers(0, 2))
+    # three updates and three events to a connection's end, so that records live to age
+    kinds = {"update": update, "dispatch": dispatch, "ending": ending}
+    step = st.sampled_from(["update", "dispatch"] * 3 + ["ending"]).flatmap(kinds.get)
+    return plan, draw(st.lists(step, min_size=10, max_size=40))
 
 
 def _check_index(dispatcher, plan):
     clients = dispatcher._clients
-    for pid in range(plan.processor_count):
-        bucket = dispatcher._buckets[pid]
+    pids = range(plan.processor_count)
+    assert set(dispatcher._live) == set(dispatcher._aged) == set(dispatcher._aged_at) == set(pids)
+    for pid in pids:
+        live, aged = dispatcher._live[pid], dispatcher._aged[pid]
         inside = {cid for cid, r in clients.items() if plan.processor(pid).contains(r.x, r.y)}
-        assert set(bucket) == inside
-        assert all(bucket[cid] is clients[cid] for cid in bucket)
+        assert not live.keys() & aged.keys()
+        assert live.keys() | aged.keys() == inside
+        assert all(bucket[cid] is clients[cid] for bucket in (live, aged) for cid in bucket)
+        # an aged record is too old for every event stamped at or after the area's mark
+        assert all(dispatcher._aged_at[pid] - r.t > plan.freshness_window
+                   for r in aged.values())
     # each client is bound to the connection it registered on, and no connection is kept
     # without clients
     assert all(dispatcher._by_send.values())
@@ -626,7 +649,7 @@ class TestAreaIndex:
             if step[0] in ("REG", "POS"):
                 verb, n, x, y, t, k = step
                 cid = f"c{n}"
-                response = dispatcher.handle_line(f"{verb} {cid} {x:.3f} {y:.3f} {t}.0",
+                response = dispatcher.handle_line(f"{verb} {cid} {x:.3f} {y:.3f} {t:.3f}",
                                                   conns[k].send)
                 if cid not in shadow and verb == "POS":
                     assert response == "ERR unknown-client"
@@ -654,7 +677,7 @@ class TestAreaIndex:
                 before = [len(c.payloads) for c in conns]
                 delivered = dispatcher.dispatch(warn, pid, float(now))
                 assert delivered == {cid for cid in members if shadow[cid][3] not in dead}
-                line = f"WARN {pid} H approaching {now}.000"
+                line = f"WARN {pid} H approaching {now:.3f}"
                 for k, conn in enumerate(conns):
                     count = sum(1 for cid in delivered if shadow[cid][3] == k)
                     # at most one call per connection, one line per client it registered
@@ -666,13 +689,85 @@ class TestAreaIndex:
 
     def test_position_updates_move_client_between_buckets(self):
         dispatcher = Dispatcher(DeploymentPlan(100.0))
+        warn = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
         path = [("REG", 30.0, 1.0, ["1"]), ("POS", 25.0, 7.0, ["0", "1"]),
                 ("POS", 60.0, 0.0, ["2"]), ("POS", 60.0, 7.5, []),
                 ("POS", 125.0, 3.0, ["4"]), ("POS", 125.5, 3.0, []), ("REG", 0.0, 0.0, ["0"])]
         for t, (verb, x, y, buckets) in enumerate(path):
             assert dispatcher.handle_line(f"{verb} a {x} {y} {t}", print) == "OK a"
-            assert [str(pid) for pid, b in dispatcher._buckets.items() if "a" in b] == buckets
+            assert [str(pid) for pid, b in dispatcher._live.items() if "a" in b] == buckets
             _check_index(dispatcher, dispatcher.plan)
+            # an event 10 s later ages it in each of its areas; the next update moves it
+            # from there
+            for pid in range(dispatcher.plan.processor_count):
+                assert dispatcher.dispatch(warn, pid, t + 10.0) == set()
+            assert [str(pid) for pid, b in dispatcher._aged.items() if "a" in b] == buckets
+            _check_index(dispatcher, dispatcher.plan)
+
+    def test_in_order_dispatch_ages_stale_records_and_earlier_event_still_warns(self):
+        dispatcher = Dispatcher(DeploymentPlan(100.0))
+        conn = _Connection()
+        warn = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
+        dispatcher.handle_line("REG old 30.0 1.0 0.0", conn.send)
+        dispatcher.handle_line("REG new 40.0 1.0 8.0", conn.send)
+        assert dispatcher.dispatch(warn, 1, 10.0) == {"new"}
+        assert set(dispatcher._aged[1]) == {"old"} and dispatcher._aged_at[1] == 10.0
+        _check_index(dispatcher, dispatcher.plan)
+        # stamped before the mark: "old" is 4 s old for it and "new" 4 s ahead, both fresh
+        assert dispatcher.dispatch(warn, 1, 4.0) == {"old", "new"}
+        assert set(dispatcher._aged[1]) == {"old"} and dispatcher._aged_at[1] == 10.0
+        assert conn.calls() == [["WARN 1 H approaching 10.000"],
+                                ["WARN 1 H approaching 4.000"] * 2]
+        _check_index(dispatcher, dispatcher.plan)
+
+    def test_pos_on_aged_record_gets_the_next_warn(self):
+        dispatcher = Dispatcher(DeploymentPlan(100.0))
+        conn = _Connection()
+        warn = DetectionResult(climax_index=8, sound_type=SoundClass.LH, direction=APPROACHING)
+        dispatcher.handle_line("REG a 30.0 1.0 0.0", conn.send)
+        assert dispatcher.dispatch(warn, 1, 10.0) == set()
+        assert set(dispatcher._aged[1]) == {"a"}
+        assert dispatcher.handle_line("POS a 30.0 1.0 9.0", conn.send) == "OK a"  # same place
+        assert set(dispatcher._live[1]) == {"a"}
+        _check_index(dispatcher, dispatcher.plan)
+        assert dispatcher.dispatch(warn, 1, 11.0) == {"a"}
+        assert conn.calls() == [["WARN 1 LH approaching 11.000"]]
+
+    @pytest.mark.parametrize("ending", ["close", "break"])
+    def test_shared_edge_client_aged_in_one_area_is_evicted_from_both(self, ending):
+        dispatcher = Dispatcher(DeploymentPlan(100.0))
+        conn, other = _Connection(), _Connection()
+        warn = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
+        dispatcher.handle_line("REG edge 50.0 1.0 0.0", conn.send)  # in areas 1 and 2
+        dispatcher.handle_line("REG stay 60.0 1.0 0.0", other.send)  # in area 2
+        assert dispatcher.dispatch(warn, 1, 10.0) == set()
+        assert "edge" in dispatcher._aged[1] and "edge" in dispatcher._live[2]
+        if ending == "close":
+            dispatcher.drop_connection(conn.send)
+        else:
+            conn.broken = True
+            assert dispatcher.dispatch(warn, 2, 4.0) == {"stay"}
+        assert set(dispatcher.positions()) == {"stay"}
+        assert not dispatcher._aged[1] and set(dispatcher._live[2]) == {"stay"}
+        _check_index(dispatcher, dispatcher.plan)
+
+    # (event_time, t): fl(event_time - t) is exactly +window, just past it, exactly
+    # -window, just past it; `t < event_time - window` and `t > event_time + window`
+    # round the other way on the first and third
+    @pytest.mark.parametrize("event_time, t", [(5.001, 0.001), (8.002, 3.002),
+                                               (0.238, 5.238), (3.002, 8.002)])
+    def test_window_edge_rounding_matches_whole_registry(self, event_time, t):
+        plan = DeploymentPlan(100.0)
+        warn = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
+        # an in-order event, the same event again, and an event stamped before the mark
+        for times in ([event_time, event_time], [event_time + 10.0, event_time]):
+            dispatcher = Dispatcher(plan)
+            dispatcher.handle_line(f"REG a 30.0 1.0 {t:.3f}", print)
+            for now in times:
+                expected = members_in_area_reference(plan.processor(1), dispatcher._clients,
+                                                     now, plan.freshness_window)
+                assert dispatcher.dispatch(warn, 1, now) == set(expected)
+                _check_index(dispatcher, plan)
 
     def test_shared_connection_gets_one_line_per_client(self):
         dispatcher = Dispatcher(DeploymentPlan(100.0))
