@@ -213,22 +213,6 @@ class MlpConfig:
 # layer and exp(z - max) / sum for the softmax: train_mlp's docstring lists
 # the identities that make the cheaper forms bit-equal.
 
-_BIAS_BLOCK = 256  # rows per row of the view a bias is added over
-
-
-def _add_bias(z, b):
-    """z += b on every row of the C-contiguous z.  Whole blocks of
-    _BIAS_BLOCK rows take it over a view with one block per row: numpy's
-    loop per 32-wide row costs more than the additions.  The rows past the
-    last whole block (all rows of a small batch) take b plainly."""
-    rows, width = z.shape
-    whole = rows - rows % _BIAS_BLOCK
-    if whole:
-        blocked = z[:whole].reshape(whole // _BIAS_BLOCK, _BIAS_BLOCK * width)  # a view
-        blocked += np.tile(b, _BIAS_BLOCK)
-    z[whole:] += b
-
-
 def _sigmoid_of_negated(t):
     """Overwrite t = -z with sigmoid(z) = 1 / (1 + exp(-clip(z, -500, 500)))."""
     np.minimum(t, 500.0, out=t)
@@ -281,7 +265,7 @@ class MlpModel(_Model):
         `hidden` (rows x hidden units) and `logits` (rows x 4) when given.
         The hidden layer is computed negated, then turned into sigmoids."""
         hidden = np.matmul(Xs, -self.w1, out=hidden)
-        _add_bias(hidden, -self.b1)
+        hidden += -self.b1
         _sigmoid_of_negated(hidden)
         logits = np.matmul(hidden, self.w2, out=logits)
         return hidden, _softmax_inplace(logits, self.b2)
@@ -348,7 +332,6 @@ def train_mlp(data: LabeledDataset, config: MlpConfig = MlpConfig()) -> MlpModel
       symmetric, so no sweep negates the hidden layer.
     - Of the clip only the bound at 500 is kept: 1 + exp(t) is 1.0 for
       every t <= -500.
-    - A bias added over a view of 256 rows per row adds the same numbers.
     - The softmax's row maxima are exact in any order, and adding the
       rows of its classes x rows copy gives ((e0 + e1) + e2) + e3, the
       order of sum(axis=1) over 4 columns.
@@ -547,14 +530,6 @@ def _tree_from_dict(doc) -> _TreeNode:
                      left=_tree_from_dict(doc["left"]), right=_tree_from_dict(doc["right"]))
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - (p ** 2).sum())
-
-
 def _best_split(Xs: np.ndarray, codes: np.ndarray):
     """Exhaustive (feature, threshold) search maximizing Gini decrease.
 
@@ -563,7 +538,8 @@ def _best_split(Xs: np.ndarray, codes: np.ndarray):
     """
     n, dim = Xs.shape
     total = np.bincount(codes, minlength=len(CLASS_ORDER)).astype(np.float64)
-    parent = _gini(total)
+    # the node's Gini impurity; _grow never splits an empty node
+    parent = float(1.0 - ((total / n) ** 2).sum())
     best = None  # (decrease, feature, threshold)
     onehot = np.zeros((n, len(CLASS_ORDER)))
     onehot[np.arange(n), codes] = 1.0
@@ -670,14 +646,10 @@ class Metrics:
 
 
 def compute_metrics(y_true, y_pred) -> Metrics:
-    n = len(y_true)
-    idx = {c: i for i, c in enumerate(CLASS_ORDER)}
-    confusion = np.zeros((len(CLASS_ORDER), len(CLASS_ORDER)), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        confusion[idx[t], idx[p]] += 1
+    n, k = len(y_true), len(CLASS_ORDER)
+    confusion = np.bincount(_codes(y_true) * k + _codes(y_pred), minlength=k * k).reshape(k, k)
     per_class = {}
-    for c in CLASS_ORDER:
-        i = idx[c]
+    for i, c in enumerate(CLASS_ORDER):
         tp = confusion[i, i]
         fp = confusion[:, i].sum() - tp
         fn = confusion[i, :].sum() - tp
@@ -692,11 +664,13 @@ def compute_metrics(y_true, y_pred) -> Metrics:
 
 def stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     """Seeded fold assignment, one entry per sample, each class dealt evenly."""
-    labels = list(labels)
-    assignment = np.empty(len(labels), dtype=np.intp)
+    if folds < 2:
+        raise ValueError(f"folds must be at least 2, got {folds}")
+    codes = _codes(labels)
+    assignment = np.empty(len(codes), dtype=np.intp)
     rng = np.random.default_rng(seed)
-    for c in CLASS_ORDER:
-        members = np.array([i for i, label in enumerate(labels) if label == c], dtype=np.intp)
+    for i, c in enumerate(CLASS_ORDER):
+        members = np.flatnonzero(codes == i)
         if len(members) == 0:
             continue
         if len(members) < folds:

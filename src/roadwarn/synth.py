@@ -26,6 +26,7 @@ DEFAULT_SAMPLE_RATE = 16000
 # the departure faintly, little enough that the received energy still peaks
 # at the closest approach
 MIC_TILT_RAD = math.radians(30.0)
+MIC_HEIGHT = 3.0  # meters above the vehicle's sound source
 
 _AMBIENT_RMS = 2e-4  # receiver noise floor, keeps quantized frames non-silent
 
@@ -54,7 +55,6 @@ class VehicleProfile:
 class PassbyScenario:
     speed_kmh: float
     closest_distance: float = 4.0   # lateral offset from the mic, meters
-    mic_height: float = 3.0
     approach_from: str = "front"    # or "back"
     duration: float = 4.0
     seed: int = 0
@@ -124,7 +124,7 @@ def synth_passby(profile: VehicleProfile,
     rng = np.random.default_rng(scenario.seed)
     v = scenario.speed_kmh / 3.6
     c = SPEED_OF_SOUND
-    r0 = math.hypot(scenario.closest_distance, scenario.mic_height)
+    r0 = math.hypot(scenario.closest_distance, MIC_HEIGHT)
     t_c = scenario.duration / 2.0 if scenario.closest_time is None else scenario.closest_time
     sign = 1.0 if scenario.approach_from == "front" else -1.0
 

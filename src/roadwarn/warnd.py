@@ -291,26 +291,25 @@ class Dispatcher:
         line = encode(message)
         window = self.plan.freshness_window
         live, aged = self._live[processor_id], self._aged[processor_id]
+        in_order = event_time >= self._aged_at[processor_id]
         groups = defaultdict(list)  # send -> the client_ids it carries
         stale = []
-        # live and aged together hold exactly the clients inside the area
-        for cid, record in live.items():
-            age = event_time - record.t
-            if age > window:
-                stale.append(cid)
-            elif age >= -window:
-                groups[record.send].append(cid)
-        if event_time >= self._aged_at[processor_id]:
+        # live and aged together hold exactly the clients inside the area; an
+        # event stamped before the mark reads both, as an aged record may be fresh for it
+        for bucket in (live,) if in_order else (live, aged):
+            for cid, record in bucket.items():
+                age = event_time - record.t
+                if age > window:
+                    stale.append(cid)
+                elif age >= -window:
+                    groups[record.send].append(cid)
+        if in_order:
             # Rounding is monotone, so for every later event E' >= event_time,
             # fl(E' - t) >= fl(event_time - t): a record too old now stays too
             # old.  `t < event_time - window` rounds otherwise and would not do.
             for cid in stale:
                 aged[cid] = live.pop(cid)
             self._aged_at[processor_id] = event_time
-        else:  # stamped before the mark: an aged record may be fresh for it
-            for cid, record in aged.items():
-                if -window <= event_time - record.t <= window:
-                    groups[record.send].append(cid)
         delivered = []
         for send, cids in groups.items():
             try:

@@ -590,6 +590,23 @@ class TestMetrics:
         assert m.recall == pytest.approx(75.0, abs=1e-9)
         assert m.f_measure == pytest.approx(81.82, abs=0.01)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(CLASS_ORDER), st.sampled_from(CLASS_ORDER)),
+                    max_size=60))
+    def test_confusion_counts_every_pair(self, pairs):
+        # rows are true classes, columns predicted ones, both in CLASS_ORDER
+        y_true = [t for t, _ in pairs]
+        y_pred = [p for _, p in pairs]
+        metrics = compute_metrics(y_true, y_pred)
+        want = [[sum(1 for t, p in pairs if (t, p) == (a, b)) for b in CLASS_ORDER]
+                for a in CLASS_ORDER]
+        assert metrics.confusion.dtype == np.int64
+        assert metrics.confusion.tolist() == want
+        if not pairs:
+            assert metrics.overall_accuracy == 0.0
+            for cm in metrics.per_class.values():
+                assert (cm.precision, cm.recall, cm.accuracy, cm.f_measure) == (0.0,) * 4
+
     def test_percent_ranges(self):
         data = blobs(seed=13, spread=3.0, per_class=12)
         metrics = evaluate_cv(data, make_trainer("dt"), folds=3, seed=0)
@@ -607,6 +624,40 @@ class TestCrossValidation:
             members = [a for a, label in zip(assignment, data.y) if label == c]
             counts = np.bincount(members, minlength=6)
             assert counts.min() == 2 and counts.max() == 2
+
+    @staticmethod
+    def per_class_scan_folds(labels, folds, seed):
+        """Fold assignment by a Python scan of the labels per class, kept as
+        the reference that the code-based assignment must deal alike."""
+        labels = list(labels)
+        assignment = np.empty(len(labels), dtype=np.intp)
+        rng = np.random.default_rng(seed)
+        for c in CLASS_ORDER:
+            members = np.array([i for i, label in enumerate(labels) if label == c],
+                               dtype=np.intp)
+            if len(members) == 0:
+                continue
+            if len(members) < folds:
+                raise ValueError(f"class {c.value} has {len(members)} samples, "
+                                 f"fewer than {folds} folds")
+            rng.shuffle(members)
+            for j, sample in enumerate(members):
+                assignment[sample] = j % folds
+        return assignment
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(CLASS_ORDER), max_size=80),
+           st.integers(2, 8), st.integers(0, 2**32 - 1))
+    def test_folds_match_per_class_scan(self, labels, folds, seed):
+        # drawn lists miss classes and hold uneven counts, some below `folds`
+        try:
+            want = self.per_class_scan_folds(labels, folds, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                C.stratified_folds(labels, folds, seed)
+            return
+        got = C.stratified_folds(labels, folds, seed)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
     def test_class_smaller_than_folds_rejected(self):
         data = blobs(per_class=4)

@@ -85,6 +85,20 @@ class TestExtractCommand:
         want = json.loads(expected.read_text())["train_cv"]["features_sha256"]
         assert hashlib.sha256(features_csv.read_bytes()).hexdigest() == want
 
+    @pytest.mark.parametrize("model, config", [
+        ("knn", []), ("mlp", ["--config", str(ROOT / "perfbench" / "criterion02.ini")])],
+        ids=["knn", "mlp"])
+    def test_seed0_cv_report_matches_benchmark_record(self, features_csv, tmp_path,
+                                                      model, config):
+        # the benchmark's recorded 6-fold reports: a change to the fits, the
+        # folds or the metrics that moves a printed figure must show up here
+        expected = ROOT / "perfbench" / "expected.json"
+        want = json.loads(expected.read_text())["train_cv"][f"eval_{model}"]
+        report = tmp_path / "report.txt"
+        assert main(["eval", str(features_csv), "--model", model, "--feature-set", "all",
+                     *config, "--seed", "0", "--folds", "6", "--report", str(report)]) == 0
+        assert report.read_text(encoding="utf-8") == want
+
 
 class TestTrainEval:
     def test_train_and_eval_roundtrip(self, features_csv, dt_model_file, tmp_path, capsys):
@@ -231,6 +245,18 @@ class TestTrainEval:
         for mode in modes:
             assert main(["eval", str(csv), "--folds", "2", "--config", str(config), *mode]) == 0
             assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("folds", [0, 1, -2])
+    def test_eval_refuses_fewer_than_two_folds(self, folds, tmp_path, capsys):
+        # each fold is tested by a model trained on the others: 1 fold leaves
+        # nothing to train on, 0 and -2 leave no fold to test
+        labels = [CLASS_ORDER[i % 4] for i in range(48)]
+        csv = tmp_path / "small.csv"
+        features.save_dataset_csv(csv, np.random.default_rng(3).standard_normal((48, 31)),
+                                  labels, features.feature_names())
+        for mode in (["--model", "nb"], ["--model", "knn"], ["--compare"]):
+            assert main(["eval", str(csv), "--folds", str(folds), *mode]) == 2
+            assert capsys.readouterr().err == f"error: folds must be at least 2, got {folds}\n"
 
     def test_eval_model_file_without_settings_takes_the_config(self, tmp_path, capsys):
         # a model file from before settings were recorded: --config's [features] say

@@ -3,7 +3,7 @@ import pytest
 
 from roadwarn import audio_io
 from roadwarn.labels import SoundClass
-from roadwarn.synth import (CORPUS_COUNTS, PassbyScenario, VehicleProfile,
+from roadwarn.synth import (CORPUS_COUNTS, MIC_HEIGHT, PassbyScenario, VehicleProfile,
                             corpus_clip_params, corpus_plan, load_manifest, synth_nv,
                             synth_passby)
 
@@ -150,7 +150,7 @@ class TestCorpus:
                 assert e.speed_kmh is None and e.t_closest is None
             else:
                 profile, scen = corpus_clip_params(e.sound_class, e.seed)
-                r0 = np.hypot(scen.closest_distance, scen.mic_height)
+                r0 = np.hypot(scen.closest_distance, MIC_HEIGHT)
                 assert e.t_closest == pytest.approx(scen.closest_time + r0 / 343.0,
                                                     abs=1e-4)
                 assert e.speed_kmh == pytest.approx(scen.speed_kmh, abs=1e-4)
