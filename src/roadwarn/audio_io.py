@@ -109,8 +109,6 @@ def write_wav(path, buffer: SampleBuffer) -> None:
         fh.write(b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(body)) + b"WAVE")
         fh.write(b"fmt " + struct.pack("<I", len(fmt)) + fmt)
         fh.write(b"data" + struct.pack("<I", len(body)) + body)
-        if len(body) & 1:
-            fh.write(b"\x00")
 
 
 def frame_signal(buffer: SampleBuffer) -> np.ndarray:

@@ -484,10 +484,11 @@ _VAR_FLOOR = 1e-9  # lower bound of a fitted class variance
 def train_gnb(data: LabeledDataset) -> GnbModel:
     """Per-class per-dimension Gaussians (MLE variance, floored) + count priors."""
     mean, std, Xs = _fit_standardizer(data.X)
-    present = [c for c in CLASS_ORDER if c in set(data.y)]
+    codes = _codes(data.y)
+    present = [c for i, c in enumerate(CLASS_ORDER) if np.any(codes == i)]
     means, variances, priors = [], [], []
     for c in present:
-        rows = Xs[np.array([label == c for label in data.y])]
+        rows = Xs[codes == CLASS_ORDER.index(c)]
         if rows.shape[0] < 2:
             raise ValueError(f"class {c.value} needs >= 2 samples for a variance")
         means.append(rows.mean(axis=0))
@@ -783,8 +784,7 @@ def _read_doc(path) -> dict:
     return doc
 
 
-def load_model(path):
-    doc = _read_doc(path)
+def _model_of(doc: dict, path):
     kind = doc.get("kind")
     if kind == "gnb":  # Naive Bayes files saved before the kind took the CLI name
         kind = "nb"
@@ -793,10 +793,8 @@ def load_model(path):
     return CLASSIFIERS[kind].model.from_dict(doc, path)
 
 
-def load_model_meta(path) -> dict:
-    """The `meta` object of a model file: the feature subset and the
-    extraction settings (`mfcc`, `lpc` objects) the model was trained on."""
-    meta = _read_doc(path).get("meta", {})
+def _meta_of(doc: dict, path) -> dict:
+    meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: field 'meta' must be an object, got {meta!r}")
     feature_set = meta.get("feature_set", "all")
@@ -807,3 +805,19 @@ def load_model_meta(path) -> dict:
         if not isinstance(meta.get(key, {}), dict):
             raise ValueError(f"{path}: meta {key} must be an object, got {meta[key]!r}")
     return meta
+
+
+def load_model(path):
+    return _model_of(_read_doc(path), path)
+
+
+def load_model_meta(path) -> dict:
+    """The `meta` object of a model file: the feature subset and the
+    extraction settings (`mfcc`, `lpc` objects) the model was trained on."""
+    return _meta_of(_read_doc(path), path)
+
+
+def load_model_and_meta(path) -> tuple:
+    """`(load_model(path), load_model_meta(path))`, reading the file once."""
+    doc = _read_doc(path)
+    return _model_of(doc, path), _meta_of(doc, path)

@@ -149,8 +149,7 @@ def _load_labeled(path, settings: dict):
 def _load_model(path):
     """A model file's model, the feature subset it records, and its [features]
     settings: all of them, or none if it records no extraction configs."""
-    model = classifiers.load_model(path)
-    meta = classifiers.load_model_meta(path)
+    model, meta = classifiers.load_model_and_meta(path)
     try:
         mfcc_cfg, lpc_cfg = MfccConfig(**meta.get("mfcc", {})), LpcConfig(**meta.get("lpc", {}))
     except (TypeError, ValueError) as exc:  # an unknown key, or a value of the wrong type
@@ -295,10 +294,10 @@ def run_simulation(plan, script_lines) -> list[str]:
                                      direction=APPROACHING)
             delivered = dispatcher.dispatch(result, target_id, t)
             positions = dispatcher.positions()
-            for cid in sorted(delivered):
+            for cid in sorted(delivered):  # only a risky class is delivered
+                warn = warnd.encode(warnd.WarningMessage(target_id, sound_class, APPROACHING, t))
                 lead = warning_lead_time(positions[cid][0] - start_x, speed)
-                log.append(f"WARN {target_id} {sound_class.value} approaching "
-                           f"{t:.3f} -> {cid} lead={lead:.2f}s")
+                log.append(f"{warn} -> {cid} lead={lead:.2f}s")
         else:
             raise ValueError(f"script line {lineno}: cannot parse {line!r}")
     return log

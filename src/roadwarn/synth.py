@@ -205,6 +205,7 @@ def synth_nv(kind: str, duration: float, seed: int) -> SampleBuffer:
 CORPUS_COUNTS = {SoundClass.LH: 70, SoundClass.LL: 50, SoundClass.H: 44, SoundClass.NV: 46}
 NV_KINDS = ("birds", "airplane", "crowd")
 CLIP_SECONDS = 4.0  # length of every corpus clip
+_MANIFEST_HEADER = "file,class,speed_kmh,t_closest_s,seed"
 
 
 @dataclass(frozen=True)
@@ -216,51 +217,34 @@ class ManifestEntry:
     seed: int
 
 
-def _vehicle_profile(sound_class: SoundClass, speed: float, rng) -> VehicleProfile:
-    """Class-consistent acoustic signature for one clip.
-
-    Heavy engines occupy 40-80 Hz, light ones 90 Hz and up; within the light
-    band the fundamental and the noise fraction both grow with speed, with a
-    deliberate gap at the 50 km/h class boundary so the frame classes stay
-    separable even under the worst-case frequency shift of a fast approach.
-    """
-    jitter = rng.uniform(0.0, 2.0)
-    if sound_class == SoundClass.H:
-        fundamental = 40.0 + (speed - 20.0) / 55.0 * 38.0 + jitter
-        broadband = 0.20 + (speed - 20.0) / 55.0 * 0.20
-        n_harmonics = 10
-    elif sound_class == SoundClass.LL:
-        fundamental = 90.0 + (speed - 20.0) / 30.0 * 33.0 + jitter
-        broadband = 0.10 + (speed - 20.0) / 30.0 * 0.15
-        n_harmonics = 8
-    elif sound_class == SoundClass.LH:
-        fundamental = 145.0 + (speed - 50.0) / 25.0 * 33.0 + jitter
-        broadband = 0.35 + (speed - 50.0) / 25.0 * 0.15
-        n_harmonics = 8
-    else:
-        raise ValueError("no vehicle profile for NV")
-    return VehicleProfile(sound_class=sound_class, fundamental=fundamental,
-                          n_harmonics=n_harmonics,
-                          harmonic_rolloff=rng.uniform(0.65, 0.8),
-                          broadband_level=broadband)
-
-
-def _draw_speed(sound_class: SoundClass, rng) -> float:
-    if sound_class == SoundClass.LL:
-        return rng.uniform(20.0, SPEED_BOUNDARY_KMH)
-    if sound_class == SoundClass.LH:
-        return 75.0 - rng.uniform(0.0, 75.0 - SPEED_BOUNDARY_KMH)  # (50, 75]
-    if sound_class == SoundClass.H:
-        return rng.uniform(20.0, 75.0)
-    raise ValueError("NV has no speed")
+# One row per vehicle class: the speed range in km/h, the fundamental (Hz) at
+# the low end of that range and its rise across it, the noise fraction of the
+# source mix likewise, and the number of harmonics.  Heavy engines occupy
+# 40-80 Hz, light ones 90 Hz and up; within the light band the fundamental
+# and the noise fraction both grow with speed, with a deliberate gap at the
+# 50 km/h class boundary so the frame classes stay separable even under the
+# worst-case frequency shift of a fast approach.
+_SIGNATURES = {
+    SoundClass.H: ((20.0, 75.0), 40.0, 38.0, 0.20, 0.20, 10),
+    SoundClass.LL: ((20.0, SPEED_BOUNDARY_KMH), 90.0, 33.0, 0.10, 0.15, 8),
+    SoundClass.LH: ((SPEED_BOUNDARY_KMH, 75.0), 145.0, 33.0, 0.35, 0.15, 8),  # speeds in (50, 75]
+}
 
 
 def corpus_clip_params(sound_class: SoundClass,
                        clip_seed: int) -> tuple[VehicleProfile, PassbyScenario]:
     """Deterministic profile + scenario for one vehicle clip of the corpus."""
+    if sound_class not in _SIGNATURES:
+        raise ValueError("no vehicle profile for NV")
+    (low, high), f0, f0_rise, noise, noise_rise, n_harmonics = _SIGNATURES[sound_class]
     rng = np.random.default_rng(clip_seed)
-    speed = _draw_speed(sound_class, rng)
-    profile = _vehicle_profile(sound_class, speed, rng)
+    speed = (high - rng.uniform(0.0, high - low) if sound_class == SoundClass.LH
+             else rng.uniform(low, high))
+    jitter = rng.uniform(0.0, 2.0)
+    position = (speed - low) / (high - low)  # 0 at the low end of the range, 1 at the high
+    profile = VehicleProfile(sound_class, fundamental=f0 + position * f0_rise + jitter,
+                             n_harmonics=n_harmonics, harmonic_rolloff=rng.uniform(0.65, 0.8),
+                             broadband_level=noise + position * noise_rise)
     scenario = PassbyScenario(
         speed_kmh=speed,
         closest_distance=rng.uniform(2.5, 6.0),
@@ -286,8 +270,8 @@ def corpus_plan(seed: int) -> list[tuple[SoundClass, int, int]]:
     """Deterministic (class, per-class index, clip seed) for all 210 clips."""
     plan = []
     position = 0
-    for sound_class in (SoundClass.LH, SoundClass.LL, SoundClass.H, SoundClass.NV):
-        for i in range(CORPUS_COUNTS[sound_class]):
+    for sound_class, count in CORPUS_COUNTS.items():
+        for i in range(count):
             plan.append((sound_class, i, seed * 100003 + position))
             position += 1
     return plan
@@ -310,7 +294,7 @@ def generate_corpus(out_dir, seed: int = 0) -> list[ManifestEntry]:
         entries.append(ManifestEntry(file=name, sound_class=sound_class,
                                      speed_kmh=speed, t_closest=t_closest,
                                      seed=clip_seed))
-    lines = ["file,class,speed_kmh,t_closest_s,seed"]
+    lines = [_MANIFEST_HEADER]
     for e in entries:
         speed = "%.6g" % e.speed_kmh if e.speed_kmh is not None else ""
         t_closest = "%.6g" % e.t_closest if e.t_closest is not None else ""
@@ -326,7 +310,7 @@ def generate_corpus(out_dir, seed: int = 0) -> list[ManifestEntry]:
 def load_manifest(path) -> list[ManifestEntry]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != "file,class,speed_kmh,t_closest_s,seed":
+    if not lines or lines[0] != _MANIFEST_HEADER:
         raise ValueError(f"{path}: not a corpus manifest")
     entries = []
     for ln in lines[1:]:

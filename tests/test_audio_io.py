@@ -100,6 +100,45 @@ class TestLoadWav:
         assert isinstance(buf, SampleBuffer)
         assert len(buf.samples) * channels * codec[1] // 8 == len(body)
 
+    @settings(max_examples=300, deadline=None)
+    @given(codec=st.sampled_from([(1, 16), (3, 32)]), channels=st.integers(1, 2),
+           frames=st.integers(0, 6), edit=st.sampled_from(["cut", "overwrite", "insert"]),
+           junk=st.binary(min_size=1, max_size=8), data=st.data())
+    def test_any_corrupted_container_loads_or_raises_a_wav_error(self, tmp_path_factory, codec,
+                                                                 channels, frames, edit, junk,
+                                                                 data):
+        # a valid file with bytes cut out of it, overwritten or inserted anywhere,
+        # chunk headers and sizes included
+        valid = _wav_bytes(codec[0], channels, 16000, codec[1],
+                           bytes(frames * channels * codec[1] // 8))
+        # most edits spare the RIFF/WAVE header, so that the chunks behind it are read
+        start = data.draw(st.integers(12, len(valid)) | st.integers(0, 11))
+        if edit == "cut":
+            corrupted = valid[:start] + valid[data.draw(st.integers(start + 1, len(valid) + 1)):]
+        elif edit == "overwrite":
+            corrupted = valid[:start] + junk + valid[start + len(junk):]
+        else:
+            corrupted = valid[:start] + junk + valid[start:]
+        path = tmp_path_factory.getbasetemp() / "corrupted.wav"
+        path.write_bytes(corrupted)
+        try:
+            buf = load_wav(path)
+        except (WavFormatError, UnsupportedWavError):
+            return
+        assert isinstance(buf, SampleBuffer)
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda wav: wav[:-1], "truncated chunk b'data'"),
+        (lambda wav: wav.replace(b"data", b"junk"), "missing fmt or data chunk"),
+        (lambda wav: wav.replace(b"fmt \x10", b"fmt \x0e").replace(b"\x10\x00data", b"data"),
+         "fmt chunk too short"),
+    ])
+    def test_broken_container_names_the_fault(self, tmp_path, corrupt, message):
+        path = tmp_path / "broken.wav"
+        path.write_bytes(corrupt(_pcm16_wav_bytes(np.arange(8))))
+        with pytest.raises(WavFormatError, match=f"^{message}$"):
+            load_wav(path)
+
     def test_writer_reader_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
         buf = SampleBuffer(rng.uniform(-0.9, 0.9, 4000), 16000)

@@ -447,6 +447,15 @@ class TestSimulate:
         log = run_simulation(DeploymentPlan(200.0), script.read_text().splitlines())
         assert [ln for ln in log if ln.startswith("WARN")] == []
 
+    def test_log_lines(self):
+        script = ["PED walker 87.5 2.0 9.0", "VEHICLE LH 75 0 10.0", "VEHICLE LL 40 0 10.5",
+                  "VEHICLE H 40 0 10.25", "VEHICLE LH 75 150 10.0"]
+        assert run_simulation(DeploymentPlan(200.0), script) == [
+            "WARN 3 LH approaching 10.000 -> walker lead=4.20s",
+            "WARN 3 H approaching 10.250 -> walker lead=7.88s",
+            "# event at x=150: no instrumented area downstream",
+        ]
+
     def test_ll_vehicle_never_warns(self, plan_file, tmp_path):
         script = tmp_path / "ll.txt"
         script.write_text("PED walker 87.5 2.0 9.0\n"
