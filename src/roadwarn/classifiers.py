@@ -120,11 +120,9 @@ def _classes(values) -> list:
 
 
 def _jsonable(value):
-    """A persisted field as JSON: arrays as lists, classes by value, a tree as dicts."""
+    """A persisted field as JSON: arrays as lists, classes by value."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, _TreeNode):
-        return _tree_to_dict(value)
     if isinstance(value, list):
         return [c.value for c in value]
     return value
@@ -500,35 +498,22 @@ def train_gnb(data: LabeledDataset) -> GnbModel:
 # ---------------------------------------------------------------------------
 # Decision tree
 
-@dataclass
-class _TreeNode:
-    label: SoundClass | None = None
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_TreeNode | None" = None
-    right: "_TreeNode | None" = None
-
-
-def _tree_to_dict(node: _TreeNode) -> dict:
-    if node.label is not None:
-        return {"label": node.label.value}
-    return {"feature": node.feature, "threshold": node.threshold,
-            "left": _tree_to_dict(node.left), "right": _tree_to_dict(node.right)}
-
-
-def _tree_from_dict(doc) -> _TreeNode:
+def _tree_from_dict(doc) -> dict:
+    """A tree as its file holds it, rebuilt with only these keys in this order:
+    a leaf is {"label": <class name>}, a split {"feature": <column>,
+    "threshold": <number>, "left": <node>, "right": <node>}."""
     if not isinstance(doc, dict):
         raise ValueError(f"tree nodes must be objects, got {doc!r}")
     if "label" in doc:
-        return _TreeNode(label=SoundClass(doc["label"]))
+        return {"label": SoundClass(doc["label"]).value}
     feature, threshold = doc["feature"], doc["threshold"]
     if isinstance(feature, bool) or not isinstance(feature, int) or feature < 0:
         raise ValueError(f"a split's feature must be a column index, got {feature!r}")
     if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
             or not math.isfinite(threshold)):
         raise ValueError(f"a split's threshold must be a finite number, got {threshold!r}")
-    return _TreeNode(feature=feature, threshold=threshold,
-                     left=_tree_from_dict(doc["left"]), right=_tree_from_dict(doc["right"]))
+    return {"feature": feature, "threshold": threshold,
+            "left": _tree_from_dict(doc["left"]), "right": _tree_from_dict(doc["right"])}
 
 
 def _best_split(Xs: np.ndarray, codes: np.ndarray):
@@ -564,20 +549,20 @@ def _best_split(Xs: np.ndarray, codes: np.ndarray):
     return best
 
 
-def _grow(Xs, codes, depth, max_depth) -> _TreeNode:
+def _grow(Xs, codes, depth, max_depth) -> dict:
     counts = np.bincount(codes, minlength=len(CLASS_ORDER))
     top = counts.max()
     majority = most_dangerous([CLASS_ORDER[i] for i in np.flatnonzero(counts == top)])
     if depth >= max_depth or top == len(codes):
-        return _TreeNode(label=majority)
+        return {"label": majority.value}
     split = _best_split(Xs, codes)
     if split is None:
-        return _TreeNode(label=majority)
+        return {"label": majority.value}
     _, f, threshold = split
     mask = Xs[:, f] <= threshold
-    return _TreeNode(feature=f, threshold=threshold,
-                     left=_grow(Xs[mask], codes[mask], depth + 1, max_depth),
-                     right=_grow(Xs[~mask], codes[~mask], depth + 1, max_depth))
+    return {"feature": f, "threshold": threshold,
+            "left": _grow(Xs[mask], codes[mask], depth + 1, max_depth),
+            "right": _grow(Xs[~mask], codes[~mask], depth + 1, max_depth)}
 
 
 class DtModel(_Model):
@@ -592,11 +577,11 @@ class DtModel(_Model):
         pending = [fields["tree"]]
         while pending and mismatch is None:
             node = pending.pop()
-            if node.label is None:
-                if node.feature >= width:
+            if "label" not in node:
+                if node["feature"] >= width:
                     mismatch = ("tree",
-                                f"a split's feature {node.feature} is not one of {width} columns")
-                pending += [node.left, node.right]
+                                f"a split's feature {node['feature']} is not one of {width} columns")
+                pending += [node["left"], node["right"]]
         return mismatch
 
     def _predict(self, Xs) -> list:
@@ -606,11 +591,11 @@ class DtModel(_Model):
         pending = [(self.tree, np.arange(len(Xs)))]
         while pending:
             node, rows = pending.pop()
-            if node.label is not None:
-                out[rows] = node.label
+            if "label" in node:
+                out[rows] = SoundClass(node["label"])
             elif len(rows):
-                left = Xs[rows, node.feature] <= node.threshold
-                pending += [(node.left, rows[left]), (node.right, rows[~left])]
+                left = Xs[rows, node["feature"]] <= node["threshold"]
+                pending += [(node["left"], rows[left]), (node["right"], rows[~left])]
         return out.tolist()
 
 

@@ -118,10 +118,14 @@ def read_ini(path, schema: dict) -> dict:
     """section -> {key: value} of an INI file, each value cast by `schema`
     (section -> {key: cast}).  A section or key the schema lacks, a value its
     cast rejects (its ValueError's message follows the key) and a non-finite
-    number are errors that name the file and the key."""
-    parser = configparser.ConfigParser()
+    number are errors that name the file and the key; a `%` is not special.
+    A file configparser cannot read (a key given twice, say) is an error naming it."""
+    parser = configparser.ConfigParser(interpolation=None)
     with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:  # its message spans lines
+            raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
     if parser.defaults():
         raise ValueError(f"{path}: unknown section [{parser.default_section}]")
     values = {}
@@ -136,7 +140,7 @@ def read_ini(path, schema: dict) -> dict:
                 value = schema[name][key](text)
                 if not math.isfinite(value):
                     raise ValueError(f"must be finite, got {text}")
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # an int past the float range
                 raise ValueError(f"{path}: [{name}] {key} {exc}") from None
             values[name][key] = value
     return values

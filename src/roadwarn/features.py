@@ -14,6 +14,7 @@ on the whole stack at once.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -26,9 +27,9 @@ class SilentFrameError(ValueError):
 
 
 def _check_numbers(config) -> None:
-    """Each field of an extraction config holds a number of its annotated
-    type: an int for `int`, an int or a float for `float`, and None too
-    for `float | None`.  A bool is neither."""
+    """Each field of an extraction config holds a finite number of its
+    annotated type: an int for `int`, an int or a float for `float`, and
+    None too for `float | None`.  A bool is neither."""
     for f in fields(config):
         value = getattr(config, f.name)
         if value is None and f.type.endswith("None"):
@@ -36,6 +37,8 @@ def _check_numbers(config) -> None:
         if isinstance(value, bool) or not isinstance(value, int if f.type == "int" else (int, float)):
             raise ValueError(f"{f.name} must be {'an integer' if f.type == 'int' else 'a number'}, "
                              f"got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -307,7 +310,8 @@ def save_dataset_csv(path, matrix: np.ndarray, labels, names: list[str],
 
 def load_dataset_settings(path) -> dict:
     """The [features] settings a feature CSV records (key -> value): the
-    ones it was extracted with that differ from the defaults."""
+    ones it was extracted with that differ from the defaults.  They must
+    make extraction configs, as a run config's [features] must."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().split()
     if first[:2] != _RECORD.split():
@@ -319,6 +323,10 @@ def load_dataset_settings(path) -> dict:
             settings[key] = SETTINGS[key](text)
         except (KeyError, ValueError):
             raise ValueError(f"{path}: bad [features] record item {item!r}") from None
+    try:
+        configs_of(settings)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad [features] record: {exc}") from None
     return settings
 
 

@@ -128,9 +128,9 @@ def dt_predict_reference(model, X):
     def predict(vector):
         x = (np.asarray(vector, dtype=np.float64) - model.mean) / model.std
         node = model.tree
-        while node.label is None:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.label
+        while "label" not in node:
+            node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+        return SoundClass(node["label"])
 
     return [predict(row) for row in np.asarray(X)]
 
@@ -148,10 +148,10 @@ def dt_cases(draw):
 
     def grow(depth):
         if depth == 0 or draw(st.integers(0, 3)) == 0:
-            return C._TreeNode(label=draw(st.sampled_from(CLASS_ORDER)))
-        return C._TreeNode(feature=draw(st.integers(0, dim - 1)),
-                           threshold=draw(st.sampled_from(_TREE_GRID)),
-                           left=grow(depth - 1), right=grow(depth - 1))
+            return {"label": draw(st.sampled_from(CLASS_ORDER)).value}
+        return {"feature": draw(st.integers(0, dim - 1)),
+                "threshold": draw(st.sampled_from(_TREE_GRID)),
+                "left": grow(depth - 1), "right": grow(depth - 1)}
 
     mean = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -3.0]),
                                   min_size=dim, max_size=dim)))
@@ -531,18 +531,18 @@ class TestDecisionTree:
     def test_pure_data_gives_leaf(self):
         X = np.random.default_rng(0).standard_normal((8, 3))
         model = train_dt(LabeledDataset(X, [SoundClass.NV] * 8))
-        assert model.tree.label == SoundClass.NV
+        assert model.tree == {"label": "NV"}
 
     def test_single_split_1d(self):
         X = np.array([[-3.0], [-2.0], [-1.0], [1.0], [2.0], [3.0]])
         y = [SoundClass.LL] * 3 + [SoundClass.H] * 3
         model = train_dt(LabeledDataset(X, y))
         root = model.tree
-        assert root.label is None and root.feature == 0
+        assert "label" not in root and root["feature"] == 0
         # threshold separates the classes on the standardized axis
         z = (X[:, 0] - X.mean()) / X.std()
-        assert z[2] < root.threshold <= z[3]
-        assert root.left.label == SoundClass.LL and root.right.label == SoundClass.H
+        assert z[2] < root["threshold"] <= z[3]
+        assert root["left"] == {"label": "LL"} and root["right"] == {"label": "H"}
         assert all(model.predict_batch(row[None])[0] == label for row, label in zip(X, y))
 
     def test_root_split_matches_exhaustive_search(self):
@@ -555,20 +555,20 @@ class TestDecisionTree:
             model = train_dt(LabeledDataset(X, y), max_depth=1)
             Xs = (X - model.mean) / model.std
             oracle = exhaustive_best_split(Xs, C._codes(y))
-            if oracle is None or model.tree.label is not None:
+            if oracle is None or "label" in model.tree:
                 assert oracle is None or oracle[0] <= 1e-15
                 continue
-            assert model.tree.feature == oracle[1]
-            assert model.tree.threshold == pytest.approx(oracle[2], abs=1e-12)
+            assert model.tree["feature"] == oracle[1]
+            assert model.tree["threshold"] == pytest.approx(oracle[2], abs=1e-12)
 
     def test_max_depth_respected(self):
         data = blobs(seed=9, spread=2.0)
         model = train_dt(data, max_depth=2)
 
         def depth(node):
-            if node.label is not None:
+            if "label" in node:
                 return 0
-            return 1 + max(depth(node.left), depth(node.right))
+            return 1 + max(depth(node["left"]), depth(node["right"]))
 
         assert depth(model.tree) <= 2
 

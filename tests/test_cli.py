@@ -73,10 +73,16 @@ class TestExtractCommand:
         assert main(["extract", str(corpus_dir), str(other)]) == 0
         assert other.read_bytes() == features_csv.read_bytes()
 
-    def test_missing_corpus(self, tmp_path):
+    def test_missing_corpus(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["extract", str(empty), str(tmp_path / "f.csv")]) == 2
+        # a manifest of its header alone lists no clip to extract
+        (empty / "manifest.csv").write_text("file,class,speed_kmh,t_closest_s,seed\n")
+        capsys.readouterr()
+        assert main(["extract", str(empty), str(tmp_path / "f.csv")]) == 2
+        assert capsys.readouterr() == ("", "error: empty manifest\n")
+        assert not (tmp_path / "f.csv").exists()
 
     def test_seed0_csv_hash_matches_benchmark_record(self, features_csv):
         # the benchmark's recorded output for the seed-0 corpus: any change
@@ -113,6 +119,12 @@ class TestTrainEval:
         assert "f-measure" in text and "overall accuracy" in text
         for c in CLASS_ORDER:
             assert c.value in text.splitlines()[0]
+
+    def test_trained_tree_file_bytes(self, dt_model_file):
+        # `train --model dt` on the seed-0 CSV, measured with numpy 2.4; a tree
+        # fit does no BLAS product, so the OpenBLAS thread count cannot move it
+        assert hashlib.sha256(dt_model_file.read_bytes()).hexdigest() == \
+            "53cb747e0974123d89231d5aa809509f1e71afd26fb1b358e8e0fb753de35397"
 
     def test_default_mlp_fits_the_corpus(self, features_csv, tmp_path, capsys):
         # no --config: the default learning rate must fit the seed-0 corpus
@@ -200,6 +212,19 @@ class TestTrainEval:
                      "--config", str(config)]) == 2
         assert "[features] fmin = 300.0 differs from the 0.0 the CSV was extracted with" in \
             capsys.readouterr().err
+        assert not model.exists()
+
+    def test_train_refuses_a_non_finite_record(self, tmp_path, capsys):
+        # a NaN used to be saved in the model's meta, which then was not JSON
+        csv = tmp_path / "record.csv"
+        labels = [CLASS_ORDER[i % 4] for i in range(8)]
+        features.save_dataset_csv(csv, np.arange(8 * 31.0).reshape(8, 31), labels,
+                                  features.feature_names())
+        csv.write_text("# [features] fmin=nan\n" + csv.read_text())
+        model = tmp_path / "dt.json"
+        assert main(["train", str(csv), str(model), "--model", "dt"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {csv}: bad [features] record: fmin must be finite, got nan\n")
         assert not model.exists()
 
     def test_eval_refuses_feature_settings_the_csv_contradicts(self, tmp_path, capsys):
@@ -402,6 +427,8 @@ class TestDetectCommand:
         ("knn", "labels", 5, "knn model field 'labels': must be a list of class names, got 5"),
         ("dt", "meta", {"mfcc": {"n_filters": 26.0}},
          "meta mfcc/lpc: n_filters must be an integer, got 26.0"),
+        ("dt", "meta", {"mfcc": {"fmin": float("nan")}},
+         "meta mfcc/lpc: fmin must be finite, got nan"),
         ("nb", "meta", {"lpc": {"rank": 3}},
          "meta mfcc/lpc: LpcConfig.__init__() got an unexpected keyword argument 'rank'"),
         ("dt", "tree", {"feature": 7, "threshold": 0.5, "left": {"label": "H"},
@@ -412,8 +439,8 @@ class TestDetectCommand:
         ("nb", "classes", ["H"],
          "nb model field 'class_means': has shape (4, 2), which does not fit 'classes' "
          "of shape (1,)"),
-    ], ids=["kind", "meta", "labels", "mfcc-type", "lpc-key", "split-feature", "label-count",
-            "class-count"])
+    ], ids=["kind", "meta", "labels", "mfcc-type", "mfcc-nan", "lpc-key", "split-feature",
+            "label-count", "class-count"])
     def test_model_file_field_of_the_wrong_type(self, tmp_path, capsys, kind, field, value,
                                                 message):
         doc = json.loads((ROOT / "tests" / "data" / f"model_{kind}.json").read_text())
@@ -498,10 +525,15 @@ class TestSimulate:
         assert main(["simulate", str(plan_file), str(script)]) == 2
         assert f"script line 2: {message}" in capsys.readouterr().err
 
-    def test_bad_script_line(self, plan_file, tmp_path):
+    def test_bad_script_line(self, plan_file, tmp_path, capsys):
         script = tmp_path / "bad.txt"
         script.write_text("DRIVE fast\n")
         assert main(["simulate", str(plan_file), str(script)]) == 2
+        # a PED line the registry refuses: its ERR reply names the field
+        script.write_text("PED walker abc 2.0 0.0\n")
+        capsys.readouterr()
+        assert main(["simulate", str(plan_file), str(script)]) == 2
+        assert capsys.readouterr() == ("", "error: script line 1: ERR malformed: bad x 'abc'\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_plan_value_rejected(self, tmp_path, capsys, value):
@@ -575,7 +607,8 @@ class TestRunConfig:
         ("[mlp]\nepoch = 5\n", "unknown [mlp] key 'epoch'"),
         ("[featurs]\nn_coeffs = 3\n", "unknown section [featurs]"),
         ("[mlp]\nlearning_rate = nan\n", "[mlp] learning_rate must be finite"),
-    ], ids=["dt-key", "mlp-key", "section", "nan-value"])
+        ("[knn]\nk = " + "1" * 400 + "\n", "[knn] k int too large to convert to float"),
+    ], ids=["dt-key", "mlp-key", "section", "nan-value", "huge-int"])
     def test_config_typo_is_a_data_error(self, tmp_path, capsys, text, message):
         csv = tmp_path / "small.csv"
         labels = [CLASS_ORDER[i % 4] for i in range(8)]
@@ -588,6 +621,26 @@ class TestRunConfig:
                      "--config", str(config)]) == 2
         assert message in capsys.readouterr().err
         assert not model.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("[features]\nn_coeffs = 8\nn_coeffs = 9\n",
+         "option 'n_coeffs' in section 'features' already exists"),
+        ("n_coeffs = 8\n", "File contains no section headers"),
+        ("[mlp]\nepochs = 5\n[mlp]\nlearning_rate = 0.1\n", "section 'mlp' already exists"),
+        ("[mlp]\nlearning_rate = 50%\n",
+         "[mlp] learning_rate could not convert string to float: '50%'"),
+    ], ids=["key-twice", "no-header", "section-twice", "percent"])
+    def test_unreadable_config_is_a_one_line_data_error(self, tmp_path, capsys, text, message):
+        # configparser's own errors used to escape every --config reader as tracebacks
+        config = tmp_path / "run.ini"
+        config.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)) as error:
+            RunConfig(config)
+        assert str(error.value).startswith(f"{config}: ") and "\n" not in str(error.value)
+        csv = tmp_path / "unread.csv"  # the config is read first
+        for command in (["train", str(csv), str(tmp_path / "m.json")], ["eval", str(csv)]):
+            assert main([*command, "--config", str(config)]) == 2
+            assert capsys.readouterr() == ("", f"error: {error.value}\n")
 
     @pytest.mark.parametrize("block", re.findall(r"```ini\n(.*?)```", README.read_text(),
                                                  re.DOTALL),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -226,3 +227,23 @@ class TestplanConfig:
         path.write_text("[other]\nroad_length = 150\n")
         with pytest.raises(ValueError):
             load_plan_config(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("road_length = 200\n", "File contains no section headers"),
+        ("[plan]\nroad_length = 200\nroad_length = 100\n",
+         "option 'road_length' in section 'plan' already exists"),
+        ("[plan]\nroad_length = 200\n[plan]\nroad_width = 7\n", "section 'plan' already exists"),
+        ("[plan]\nroad_length = 200%\n",
+         "[plan] road_length could not convert string to float: '200%'"),
+    ], ids=["no-header", "key-twice", "section-twice", "percent"])
+    def test_unreadable_file_is_a_one_line_data_error(self, tmp_path, capsys, text, message):
+        # configparser's own errors used to escape simulate and warnd as tracebacks
+        path = tmp_path / "plan.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)) as error:
+            load_plan_config(path)
+        assert str(error.value).startswith(f"{path}: ") and "\n" not in str(error.value)
+        script = tmp_path / "script.txt"
+        script.write_text("PED p1 50 1 0\nVEHICLE H 60 0 1\n")
+        assert main(["simulate", str(path), str(script)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error.value}\n")

@@ -486,12 +486,32 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match=f"bad.csv: bad \\[features\\] record item '{item}'"):
             features.load_dataset_settings(path)
 
+    @pytest.mark.parametrize("item,message", [
+        ("fmin=nan", "fmin must be finite, got nan"),
+        ("log_floor=inf", "log_floor must be finite, got inf"),
+        ("lpc_order=-1", "order must be >= 0"),
+    ])
+    def test_record_that_makes_no_config_names_the_file(self, tmp_path, item, message):
+        # NaN and infinity used to reach the model file's meta, which then was not JSON
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# [features] {item}\na,label\n1,H\n")
+        with pytest.raises(ValueError) as error:
+            features.load_dataset_settings(path)
+        assert str(error.value) == f"{path}: bad [features] record: {message}"
+
 
 class TestConfigTypes:
     @pytest.mark.parametrize("kwargs", [{"n_filters": 26.0}, {"n_coeffs": True},
                                         {"pre_emphasis": "0.97"}, {"fmax": [1]}])
     def test_mfcc_settings_of_the_wrong_type(self, kwargs):
         with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be"):
+            MfccConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"fmin": math.nan}, {"fmax": math.inf},
+                                        {"log_floor": math.inf}, {"pre_emphasis": -math.inf}])
+    def test_mfcc_settings_must_be_finite(self, kwargs):
+        name, value = next(iter(kwargs.items()))
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
             MfccConfig(**kwargs)
 
     def test_lpc_order_must_be_an_integer(self):

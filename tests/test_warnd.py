@@ -315,6 +315,13 @@ class TestMainArgs:
         assert "unknown [plan] key 'mic_height'" in capsys.readouterr().err
         assert main(["--plan", str(tmp_path / "missing.ini"), "--listen", "127.0.0.1:0"]) == 2
         assert "missing.ini" in capsys.readouterr().err
+        # files configparser cannot read: no section header, a key twice, a `%`
+        for text in ("road_length = 100\n", "[plan]\nroad_length = 100\nroad_length = 50\n",
+                     "[plan]\nroad_length = 200%\n"):
+            plan.write_text(text)
+            assert main(["--plan", str(plan), "--listen", "127.0.0.1:0"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {plan}: ") and err.count("\n") == 1
 
     def test_port_in_use_is_a_data_error(self, tmp_path, capsys):
         from roadwarn.warnd import main
@@ -1105,6 +1112,42 @@ class TestTransport:
             assert server.warned() == 1
             warn = b"WARN 1 H approaching 1.000\n"
             assert _read_lines(reader, events + 1) == warn * (events + 1)
+        finally:
+            stalled.close()
+            reader.close()
+
+    def test_stalled_outbox_that_drains_keeps_every_warn_and_client(self, server, monkeypatch):
+        # the case the outbox exists for: a slow reader that catches up
+        monkeypatch.setattr(warnd, "WRITE_TIMEOUT_S", 600.0)
+        monkeypatch.setattr(warnd, "MAX_OUTBOX_BYTES", 256 << 20)  # nothing can evict
+        stalled = _stalled_connection(server, 2000)
+        reader = _registered_reader(server)
+        try:
+            # over 8 MiB of WARNs, twice Linux's ceiling on a TCP send buffer,
+            # so the outbox stalls; each event has its own time, to show the order
+            block = 2000 * len(b"WARN 1 H approaching 0.000\n")
+            times = [b"%.3f" % (i / 1000) for i in range(1, (8 << 20) // block + 2)]
+            assert [server.warned(f"EVENT 1 H approaching {t.decode()}")
+                    for t in times] == [2001] * len(times)
+            assert server.size() == 2001
+            want = b"".join(b"WARN 1 H approaching %s\n" % t * 2000 for t in times)
+            stalled.settimeout(30)
+            chunks, left = [], len(want)
+            while left > 0:  # the loop flushes the outbox as the socket drains
+                chunks.append(stalled.recv(1 << 20))
+                assert chunks[-1], "the stalled connection was closed"
+                left -= len(chunks[-1])
+            assert b"".join(chunks) == want
+            # drained: the connection is read again, and its clients still warned
+            cid = f"s{stalled.getsockname()[1]}_0"
+            stalled.sendall(f"POS {cid} 30.0 1.0 0.0\n".encode())
+            assert _read_lines(stalled, 1) == f"OK {cid}\n".encode()
+            assert server.warned() == 2001
+            assert server.size() == 2001
+            warn = b"WARN 1 H approaching 1.000\n"
+            assert _read_lines(stalled, 2000) == warn * 2000
+            assert _read_lines(reader, len(times) + 1) == \
+                b"".join(b"WARN 1 H approaching %s\n" % t for t in times) + warn
         finally:
             stalled.close()
             reader.close()
