@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """The full three-phase pipeline on freshly rendered clips.
 
-Phase 1 labels every 0.1 s frame, phase 2 finds the climax (closest
-approach) from the energy peak and the falling received frequency, and
-phase 3 votes over the eight final frames.  A heavy pass, an opposite-lane
-pass and a birds clip show the three interesting outcomes.
+Phase 1 tracks the energy and the received frequency of every 0.1 s
+frame, phase 2 finds the climax (closest approach) from the energy peak
+and the falling frequency, and phase 3 classifies the eight final frames
+and votes over them.  A heavy pass, an opposite-lane pass and a birds
+clip show the three interesting outcomes.
 """
 
 import numpy as np

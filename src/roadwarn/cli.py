@@ -213,13 +213,19 @@ def cmd_eval(args) -> int:
 def detect_buffer(buffer: audio_io.SampleBuffer, model, feature_set: str = "all",
                   mfcc_cfg: MfccConfig = MfccConfig(),
                   lpc_cfg: LpcConfig = LpcConfig()):
-    """Three-phase pipeline on one buffer: returns (DetectionResult, track)."""
+    """Three-phase pipeline on one buffer: returns (DetectionResult, track).
+
+    The track and the climax come first; only the frames of the vote
+    window are then classified, so a clip whose climax leaves too few
+    frames to vote on fails before any feature work.
+    """
     frames = audio_io.frame_signal(buffer)
-    matrix = features.extract_features(frames, buffer.sample_rate, mfcc_cfg, lpc_cfg)
-    labels = model.predict_batch(matrix[:, FEATURE_SETS[feature_set]])
-    track = decision.track_frames(frames, buffer.sample_rate, labels)
+    track = decision.track_frames(frames, buffer.sample_rate)
     climax = decision.detect_climax(track)
-    return decision.finalize_detection(track, climax), track
+    window = frames[decision.vote_window(climax)]
+    matrix = features.extract_features(window, buffer.sample_rate, mfcc_cfg, lpc_cfg)
+    labels = model.predict_batch(matrix[:, FEATURE_SETS[feature_set]])
+    return decision.finalize_detection(track, climax, labels), track
 
 
 def cmd_detect(args) -> int:

@@ -4,7 +4,9 @@ The climax point is the frame where the vehicle is closest to the
 microphone.  The received frequency of a moving source falls through its
 rest value exactly there, while the received level peaks, so the detector
 uses the energy maximum as the primary cue and the frequency descent as
-its validity check.
+its validity check.  The track and the climax need no frame labels: only
+the VOTE_WINDOW frames that end at the climax are classified, and their
+labels decide the sound type.
 """
 
 from __future__ import annotations
@@ -30,17 +32,20 @@ class TrackTooShortError(ValueError):
 
 @dataclass(frozen=True)
 class FrameTrack:
+    """Per-frame dominant frequency and RMS energy of a clip: what the
+    climax search and the direction call read.  Frame labels are not part
+    of it; `finalize_detection` takes those of the vote window."""
+
     dominant_freq: np.ndarray  # Hz per frame, median-smoothed
     rms_energy: np.ndarray
-    labels: list               # SoundClass per frame
     bin_hz: float
 
     def __post_init__(self):
-        if not (len(self.dominant_freq) == len(self.rms_energy) == len(self.labels)):
+        if len(self.dominant_freq) != len(self.rms_energy):
             raise ValueError("track sequences must have equal lengths")
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.dominant_freq)
 
 
 def band_peak_hz(mags: np.ndarray, band: tuple[float, float], bin_hz: float) -> np.ndarray:
@@ -69,7 +74,7 @@ def band_peak_hz(mags: np.ndarray, band: tuple[float, float], bin_hz: float) -> 
     return np.clip(freq, lo_bin * bin_hz, hi_bin * bin_hz)
 
 
-def track_frames(frames: np.ndarray, sample_rate: int, labels: list) -> FrameTrack:
+def track_frames(frames: np.ndarray, sample_rate: int) -> FrameTrack:
     """Per-frame dominant frequency (within TRACK_BAND) and RMS energy of a
     (frames x samples) matrix.
 
@@ -79,16 +84,16 @@ def track_frames(frames: np.ndarray, sample_rate: int, labels: list) -> FrameTra
     spikes; the first and last frames keep their raw values.
     """
     X = np.asarray(frames, dtype=np.float64)
-    if X.ndim != 2 or not len(X) or len(X) != len(labels):
-        raise ValueError("frames must be a non-empty matrix with one label per row")
+    if X.ndim != 2 or not len(X):
+        raise ValueError("frames must be a non-empty matrix")
     n = X.shape[1]
     bin_hz = sample_rate / n
-    raw = band_peak_hz(features.fft_magnitude(X * np.hanning(n)), TRACK_BAND, bin_hz)
+    raw = band_peak_hz(features.fft_magnitude(X * features.hann_window(n)), TRACK_BAND, bin_hz)
     smoothed = raw.copy()
     if len(raw) > 2:
         smoothed[1:-1] = np.median(np.lib.stride_tricks.sliding_window_view(raw, 3), axis=1)
     rms = np.sqrt(np.mean(X ** 2, axis=1))
-    return FrameTrack(dominant_freq=smoothed, rms_energy=rms, labels=list(labels), bin_hz=bin_hz)
+    return FrameTrack(dominant_freq=smoothed, rms_energy=rms, bin_hz=bin_hz)
 
 
 def _descent_score(freq: np.ndarray, idx: int) -> float | None:
@@ -166,15 +171,28 @@ def vote_final_frames(labels: list) -> SoundClass:
     return most_dangerous([c for c, n in counts.items() if n == top])
 
 
-def finalize_detection(track: FrameTrack, climax: int) -> DetectionResult:
-    """Phase-3 decision: NV at the climax short-circuits, else the 8-frame vote."""
+def vote_window(climax: int) -> slice:
+    """The frames voted on: the VOTE_WINDOW that end at the climax.
+
+    Raises TrackTooShortError when the climax leaves fewer frames.
+    """
     if climax < VOTE_WINDOW - 1:
         raise TrackTooShortError(
             f"climax {climax} leaves fewer than {VOTE_WINDOW} frames to vote on")
+    return slice(climax - (VOTE_WINDOW - 1), climax + 1)
+
+
+def finalize_detection(track: FrameTrack, climax: int, labels: list) -> DetectionResult:
+    """Phase-3 decision from the labels of the `vote_window(climax)` frames,
+    the climax frame last: NV at the climax short-circuits, else the
+    8-frame vote.  A climax that leaves fewer frames raises
+    TrackTooShortError, as `vote_window` does."""
+    vote_window(climax)
+    if len(labels) != VOTE_WINDOW:
+        raise ValueError(f"need the {VOTE_WINDOW} labels of the vote window, got {len(labels)}")
     direction = infer_direction(track, climax)
-    if track.labels[climax] == SoundClass.NV:
+    if labels[-1] == SoundClass.NV:
         return DetectionResult(climax_index=climax, sound_type=SoundClass.NV,
                                direction=direction)
-    window = track.labels[climax - (VOTE_WINDOW - 1):climax + 1]
-    return DetectionResult(climax_index=climax, sound_type=vote_final_frames(window),
+    return DetectionResult(climax_index=climax, sound_type=vote_final_frames(labels),
                            direction=direction)

@@ -126,6 +126,15 @@ def spectral_features(mags: np.ndarray, bin_hz: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
+def hann_window(n: int) -> np.ndarray:
+    """The n-point hann window (`np.hanning`), computed once per length and
+    read-only, since every caller shares the cached array."""
+    window = np.hanning(n)
+    window.flags.writeable = False
+    return window
+
+
+@functools.lru_cache(maxsize=32)
 def _mel_filterbank(n_filters: int, n_bins: int, bin_hz: float, fmin: float, fmax: float) -> np.ndarray:
     """Triangular filters with peaks equally spaced on the mel scale.
 
@@ -188,7 +197,7 @@ def mfcc(frames: np.ndarray, sample_rate: int, config: MfccConfig = MfccConfig()
     emphasized = np.empty_like(X)
     emphasized[:, 0] = X[:, 0]
     emphasized[:, 1:] = X[:, 1:] - config.pre_emphasis * X[:, :-1]
-    windowed = emphasized * np.hanning(n)
+    windowed = emphasized * hann_window(n)
     power = np.abs(np.fft.rfft(windowed, axis=1)) ** 2
     bank = _mel_filterbank(config.n_filters, power.shape[1], sample_rate / n, config.fmin, fmax)
     log_energy = np.log(power @ bank.T + config.log_floor)
@@ -332,22 +341,44 @@ def load_dataset_settings(path) -> dict:
 
 def load_dataset_csv(path):
     """Read back (matrix, labels, names); labels are SoundClass or None.
-    The settings record, if any, is skipped: `load_dataset_settings` reads it."""
+    The settings record, if any, is skipped: `load_dataset_settings` reads it.
+    A bad row raises a ValueError that starts with `<path>:<line>:`."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if lines and lines[0].startswith("#"):
+        lines = [(lineno, ln.rstrip("\n")) for lineno, ln in enumerate(fh, 1) if ln.strip()]
+    if lines and lines[0][1].startswith("#"):
         del lines[0]
     if not lines:
         raise ValueError(f"{path}: empty dataset")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header[-1] != "label":
         raise ValueError(f"{path}: missing label column")
     names = header[:-1]
     rows, labels = [], []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
-            raise ValueError(f"{path}: ragged row with {len(parts)} fields")
-        rows.append([float(v) for v in parts[:-1]])
-        labels.append(SoundClass(parts[-1]) if parts[-1] else None)
-    return np.array(rows), labels, names
+            raise ValueError(f"{path}:{lineno}: ragged row with {len(parts)} fields")
+        try:
+            rows.append([float(v) for v in parts[:-1]])
+        except ValueError:
+            name, text = next((name, v) for name, v in zip(names, parts) if not _is_float(v))
+            raise ValueError(f"{path}:{lineno}: {name} is not a number: {text!r}") from None
+        try:
+            labels.append(SoundClass(parts[-1]) if parts[-1] else None)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: unknown label {parts[-1]!r}, expected one of "
+                             f"{', '.join(c.value for c in SoundClass)}") from None
+    matrix = np.array(rows)
+    if matrix.size and not np.isfinite(matrix).all():
+        row, col = np.argwhere(~np.isfinite(matrix))[0]
+        raise ValueError(f"{path}:{lines[1 + row][0]}: {names[col]} must be finite, "
+                         f"got {lines[1 + row][1].split(',')[col]!r}")
+    return matrix, labels, names
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True

@@ -155,7 +155,7 @@ def test_criterion_08_climax_within_two_frames():
                 closest_time=2.0 + rng.uniform(-0.25, 0.25))
             buffer, truth = synth.synth_passby(prof, scen)
             frames = audio_io.frame_signal(buffer)
-            track = track_frames(frames, buffer.sample_rate, [SoundClass.LL] * len(frames))
+            track = track_frames(frames, buffer.sample_rate)
             climax = detect_climax(track)
             total += 1
             hits += abs(climax - int(truth.t_closest / 0.1)) <= 2
@@ -170,9 +170,8 @@ def test_criterion_09_vote_equals_exhaustive_oracle():
     energies = np.ones(8)
     mismatches = 0
     for combo in itertools.product(list(SoundClass), repeat=8):
-        track = FrameTrack(dominant_freq=freqs, rms_energy=energies,
-                           labels=list(combo), bin_hz=10.0)
-        got = finalize_detection(track, 7).sound_type
+        track = FrameTrack(dominant_freq=freqs, rms_energy=energies, bin_hz=10.0)
+        got = finalize_detection(track, 7, list(combo)).sound_type
         if combo[7] == SoundClass.NV:
             expected = SoundClass.NV
         else:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,16 +8,20 @@ import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from roadwarn import audio_io, features, synth
+from roadwarn import audio_io, cli, decision, features, synth
 from roadwarn.classifiers import _codes, load_model, load_model_meta
 from roadwarn.cli import RunConfig, main, run_simulation
+from roadwarn.decision import VOTE_WINDOW
 from roadwarn.deployment import DeploymentPlan, load_plan_config
 from roadwarn.features import LpcConfig, MfccConfig
-from roadwarn.labels import CLASS_ORDER, SoundClass
+from roadwarn.labels import CLASS_ORDER, DetectionResult, SoundClass
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -39,6 +44,52 @@ def dt_model_file(tmp_path_factory, features_csv):
     path = tmp_path_factory.mktemp("models") / "dt.json"
     assert main(["train", str(features_csv), str(path), "--model", "dt"]) == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def frame_models(tmp_path_factory, features_csv, dt_model_file):
+    """The DT and the MLP frame classifiers of the seed-0 corpus."""
+    mlp_file = tmp_path_factory.mktemp("models") / "mlp.json"
+    assert main(["train", str(features_csv), str(mlp_file), "--model", "mlp"]) == 0
+    return {"dt": load_model(dt_model_file), "mlp": load_model(mlp_file)}
+
+
+def render_clip(sound_class, clip_seed, approach_from):
+    """A 4 s corpus-style clip: a pass-by from `approach_from`, or for NV an
+    ambient clip."""
+    if sound_class == SoundClass.NV:
+        return synth.render_corpus_clip(sound_class, clip_seed, clip_seed)[0]
+    profile, scenario = synth.corpus_clip_params(sound_class, clip_seed)
+    scenario = dataclasses.replace(scenario, approach_from=approach_from)
+    return synth.synth_passby(profile, scenario)[0]
+
+
+def detect_all_frames_reference(buffer, model):
+    """The detection as first written: every frame classified, then the NV
+    gate at the climax and the vote over frames climax-7..climax."""
+    frames = audio_io.frame_signal(buffer)
+    labels = model.predict_batch(features.extract_features(frames, buffer.sample_rate))
+    track = decision.track_frames(frames, buffer.sample_rate)
+    climax = decision.detect_climax(track)
+    if climax < VOTE_WINDOW - 1:
+        raise decision.TrackTooShortError(f"climax {climax}")
+    sound_type = (SoundClass.NV if labels[climax] == SoundClass.NV
+                  else decision.vote_final_frames(labels[climax - VOTE_WINDOW + 1:climax + 1]))
+    return DetectionResult(climax_index=climax, sound_type=sound_type,
+                           direction=decision.infer_direction(track, climax))
+
+
+def outcome(detect):
+    """What `detect()` returns, or the type of the ValueError it raises."""
+    try:
+        return detect()
+    except ValueError as exc:
+        return type(exc)
+
+
+clip_args = dict(sound_class=st.sampled_from(list(SoundClass)),
+                 clip_seed=st.integers(0, 10 ** 6),
+                 approach_from=st.sampled_from(["front", "back"]))
 
 
 class TestSynthCommand:
@@ -306,6 +357,30 @@ class TestTrainEval:
                      "--report", str(report)]) == 0
         assert "overall accuracy: 100.00" in report.read_text()
 
+    @pytest.mark.parametrize("column, text, lead, message", [
+        ("label", "XX", "", "4: unknown label 'XX', expected one of H, LL, LH, NV"),
+        ("p2", "x", "", "4: p2 is not a number: 'x'"),
+        ("p2", "x", "# [features] fmin=300.0\n\n", "6: p2 is not a number: 'x'"),
+        ("mfcc3", "nan", "", "4: mfcc3 must be finite, got 'nan'"),
+        ("lpc_gain", "inf", "", "4: lpc_gain must be finite, got 'inf'"),
+        ("p1", "-inf", "", "4: p1 must be finite, got '-inf'"),
+    ])
+    def test_train_names_the_line_of_a_bad_row(self, tmp_path, capsys, column, text, lead,
+                                               message):
+        csv = tmp_path / "bad.csv"
+        names = features.feature_names()
+        features.save_dataset_csv(csv, np.arange(8 * 31.0).reshape(8, 31),
+                                  [CLASS_ORDER[i % 4] for i in range(8)], names)
+        lines = csv.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[(names + ["label"]).index(column)] = text
+        lines[3] = ",".join(cells)
+        csv.write_text(lead + "\n".join(lines) + "\n")
+        model = tmp_path / "dt.json"
+        assert main(["train", str(csv), str(model), "--model", "dt"]) == 2
+        assert capsys.readouterr().err == f"error: {csv}:{message}\n"
+        assert not model.exists()
+
     def test_cv_eval_report(self, features_csv, tmp_path):
         report = tmp_path / "cv.txt"
         assert main(["eval", str(features_csv), "--model", "dt",
@@ -404,6 +479,29 @@ class TestDetectCommand:
         wav = self._render_wav(tmp_path, "short.wav", short)
         assert main(["detect", str(wav), str(dt_model_file)]) == 2
 
+    def test_silent_frame_counts_only_inside_the_vote_window(self, dt_model_file, tmp_path,
+                                                             capsys):
+        profile, scenario = synth.corpus_clip_params(SoundClass.H, clip_seed=160)
+        buffer, _ = synth.synth_passby(profile, scenario)
+        assert main(["detect", str(self._render_wav(tmp_path, "h.wav", buffer)),
+                     str(dt_model_file)]) == 0
+        detection = capsys.readouterr().out.splitlines()[0]
+        climax = int(detection.split()[1])
+        frame_length = audio_io.frame_signal(buffer).shape[1]
+
+        def zeroed(frame):
+            samples = buffer.samples.copy()
+            samples[frame * frame_length:(frame + 1) * frame_length] = 0.0
+            return self._render_wav(tmp_path, f"zero{frame}.wav",
+                                    audio_io.SampleBuffer(samples, buffer.sample_rate))
+
+        assert climax >= VOTE_WINDOW
+        assert main(["detect", str(zeroed(0)), str(dt_model_file)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == detection
+        inside = climax - VOTE_WINDOW + 1
+        assert main(["detect", str(zeroed(inside)), str(dt_model_file)]) == 2
+        assert capsys.readouterr() == ("", "error: cannot fit LPC to a silent frame\n")
+
     def test_model_file_that_is_not_an_object(self, features_csv, tmp_path, capsys):
         model = tmp_path / "list.json"
         model.write_text("[1, 2]")
@@ -452,6 +550,71 @@ class TestDetectCommand:
         assert main(["detect", str(wav), str(model)]) == 2
         assert main(["eval", str(csv), "--model-file", str(model)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {model}: {message}"] * 2
+
+
+class TestDetectBuffer:
+    def test_features_are_extracted_for_the_vote_window_only(self, dt_model_file,
+                                                             monkeypatch):
+        model = load_model(dt_model_file)
+        extract = features.extract_features
+        rows = []
+
+        def counting(frames, *args):
+            rows.append(len(frames))
+            return extract(frames, *args)
+
+        monkeypatch.setattr(features, "extract_features", counting)
+        profile, scenario = synth.corpus_clip_params(SoundClass.H, clip_seed=160)
+        result, track = cli.detect_buffer(synth.synth_passby(profile, scenario)[0], model)
+        assert rows == [VOTE_WINDOW]
+        assert len(track) == 40 and result.climax_index >= VOTE_WINDOW - 1
+
+        # a steady 440 Hz tone loudest in frame 2: a flat track, so the
+        # energy peak is the climax, and it leaves 3 frames to vote on
+        t = np.arange(40 * 1600) / 16000
+        samples = (0.01 + np.exp(-((t - 0.25) / 0.1) ** 2)) * np.sin(2 * np.pi * 440.0 * t)
+        with pytest.raises(decision.TrackTooShortError,
+                           match="climax 2 leaves fewer than 8 frames to vote on"):
+            cli.detect_buffer(audio_io.SampleBuffer(samples, 16000), model)
+        assert rows == [VOTE_WINDOW]
+
+    @settings(max_examples=25, deadline=None)
+    @given(**clip_args)
+    def test_window_rows_equal_those_of_the_whole_clip(self, frame_models, sound_class,
+                                                       clip_seed, approach_from):
+        buffer = render_clip(sound_class, clip_seed, approach_from)
+        frames = audio_io.frame_signal(buffer)
+        whole = features.extract_features(frames, buffer.sample_rate)
+        labels = {kind: model.predict_batch(whole) for kind, model in frame_models.items()}
+        for start in range(len(frames) - VOTE_WINDOW + 1):
+            window = slice(start, start + VOTE_WINDOW)
+            rows = features.extract_features(frames[window], buffer.sample_rate)
+            assert rows.tobytes() == whole[window].tobytes()
+            for kind, model in frame_models.items():
+                assert model.predict_batch(rows) == labels[kind][window], kind
+
+    @settings(max_examples=40, deadline=None)
+    @given(**clip_args)
+    @example(sound_class=SoundClass.NV, clip_seed=10, approach_from="front")  # climax 3
+    def test_detection_equals_the_all_frames_reference(self, frame_models, sound_class,
+                                                       clip_seed, approach_from):
+        buffer = render_clip(sound_class, clip_seed, approach_from)
+        frames = audio_io.frame_signal(buffer)
+        finalize = decision.finalize_detection
+        for model in frame_models.values():
+            voted = []
+
+            def recording(track, climax, labels):
+                voted.append(labels)
+                return finalize(track, climax, labels)
+
+            with mock.patch.object(decision, "finalize_detection", recording):
+                got = outcome(lambda: cli.detect_buffer(buffer, model)[0])
+            assert got == outcome(lambda: detect_all_frames_reference(buffer, model))
+            if isinstance(got, DetectionResult):
+                # the labels voted on are those the whole clip's rows get
+                labels = model.predict_batch(features.extract_features(frames, buffer.sample_rate))
+                assert voted == [labels[got.climax_index - VOTE_WINDOW + 1:got.climax_index + 1]]
 
 
 class TestSimulate:

@@ -9,18 +9,15 @@ from hypothesis.extra import numpy as hnp
 from roadwarn import audio_io, synth
 from roadwarn.decision import (FrameTrack, TrackTooShortError, band_peak_hz, detect_climax,
                                finalize_detection, infer_direction, track_frames,
-                               vote_final_frames)
+                               vote_final_frames, vote_window)
 from roadwarn.labels import APPROACHING, RECEDING, UNKNOWN, DetectionResult, SoundClass
 
 from conftest import doppler_hz
 
 
-def build_track(freqs, energies, labels=None, bin_hz=10.0):
-    n = len(freqs)
+def build_track(freqs, energies, bin_hz=10.0):
     return FrameTrack(dominant_freq=np.asarray(freqs, dtype=float),
-                      rms_energy=np.asarray(energies, dtype=float),
-                      labels=list(labels) if labels else [SoundClass.H] * n,
-                      bin_hz=bin_hz)
+                      rms_energy=np.asarray(energies, dtype=float), bin_hz=bin_hz)
 
 
 class TestDoppler:
@@ -118,29 +115,29 @@ class TestTrackFrames:
     def test_pure_tone_track(self):
         t = np.arange(1600) / 16000
         frames = np.tile(np.sin(2 * np.pi * 440.0 * t), (10, 1))
-        track = track_frames(frames, 16000, [SoundClass.LL] * 10)
+        track = track_frames(frames, 16000)
         assert np.all(np.abs(track.dominant_freq - 440.0) <= track.bin_hz / 2)
 
     def test_silence_has_zero_energy(self):
-        track = track_frames(np.zeros((8, 1600)), 16000, [SoundClass.NV] * 8)
+        track = track_frames(np.zeros((8, 1600)), 16000)
         assert np.all(track.rms_energy == 0.0)
 
     def test_median_removes_single_spike(self):
         t = np.arange(1600) / 16000
         frames = np.sin(2 * np.pi * np.c_[[300, 300, 900, 300, 300]] * t)
-        track = track_frames(frames, 16000, [SoundClass.H] * 5)
+        track = track_frames(frames, 16000)
         assert np.all(np.abs(track.dominant_freq[1:-1] - 300.0) <= track.bin_hz)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            track_frames(np.zeros((0, 1600)), 16000, [])
+            track_frames(np.zeros((0, 1600)), 16000)
         with pytest.raises(ValueError):
-            track_frames(np.zeros((2, 1600)), 16000, [SoundClass.H])
+            track_frames(np.zeros(1600), 16000)
 
     def test_band_without_bins_rejected(self):
         # 8 samples at 80 Hz: bins every 10 Hz up to 40 Hz, all below the band
         with pytest.raises(ValueError):
-            track_frames(np.ones((1, 8)), 80, [SoundClass.H])
+            track_frames(np.ones((1, 8)), 80)
 
     @settings(max_examples=300, deadline=None)
     @given(case=magnitude_stacks(), bin_hz=st.sampled_from([0.5, 10.0, 15.625]))
@@ -164,7 +161,7 @@ class TestTrackFrames:
     @given(case=frame_matrices())
     def test_matches_per_frame_reference(self, case):
         frames, rate = case
-        track = track_frames(frames, rate, [SoundClass.H] * len(frames))
+        track = track_frames(frames, rate)
         smoothed, rms, bin_hz = track_frames_reference(frames, rate)
         assert np.array_equal(track.dominant_freq, smoothed)
         assert np.array_equal(track.rms_energy, rms)
@@ -212,12 +209,12 @@ class TestDetectClimax:
         scenario = dataclasses.replace(scenario, approach_from=approach_from)
         buffer, truth = synth.synth_passby(profile, scenario)
         frames = audio_io.frame_signal(buffer)
-        track = track_frames(frames, buffer.sample_rate, [SoundClass.H] * len(frames))
+        track = track_frames(frames, buffer.sample_rate)
         energy_peak = int(np.argmax(track.rms_energy))
         assert energy_peak == {"front": 20, "back": 22}[approach_from]
         assert detect_climax(track) == energy_peak
         assert abs(energy_peak - truth.t_closest / 0.1) <= 2
-        assert finalize_detection(track, energy_peak).sound_type == SoundClass.H
+        assert finalize_detection(track, energy_peak, [SoundClass.H] * 8).sound_type == SoundClass.H
 
     def test_invariance_to_energy_scale_and_frequency_offset(self):
         rng = np.random.default_rng(3)
@@ -236,7 +233,7 @@ class TestDetectClimax:
                                     duration=4.0, seed=77)
         buffer, truth = synth.synth_passby(prof, scen)
         frames = audio_io.frame_signal(buffer)
-        track = track_frames(frames, buffer.sample_rate, [SoundClass.LL] * len(frames))
+        track = track_frames(frames, buffer.sample_rate)
         climax = detect_climax(track)
         assert abs(climax - int(truth.t_closest / 0.1)) <= 2
 
@@ -253,13 +250,12 @@ class TestInferDirection:
                                     duration=4.0, seed=5)
         buffer, truth = synth.synth_passby(prof, scen)
         frames = audio_io.frame_signal(buffer)
-        track = track_frames(frames, buffer.sample_rate, [SoundClass.LH] * len(frames))
+        track = track_frames(frames, buffer.sample_rate)
         climax = int(np.argmax(track.rms_energy))
         assert infer_direction(track, climax) == APPROACHING
         # reversing the track mirrors the energy balance exactly
         reversed_track = build_track(track.dominant_freq[::-1],
-                                     track.rms_energy[::-1],
-                                     track.labels[::-1], track.bin_hz)
+                                     track.rms_energy[::-1], track.bin_hz)
         mirrored = len(track) - 1 - climax
         assert infer_direction(reversed_track, mirrored) == RECEDING
 
@@ -271,7 +267,7 @@ class TestInferDirection:
                                     duration=4.0, seed=6, approach_from="back")
         buffer, truth = synth.synth_passby(prof, scen)
         frames = audio_io.frame_signal(buffer)
-        track = track_frames(frames, buffer.sample_rate, [SoundClass.LH] * len(frames))
+        track = track_frames(frames, buffer.sample_rate)
         climax = int(np.argmax(track.rms_energy))
         assert infer_direction(track, climax) == RECEDING
 
@@ -293,29 +289,40 @@ def oracle_vote(window):
 
 class TestFinalize:
     def test_unanimous(self):
-        track = build_track([100] * 8, [1] * 8, [SoundClass.H] * 8)
-        assert finalize_detection(track, 7).sound_type == SoundClass.H
+        track = build_track([100] * 8, [1] * 8)
+        assert finalize_detection(track, 7, [SoundClass.H] * 8).sound_type == SoundClass.H
 
     def test_majority(self):
         # 5 LL vs 3 NV; the NV frames sit before the climax so no gate fires
         labels = [SoundClass.NV] * 3 + [SoundClass.LL] * 5
-        track = build_track([100] * 8, [1] * 8, labels)
-        assert finalize_detection(track, 7).sound_type == SoundClass.LL
+        track = build_track([100] * 8, [1] * 8)
+        assert finalize_detection(track, 7, labels).sound_type == SoundClass.LL
 
     def test_tie_goes_to_danger(self):
         labels = [SoundClass.H] * 4 + [SoundClass.LH] * 4
-        track = build_track([100] * 8, [1] * 8, labels)
-        assert finalize_detection(track, 7).sound_type == SoundClass.LH
+        track = build_track([100] * 8, [1] * 8)
+        assert finalize_detection(track, 7, labels).sound_type == SoundClass.LH
 
     def test_nv_climax_gates_without_vote(self):
         labels = [SoundClass.H] * 7 + [SoundClass.NV]
-        track = build_track([100] * 8, [1] * 8, labels)
-        assert finalize_detection(track, 7).sound_type == SoundClass.NV
+        track = build_track([100] * 8, [1] * 8)
+        assert finalize_detection(track, 7, labels).sound_type == SoundClass.NV
 
     def test_insufficient_frames(self):
         track = build_track([100] * 10, [1] * 10)
+        with pytest.raises(TrackTooShortError,
+                           match="climax 5 leaves fewer than 8 frames to vote on"):
+            finalize_detection(track, 5, [SoundClass.H] * 8)
         with pytest.raises(TrackTooShortError):
-            finalize_detection(track, 5)
+            vote_window(6)
+        assert vote_window(7) == slice(0, 8)
+        assert vote_window(9) == slice(2, 10)
+
+    @pytest.mark.parametrize("n_labels", [0, 7, 9, 10])
+    def test_labels_other_than_the_vote_window_rejected(self, n_labels):
+        track = build_track([100] * 10, [1] * 10)
+        with pytest.raises(ValueError, match="need the 8 labels of the vote window"):
+            finalize_detection(track, 9, [SoundClass.H] * n_labels)
 
     def test_vote_matches_oracle_on_sample(self):
         rng = np.random.default_rng(1)
