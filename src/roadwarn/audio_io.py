@@ -89,7 +89,8 @@ def load_wav(path) -> SampleBuffer:
     if sample_rate == 0:
         raise WavFormatError("sample rate is 0")
     if audio_format == 1:
-        samples = np.frombuffer(body, dtype="<i2").astype(np.float64) / 32768.0
+        # int16 -> float64 and division by 2**15 are both exact
+        samples = np.frombuffer(body, dtype="<i2") / 32768.0
     else:
         raw = np.frombuffer(body, dtype="<f4")
         if not np.isfinite(raw).all():

@@ -81,7 +81,10 @@ def track_frames(frames: np.ndarray, sample_rate: int) -> FrameTrack:
     The frequency comes from hann-windowed spectra, which give cleaner
     peaks than the rectangular spectra the scalar features are defined on.
     The track is median-smoothed over 3 frames to knock out single-frame
-    spikes; the first and last frames keep their raw values.
+    spikes; the first and last frames keep their raw values.  The median
+    is max(min(a, b), min(max(a, b), c)), which picks out the middle one
+    of three finite values exactly, as `np.median` does, without its
+    per-call cost.
     """
     X = np.asarray(frames, dtype=np.float64)
     if X.ndim != 2 or not len(X):
@@ -90,20 +93,10 @@ def track_frames(frames: np.ndarray, sample_rate: int) -> FrameTrack:
     bin_hz = sample_rate / n
     raw = band_peak_hz(features.fft_magnitude(X * features.hann_window(n)), TRACK_BAND, bin_hz)
     smoothed = raw.copy()
-    if len(raw) > 2:
-        smoothed[1:-1] = np.median(np.lib.stride_tricks.sliding_window_view(raw, 3), axis=1)
+    a, b, c = raw[:-2], raw[1:-1], raw[2:]
+    smoothed[1:-1] = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
     rms = np.sqrt(np.mean(X ** 2, axis=1))
     return FrameTrack(dominant_freq=smoothed, rms_energy=rms, bin_hz=bin_hz)
-
-
-def _descent_score(freq: np.ndarray, idx: int) -> float | None:
-    """Mean frequency over the 3 frames before idx minus the 3 after.
-
-    None when either side window is incomplete.
-    """
-    if idx < 3 or idx + 3 >= len(freq):
-        return None
-    return float(np.mean(freq[idx - 3:idx]) - np.mean(freq[idx + 1:idx + 4]))
 
 
 def detect_climax(track: FrameTrack) -> int:
@@ -114,6 +107,12 @@ def detect_climax(track: FrameTrack) -> int:
     track is flat to within 2 bins).  Otherwise the index with the steepest
     3-frame frequency drop across it wins, if the track drops anywhere; if
     it drops nowhere, the energy maximum stands.
+
+    The descent score of frame i (3 <= i <= len - 4) is the mean frequency
+    over frames i-3..i-1 minus the mean over i+1..i+3.  All of them come
+    from one array of 3-frame means, each summed as (a + b) + c and divided
+    by 3, the order `np.mean` takes on a 3-value slice, so every score
+    equals the per-frame `np.mean` difference bit for bit.
     """
     if len(track) < VOTE_WINDOW:
         raise TrackTooShortError(f"need >= {VOTE_WINDOW} frames, got {len(track)}")
@@ -121,11 +120,10 @@ def detect_climax(track: FrameTrack) -> int:
     energy_peak = int(np.argmax(track.rms_energy))
     if float(freq.max() - freq.min()) < 2.0 * track.bin_hz:
         return energy_peak
-    score = _descent_score(freq, energy_peak)
-    if score is None or score > 0.0:
+    means = (freq[:-2] + freq[1:-1] + freq[2:]) / 3.0
+    scores = means[:-4] - means[4:]  # scores[i - 3] is frame i's
+    if not 3 <= energy_peak < len(freq) - 3 or scores[energy_peak - 3] > 0.0:
         return energy_peak
-    candidates = range(3, len(freq) - 3)
-    scores = [_descent_score(freq, i) for i in candidates]
     best = int(np.argmax(scores))
     return 3 + best if scores[best] > 0.0 else energy_peak
 

@@ -235,6 +235,10 @@ def lpc(frames: np.ndarray, config: LpcConfig = LpcConfig()):
     recursion there and its higher taps stay 0.  The order-update inner
     products are BLAS dot products of contiguous rows, like the lags, so
     each frame's result equals a frame-by-frame recursion bit for bit.
+    While every frame is live, a step updates the taps in place; once some
+    have finished, it updates a copy of the live rows.  Both subtract from
+    each old tap a product computed from the old taps before any is
+    written, so the values are the same.
     """
     X, single = _as_stack(frames)
     p = config.order
@@ -249,8 +253,9 @@ def lpc(frames: np.ndarray, config: LpcConfig = LpcConfig()):
     rev = r[:, ::-1].copy()
     a = np.zeros((len(X), p))
     err = r0.copy()
+    floor = 1e-15 * r0
     for i in range(1, p + 1):
-        live = err > 1e-15 * r0
+        live = err > floor
         if live.all():
             live = slice(None)
         else:
@@ -260,6 +265,12 @@ def lpc(frames: np.ndarray, config: LpcConfig = LpcConfig()):
         a_live = a[live]
         dot = np.matmul(a_live[:, None, :i - 1], rev[live, p - i + 1:p, None])[:, 0, 0]
         k = (r[live, i] - dot) / err[live]
+        if isinstance(live, slice):
+            # the product is a new array, so it reads the taps of order i - 1
+            a[:, :i - 1] -= k[:, None] * a[:, :i - 1][:, ::-1]
+            a[:, i - 1] = k
+            err *= 1.0 - k * k
+            continue
         updated = a_live.copy()
         updated[:, i - 1] = k
         updated[:, :i - 1] -= k[:, None] * a_live[:, :i - 1][:, ::-1]

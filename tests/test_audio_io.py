@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roadwarn.audio_io import (SampleBuffer, UnsupportedWavError, WavFormatError,
@@ -54,6 +54,22 @@ class TestLoadWav:
                          + b"data" + struct.pack("<I", len(body)) + body)
         buf = load_wav(path)
         np.testing.assert_allclose(buf.samples, values.astype(np.float64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(channels=st.integers(1, 2),
+           values=st.lists(st.one_of(st.sampled_from([-32768, -32767, -1, 0, 1, 32767]),
+                                     st.integers(-32768, 32767)), max_size=64))
+    @example(channels=2, values=[-32768, 32767, 32767, -32768, -32768, -32768])
+    def test_pcm16_samples_equal_float_scaling_reference(self, tmp_path_factory, channels,
+                                                         values):
+        # whole stereo frames only; the stereo mean is of the two scaled channels
+        pcm = np.array(values[:len(values) - len(values) % channels], dtype="<i2")
+        path = tmp_path_factory.getbasetemp() / "scale.wav"
+        path.write_bytes(_pcm16_wav_bytes(pcm, channels=channels))
+        want = pcm.astype(np.float64) / 32768.0
+        if channels == 2:
+            want = want.reshape(-1, 2).mean(axis=1)
+        assert load_wav(path).samples.tobytes() == want.tobytes()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

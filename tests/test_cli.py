@@ -19,7 +19,7 @@ from roadwarn import audio_io, cli, decision, features, synth
 from roadwarn.classifiers import _codes, load_model, load_model_meta
 from roadwarn.cli import RunConfig, main, run_simulation
 from roadwarn.decision import VOTE_WINDOW
-from roadwarn.deployment import DeploymentPlan, load_plan_config
+from roadwarn.deployment import DeploymentPlan, load_plan_config, warning_decision
 from roadwarn.features import LpcConfig, MfccConfig
 from roadwarn.labels import CLASS_ORDER, DetectionResult, SoundClass
 
@@ -615,6 +615,29 @@ class TestDetectBuffer:
                 # the labels voted on are those the whole clip's rows get
                 labels = model.predict_batch(features.extract_features(frames, buffer.sample_rate))
                 assert voted == [labels[got.climax_index - VOTE_WINDOW + 1:got.climax_index + 1]]
+
+    def test_seed0_detect_outcomes_match_benchmark_record(self, corpus_dir, features_csv,
+                                                         tmp_path):
+        # the benchmark's recorded outcome of every seed-0 clip, in manifest
+        # order: a change to the track, the climax, the window's features or
+        # the vote that moves one DET line must show up here
+        model_file = tmp_path / "mlp.json"
+        config = ROOT / "perfbench" / "criterion02.ini"
+        assert main(["train", str(features_csv), str(model_file), "--model", "mlp",
+                     "--feature-set", "all", "--config", str(config), "--seed", "0"]) == 0
+        model, meta = load_model(model_file), load_model_meta(model_file)
+        configs = MfccConfig(**meta["mfcc"]), LpcConfig(**meta["lpc"])
+        got = []
+        for entry in synth.load_manifest(corpus_dir / "manifest.csv"):
+            buffer = audio_io.load_wav(corpus_dir / entry.file)
+            try:
+                result, _ = cli.detect_buffer(buffer, model, meta["feature_set"], *configs)
+            except decision.TrackTooShortError:
+                got.append("TrackTooShortError")
+                continue
+            got.append(result.to_line() + (" WARN" if warning_decision(result) else ""))
+        expected = ROOT / "perfbench" / "expected.json"
+        assert got == json.loads(expected.read_text())["detect_clips"]["outcomes"]
 
 
 class TestSimulate:

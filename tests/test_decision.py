@@ -168,7 +168,59 @@ class TestTrackFrames:
         assert track.bin_hz == bin_hz
 
 
+def descent_score_reference(freq, idx):
+    """Mean frequency over the 3 frames before idx minus the 3 after, None
+    when either side window is incomplete: the per-frame score as first
+    written."""
+    if idx < 3 or idx + 3 >= len(freq):
+        return None
+    return float(np.mean(freq[idx - 3:idx]) - np.mean(freq[idx + 1:idx + 4]))
+
+
+def detect_climax_reference(track):
+    """The climax search as first written, one `descent_score_reference`
+    call per frame."""
+    freq = track.dominant_freq
+    energy_peak = int(np.argmax(track.rms_energy))
+    if float(freq.max() - freq.min()) < 2.0 * track.bin_hz:
+        return energy_peak
+    score = descent_score_reference(freq, energy_peak)
+    if score is None or score > 0.0:
+        return energy_peak
+    scores = [descent_score_reference(freq, i) for i in range(3, len(freq) - 3)]
+    best = int(np.argmax(scores))
+    return 3 + best if scores[best] > 0.0 else energy_peak
+
+
+@st.composite
+def climax_tracks(draw):
+    """8-60 frame tracks of few distinct values, so that energy ties, score
+    ties, tracks flat to within 2 bins and energy peaks within 3 frames of
+    either end are common; the free floats make means that round, and
+    sorted tracks drop nowhere."""
+    n = draw(st.integers(8, 60))
+    freq = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from([100.0, 110.0, 120.0, 100.1, 300.3]), st.floats(50.0, 2000.0))))
+    if draw(st.booleans()):
+        freq.sort()
+    energy = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 1.0))))
+    return build_track(freq, energy, bin_hz=draw(st.sampled_from([5.0, 10.0, 100.0])))
+
+
 class TestDetectClimax:
+    @settings(max_examples=500, deadline=None)
+    @given(track=climax_tracks())
+    @example(track=build_track([300.0, 300, 300, 320, 340, 360, 330, 260, 240, 235, 233, 232],
+                               [1.0, 1, 1, 1, 9, 1, 1, 1, 1, 1, 1, 1]))
+    # the energy peak scores 0, and frames 5, 6 and 11 tie for the best score
+    @example(track=build_track([100.0, 100, 100, 120, 120, 120] * 2 + [100.0] * 3,
+                               [0.0] * 4 + [1.0] + [0.0] * 10))
+    # no frame's score is above 0, and frame 3's is 0: the energy peak stands
+    @example(track=build_track([100.0] * 8 + [200.0] * 8, [0.0] * 8 + [1.0] + [0.0] * 7))
+    def test_matches_per_frame_reference(self, track):
+        assert detect_climax(track) == detect_climax_reference(track)
+
     def test_needs_eight_frames(self):
         with pytest.raises(TrackTooShortError):
             detect_climax(build_track([100] * 7, [1] * 7))
