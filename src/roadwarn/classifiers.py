@@ -15,7 +15,6 @@ LH > H > LL > NV.  A warning system should err on the side of warning.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -69,16 +68,10 @@ def _codes(labels) -> np.ndarray:
     return np.array([index[label] for label in labels], dtype=np.intp)
 
 
-@functools.lru_cache(maxsize=None)
-def _danger_order(classes: tuple) -> tuple:
-    """Column indices of `classes`, riskiest class first."""
-    return tuple(sorted(range(len(classes)), key=lambda i: DANGER_ORDER.index(classes[i])))
-
-
 def _danger_argmax(scores: np.ndarray, classes, tolerance: float = 0.0) -> list:
     """Per row of `scores` (one column per entry of `classes`): the riskiest
     class whose score is at least the row's best minus `tolerance`."""
-    order = _danger_order(tuple(classes))
+    order = sorted(range(len(classes)), key=lambda i: DANGER_ORDER.index(classes[i]))
     ranked = scores[:, order]
     near_best = ranked >= ranked.max(axis=1, keepdims=True) - tolerance
     # argmax of a boolean row is its first True: the riskiest candidate

@@ -235,10 +235,8 @@ def lpc(frames: np.ndarray, config: LpcConfig = LpcConfig()):
     recursion there and its higher taps stay 0.  The order-update inner
     products are BLAS dot products of contiguous rows, like the lags, so
     each frame's result equals a frame-by-frame recursion bit for bit.
-    While every frame is live, a step updates the taps in place; once some
-    have finished, it updates a copy of the live rows.  Both subtract from
-    each old tap a product computed from the old taps before any is
-    written, so the values are the same.
+    Each step subtracts from the taps a product computed from the old taps
+    before any is written, in place while every frame is live.
     """
     X, single = _as_stack(frames)
     p = config.order
@@ -265,16 +263,9 @@ def lpc(frames: np.ndarray, config: LpcConfig = LpcConfig()):
         a_live = a[live]
         dot = np.matmul(a_live[:, None, :i - 1], rev[live, p - i + 1:p, None])[:, 0, 0]
         k = (r[live, i] - dot) / err[live]
-        if isinstance(live, slice):
-            # the product is a new array, so it reads the taps of order i - 1
-            a[:, :i - 1] -= k[:, None] * a[:, :i - 1][:, ::-1]
-            a[:, i - 1] = k
-            err *= 1.0 - k * k
-            continue
-        updated = a_live.copy()
-        updated[:, i - 1] = k
-        updated[:, :i - 1] -= k[:, None] * a_live[:, :i - 1][:, ::-1]
-        a[live] = updated
+        # the product is a new array, so it reads the taps of order i - 1
+        a[live, :i - 1] -= k[:, None] * a_live[:, :i - 1][:, ::-1]
+        a[live, i - 1] = k
         err[live] *= 1.0 - k * k
     return (a[0], float(err[0])) if single else (a, err)
 
