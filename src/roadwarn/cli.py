@@ -234,11 +234,7 @@ def cmd_detect(args) -> int:
     result, _ = detect_buffer(buffer, model, feature_set, *features.configs_of(settings))
     print(result.to_line())
     if warning_decision(result):
-        message = warnd.WarningMessage(processor_id=0, sound_class=result.sound_type,
-                                       direction=result.direction,
-                                       event_time=result.climax_index
-                                       * audio_io.DEFAULT_FRAME_SECONDS)
-        print(warnd.encode(message))
+        print(warnd.warn_line(result, 0, result.climax_index * audio_io.DEFAULT_FRAME_SECONDS))
     return 0
 
 
@@ -299,9 +295,9 @@ def run_simulation(plan, script_lines) -> list[str]:
             result = DetectionResult(climax_index=0, sound_type=sound_class,
                                      direction=APPROACHING)
             delivered = dispatcher.dispatch(result, target_id, t)
+            warn = warnd.warn_line(result, target_id, t)
             positions = dispatcher.positions()
-            for cid in sorted(delivered):  # only a risky class is delivered
-                warn = warnd.encode(warnd.WarningMessage(target_id, sound_class, APPROACHING, t))
+            for cid in sorted(delivered):
                 lead = warning_lead_time(positions[cid][0] - start_x, speed)
                 log.append(f"{warn} -> {cid} lead={lead:.2f}s")
         else:

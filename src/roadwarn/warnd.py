@@ -14,13 +14,15 @@ is answered `ERR malformed: unknown verb '<verb>'`.  client_id matches
 most 3 fraction digits; class is one of H/LL/LH/NV.  A line longer than
 MAX_LINE_BYTES is answered `ERR line too long` and ends the session.  A REG
 for a new client_id while the registry holds MAX_CLIENTS clients is
-answered `ERR registry full`.
+answered `ERR registry full`.  The package writes WARN lines with
+`warn_line` alone and reads none: reading them is the client's side.
 
 `WarnServer` is one `selectors` loop in one thread: it reads the EVENT
 feed and every client.  Detection events do not travel on the client wire:
 the loop reads `EVENT <processor_id> <class> <direction> <t>` lines from
-its feed (stdin for the standalone server), and `cli simulate` calls
-`dispatch` in-process.  The loop stops when the feed ends.
+its feed (stdin for the standalone server), processor_id in ASCII digits
+and the other fields as in WARN, and `cli simulate` calls `dispatch`
+in-process.  The loop stops when the feed ends.
 
 A connection gets one write per event: the event's WARNs go to it as one
 block, one line per client it carries.  What the socket does not take at
@@ -50,12 +52,13 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .deployment import WARN_CLASSES, DeploymentPlan, load_plan_config, warning_decision
+from .deployment import DeploymentPlan, load_plan_config, warning_decision
 from .labels import DIRECTIONS, DetectionResult, SoundClass
 
 _CLIENT_ID_TOKEN = r"[A-Za-z0-9_-]{1,32}"
 _DECIMAL_TOKEN = r"-?[0-9]+(?:\.[0-9]{1,3})?"
 _CLIENT_ID = re.compile(_CLIENT_ID_TOKEN + r"\Z")
+_PROCESSOR_ID = re.compile(r"[0-9]+\Z")
 _DECIMAL = re.compile(_DECIMAL_TOKEN + r"\Z")
 # a whole well-formed REG/POS line, to be matched with fullmatch
 _POSITION = re.compile(rf"(REG|POS) ({_CLIENT_ID_TOKEN}) ({_DECIMAL_TOKEN}) "
@@ -76,16 +79,10 @@ class ProtocolError(ValueError):
     """A wire line that does not match the grammar."""
 
 
-@dataclass(frozen=True)
-class WarningMessage:
-    processor_id: int
-    sound_class: SoundClass
-    direction: str
-    event_time: float
-
-    def __post_init__(self):
-        if self.sound_class not in WARN_CLASSES:
-            raise ValueError("only risky classes (H, LH) are ever dispatched")
+def warn_line(result: DetectionResult, processor_id: int, event_time: float) -> str:
+    """The alert line of an event, `WARN <processor_id> <class> <direction> <t>`,
+    for a result that `warning_decision` lets through."""
+    return f"WARN {processor_id} {result.sound_type.value} {result.direction} {event_time:.3f}"
 
 
 def _parse_decimal(token: str, what: str) -> float:
@@ -103,35 +100,14 @@ def _parse_client_id(token: str) -> str:
     return token
 
 
-def _parse_alert(fields: list[str]) -> tuple[int, SoundClass, str, float]:
-    """`<processor_id> <class> <direction> <t>`, the fields of WARN and EVENT."""
-    try:
-        processor_id = int(fields[0])
-        sound_class = SoundClass(fields[1])
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from None
-    if fields[2] not in DIRECTIONS:
-        raise ProtocolError(f"bad direction {fields[2]!r}")
-    return processor_id, sound_class, fields[2], _parse_decimal(fields[3], "t")
-
-
-def encode(message: WarningMessage) -> str:
-    return (f"WARN {message.processor_id} {message.sound_class.value} "
-            f"{message.direction} {message.event_time:.3f}")
-
-
-def decode(line: str) -> WarningMessage:
-    """A WARN line, as a client reads it."""
-    parts = line.strip().split(" ")
-    if parts[0] != "WARN":
-        raise ProtocolError(f"unknown verb {parts[0]!r}")
-    if len(parts) != 5:
-        raise ProtocolError("WARN needs 4 fields")
-    fields = _parse_alert(parts[1:])
-    try:
-        return WarningMessage(*fields)
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from None
+def _parse_processor_id(token: str) -> int:
+    if _PROCESSOR_ID.match(token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    shown = repr(token) if len(token) <= 16 else f"{token[:16]!r}..."
+    raise ProtocolError(f"bad processor_id {shown}")
 
 
 def _parse_position(line: str) -> tuple[str, str, float, float, float]:
@@ -284,11 +260,7 @@ class Dispatcher:
         self.plan.processor(processor_id)  # raises KeyError if absent
         if not warning_decision(result):
             return set()
-        message = WarningMessage(processor_id=processor_id,
-                                 sound_class=result.sound_type,
-                                 direction=result.direction,
-                                 event_time=event_time)
-        line = encode(message)
+        line = warn_line(result, processor_id, event_time)
         window = self.plan.freshness_window
         live, aged = self._live[processor_id], self._aged[processor_id]
         in_order = event_time >= self._aged_at[processor_id]
@@ -326,9 +298,16 @@ def parse_event_line(line: str) -> tuple[int, DetectionResult, float]:
     parts = line.strip().split(" ")
     if len(parts) != 5 or parts[0] != "EVENT":
         raise ProtocolError("expected: EVENT <processor_id> <class> <direction> <t>")
-    processor_id, sound_class, direction, event_time = _parse_alert(parts[1:])
+    _, token, class_token, direction, time_token = parts
+    processor_id = _parse_processor_id(token)
+    try:
+        sound_class = SoundClass(class_token)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+    if direction not in DIRECTIONS:
+        raise ProtocolError(f"bad direction {direction!r}")
     result = DetectionResult(climax_index=0, sound_type=sound_class, direction=direction)
-    return processor_id, result, event_time
+    return processor_id, result, _parse_decimal(time_token, "t")
 
 
 def _split_lines(buffered: bytes, eof: bool) -> tuple[list, bytes, bool]:

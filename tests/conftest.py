@@ -1,9 +1,14 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from roadwarn import synth
 from roadwarn.decision import band_peak_hz
 from roadwarn.features import fft_magnitude
+from roadwarn.labels import DIRECTIONS, SoundClass
+from roadwarn.warnd import ProtocolError
 
 
 @pytest.fixture(scope="session")
@@ -58,3 +63,30 @@ def members_in_area_reference(area, registry, now, freshness_window):
     return [cid for cid, record in registry.items()
             if area.contains(record.x, record.y)
             and -freshness_window <= now - record.t <= freshness_window]
+
+
+def read_warn_line(line):
+    """A WARN line as a client reads it: (processor_id, SoundClass, direction,
+    event_time), or ProtocolError naming the first fault.  The package writes
+    WARN lines and reads none; this is the reader they must satisfy."""
+    parts = line.strip().split(" ")
+    if parts[0] != "WARN":
+        raise ProtocolError(f"unknown verb {parts[0]!r}")
+    if len(parts) != 5:
+        raise ProtocolError("WARN needs 4 fields")
+    _, processor_id, sound_class, direction, event_time = parts
+    if not re.fullmatch(r"[0-9]+", processor_id):
+        raise ProtocolError(f"bad processor_id {processor_id!r}")
+    try:
+        sound_class = SoundClass(sound_class)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+    if direction not in DIRECTIONS:
+        raise ProtocolError(f"bad direction {direction!r}")
+    if not re.fullmatch(r"-?[0-9]+(\.[0-9]{1,3})?", event_time):
+        raise ProtocolError(f"bad t {event_time!r}")
+    if not math.isfinite(float(event_time)):
+        raise ProtocolError(f"bad t {event_time[:16]}... (not finite)")
+    if sound_class not in (SoundClass.H, SoundClass.LH):
+        raise ProtocolError("only risky classes (H, LH) are ever dispatched")
+    return int(processor_id), sound_class, direction, float(event_time)

@@ -15,9 +15,9 @@ from roadwarn.classifiers import LabeledDataset, MlpConfig, evaluate_cv, f_measu
 from roadwarn.decision import FrameTrack, detect_climax, finalize_detection, track_frames
 from roadwarn.deployment import DeploymentPlan, warning_lead_time
 from roadwarn.labels import APPROACHING, RECEDING, DetectionResult, SoundClass
-from roadwarn.warnd import Dispatcher, decode, encode
+from roadwarn.warnd import Dispatcher, warn_line
 
-from conftest import doppler_hz, measure_tone_frequency
+from conftest import doppler_hz, measure_tone_frequency, read_warn_line
 from test_classifiers import blobs
 from test_features import direct_dft, mfcc_reference, toeplitz_lpc_oracle
 
@@ -226,14 +226,15 @@ def test_criterion_11_dispatch_exactness_and_protocol():
         if not warnable:
             forbidden += len(delivered)
     assert forbidden == 0
-    # protocol round-trip over generated messages
+    # protocol round-trip over generated messages: a client reads back what warn_line wrote
     for _ in range(500):
-        msg = decode(encode(decode(
-            f"WARN {rng.integers(0, 9)} "
-            f"{['H', 'LH'][rng.integers(0, 2)]} "
-            f"{directions[rng.integers(0, 3)]} "
-            f"{rng.integers(0, 99999) / 1000.0:.3f}")))
-        assert decode(encode(msg)) == msg
+        line = (f"WARN {rng.integers(0, 9)} "
+                f"{['H', 'LH'][rng.integers(0, 2)]} "
+                f"{directions[rng.integers(0, 3)]} "
+                f"{rng.integers(0, 99999) / 1000.0:.3f}")
+        pid, cls, direction, t = read_warn_line(line)
+        result = DetectionResult(climax_index=9, sound_type=cls, direction=direction)
+        assert warn_line(result, pid, t) == line
     _ok(11, "1000 randomized dispatches equal the brute-force oracle; "
             "no LL/NV/receding deliveries; protocol round-trips")
 

@@ -464,7 +464,8 @@ class TestDetectCommand:
         out = capsys.readouterr().out.strip().splitlines()
         parts = out[0].split()
         assert parts[0] == "DET" and parts[2] == "H" and parts[3] == "approaching"
-        assert len(out) == 2 and out[1].startswith("WARN 0 H approaching")
+        climax = int(parts[1])
+        assert out[1:] == [f"WARN 0 H approaching {climax * 0.1:.3f}"]
 
     def test_birds_clip_no_warning(self, dt_model_file, tmp_path, capsys):
         wav = self._render_wav(tmp_path, "birds.wav", synth.synth_nv("birds", 4.0, 3))
@@ -661,10 +662,14 @@ class TestSimulate:
         assert [ln for ln in log if ln.startswith("WARN")] == []
 
     def test_log_lines(self):
-        script = ["PED walker 87.5 2.0 9.0", "VEHICLE LH 75 0 10.0", "VEHICLE LL 40 0 10.5",
-                  "VEHICLE H 40 0 10.25", "VEHICLE LH 75 150 10.0"]
+        # runner is warned with walker, late is too stale for either event
+        script = ["PED walker 87.5 2.0 9.0", "PED runner 80.0 6.5 9.5", "PED late 90.0 1.0 2.0",
+                  "VEHICLE LH 75 0 10.0", "VEHICLE LL 40 0 10.5", "VEHICLE H 40 0 10.25",
+                  "VEHICLE LH 75 150 10.0"]
         assert run_simulation(DeploymentPlan(200.0), script) == [
+            "WARN 3 LH approaching 10.000 -> runner lead=3.84s",
             "WARN 3 LH approaching 10.000 -> walker lead=4.20s",
+            "WARN 3 H approaching 10.250 -> runner lead=7.20s",
             "WARN 3 H approaching 10.250 -> walker lead=7.88s",
             "# event at x=150: no instrumented area downstream",
         ]

@@ -22,8 +22,7 @@ assert dispatcher.handle_line("REG c1 30.0 1.0 0.0", inbox.append) == "OK c1"
 result = labels.DetectionResult(climax_index=9, sound_type=labels.SoundClass.H,
                                 direction=labels.APPROACHING)
 assert dispatcher.dispatch(result, 1, 1.0) == {"c1"}
-expected = warnd.encode(warnd.WarningMessage(1, labels.SoundClass.H, labels.APPROACHING, 1.0))
-assert inbox == [expected] == ["WARN 1 H approaching 1.000"], inbox
+assert inbox == [warnd.warn_line(result, 1, 1.0)] == ["WARN 1 H approaching 1.000"], inbox
 print("ok")
 """
 

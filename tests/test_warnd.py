@@ -19,20 +19,22 @@ from roadwarn import warnd
 from roadwarn.deployment import DeploymentPlan
 from roadwarn.labels import APPROACHING, RECEDING, UNKNOWN, DetectionResult, SoundClass
 from roadwarn.warnd import (MAX_LINE_BYTES, Dispatcher, ProtocolError, WarnServer,
-                            WarningMessage, decode, encode, parse_event_line)
+                            parse_event_line, warn_line)
 
-from conftest import members_in_area_reference
+from conftest import members_in_area_reference, read_warn_line
+
+_NINES = "9" * 400  # parses to inf as a float
+_EVENT_FIELDS = "expected: EVENT <processor_id> <class> <direction> <t>"
 
 
 class TestProtocol:
     def test_warn_encoding(self):
-        msg = WarningMessage(processor_id=2, sound_class=SoundClass.LH,
-                             direction=APPROACHING, event_time=4.25)
-        assert encode(msg) == "WARN 2 LH approaching 4.250"
+        result = DetectionResult(climax_index=0, sound_type=SoundClass.LH, direction=APPROACHING)
+        assert warn_line(result, 2, 4.25) == "WARN 2 LH approaching 4.250"
 
     def test_roundtrip_random_messages(self):
-        # WARN lines round-trip through encode/decode; REG and POS lines in
-        # the same format are acknowledged and stored as written
+        # WARN lines round-trip through warn_line and a client's reader; REG
+        # and POS lines in the same format are acknowledged and stored as written
         rng = np.random.default_rng(2)
 
         def coord():
@@ -41,11 +43,13 @@ class TestProtocol:
         for _ in range(300):
             kind = rng.integers(0, 3)
             if kind == 2:
-                msg = WarningMessage(int(rng.integers(0, 50)),
-                                     [SoundClass.H, SoundClass.LH][rng.integers(0, 2)],
-                                     [APPROACHING, RECEDING, UNKNOWN][rng.integers(0, 3)],
-                                     abs(coord()))
-                assert decode(encode(msg)) == msg
+                fields = (int(rng.integers(0, 50)),
+                          [SoundClass.H, SoundClass.LH][rng.integers(0, 2)],
+                          [APPROACHING, RECEDING, UNKNOWN][rng.integers(0, 3)],
+                          abs(coord()))
+                result = DetectionResult(climax_index=0, sound_type=fields[1],
+                                         direction=fields[2])
+                assert read_warn_line(warn_line(result, fields[0], fields[3])) == fields
                 continue
             dispatcher = Dispatcher(DeploymentPlan(100.0))
             if kind == 0:
@@ -58,18 +62,6 @@ class TestProtocol:
             assert dispatcher.handle_line(line, print) == f"OK {cid}"
             assert dispatcher.positions() == {cid: (x, y, t)}
 
-    def test_bad_class_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode("WARN 2 XX approaching 4.250")
-
-    def test_non_risky_warn_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode("WARN 2 LL approaching 4.250")
-
-    def test_unknown_verb(self):
-        with pytest.raises(ProtocolError):
-            decode("HELLO world")
-
     def test_malformed_fields(self):
         dispatcher = Dispatcher(DeploymentPlan(100.0))
         for line, reason in (("REG p1", "REG needs 4 fields"),
@@ -79,9 +71,6 @@ class TestProtocol:
                              ("REG p1 1.2345 0 0", "bad x '1.2345'")):
             assert dispatcher.handle_line(line, print) == f"ERR malformed: {reason}"
         assert len(dispatcher) == 0
-        for line in ("OK", "WARN 2 H upward 1.0", "WARN 2 H approaching"):
-            with pytest.raises(ProtocolError):
-                decode(line)
 
     @pytest.mark.parametrize("line", ["OK a", "ERR x", "WARN 1 H approaching 1.000"])
     def test_server_verbs_from_client_rejected(self, line):
@@ -93,8 +82,29 @@ class TestProtocol:
     def test_event_line(self):
         pid, result, t = parse_event_line("EVENT 3 H approaching 12.500")
         assert pid == 3 and result.sound_type == SoundClass.H and t == 12.5
-        with pytest.raises(ProtocolError):
-            parse_event_line("EVENT 3 H 12.5")
+
+    @pytest.mark.parametrize("line, reason", [
+        ("EVENT 3 XX approaching 1.0", "'XX' is not a valid SoundClass"),
+        ("EVENT 3 H sideways 1.0", "bad direction 'sideways'"),
+        ("EVENT 3 H approaching 1.2345", "bad t '1.2345'"),
+        (f"EVENT 3 H approaching {_NINES}", "bad t 9999999999999999... (not finite)"),
+        ("EVENT 3 H 12.5", _EVENT_FIELDS),
+        ("EVENT 3 H approaching 1.0 now", _EVENT_FIELDS),
+        ("EVENT  3 H approaching 1.0", _EVENT_FIELDS),
+        ("WARN 3 H approaching 1.0", _EVENT_FIELDS),
+        ("EVENT \u0663 H approaching 1.0", "bad processor_id '\u0663'"),  # Arabic-Indic 3
+        ("EVENT 1_0 H approaching 1.0", "bad processor_id '1_0'"),
+        ("EVENT +3 H approaching 1.0", "bad processor_id '+3'"),
+        ("EVENT -3 H approaching 1.0", "bad processor_id '-3'"),
+        ("EVENT 0x10 H approaching 1.0", "bad processor_id '0x10'"),
+        ("EVENT 3.0 H approaching 1.0", "bad processor_id '3.0'"),
+        (f"EVENT {'9' * 5000} H approaching 1.0", "bad processor_id '9999999999999999'..."),
+        (f"EVENT p{'1' * 40} H approaching 1.0", "bad processor_id 'p111111111111111'..."),
+    ])
+    def test_event_field_fault(self, line, reason):
+        with pytest.raises(ProtocolError) as fault:
+            parse_event_line(line)
+        assert str(fault.value) == reason
 
 
 def _sink():
@@ -360,8 +370,6 @@ class TestTcpServer:
 
 # -- hostile input --------------------------------------------------------------
 
-_NINES = "9" * 400  # parses to inf as a float
-
 
 class TestNonFinite:
     @pytest.mark.parametrize("field, line", [
@@ -379,8 +387,6 @@ class TestNonFinite:
     def test_overflowing_event_time_rejected(self):
         with pytest.raises(ProtocolError):
             parse_event_line(f"EVENT 1 H approaching {_NINES}")
-        with pytest.raises(ProtocolError):
-            decode(f"WARN 1 H approaching {_NINES}")
 
 
 _TOKENS = st.one_of(
@@ -396,29 +402,15 @@ _NEAR_GRAMMAR = st.lists(_TOKENS, min_size=0, max_size=6).map(" ".join)
 _LINES = st.one_of(st.text(max_size=80), _NEAR_GRAMMAR)
 
 
-def _finite_fields(message):
-    return all(math.isfinite(getattr(message, name))
-               for name in ("x", "y", "t", "event_time") if hasattr(message, name))
-
-
 class TestFuzz:
-    @settings(max_examples=200, deadline=None)
-    @given(_LINES)
-    def test_decode_yields_finite_message_or_protocol_error(self, line):
-        try:
-            message = decode(line)
-        except ProtocolError:
-            return
-        assert isinstance(message, WarningMessage) and _finite_fields(message)
-        assert decode(encode(message)) == message
-
     @settings(max_examples=400, deadline=None)
     @given(_LINES)
     def test_handle_line_answers_ok_or_err(self, line):
         dispatcher = Dispatcher(DeploymentPlan(100.0))
         response = dispatcher.handle_line(line, print)
         assert response.startswith(("OK ", "ERR "))
-        assert all(_finite_fields(r) for r in dispatcher._clients.values())
+        assert all(math.isfinite(r.x) and math.isfinite(r.y) and math.isfinite(r.t)
+                   for r in dispatcher._clients.values())
         assert len(dispatcher) == (1 if response.startswith("OK ") else 0)
 
     @settings(max_examples=400, deadline=None)
@@ -430,6 +422,7 @@ class TestFuzz:
             return
         assert isinstance(processor_id, int) and math.isfinite(event_time)
         assert isinstance(result, DetectionResult)
+        assert re.fullmatch(r"[0-9]+", line.strip().split(" ")[1])
 
 
 _CLIENT_ID_REFERENCE = re.compile(r"[A-Za-z0-9_-]{1,32}\Z")
