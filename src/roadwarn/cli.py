@@ -272,6 +272,7 @@ def run_simulation(plan, script_lines) -> list[str]:
     pedestrian.
     """
     dispatcher = warnd.Dispatcher(plan)
+    ped_x = {}  # client_id -> x of its last accepted PED line
     log = []
     for lineno, raw in enumerate(script_lines, start=1):
         line = raw.strip()
@@ -284,6 +285,7 @@ def run_simulation(plan, script_lines) -> list[str]:
                                               lambda line: None)
             if response.startswith("ERR"):
                 raise ValueError(f"script line {lineno}: {response}")
+            ped_x[parts[1]] = float(parts[2])
         elif parts[0] == "VEHICLE" and len(parts) == 5:
             sound_class, speed, start_x, t = _vehicle_fields(lineno, parts[1:])
             nearest = min(range(plan.processor_count),
@@ -296,9 +298,8 @@ def run_simulation(plan, script_lines) -> list[str]:
                                      direction=APPROACHING)
             delivered = dispatcher.dispatch(result, target_id, t)
             warn = warnd.warn_line(result, target_id, t)
-            positions = dispatcher.positions()
             for cid in sorted(delivered):
-                lead = warning_lead_time(positions[cid][0] - start_x, speed)
+                lead = warning_lead_time(ped_x[cid] - start_x, speed)
                 log.append(f"{warn} -> {cid} lead={lead:.2f}s")
         else:
             raise ValueError(f"script line {lineno}: cannot parse {line!r}")

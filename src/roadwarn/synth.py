@@ -308,16 +308,25 @@ def generate_corpus(out_dir, seed: int = 0) -> list[ManifestEntry]:
 
 
 def load_manifest(path) -> list[ManifestEntry]:
+    """The entries of a corpus manifest; a bad row's ValueError starts `<path>:<line>:`."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != _MANIFEST_HEADER:
+        lines = [(lineno, ln.rstrip("\n")) for lineno, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1] != _MANIFEST_HEADER:
         raise ValueError(f"{path}: not a corpus manifest")
     entries = []
-    for ln in lines[1:]:
-        file, cls, speed, t_closest, seed = ln.split(",")
-        entries.append(ManifestEntry(
-            file=file, sound_class=SoundClass(cls),
-            speed_kmh=float(speed) if speed else None,
-            t_closest=float(t_closest) if t_closest else None,
-            seed=int(seed)))
+    for lineno, ln in lines[1:]:
+        if ln.count(",") != 4:
+            raise ValueError(f"{path}:{lineno}: ragged row with {ln.count(',') + 1} fields")
+        file, cls, *numbers = ln.split(",")
+        try:
+            sound_class = SoundClass(cls)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: unknown class {cls!r}, expected one of "
+                             f"{', '.join(c.value for c in SoundClass)}") from None
+        for i, (name, text) in enumerate(zip(_MANIFEST_HEADER.split(",")[2:], numbers)):
+            try:  # an NV clip leaves speed_kmh and t_closest_s empty
+                numbers[i] = int(text) if name == "seed" else float(text) if text else None
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {name} is not a number: {text!r}") from None
+        entries.append(ManifestEntry(file, sound_class, *numbers))
     return entries

@@ -57,8 +57,6 @@ from .labels import DIRECTIONS, DetectionResult, SoundClass
 
 _CLIENT_ID_TOKEN = r"[A-Za-z0-9_-]{1,32}"
 _DECIMAL_TOKEN = r"-?[0-9]+(?:\.[0-9]{1,3})?"
-_CLIENT_ID = re.compile(_CLIENT_ID_TOKEN + r"\Z")
-_PROCESSOR_ID = re.compile(r"[0-9]+\Z")
 _DECIMAL = re.compile(_DECIMAL_TOKEN + r"\Z")
 # a whole well-formed REG/POS line, to be matched with fullmatch
 _POSITION = re.compile(rf"(REG|POS) ({_CLIENT_ID_TOKEN}) ({_DECIMAL_TOKEN}) "
@@ -85,29 +83,27 @@ def warn_line(result: DetectionResult, processor_id: int, event_time: float) -> 
     return f"WARN {processor_id} {result.sound_type.value} {result.direction} {event_time:.3f}"
 
 
+def _shown(token: str) -> str:
+    """A token as an error quotes it: its repr, cut to its first 16 characters."""
+    return repr(token) if len(token) <= 16 else f"{token[:16]!r}..."
+
+
 def _parse_decimal(token: str, what: str) -> float:
     if not _DECIMAL.match(token):
-        raise ProtocolError(f"bad {what} {token!r}")
+        raise ProtocolError(f"bad {what} {_shown(token)}")
     value = float(token)
     if math.isinf(value):  # the grammar has no NaN, but 309+ digits overflow
         raise ProtocolError(f"bad {what} {token[:16]}... (not finite)")
     return value
 
 
-def _parse_client_id(token: str) -> str:
-    if not _CLIENT_ID.match(token):
-        raise ProtocolError(f"bad client_id {token!r}")
-    return token
-
-
 def _parse_processor_id(token: str) -> int:
-    if _PROCESSOR_ID.match(token):
+    if token.isascii() and token.isdigit():
         try:
             return int(token)
         except ValueError:  # more digits than int() converts
             pass
-    shown = repr(token) if len(token) <= 16 else f"{token[:16]!r}..."
-    raise ProtocolError(f"bad processor_id {shown}")
+    raise ProtocolError(f"bad processor_id {_shown(token)}")
 
 
 def _parse_position(line: str) -> tuple[str, str, float, float, float]:
@@ -126,10 +122,12 @@ def _parse_position(line: str) -> tuple[str, str, float, float, float]:
     parts = line.split(" ")
     verb = parts[0]
     if verb not in ("REG", "POS"):
-        raise ProtocolError(f"unknown verb {verb!r}")
+        raise ProtocolError(f"unknown verb {_shown(verb)}")
     if len(parts) != 5:
         raise ProtocolError(f"{verb} needs 4 fields")
-    return (verb, _parse_client_id(parts[1]), _parse_decimal(parts[2], "x"),
+    if not re.fullmatch(_CLIENT_ID_TOKEN, parts[1]):
+        raise ProtocolError(f"bad client_id {_shown(parts[1])}")
+    return (verb, parts[1], _parse_decimal(parts[2], "x"),
             _parse_decimal(parts[3], "y"), _parse_decimal(parts[4], "t"))
 
 
@@ -152,15 +150,14 @@ class Dispatcher:
     Besides `_clients` (client_id -> record) the registry keeps one bucket
     per processor, holding the records whose position lies in its danger
     area (areas are closed, so a client on a shared edge is in both), and
-    the client_ids registered through each `send`.  Each bucket is split in
-    two: `_aged[pid]` holds records too old for any event stamped at or
-    after the area's mark `_aged_at[pid]`, `_live[pid]` the rest.  A
-    dispatch stamped at or after the mark reads only `_live`, so its cost
+    the client_ids registered through each `send`.  Each bucket is split at
+    the area's mark `_aged_at[pid]`: `_aged[pid]` holds records too old for
+    any event stamped at or after it, `_live[pid]` the rest, and a REG or
+    POS files its record in `_live`.  A dispatch reads `_live` alone, sets
+    aside what is stale and moves the mark to its own time, so its cost
     follows the records that can still be fresh, not the area or the
-    registry; it sets aside the stale ones it reads and raises the mark, so
-    the first such event of an area pays once for the records that aged
-    before it.  An event stamped before the mark reads both halves, and a
-    REG or POS puts its record back in `_live`.
+    registry.  One stamped before the mark first moves `_aged` back into
+    `_live`, as an aged record may be fresh for it.
     """
 
     def __init__(self, plan: DeploymentPlan):
@@ -186,8 +183,8 @@ class Dispatcher:
         registered on this connection: a dispatch calls it once, with one
         line per client, joined by "\n" and without the final "\n".
         """
-        clients, live, aged, by_send, areas_at = (self._clients, self._live, self._aged,
-                                                  self._by_send, self.plan.areas_at)
+        clients, live, by_send, areas_at = (self._clients, self._live, self._by_send,
+                                            self.plan.areas_at)
         replies = []
         for line in lines:
             try:
@@ -209,6 +206,7 @@ class Dispatcher:
                 replies.append("ERR stale")
                 continue
             else:
+                self._unfile(cid, record)
                 record.x, record.y, record.t = x, y, t
                 if verb == "REG" and record.send != send:
                     bound = by_send[record.send]
@@ -217,16 +215,9 @@ class Dispatcher:
                         del by_send[record.send]
                     by_send[send].add(cid)
                     record.send = send
-                for pid in record.areas:  # the new t may be fresh for events past the mark
-                    if aged[pid].pop(cid, None) is not None:
-                        live[pid][cid] = record
-            areas = areas_at(x, y)
-            if areas != record.areas:
-                for pid in record.areas:
-                    del live[pid][cid]
-                for pid in areas:
-                    live[pid][cid] = record
-                record.areas = areas
+            record.areas = areas_at(x, y)
+            for pid in record.areas:
+                live[pid][cid] = record
             replies.append(f"OK {cid}")
         return replies
 
@@ -234,13 +225,13 @@ class Dispatcher:
         """Evict every client whose WARNs go through `send`: its connection
         closed or failed."""
         for cid in self._by_send.pop(send, ()):
-            for pid in self._clients.pop(cid).areas:
-                if self._live[pid].pop(cid, None) is None:
-                    del self._aged[pid][cid]
+            self._unfile(cid, self._clients.pop(cid))
 
-    def positions(self) -> dict:
-        """Snapshot: client_id -> (x, y, t)."""
-        return {cid: (r.x, r.y, r.t) for cid, r in self._clients.items()}
+    def _unfile(self, cid: str, record: _ClientRecord) -> None:
+        """Take the record out of the bucket, live or aged, of each of its areas."""
+        for pid in record.areas:
+            if self._live[pid].pop(cid, None) is None:
+                del self._aged[pid][cid]
 
     def __len__(self) -> int:
         return len(self._clients)
@@ -263,25 +254,23 @@ class Dispatcher:
         line = warn_line(result, processor_id, event_time)
         window = self.plan.freshness_window
         live, aged = self._live[processor_id], self._aged[processor_id]
-        in_order = event_time >= self._aged_at[processor_id]
+        if event_time < self._aged_at[processor_id]:  # an aged record may be fresh for it
+            live.update(aged)
+            aged.clear()
         groups = defaultdict(list)  # send -> the client_ids it carries
         stale = []
-        # live and aged together hold exactly the clients inside the area; an
-        # event stamped before the mark reads both, as an aged record may be fresh for it
-        for bucket in (live,) if in_order else (live, aged):
-            for cid, record in bucket.items():
-                age = event_time - record.t
-                if age > window:
-                    stale.append(cid)
-                elif age >= -window:
-                    groups[record.send].append(cid)
-        if in_order:
-            # Rounding is monotone, so for every later event E' >= event_time,
-            # fl(E' - t) >= fl(event_time - t): a record too old now stays too
-            # old.  `t < event_time - window` rounds otherwise and would not do.
-            for cid in stale:
-                aged[cid] = live.pop(cid)
-            self._aged_at[processor_id] = event_time
+        for cid, record in live.items():
+            age = event_time - record.t
+            if age > window:
+                stale.append(cid)
+            elif age >= -window:
+                groups[record.send].append(cid)
+        # Rounding is monotone, so for every later event E' >= event_time,
+        # fl(E' - t) >= fl(event_time - t): a record too old now stays too
+        # old.  `t < event_time - window` rounds otherwise and would not do.
+        for cid in stale:
+            aged[cid] = live.pop(cid)
+        self._aged_at[processor_id] = event_time
         delivered = []
         for send, cids in groups.items():
             try:
@@ -302,10 +291,10 @@ def parse_event_line(line: str) -> tuple[int, DetectionResult, float]:
     processor_id = _parse_processor_id(token)
     try:
         sound_class = SoundClass(class_token)
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from None
+    except ValueError:
+        raise ProtocolError(f"{_shown(class_token)} is not a valid SoundClass") from None
     if direction not in DIRECTIONS:
-        raise ProtocolError(f"bad direction {direction!r}")
+        raise ProtocolError(f"bad direction {_shown(direction)}")
     result = DetectionResult(climax_index=0, sound_type=sound_class, direction=direction)
     return processor_id, result, _parse_decimal(time_token, "t")
 

@@ -65,6 +65,11 @@ def members_in_area_reference(area, registry, now, freshness_window):
             and -freshness_window <= now - record.t <= freshness_window]
 
 
+def registry_positions(dispatcher):
+    """A dispatcher's registry as client_id -> (x, y, t)."""
+    return {cid: (r.x, r.y, r.t) for cid, r in dispatcher._clients.items()}
+
+
 def read_warn_line(line):
     """A WARN line as a client reads it: (processor_id, SoundClass, direction,
     event_time), or ProtocolError naming the first fault.  The package writes

@@ -135,6 +135,22 @@ class TestExtractCommand:
         assert capsys.readouterr() == ("", "error: empty manifest\n")
         assert not (tmp_path / "f.csv").exists()
 
+    @pytest.mark.parametrize("row, message", [
+        ("clip_000_H.wav,XX,40,2,7", "unknown class 'XX', expected one of H, LL, LH, NV"),
+        ("clip_000_H.wav,H,40,2", "ragged row with 4 fields"),
+        ("clip_000_H.wav,H,fast,2,7", "speed_kmh is not a number: 'fast'"),
+        ("clip_000_H.wav,H,40,soon,7", "t_closest_s is not a number: 'soon'"),
+        ("clip_000_H.wav,H,40,2,seven", "seed is not a number: 'seven'"),
+    ])
+    def test_bad_manifest_row_names_its_line(self, tmp_path, capsys, row, message):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        manifest = corpus / "manifest.csv"
+        manifest.write_text(f"file,class,speed_kmh,t_closest_s,seed\n\n{row}\n")
+        assert main(["extract", str(corpus), str(tmp_path / "f.csv")]) == 2
+        assert capsys.readouterr() == ("", f"error: {manifest}:3: {message}\n")
+        assert not (tmp_path / "f.csv").exists()
+
     def test_seed0_csv_hash_matches_benchmark_record(self, features_csv):
         # the benchmark's recorded output for the seed-0 corpus: any change
         # to the extracted bytes must show up here, not only in a bench run
@@ -673,6 +689,11 @@ class TestSimulate:
             "WARN 3 H approaching 10.250 -> walker lead=7.88s",
             "# event at x=150: no instrumented area downstream",
         ]
+
+    def test_lead_time_from_the_latest_position(self):
+        script = ["PED walker 87.5 2.0 9.0", "PED walker 80.0 2.0 9.5", "VEHICLE LH 75 0 10.0"]
+        assert run_simulation(DeploymentPlan(200.0), script) == [
+            "WARN 3 LH approaching 10.000 -> walker lead=3.84s"]
 
     def test_ll_vehicle_never_warns(self, plan_file, tmp_path):
         script = tmp_path / "ll.txt"

@@ -21,7 +21,7 @@ from roadwarn.labels import APPROACHING, RECEDING, UNKNOWN, DetectionResult, Sou
 from roadwarn.warnd import (MAX_LINE_BYTES, Dispatcher, ProtocolError, WarnServer,
                             parse_event_line, warn_line)
 
-from conftest import members_in_area_reference, read_warn_line
+from conftest import members_in_area_reference, read_warn_line, registry_positions
 
 _NINES = "9" * 400  # parses to inf as a float
 _EVENT_FIELDS = "expected: EVENT <processor_id> <class> <direction> <t>"
@@ -60,7 +60,7 @@ class TestProtocol:
             x, y, t = coord(), coord(), abs(coord())
             line = f"{verb} {cid} {x:.3f} {y:.3f} {t:.3f}"
             assert dispatcher.handle_line(line, print) == f"OK {cid}"
-            assert dispatcher.positions() == {cid: (x, y, t)}
+            assert registry_positions(dispatcher) == {cid: (x, y, t)}
 
     def test_malformed_fields(self):
         dispatcher = Dispatcher(DeploymentPlan(100.0))
@@ -68,8 +68,11 @@ class TestProtocol:
                              ("REG p1 1 2", "REG needs 4 fields"),
                              ("POS p1 a b 0", "bad x 'a'"),
                              ("REG p$ 1 2 3", "bad client_id 'p$'"),
-                             ("REG p1 1.2345 0 0", "bad x '1.2345'")):
+                             ("REG p1 1.2345 0 0", "bad x '1.2345'"),
+                             (f"REG {'p' * 100_000} 1 2 3", "bad client_id 'pppppppppppppppp'..."),
+                             (f"{'V' * 40} p1 1 2 3", "unknown verb 'VVVVVVVVVVVVVVVV'...")):
             assert dispatcher.handle_line(line, print) == f"ERR malformed: {reason}"
+            assert len(reason) < 64
         assert len(dispatcher) == 0
 
     @pytest.mark.parametrize("line", ["OK a", "ERR x", "WARN 1 H approaching 1.000"])
@@ -100,11 +103,18 @@ class TestProtocol:
         ("EVENT 3.0 H approaching 1.0", "bad processor_id '3.0'"),
         (f"EVENT {'9' * 5000} H approaching 1.0", "bad processor_id '9999999999999999'..."),
         (f"EVENT p{'1' * 40} H approaching 1.0", "bad processor_id 'p111111111111111'..."),
+        pytest.param(f"EVENT 3 {'X' * 100_000} approaching 1.0",
+                     "'XXXXXXXXXXXXXXXX'... is not a valid SoundClass", id="long-class"),
+        pytest.param(f"EVENT 3 H {'s' * 100_000} 1.0", "bad direction 'ssssssssssssssss'...",
+                     id="long-direction"),
+        pytest.param(f"EVENT 3 H approaching {'t' * 100_000}", "bad t 'tttttttttttttttt'...",
+                     id="long-t"),
     ])
     def test_event_field_fault(self, line, reason):
         with pytest.raises(ProtocolError) as fault:
             parse_event_line(line)
         assert str(fault.value) == reason
+        assert len(reason) < 64
 
 
 def _sink():
@@ -119,7 +129,7 @@ class TestRegistry:
     def test_register_ack(self):
         lines, send = _sink()
         assert self.dispatcher.handle_line("REG p1 10.0 1.0 0.0", send) == "OK p1"
-        assert self.dispatcher.positions() == {"p1": (10.0, 1.0, 0.0)}
+        assert registry_positions(self.dispatcher) == {"p1": (10.0, 1.0, 0.0)}
 
     def test_malformed_register(self):
         lines, send = _sink()
@@ -130,13 +140,13 @@ class TestRegistry:
         self.dispatcher.handle_line("REG p1 10.0 1.0 0.0", send)
         self.dispatcher.handle_line("REG p1 12.0 2.0 1.0", send)
         assert len(self.dispatcher) == 1
-        assert self.dispatcher.positions()["p1"] == (12.0, 2.0, 1.0)
+        assert registry_positions(self.dispatcher)["p1"] == (12.0, 2.0, 1.0)
 
     def test_position_updates(self):
         lines, send = _sink()
         self.dispatcher.handle_line("REG p1 10.0 1.0 0.0", send)
         assert self.dispatcher.handle_line("POS p1 12.5 1.0 1.0", send) == "OK p1"
-        assert self.dispatcher.positions()["p1"] == (12.5, 1.0, 1.0)
+        assert registry_positions(self.dispatcher)["p1"] == (12.5, 1.0, 1.0)
 
     def test_unknown_client(self):
         lines, send = _sink()
@@ -146,7 +156,7 @@ class TestRegistry:
         lines, send = _sink()
         self.dispatcher.handle_line("REG p1 10.0 1.0 5.0", send)
         assert self.dispatcher.handle_line("POS p1 11.0 1.0 4.0", send) == "ERR stale"
-        assert self.dispatcher.positions()["p1"] == (10.0, 1.0, 5.0)
+        assert registry_positions(self.dispatcher)["p1"] == (10.0, 1.0, 5.0)
 
     def test_registry_size_bounded(self):
         lines, send = _sink()
@@ -283,7 +293,7 @@ class TestConcurrency:
             assert dispatcher.handle_lines(batch, sinks[cid].append) == [f"OK {cid}"] * len(batch)
             if not pending[cid]:
                 del pending[cid]
-        positions = dispatcher.positions()
+        positions = registry_positions(dispatcher)
         for cid, lines in streams.items():
             last = lines[-1].split()
             assert positions[cid] == (float(last[2]), float(last[3]), float(last[4]))
@@ -429,6 +439,12 @@ _CLIENT_ID_REFERENCE = re.compile(r"[A-Za-z0-9_-]{1,32}\Z")
 _DECIMAL_REFERENCE = re.compile(r"-?[0-9]+(\.[0-9]{1,3})?\Z")
 
 
+def _quoted(token):
+    """A token as a wire error quotes it: its repr, or the repr of its first
+    16 characters followed by `...`."""
+    return repr(token) if len(token) <= 16 else repr(token[:16]) + "..."
+
+
 def _parse_position_reference(line):
     """`warnd._parse_position` before one pattern matched the whole line:
     split, then check each field.  Kept as the oracle for its results and
@@ -436,15 +452,15 @@ def _parse_position_reference(line):
     parts = line.strip().split(" ")
     verb = parts[0]
     if verb not in ("REG", "POS"):
-        raise ProtocolError(f"unknown verb {verb!r}")
+        raise ProtocolError(f"unknown verb {_quoted(verb)}")
     if len(parts) != 5:
         raise ProtocolError(f"{verb} needs 4 fields")
     if not _CLIENT_ID_REFERENCE.match(parts[1]):
-        raise ProtocolError(f"bad client_id {parts[1]!r}")
+        raise ProtocolError(f"bad client_id {_quoted(parts[1])}")
     values = []
     for what, token in zip("xyt", parts[2:]):
         if not _DECIMAL_REFERENCE.match(token):
-            raise ProtocolError(f"bad {what} {token!r}")
+            raise ProtocolError(f"bad {what} {_quoted(token)}")
         value = float(token)
         if math.isinf(value):
             raise ProtocolError(f"bad {what} {token[:16]}... (not finite)")
@@ -523,14 +539,14 @@ class TestClientLinePath:
 
         def state(dispatcher, conns):
             sends = [conn.send for conn in conns]
-            return (dispatcher.positions(),
+            return (registry_positions(dispatcher),
                     {pid: {cid: sends.index(r.send) for cid, r in bucket.items()}
                      for pid, bucket in dispatcher._live.items()},
                     {sends.index(send): cids for send, cids in dispatcher._by_send.items()})
 
         assert state(batched, batched_conns) == state(single, single_conns)
-        assert batched.positions() == {"a": (26.0, 1.0, 8.0), "b": (200.0, 1.0, 9.0),
-                                       "c": (25.0, 3.5, 6.0), "d": (80.0, 3.0, 5.0)}
+        assert registry_positions(batched) == {"a": (26.0, 1.0, 8.0), "b": (200.0, 1.0, 9.0),
+                                               "c": (25.0, 3.5, 6.0), "d": (80.0, 3.0, 5.0)}
         assert state(batched, batched_conns)[2] == {0: {"a", "b", "c", "d"}}  # POS binds nothing
         _check_index(batched, plan)
 
@@ -589,14 +605,17 @@ def _scenario(draw):
     held = sorted({pid for x, y in sites for pid in plan.areas_at(x, y)}) or pids
     # Times are 3-decimal values, drawn in ms.  A few stamps recur, and
     # dispatch times fall on and 1 ms either side of each stamp +- the
-    # window, where `event_time - t` may round onto or past the window.
+    # window, where `event_time - t` may round onto or past the window.  A
+    # dispatch far ahead sets its whole area aside, and the events after it
+    # are stamped before its mark.
     whole_or_ms = st.one_of(st.integers(0, 12).map(lambda s: s * 1000), st.integers(0, 12000))
     stamps = draw(st.lists(whole_or_ms, min_size=1, max_size=4))
     window_ms = round(plan.freshness_window * 1000)
     band = sorted({s + side * window_ms + d for s in stamps for side in (-1, 1)
                    for d in (-1, 0, 1)})
     ts = st.one_of(st.sampled_from(stamps), whole_or_ms).map(lambda ms: ms / 1000)
-    nows = st.one_of(st.sampled_from(band), st.integers(0, 14000)).map(lambda ms: ms / 1000)
+    nows = st.one_of(st.sampled_from(band), st.integers(0, 14000),
+                     st.just(10**8)).map(lambda ms: ms / 1000)
     update = st.tuples(st.sampled_from(["REG", "POS"]), st.integers(0, 7),
                        st.one_of(st.sampled_from(sites), st.tuples(xs, ys)), ts,
                        st.integers(0, 2)).map(lambda u: (u[0], u[1], *u[2], *u[3:]))
@@ -683,8 +702,8 @@ class TestAreaIndex:
                     # at most one call per connection, one line per client it registered
                     assert conn.calls(before[k]) == ([[line] * count] if count else [])
                 shadow = {cid: s for cid, s in shadow.items() if s[3] not in dead}
-            assert dispatcher.positions() == {cid: (x, y, float(t))
-                                              for cid, (x, y, t, _) in shadow.items()}
+            assert registry_positions(dispatcher) == {cid: (x, y, float(t))
+                                                      for cid, (x, y, t, _) in shadow.items()}
             _check_index(dispatcher, plan)
 
     def test_position_updates_move_client_between_buckets(self):
@@ -715,10 +734,29 @@ class TestAreaIndex:
         _check_index(dispatcher, dispatcher.plan)
         # stamped before the mark: "old" is 4 s old for it and "new" 4 s ahead, both fresh
         assert dispatcher.dispatch(warn, 1, 4.0) == {"old", "new"}
-        assert set(dispatcher._aged[1]) == {"old"} and dispatcher._aged_at[1] == 10.0
+        assert not dispatcher._aged[1] and dispatcher._aged_at[1] == 4.0
         assert conn.calls() == [["WARN 1 H approaching 10.000"],
                                 ["WARN 1 H approaching 4.000"] * 2]
         _check_index(dispatcher, dispatcher.plan)
+
+    def test_far_future_event_moves_the_mark_down_with_the_next_event(self):
+        plan = DeploymentPlan(100.0)
+        dispatcher = Dispatcher(plan)
+        conn = _Connection()
+        warn = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
+        for i, t in enumerate([0.0, 3.0, 6.0, 9.0, 12.0]):
+            dispatcher.handle_line(f"REG c{i} {30 + i}.0 1.0 {t}", conn.send)
+        assert dispatcher.dispatch(warn, 1, 99999999.0) == set()
+        assert len(dispatcher._aged[1]) == 5
+        # normally stamped events after it: each sets aside exactly what is stale for it
+        for now in (10.0, 11.0, 15.0):
+            expected = members_in_area_reference(plan.processor(1), dispatcher._clients, now,
+                                                 plan.freshness_window)
+            assert expected and dispatcher.dispatch(warn, 1, now) == set(expected)
+            assert dispatcher._aged_at[1] == now
+            assert set(dispatcher._aged[1]) == {cid for cid, r in dispatcher._clients.items()
+                                                if now - r.t > plan.freshness_window}
+            _check_index(dispatcher, plan)
 
     def test_pos_on_aged_record_gets_the_next_warn(self):
         dispatcher = Dispatcher(DeploymentPlan(100.0))
@@ -747,7 +785,7 @@ class TestAreaIndex:
         else:
             conn.broken = True
             assert dispatcher.dispatch(warn, 2, 4.0) == {"stay"}
-        assert set(dispatcher.positions()) == {"stay"}
+        assert set(registry_positions(dispatcher)) == {"stay"}
         assert not dispatcher._aged[1] and set(dispatcher._live[2]) == {"stay"}
         _check_index(dispatcher, dispatcher.plan)
 
@@ -802,7 +840,7 @@ class TestEviction:
         assert len(dispatcher) == 3
         assert self._warn(dispatcher) == {"here"}
         assert len(dispatcher) == 1
-        assert set(dispatcher.positions()) == {"here"}
+        assert set(registry_positions(dispatcher)) == {"here"}
         assert self._warn(dispatcher) == {"here"}
         assert self._warn(dispatcher, pid=3) == set()
         _check_index(dispatcher, dispatcher.plan)
@@ -814,7 +852,7 @@ class TestEviction:
         dispatcher.handle_line("REG b 31.0 1.0 0.0", old.send)
         dispatcher.handle_line("REG a 32.0 1.0 1.0", new.send)
         dispatcher.drop_connection(old.send)
-        assert set(dispatcher.positions()) == {"a"}
+        assert set(registry_positions(dispatcher)) == {"a"}
         assert self._warn(dispatcher) == {"a"}
         assert new.payloads == ["WARN 1 H approaching 1.000"] and old.payloads == []
 
@@ -1286,12 +1324,12 @@ class TestRegistryCap:
         # known ids still register and move
         assert dispatcher.handle_line("REG a 31.0 1.0 1.0", second.send) == "OK a"
         assert dispatcher.handle_line("POS b 32.0 1.0 1.0", first.send) == "OK b"
-        assert dispatcher.positions() == {"a": (31.0, 1.0, 1.0), "b": (32.0, 1.0, 1.0),
-                                          "c": (30.0, 1.0, 0.0)}
+        assert registry_positions(dispatcher) == {"a": (31.0, 1.0, 1.0),
+                                                  "b": (32.0, 1.0, 1.0), "c": (30.0, 1.0, 0.0)}
         # an eviction makes room
         dispatcher.drop_connection(first.send)
         assert dispatcher.handle_line("REG d 30.0 1.0 2.0", second.send) == "OK d"
-        assert set(dispatcher.positions()) == {"a", "d"}
+        assert set(registry_positions(dispatcher)) == {"a", "d"}
         _check_index(dispatcher, dispatcher.plan)
 
 
