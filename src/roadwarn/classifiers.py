@@ -762,7 +762,10 @@ def save_model(path, model, extra: dict | None = None) -> None:
 
 def _read_doc(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: not a roadwarn model file ({exc})") from None
     if not (isinstance(doc, dict) and doc.get("format") == "roadwarn-model"
             and doc.get("version") == 1):
         raise ValueError(f"{path}: not a roadwarn model file")

@@ -264,6 +264,16 @@ def _vehicle_fields(lineno, fields):
     return (sound_class, *values)
 
 
+def _nearest_processor(plan, x: float) -> int:
+    """The id of the processor nearest to x along the road, the lower id on
+    a tie.  x is first clamped to the processors' span, so a point far past
+    either end takes the end processor."""
+    spacing, last = plan.processor_spacing, plan.processor_count - 1
+    x = min(max(x, 0.0), last * spacing)
+    i = int(x / spacing)
+    return min(range(max(i - 1, 0), min(i + 2, last + 1)), key=lambda j: abs(j * spacing - x))
+
+
 def run_simulation(plan, script_lines) -> list[str]:
     """Replay PED/VEHICLE lines against an in-process dispatcher.
 
@@ -288,9 +298,7 @@ def run_simulation(plan, script_lines) -> list[str]:
             ped_x[parts[1]] = float(parts[2])
         elif parts[0] == "VEHICLE" and len(parts) == 5:
             sound_class, speed, start_x, t = _vehicle_fields(lineno, parts[1:])
-            nearest = min(range(plan.processor_count),
-                          key=lambda i: abs(i * plan.processor_spacing - start_x))
-            target_id = nearest + plan.warning_offset_areas
+            target_id = _nearest_processor(plan, start_x) + plan.warning_offset_areas
             if target_id >= plan.processor_count:
                 log.append(f"# event at x={start_x:g}: no instrumented area downstream")
                 continue

@@ -189,8 +189,5 @@ def finalize_detection(track: FrameTrack, climax: int, labels: list) -> Detectio
     if len(labels) != VOTE_WINDOW:
         raise ValueError(f"need the {VOTE_WINDOW} labels of the vote window, got {len(labels)}")
     direction = infer_direction(track, climax)
-    if labels[-1] == SoundClass.NV:
-        return DetectionResult(climax_index=climax, sound_type=SoundClass.NV,
-                               direction=direction)
-    return DetectionResult(climax_index=climax, sound_type=vote_final_frames(labels),
-                           direction=direction)
+    sound = SoundClass.NV if labels[-1] is SoundClass.NV else vote_final_frames(labels)
+    return DetectionResult(climax_index=climax, sound_type=sound, direction=direction)

@@ -7,8 +7,9 @@ A full feature vector concatenates, in this fixed order:
 which is 31 dimensions with the defaults (13 MFCC coefficients, order-12
 LPC).  The five spectral scalars come from the unwindowed magnitude
 spectrum; the MFCC path applies its own pre-emphasis and hann window.
-Every extractor takes one frame or a (frames x samples) stack and works
-on the whole stack at once.
+Every extractor, `extract_features` included, works along the last axis
+with `...` indexing: it takes one frame or a (frames x samples) stack,
+works on the whole stack at once and keeps the input's leading shape.
 """
 
 from __future__ import annotations
@@ -171,14 +172,6 @@ def _dct_matrix(n_coeffs: int, n_filters: int) -> np.ndarray:
     return basis
 
 
-def _as_stack(frames) -> tuple[np.ndarray, bool]:
-    """(frames as a 2-D float64 stack, whether a single 1-D frame came in)."""
-    x = np.asarray(frames, dtype=np.float64)
-    if x.ndim not in (1, 2):
-        raise ValueError("expected one frame or a (frames x samples) stack")
-    return np.atleast_2d(x), x.ndim == 1
-
-
 def mfcc(frames: np.ndarray, sample_rate: int, config: MfccConfig = MfccConfig()) -> np.ndarray:
     """Mel-frequency cepstral coefficients of one frame or a stack of them.
 
@@ -189,20 +182,19 @@ def mfcc(frames: np.ndarray, sample_rate: int, config: MfccConfig = MfccConfig()
     energies dominate the floor, rescaling the frame only moves
     coefficient 0.  Returns n_coeffs values per frame.
     """
-    X, single = _as_stack(frames)
-    n = X.shape[1]
+    x = np.asarray(frames, dtype=np.float64)
+    n = x.shape[-1]
     if n < 2:
         raise ValueError("frame too short for MFCC")
     fmax = config.resolve_fmax(sample_rate)
-    emphasized = np.empty_like(X)
-    emphasized[:, 0] = X[:, 0]
-    emphasized[:, 1:] = X[:, 1:] - config.pre_emphasis * X[:, :-1]
+    emphasized = np.empty_like(x)
+    emphasized[..., 0] = x[..., 0]
+    emphasized[..., 1:] = x[..., 1:] - config.pre_emphasis * x[..., :-1]
     windowed = emphasized * hann_window(n)
-    power = np.abs(np.fft.rfft(windowed, axis=1)) ** 2
-    bank = _mel_filterbank(config.n_filters, power.shape[1], sample_rate / n, config.fmin, fmax)
+    power = np.abs(np.fft.rfft(windowed, axis=-1)) ** 2
+    bank = _mel_filterbank(config.n_filters, power.shape[-1], sample_rate / n, config.fmin, fmax)
     log_energy = np.log(power @ bank.T + config.log_floor)
-    coeffs = log_energy @ _dct_matrix(config.n_coeffs, config.n_filters).T
-    return coeffs[0] if single else coeffs
+    return log_energy @ _dct_matrix(config.n_coeffs, config.n_filters).T
 
 
 def autocorrelation(frames: np.ndarray, max_lag: int) -> np.ndarray:
@@ -224,50 +216,42 @@ def autocorrelation(frames: np.ndarray, max_lag: int) -> np.ndarray:
 def lpc(frames: np.ndarray, config: LpcConfig = LpcConfig()):
     """Linear prediction coefficients via the Levinson-Durbin recursion.
 
-    Takes one frame or a (frames x N) stack and returns (a, gain) with the
-    input's leading shape: `order` coefficients per frame in the
+    Works along the last axis: takes one frame or a (frames x N) stack and
+    returns (a, gain) with the input's leading shape, so one frame gives a
+    numpy float gain.  `a` holds `order` coefficients per frame in the
     positive-predictor convention ``x_hat[n] = sum_i a[i-1] * x[n-i]``, and
-    the mean-square prediction error left after the final order.
+    the gain is the mean-square prediction error left after the final order.
 
-    The recursion runs once per order over the whole stack (Makhoul 1975,
+    The recursion runs once per order over every frame (Makhoul 1975,
     *Linear prediction: a tutorial review*).  A frame whose error has
-    fallen to 1e-15 of its power is perfectly predicted: it leaves the
-    recursion there and its higher taps stay 0.  The order-update inner
-    products are BLAS dot products of contiguous rows, like the lags, so
-    each frame's result equals a frame-by-frame recursion bit for bit.
-    Each step subtracts from the taps a product computed from the old taps
-    before any is written, in place while every frame is live.
+    fallen to 1e-15 of its power is perfectly predicted: from there on its
+    reflection coefficient k is 0, so its higher taps stay 0 and its other
+    taps and error keep their bits.  The order-update inner products are
+    BLAS dot products of contiguous rows, like the lags, so each frame's
+    result equals a frame-by-frame recursion bit for bit.
     """
-    X, single = _as_stack(frames)
+    x = np.asarray(frames, dtype=np.float64)
     p = config.order
-    if p >= X.shape[1]:
+    if p >= x.shape[-1]:
         raise ValueError("LPC order must be smaller than the frame length")
-    r = autocorrelation(X, p)
-    r0 = r[:, 0]
+    r = autocorrelation(x, p)
+    r0 = r[..., 0]
     if p and np.any(r0 <= 0.0):
         raise SilentFrameError("cannot fit LPC to a silent frame")
-    # lags in reverse order, rows C-contiguous: rev[:, p - j] = r[:, j]; a
+    # lags in reverse order, rows C-contiguous: rev[..., p - j] = r[..., j]; a
     # reversed view has a negative stride, which numpy multiplies outside BLAS
-    rev = r[:, ::-1].copy()
-    a = np.zeros((len(X), p))
+    rev = r[..., ::-1].copy()
+    a = np.zeros(x.shape[:-1] + (p,))
     err = r0.copy()
     floor = 1e-15 * r0
     for i in range(1, p + 1):
-        live = err > floor
-        if live.all():
-            live = slice(None)
-        else:
-            live = np.flatnonzero(live)
-            if not live.size:
-                break
-        a_live = a[live]
-        dot = np.matmul(a_live[:, None, :i - 1], rev[live, p - i + 1:p, None])[:, 0, 0]
-        k = (r[live, i] - dot) / err[live]
+        dot = np.matmul(a[..., None, :i - 1], rev[..., p - i + 1:p, None])[..., 0, 0]
+        k = np.divide(r[..., i] - dot, err, out=np.zeros_like(err), where=err > floor)
         # the product is a new array, so it reads the taps of order i - 1
-        a[live, :i - 1] -= k[:, None] * a_live[:, :i - 1][:, ::-1]
-        a[live, i - 1] = k
-        err[live] *= 1.0 - k * k
-    return (a[0], float(err[0])) if single else (a, err)
+        a[..., :i - 1] -= k[..., None] * a[..., :i - 1][..., ::-1]
+        a[..., i - 1] = k
+        err *= 1.0 - k * k
+    return a, err[()]
 
 
 def feature_names(mfcc_cfg: MfccConfig = MfccConfig(), lpc_cfg: LpcConfig = LpcConfig()) -> list[str]:
@@ -280,13 +264,12 @@ def feature_names(mfcc_cfg: MfccConfig = MfccConfig(), lpc_cfg: LpcConfig = LpcC
 def extract_features(frames: np.ndarray, sample_rate: int,
                      mfcc_cfg: MfccConfig = MfccConfig(),
                      lpc_cfg: LpcConfig = LpcConfig()) -> np.ndarray:
-    """Feature matrix (n_frames x dim) for a (frames x samples) matrix."""
-    X = np.asarray(frames, dtype=np.float64)
-    if not len(X):
-        return np.zeros((0, len(feature_names(mfcc_cfg, lpc_cfg))))
-    scalars = spectral_features(fft_magnitude(X), sample_rate / X.shape[1])
-    a, gain = lpc(X, lpc_cfg)
-    return np.hstack([scalars, mfcc(X, sample_rate, mfcc_cfg), a, gain[:, None]])
+    """The feature vector of one frame, or a (frames x dim) matrix of a
+    (frames x samples) stack."""
+    x = np.asarray(frames, dtype=np.float64)
+    scalars = spectral_features(fft_magnitude(x), sample_rate / x.shape[-1])
+    a, gain = lpc(x, lpc_cfg)
+    return np.concatenate([scalars, mfcc(x, sample_rate, mfcc_cfg), a, gain[..., None]], axis=-1)
 
 
 # ---------------------------------------------------------------------------

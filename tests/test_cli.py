@@ -520,13 +520,18 @@ class TestDetectCommand:
         assert capsys.readouterr() == ("", "error: cannot fit LPC to a silent frame\n")
 
     def test_model_file_that_is_not_an_object(self, features_csv, tmp_path, capsys):
-        model = tmp_path / "list.json"
-        model.write_text("[1, 2]")
         wav = self._render_wav(tmp_path, "birds.wav", synth.synth_nv("birds", 4.0, 3))
-        assert main(["detect", str(wav), str(model)]) == 2
-        assert main(["eval", str(features_csv), "--model-file", str(model)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: {model}: not a roadwarn model file"] * 2
+        for name, data, reason in [
+                ("list.json", b"[1, 2]", ""),
+                ("empty.json", b"", " (Expecting value: line 1 column 1 (char 0))"),
+                ("latin1.json", b"\xff{}", " ('utf-8' codec can't decode byte 0xff in position 0: "
+                                           "invalid start byte)")]:
+            model = tmp_path / name
+            model.write_bytes(data)
+            assert main(["detect", str(wav), str(model)]) == 2
+            assert main(["eval", str(features_csv), "--model-file", str(model)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: {model}: not a roadwarn model file{reason}"] * 2
 
     def test_model_file_missing_a_field(self, tmp_path, capsys):
         model = tmp_path / "mlp.json"
@@ -694,6 +699,25 @@ class TestSimulate:
         script = ["PED walker 87.5 2.0 9.0", "PED walker 80.0 2.0 9.5", "VEHICLE LH 75 0 10.0"]
         assert run_simulation(DeploymentPlan(200.0), script) == [
             "WARN 3 LH approaching 10.000 -> walker lead=3.84s"]
+
+    def test_vehicle_far_past_the_road_has_no_area_downstream(self):
+        # every distance to 1e300 rounds to 1e300, so the distances alone tie every processor
+        script = ["PED walker 87.5 2.0 9.0", "VEHICLE LH 75 1e300 10.0"]
+        assert run_simulation(DeploymentPlan(200.0), script) == [
+            "# event at x=1e+300: no instrumented area downstream"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(spacing=st.sampled_from([25.0, 7.0, 0.1, 3.3]), count=st.integers(2, 60),
+           units=st.floats(-5.0, 5.0), midpoint=st.booleans())
+    @example(spacing=25.0, count=9, units=0.5 / 8, midpoint=False)
+    def test_nearest_processor_matches_the_scan(self, spacing, count, units, midpoint):
+        # x within 5 road lengths either side; a midpoint is a tie between two ids
+        plan = DeploymentPlan(spacing * (count - 1) + spacing / 2, processor_spacing=spacing,
+                              danger_length=spacing)
+        last = plan.processor_count - 1
+        x = (round(units * last) + 0.5) * spacing if midpoint else units * last * spacing
+        scan = min(range(plan.processor_count), key=lambda i: abs(i * spacing - x))
+        assert cli._nearest_processor(plan, x) == scan
 
     def test_ll_vehicle_never_warns(self, plan_file, tmp_path):
         script = tmp_path / "ll.txt"

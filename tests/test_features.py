@@ -373,24 +373,28 @@ class TestLpcStack:
             return
         a, gain = lpc(stack, config)
         assert a.shape == (len(stack), order) and gain.shape == (len(stack),)
+        # bytes, not values: the CSV writes -0.0 as -0, and array_equal has -0.0 == 0.0
         for row, got_a, got_gain in zip(stack, a, gain):
             want_a, want_gain = lpc_reference(row, order)
-            assert np.array_equal(got_a, want_a) and got_gain == want_gain
+            assert got_a.tobytes() == want_a.tobytes()
+            assert got_gain.tobytes() == np.float64(want_gain).tobytes()
         one_a, one_gain = lpc(stack[0], config)
-        assert np.array_equal(one_a, a[0]) and one_gain == gain[0]
+        assert one_a.tobytes() == a[0].tobytes() and one_gain.tobytes() == gain[0].tobytes()
 
     def test_bump_rows_stop_early(self):
-        # the early stop is reached: higher taps are exactly 0, in a stack
-        # whose other rows run every order
+        # rows predicted perfectly within a few orders get k = 0 from there, so
+        # their higher taps are exactly 0, in a stack whose other row runs every order
         rng = np.random.default_rng(8)
         stack = np.array([rng.standard_normal(1600), _bump(1600, 4), _bump(1600, 8)])
-        a, _ = lpc(stack)
+        a, gain = lpc(stack)
         assert np.all(a[0] != 0)
         for row in a[1:]:
             stop = np.argmin(row != 0)  # the first tap left at 0
             assert 0 < stop < 12 and not np.any(row[stop:])
-        for row, got in zip(stack, a):
-            assert np.array_equal(got, lpc_reference(row, 12)[0])
+        for row, got_a, got_gain in zip(stack, a, gain):
+            want_a, want_gain = lpc_reference(row, 12)
+            assert got_a.tobytes() == want_a.tobytes()
+            assert got_gain.tobytes() == np.float64(want_gain).tobytes()
 
     def test_silent_row_in_stack(self):
         stack = np.random.default_rng(1).standard_normal((5, 400))
@@ -410,8 +414,11 @@ class TestLpcStack:
 
 class TestAssemble:
     def test_default_dimensionality(self):
-        matrix = features.extract_features(sine_frame(300.0, amplitude=0.5)[None], 16000)
+        frame = sine_frame(300.0, amplitude=0.5)
+        matrix = features.extract_features(frame[None], 16000)
         assert matrix.shape == (1, 31)
+        one = features.extract_features(frame, 16000)  # one frame gives one row
+        assert one.shape == (31,) and one.tobytes() == matrix[0].tobytes()
         assert len(features.feature_names()) == 31
 
     def test_deterministic(self):
