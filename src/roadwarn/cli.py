@@ -26,7 +26,7 @@ from . import audio_io, classifiers, decision, features, synth, warnd
 from .classifiers import FEATURE_SETS
 from .deployment import load_plan_config, read_ini, warning_decision, warning_lead_time
 from .features import LpcConfig, MfccConfig
-from .labels import APPROACHING, CLASS_ORDER, DetectionResult, SoundClass
+from .labels import APPROACHING, CLASS_ORDER, DetectionResult, SoundClass, open_text
 
 
 _RUN_CONFIG_KEYS = {
@@ -49,8 +49,10 @@ class RunConfig:
         self.classifier_kwargs = {name: values.get(name, {})
                                   for name in classifiers.CLASSIFIER_NAMES}
 
-    def echo(self) -> None:
-        for key, value in {**features.settings_of(), **self.features}.items():
+    def echo(self, mfcc_cfg: MfccConfig, lpc_cfg: LpcConfig) -> None:
+        """Print the [features] settings of the extraction configs a command
+        works with, then the classifier keys the file sets."""
+        for key, value in features.settings_of(mfcc_cfg, lpc_cfg).items():
             print(f"# features.{key} = {value}")
         for name, kwargs in self.classifier_kwargs.items():
             for key, value in kwargs.items():
@@ -97,8 +99,9 @@ def cmd_synth(args) -> int:
 
 def cmd_extract(args) -> int:
     config = RunConfig(args.config)
+    configs = features.configs_of(config.features)
     if args.config:
-        config.echo()
+        config.echo(*configs)
     manifest_path = os.path.join(args.corpus_dir, "manifest.csv")
     if not os.path.exists(manifest_path):
         print(f"error: no manifest.csv in {args.corpus_dir}", file=sys.stderr)
@@ -107,7 +110,6 @@ def cmd_extract(args) -> int:
     if not entries:
         print("error: empty manifest", file=sys.stderr)
         return 2
-    configs = features.configs_of(config.features)
     rows, labels = [], []
     for entry in entries:
         buffer = audio_io.load_wav(os.path.join(args.corpus_dir, entry.file))
@@ -122,47 +124,36 @@ def cmd_extract(args) -> int:
 
 
 def _load_labeled(path, settings: dict):
-    """The labelled rows of a feature CSV, and the (MfccConfig, LpcConfig)
-    it was extracted with; its columns must be the ones those extract.
-
-    A setting the CSV's record names is taken from there.  One it does not
-    name is at its default, except n_coeffs and lpc_order: the header shows
-    those, so they come from `settings` and the columns must match them.  A
-    key that `settings` (a run config's or a model's) gives another value is an error."""
-    recorded = features.load_dataset_settings(path)
-    extracted = {**features.settings_of(), **recorded}
+    """The labelled rows of a feature CSV, and the (MfccConfig, LpcConfig) of
+    the settings it holds (`features.load_dataset_settings`).  A key of
+    `settings` (a run config's or a model's) that has another value there is an error."""
+    matrix, labels, _ = features.load_dataset_csv(path)
+    extracted = features.load_dataset_settings(path)
     for key, value in settings.items():
-        if (key in recorded or key not in ("n_coeffs", "lpc_order")) and value != extracted[key]:
+        if value != extracted[key]:
             raise ValueError(f"{path}: [features] {key} = {value} differs from the "
                              f"{extracted[key]} the CSV was extracted with")
-    configs = features.configs_of({**settings, **recorded})
-    matrix, labels, names = features.load_dataset_csv(path)
     if any(label is None for label in labels):
         raise ValueError(f"{path}: every row needs a label")
-    expected = features.feature_names(*configs)
-    if names != expected:
-        raise ValueError(f"{path}: its {len(names)} columns are not the {len(expected)} that "
-                         "the [features] settings extract; pass the --config it was extracted with")
-    return classifiers.LabeledDataset(matrix, labels), configs
+    return classifiers.LabeledDataset(matrix, labels), features.configs_of(extracted)
 
 
 def _load_model(path):
-    """A model file's model, the feature subset it records, and its [features]
-    settings: all of them, or none if it records no extraction configs."""
+    """A model file's model, the feature subset it records, and all its
+    [features] settings: the ones its meta records, the defaults for the rest."""
     model, meta = classifiers.load_model_and_meta(path)
     try:
         mfcc_cfg, lpc_cfg = MfccConfig(**meta.get("mfcc", {})), LpcConfig(**meta.get("lpc", {}))
     except (TypeError, ValueError) as exc:  # an unknown key, or a value of the wrong type
         raise ValueError(f"{path}: meta mfcc/lpc: {exc}") from None
-    settings = features.settings_of(mfcc_cfg, lpc_cfg) if "mfcc" in meta or "lpc" in meta else {}
-    return model, meta.get("feature_set", "all"), settings
+    return model, meta.get("feature_set", "all"), features.settings_of(mfcc_cfg, lpc_cfg)
 
 
 def cmd_train(args) -> int:
     config = RunConfig(args.config)
-    if args.config:
-        config.echo()
     data, (mfcc_cfg, lpc_cfg) = _load_labeled(args.features_csv, config.features)
+    if args.config:
+        config.echo(mfcc_cfg, lpc_cfg)
     cols = FEATURE_SETS[args.feature_set]
     kwargs = config.classifier_kwargs[args.model]
     trainer = classifiers.make_trainer(args.model, seed=args.seed, **kwargs)
@@ -184,13 +175,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = RunConfig(args.config)
-    if args.config:
-        config.echo()
     settings = config.features
     if args.model_file:  # loaded first: a broken model file is the error to report
-        model, feature_set, recorded = _load_model(args.model_file)
-        settings = recorded or settings  # a model that records none takes --config's
-    data, _ = _load_labeled(args.features_csv, settings)
+        model, feature_set, settings = _load_model(args.model_file)
+    data, configs = _load_labeled(args.features_csv, settings)
+    if args.config:
+        config.echo(*configs)
     if args.compare:
         grid = classifiers.compare_feature_sets(
             data, seed=args.seed, folds=args.folds,
@@ -316,7 +306,7 @@ def run_simulation(plan, script_lines) -> list[str]:
 
 def cmd_simulate(args) -> int:
     plan = load_plan_config(args.plan)
-    with open(args.script, "r", encoding="utf-8") as fh:
+    with open_text(args.script) as fh:
         script_lines = fh.readlines()
     log = run_simulation(plan, script_lines)
     text = "\n".join(log) if log else "# no warnings dispatched"

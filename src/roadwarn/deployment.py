@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .labels import RECEDING, DetectionResult, SoundClass
+from .labels import RECEDING, DetectionResult, SoundClass, open_text
 
 WARN_CLASSES = (SoundClass.H, SoundClass.LH)
 # Plan bounds: warnd keeps a bucket per processor, and a REG or POS reads each
@@ -119,9 +119,10 @@ def read_ini(path, schema: dict) -> dict:
     (section -> {key: cast}).  A section or key the schema lacks, a value its
     cast rejects (its ValueError's message follows the key) and a non-finite
     number are errors that name the file and the key; a `%` is not special.
-    A file configparser cannot read (a key given twice, say) is an error naming it."""
+    A file configparser cannot read (a key given twice, say) or that is not
+    UTF-8 is an error naming it."""
     parser = configparser.ConfigParser(interpolation=None)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             parser.read_file(fh)
         except configparser.Error as exc:  # its message spans lines
@@ -155,13 +156,17 @@ def _positive(text: str) -> float:
 
 def load_plan_config(path) -> DeploymentPlan:
     """Build a plan from an INI file: a [plan] section with road_length plus
-    any of the other DeploymentPlan fields as overrides; anything else is an error."""
+    any of the other DeploymentPlan fields as overrides; anything else, and
+    numbers past the plan bounds, are errors that name the file."""
     values = read_ini(path, {"plan": {f.name: _positive for f in fields(DeploymentPlan)}})
     if "plan" not in values:
         raise ValueError(f"{path}: missing [plan] section")
     if "road_length" not in values["plan"]:
         raise ValueError(f"{path}: plan needs a road_length")
-    return DeploymentPlan(**values["plan"])
+    try:
+        return DeploymentPlan(**values["plan"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def warning_lead_time(distance_m: float, speed_kmh: float) -> float:

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .labels import SoundClass
+from .labels import SoundClass, open_text
 
 
 class SilentFrameError(ValueError):
@@ -303,32 +303,43 @@ def save_dataset_csv(path, matrix: np.ndarray, labels, names: list[str],
 
 
 def load_dataset_settings(path) -> dict:
-    """The [features] settings a feature CSV records (key -> value): the
-    ones it was extracted with that differ from the defaults.  They must
-    make extraction configs, as a run config's [features] must."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().split()
-    if first[:2] != _RECORD.split():
-        return {}
-    settings = {}
-    for item in first[2:]:
+    """All the [features] settings a feature CSV was extracted with (key ->
+    value): the ones its record names, n_coeffs and lpc_order as its mfcc and
+    lpc columns show them, the defaults for the rest.  A record that makes no
+    extraction configs, or a header that is not their `feature_names`, is an error."""
+    with open_text(path) as fh:
+        lines = (ln.rstrip("\n") for ln in fh if ln.strip())
+        first = next(lines, "")
+        names = (next(lines, "") if first.startswith("#") else first).split(",")[:-1]
+    record = first.split()
+    recorded = {}
+    for item in record[2:] if record[:2] == _RECORD.split() else []:
         key, _, text = item.partition("=")
         try:
-            settings[key] = SETTINGS[key](text)
+            recorded[key] = SETTINGS[key](text)
         except (KeyError, ValueError):
             raise ValueError(f"{path}: bad [features] record item {item!r}") from None
     try:
-        configs_of(settings)
+        configs_of(recorded)
     except ValueError as exc:
         raise ValueError(f"{path}: bad [features] record: {exc}") from None
-    return settings
+    settings = {**settings_of(), "n_coeffs": sum(name.startswith("mfcc") for name in names),
+                "lpc_order": sum(name.startswith("lpc") and name != "lpc_gain" for name in names),
+                **recorded}
+    try:
+        if names == feature_names(*configs_of(settings)):
+            return settings
+    except ValueError:  # sizes no extraction has, such as no mfcc column
+        pass
+    raise ValueError(f"{path}: its header is not the feature columns of [features] "
+                     f"n_coeffs = {settings['n_coeffs']}, lpc_order = {settings['lpc_order']}")
 
 
 def load_dataset_csv(path):
     """Read back (matrix, labels, names); labels are SoundClass or None.
     The settings record, if any, is skipped: `load_dataset_settings` reads it.
     A bad row raises a ValueError that starts with `<path>:<line>:`."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = [(lineno, ln.rstrip("\n")) for lineno, ln in enumerate(fh, 1) if ln.strip()]
     if lines and lines[0][1].startswith("#"):
         del lines[0]

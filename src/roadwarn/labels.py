@@ -4,11 +4,13 @@ A processor classifies frames into a `SoundClass`, calls the direction of
 travel and ends a pass-by in a `DetectionResult`; the warning service
 parses, judges and sends those same names.  This module imports nothing
 beyond the standard library, so `deployment` and `warnd`, which need only
-these names, start without numpy.
+these names, start without numpy.  `open_text` is the one way every text
+input (a plan, a run config, a feature CSV, a manifest, a script) is read.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 from dataclasses import dataclass
 
@@ -44,3 +46,14 @@ class DetectionResult:
 
     def to_line(self) -> str:
         return f"DET {self.climax_index} {self.sound_type.value} {self.direction}"
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """`path` opened for reading as UTF-8 text; a byte that is not UTF-8,
+    read anywhere in the `with` block, raises a ValueError that names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None

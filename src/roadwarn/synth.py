@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import DEFAULT_FRAME_SECONDS, SampleBuffer, write_wav
-from .labels import SoundClass
+from .labels import SoundClass, open_text
 
 SPEED_OF_SOUND = 343.0
 DEFAULT_SAMPLE_RATE = 16000
@@ -309,7 +309,7 @@ def generate_corpus(out_dir, seed: int = 0) -> list[ManifestEntry]:
 
 def load_manifest(path) -> list[ManifestEntry]:
     """The entries of a corpus manifest; a bad row's ValueError starts `<path>:<line>:`."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = [(lineno, ln.rstrip("\n")) for lineno, ln in enumerate(fh, 1) if ln.strip()]
     if not lines or lines[0][1] != _MANIFEST_HEADER:
         raise ValueError(f"{path}: not a corpus manifest")

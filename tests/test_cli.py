@@ -221,24 +221,26 @@ class TestTrainEval:
         assert set(json.loads(model_path.read_text())) == {
             "format", "version", "kind", "mean", "std", "w1", "b1", "w2", "b2", "meta"}
 
-    def test_train_refuses_csv_of_other_feature_settings(self, tmp_path, capsys):
-        # 28 columns from [features] n_coeffs = 10; without that config, train
-        # would record 13 MFCCs and detect would extract 31 columns
+    def test_train_takes_n_coeffs_from_the_csv_header(self, tmp_path, capsys):
+        # 28 columns and no record: the header's mfcc0..mfcc9 say n_coeffs = 10,
+        # which train records, so detect extracts the same 28 columns
         csv = tmp_path / "narrow.csv"
         labels = [CLASS_ORDER[i % 4] for i in range(8)]
         names = features.feature_names(MfccConfig(n_coeffs=10))
         features.save_dataset_csv(csv, np.arange(8 * 28.0).reshape(8, 28), labels, names)
         model = tmp_path / "dt.json"
-        assert main(["train", str(csv), str(model), "--model", "dt"]) == 2
-        assert "its 28 columns are not the 31 that the [features] settings extract" in \
-            capsys.readouterr().err
-        assert not model.exists()
-
-        config = tmp_path / "run.ini"
-        config.write_text("[features]\nn_coeffs = 10\n")
-        assert main(["train", str(csv), str(model), "--model", "dt",
-                     "--config", str(config)]) == 0
+        assert main(["train", str(csv), str(model), "--model", "dt"]) == 0
         assert load_model_meta(model)["mfcc"]["n_coeffs"] == 10
+
+        model.unlink()
+        config = tmp_path / "run.ini"
+        config.write_text("[features]\nn_coeffs = 13\n")
+        capsys.readouterr()
+        assert main(["train", str(csv), str(model), "--model", "dt",
+                     "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"error: {csv}: [features] n_coeffs = 13 differs "
+                                           "from the 10 the CSV was extracted with\n")
+        assert not model.exists()
 
     def test_train_takes_feature_settings_from_the_csv_record(self, tmp_path, capsys):
         # the header cannot show pre_emphasis, fmin or n_filters; the record does
@@ -252,7 +254,18 @@ class TestTrainEval:
         assert main(["train", str(csv), str(model), "--model", "dt"]) == 0
         assert load_model_meta(model)["mfcc"] == asdict(extracted)
 
+        # a --config without [features] echoes the settings train used: the record's
         config = tmp_path / "run.ini"
+        config.write_text("[dt]\nmax_depth = 3\n")
+        capsys.readouterr()
+        assert main(["train", str(csv), str(model), "--model", "dt",
+                     "--config", str(config)]) == 0
+        echoed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("# ")]
+        assert echoed == [f"# features.{key} = {value}" for key, value in
+                          features.settings_of(extracted, LpcConfig()).items()] + \
+            ["# dt.max_depth = 3"]
+        assert load_model_meta(model)["mfcc"] == asdict(extracted)
+
         config.write_text("[features]\npre_emphasis = 0.5\nn_coeffs = 13\n[dt]\nmax_depth = 3\n")
         assert main(["train", str(csv), str(model), "--model", "dt",
                      "--config", str(config)]) == 0
@@ -317,9 +330,9 @@ class TestTrainEval:
                                            "differs from the 0.5 the CSV was extracted with\n")
         assert main(["eval", str(pe05), "--model", "dt", "--folds", "2"]) == 0
 
-    def test_eval_refuses_recordless_csv_of_other_dimensions(self, tmp_path, capsys):
-        # 28 columns and no record: extracted with n_coeffs = 10, which only a
-        # --config can say; without it, CV eval and --compare refuse as train does
+    def test_eval_reads_a_recordless_csv_of_other_dimensions(self, tmp_path, capsys):
+        # 28 columns and no record: the header says n_coeffs = 10, so CV eval
+        # and --compare need no --config, and one that repeats it is accepted
         X = np.random.default_rng(2).standard_normal((48, 28))
         labels = [CLASS_ORDER[i % 4] for i in range(48)]
         for i, label in enumerate(labels):
@@ -328,10 +341,8 @@ class TestTrainEval:
         features.save_dataset_csv(csv, X, labels, features.feature_names(MfccConfig(n_coeffs=10)))
         modes = [["--model", "nb"], ["--compare"]]
         for mode in modes:
-            assert main(["eval", str(csv), "--folds", "2", *mode]) == 2
-            assert capsys.readouterr().err == (
-                f"error: {csv}: its 28 columns are not the 31 that the [features] settings "
-                "extract; pass the --config it was extracted with\n")
+            assert main(["eval", str(csv), "--folds", "2", *mode]) == 0
+            assert capsys.readouterr().err == ""
         config = tmp_path / "run.ini"
         config.write_text("[features]\nn_coeffs = 10\n[mlp]\nepochs = 20\n")
         for mode in modes:
@@ -350,9 +361,9 @@ class TestTrainEval:
             assert main(["eval", str(csv), "--folds", str(folds), *mode]) == 2
             assert capsys.readouterr().err == f"error: folds must be at least 2, got {folds}\n"
 
-    def test_eval_model_file_without_settings_takes_the_config(self, tmp_path, capsys):
-        # a model file from before settings were recorded: --config's [features] say
-        # what the CSV's columns must be
+    def test_eval_model_file_without_settings_is_default_extracted(self, tmp_path, capsys):
+        # a model file from before settings were recorded holds the defaults, for
+        # eval as for detect, whatever --config says; so a 28-column model is refused
         csv = tmp_path / "narrow.csv"
         labels = [CLASS_ORDER[i % 4] for i in range(8)]
         features.save_dataset_csv(csv, np.arange(8 * 28.0).reshape(8, 28), labels,
@@ -365,13 +376,16 @@ class TestTrainEval:
         del doc["meta"]["mfcc"], doc["meta"]["lpc"]
         model.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(["eval", str(csv), "--model-file", str(model)]) == 2
-        assert "its 28 columns are not the 31 that the [features] settings extract" in \
-            capsys.readouterr().err
-        report = tmp_path / "report.txt"
-        assert main(["eval", str(csv), "--model-file", str(model), "--config", str(config),
-                     "--report", str(report)]) == 0
-        assert "overall accuracy: 100.00" in report.read_text()
+        for with_config in ([], ["--config", str(config)]):
+            assert main(["eval", str(csv), "--model-file", str(model), *with_config]) == 2
+            assert capsys.readouterr().err == (f"error: {csv}: [features] n_coeffs = 13 differs "
+                                               "from the 10 the CSV was extracted with\n")
+        profile, scenario = synth.corpus_clip_params(SoundClass.H, clip_seed=160)
+        wav = tmp_path / "h.wav"
+        audio_io.write_wav(wav, synth.synth_passby(profile, scenario)[0])
+        assert main(["detect", str(wav), str(model)]) == 2
+        assert capsys.readouterr().err == \
+            "error: model expects rows of 28 features, got an array of shape (8, 31)\n"
 
     @pytest.mark.parametrize("column, text, lead, message", [
         ("label", "XX", "", "4: unknown label 'XX', expected one of H, LL, LH, NV"),
@@ -938,3 +952,30 @@ class TestExitCodes:
     def test_missing_file_is_exit_2(self, tmp_path):
         assert main(["detect", str(tmp_path / "missing.wav"),
                      str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize("kind", ["plan", "run-config", "feature-csv", "manifest", "script"])
+    def test_text_input_that_is_not_utf8_is_named(self, tmp_path, capsys, kind):
+        # each reader used to print only the codec's message, without the file
+        plan, script, config = tmp_path / "plan.ini", tmp_path / "script.txt", tmp_path / "run.ini"
+        plan.write_text(PLAN_INI)
+        script.write_text("PED p1 50 1 0\n")
+        config.write_text("[dt]\nmax_depth = 3\n")
+        csv = tmp_path / "small.csv"
+        features.save_dataset_csv(csv, np.arange(8 * 31.0).reshape(8, 31),
+                                  [CLASS_ORDER[i % 4] for i in range(8)], features.feature_names())
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "manifest.csv").write_text("file,class,speed_kmh,t_closest_s,seed\n")
+        bad, argv = {
+            "plan": (plan, ["simulate", str(plan), str(script)]),
+            "run-config": (config, ["train", str(csv), str(tmp_path / "m.json"), "--model", "dt",
+                                    "--config", str(config)]),
+            "feature-csv": (csv, ["train", str(csv), str(tmp_path / "m.json"), "--model", "dt"]),
+            "manifest": (corpus / "manifest.csv", ["extract", str(corpus), str(tmp_path / "f.csv")]),
+            "script": (script, ["simulate", str(plan), str(script)]),
+        }[kind]
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {bad}: not UTF-8 text ('utf-8' codec can't decode byte 0xff")

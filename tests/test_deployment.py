@@ -82,7 +82,7 @@ class TestPlanBounds:
         script = tmp_path / "script.txt"
         script.write_text("PED p1 50 1 0\nVEHICLE H 60 0 1\n")
         assert main(["simulate", str(path), str(script)]) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 # (processor_spacing, danger_length): shared edges, gaps, overlaps two and

@@ -464,27 +464,33 @@ class TestDatasetCsv:
         back, labels2, names2 = features.load_dataset_csv(p1)
         assert names2 == names and labels2 == labels
         np.testing.assert_allclose(back, X, rtol=1e-8)
+        # any columns load, but only feature columns hold [features] settings
+        with pytest.raises(ValueError) as error:
+            features.load_dataset_settings(p1)
+        assert str(error.value) == (f"{p1}: its header is not the feature columns of "
+                                    "[features] n_coeffs = 0, lpc_order = 0")
 
     def test_settings_record_holds_the_non_defaults_only(self, tmp_path):
-        X = np.arange(8.0).reshape(2, 4)
+        X = np.arange(62.0).reshape(2, 31)
         labels = [None, None]
+        names = features.feature_names()
+        extracted = MfccConfig(pre_emphasis=0.5, fmin=300.0, n_filters=40, fmax=8000.0)
         plain, recorded = tmp_path / "plain.csv", tmp_path / "recorded.csv"
-        features.save_dataset_csv(plain, X, labels, list("abcd"))
-        features.save_dataset_csv(recorded, X, labels, list("abcd"), features.settings_of(
-            MfccConfig(pre_emphasis=0.5, fmin=300.0, n_filters=40, fmax=8000.0),
-            LpcConfig(order=12)))
+        features.save_dataset_csv(plain, X, labels, names)
+        features.save_dataset_csv(recorded, X, labels, names,
+                                  features.settings_of(extracted, LpcConfig(order=12)))
         # all defaults, or no settings: no record line, the same bytes as before it existed
-        features.save_dataset_csv(tmp_path / "defaults.csv", X, labels, list("abcd"),
+        features.save_dataset_csv(tmp_path / "defaults.csv", X, labels, names,
                                   features.settings_of())
         assert (tmp_path / "defaults.csv").read_bytes() == plain.read_bytes()
         assert recorded.read_text().splitlines()[0] == \
             "# [features] n_filters=40 pre_emphasis=0.5 fmin=300.0 fmax=8000.0"
         assert recorded.read_text().splitlines()[1:] == plain.read_text().splitlines()
-        assert features.load_dataset_settings(plain) == {}
-        assert features.load_dataset_settings(recorded) == {
-            "n_filters": 40, "pre_emphasis": 0.5, "fmin": 300.0, "fmax": 8000.0}
-        back, _, names = features.load_dataset_csv(recorded)
-        assert names == list("abcd") and np.array_equal(back, X)
+        # the reader gives every setting: the record's, the header's and the defaults
+        assert features.load_dataset_settings(plain) == features.settings_of()
+        assert features.load_dataset_settings(recorded) == features.settings_of(extracted)
+        back, _, back_names = features.load_dataset_csv(recorded)
+        assert back_names == names and np.array_equal(back, X)
 
     @pytest.mark.parametrize("item", ["n_filter=40", "n_filters=4.5", "fmin"])
     def test_bad_record_item_names_it(self, tmp_path, item):
@@ -494,17 +500,20 @@ class TestDatasetCsv:
             features.load_dataset_settings(path)
 
     @pytest.mark.parametrize("item,message", [
-        ("fmin=nan", "fmin must be finite, got nan"),
-        ("log_floor=inf", "log_floor must be finite, got inf"),
-        ("lpc_order=-1", "order must be >= 0"),
+        ("fmin=nan", "bad [features] record: fmin must be finite, got nan"),
+        ("log_floor=inf", "bad [features] record: log_floor must be finite, got inf"),
+        ("lpc_order=-1", "bad [features] record: order must be >= 0"),
+        ("n_coeffs=10", "its header is not the feature columns of [features] "
+                        "n_coeffs = 10, lpc_order = 12"),
     ])
     def test_record_that_makes_no_config_names_the_file(self, tmp_path, item, message):
-        # NaN and infinity used to reach the model file's meta, which then was not JSON
+        # NaN and infinity used to reach the model file's meta, which then was
+        # not JSON; a record that contradicts the 31 columns is refused too
         path = tmp_path / "bad.csv"
-        path.write_text(f"# [features] {item}\na,label\n1,H\n")
+        path.write_text(f"# [features] {item}\n{','.join(features.feature_names())},label\n")
         with pytest.raises(ValueError) as error:
             features.load_dataset_settings(path)
-        assert str(error.value) == f"{path}: bad [features] record: {message}"
+        assert str(error.value) == f"{path}: {message}"
 
 
 class TestConfigTypes:
