@@ -163,6 +163,8 @@ class _Model:
                 raise ValueError(f"{path}: {cls.kind} model has no field {exc.args[0]!r}") from None
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: {cls.kind} model field {name!r}: {exc}") from None
+            except RecursionError:  # a tree nested past the recursion limit
+                raise ValueError(f"{path}: not a roadwarn model file (nested too deep)") from None
         mismatch = cls._mismatch(fields)
         if mismatch is not None:
             name, what = mismatch
@@ -191,20 +193,6 @@ class _Model:
 
 # ---------------------------------------------------------------------------
 # MLP
-
-@dataclass(frozen=True)
-class MlpConfig:
-    hidden_units: int = 32
-    learning_rate: float = 0.5
-    epochs: int = 300
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.hidden_units < 1 or self.epochs < 1:
-            raise ValueError("hidden_units and epochs must be >= 1")
-        if not 0 < self.learning_rate < np.inf:  # False for NaN too
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-
 
 # The MLP's passes overwrite their arrays in place and give the bytes of the
 # plain formulas, 1 / (1 + exp(-clip(Xs @ w1 + b1, -500, 500))) for the hidden
@@ -306,12 +294,14 @@ class MlpConvergence:
     rate: float
 
 
-def train_mlp(data: LabeledDataset, config: MlpConfig = MlpConfig()) -> MlpModel:
+def train_mlp(data: LabeledDataset, hidden_units: int = 32, learning_rate: float = 0.5,
+              epochs: int = 300, seed: int = 0) -> MlpModel:
     """Full-batch gradient descent with a halving step control.
 
-    Weights and biases start from a seeded uniform(-0.5, 0.5) draw.  Each
-    epoch takes one descent step; if the step would increase the loss the
-    rate is halved (persistently) until the step no longer hurts.  Once the
+    Weights and biases start from a uniform(-0.5, 0.5) draw seeded by
+    `seed`, and the first step's rate is `learning_rate`.  Each epoch
+    takes one descent step; if the step would increase the loss the rate
+    is halved (persistently) until the step no longer hurts.  Once the
     rate is at or below 1e-12 the step is taken even if the loss rises, so
     the training loss is non-increasing only while the rate stays above
     that floor.  Each candidate step is evaluated once, loss and gradients
@@ -340,21 +330,25 @@ def train_mlp(data: LabeledDataset, config: MlpConfig = MlpConfig()) -> MlpModel
     - The contiguous transpose times the hidden delta is the product
       Xs.T @ delta at the same OpenBLAS thread count.
     """
+    if hidden_units < 1 or epochs < 1:
+        raise ValueError("hidden_units and epochs must be >= 1")
+    if not 0 < learning_rate < np.inf:  # False for NaN too
+        raise ValueError(f"learning_rate must be finite and positive, got {learning_rate}")
     if len(set(data.y)) < 2:
         raise ValueError("training data must contain at least 2 classes")
     mean, std, Xs = _fit_standardizer(data.X)
     codes = _codes(data.y)
-    dim, hidden, n_out = Xs.shape[1], config.hidden_units, len(CLASS_ORDER)
-    rng = np.random.default_rng(config.seed)
+    dim, hidden, n_out = Xs.shape[1], hidden_units, len(CLASS_ORDER)
+    rng = np.random.default_rng(seed)
     model = MlpModel(mean, std,
                      rng.uniform(-0.5, 0.5, (dim, hidden)),
                      rng.uniform(-0.5, 0.5, hidden),
                      rng.uniform(-0.5, 0.5, (hidden, n_out)),
                      rng.uniform(-0.5, 0.5, n_out))
-    rate, halvings = config.learning_rate, 0
+    rate, halvings = learning_rate, 0
     work = _MlpWork(Xs, codes, hidden)
     loss, grads = model.loss_and_gradients(Xs, codes, work)
-    for _ in range(config.epochs):
+    for _ in range(epochs):
         while True:
             candidate = MlpModel(mean, std,
                                  model.w1 - rate * grads[0], model.b1 - rate * grads[1],
@@ -600,6 +594,9 @@ class DtModel(_Model):
 
 
 def train_dt(data: LabeledDataset, max_depth: int = 10) -> DtModel:
+    # a model file nested about 990 levels deep exhausts the JSON reader's recursion
+    if not 1 <= max_depth <= 500:
+        raise ValueError(f"max_depth must be in 1..500, got {max_depth}")
     if len(data.y) == 0:
         raise ValueError("empty dataset")
     mean, std, Xs = _fit_standardizer(data.X)
@@ -710,8 +707,9 @@ CLASSIFIER_NAMES = list(CLASSIFIERS)
 
 
 def make_trainer(name: str, seed: int = 0, **params):
-    """data -> fitted model for classifier `name`; `params` go to its trainer,
-    which holds their defaults, and `seed` seeds the MLP."""
+    """data -> fitted model for classifier `name`; `params` go to its trainer
+    as keyword arguments, and `seed` to the MLP's.  The trainer holds their
+    defaults and refuses a value out of range at the first fit."""
     if name not in CLASSIFIERS:
         raise ValueError(f"unknown classifier {name!r}")
     spec = CLASSIFIERS[name]
@@ -719,7 +717,7 @@ def make_trainer(name: str, seed: int = 0, **params):
         if key not in spec.params:
             raise ValueError(f"classifier {name!r} takes no parameter {key!r}")
     if name == "mlp":
-        params = {"config": MlpConfig(seed=seed, **params)}
+        params = {**params, "seed": seed}
     # looked up at each fit, not bound here, so that a wrapper installed on
     # the module attribute (as the benchmark's span recorder does) sees it
     return lambda data: globals()[spec.trainer](data, **params)
@@ -766,6 +764,8 @@ def _read_doc(path) -> dict:
             doc = json.load(fh)
         except ValueError as exc:  # not UTF-8, or not JSON
             raise ValueError(f"{path}: not a roadwarn model file ({exc})") from None
+        except RecursionError:
+            raise ValueError(f"{path}: not a roadwarn model file (nested too deep)") from None
     if not (isinstance(doc, dict) and doc.get("format") == "roadwarn-model"
             and doc.get("version") == 1):
         raise ValueError(f"{path}: not a roadwarn model file")

@@ -123,16 +123,17 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _load_labeled(path, settings: dict):
+def _load_labeled(path, *settings: dict):
     """The labelled rows of a feature CSV, and the (MfccConfig, LpcConfig) of
-    the settings it holds (`features.load_dataset_settings`).  A key of
-    `settings` (a run config's or a model's) that has another value there is an error."""
+    the settings it holds (`features.load_dataset_settings`).  A key of any
+    of `settings` (a run config's, a model's) that has another value there is an error."""
     matrix, labels, _ = features.load_dataset_csv(path)
     extracted = features.load_dataset_settings(path)
-    for key, value in settings.items():
-        if value != extracted[key]:
-            raise ValueError(f"{path}: [features] {key} = {value} differs from the "
-                             f"{extracted[key]} the CSV was extracted with")
+    for checked in settings:
+        for key, value in checked.items():
+            if value != extracted[key]:
+                raise ValueError(f"{path}: [features] {key} = {value} differs from the "
+                                 f"{extracted[key]} the CSV was extracted with")
     if any(label is None for label in labels):
         raise ValueError(f"{path}: every row needs a label")
     return classifiers.LabeledDataset(matrix, labels), features.configs_of(extracted)
@@ -175,10 +176,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = RunConfig(args.config)
-    settings = config.features
+    model_settings = {}
     if args.model_file:  # loaded first: a broken model file is the error to report
-        model, feature_set, settings = _load_model(args.model_file)
-    data, configs = _load_labeled(args.features_csv, settings)
+        model, feature_set, model_settings = _load_model(args.model_file)
+    data, configs = _load_labeled(args.features_csv, config.features, model_settings)
     if args.config:
         config.echo(*configs)
     if args.compare:
@@ -342,13 +343,14 @@ def build_parser() -> warnd.UsageParser:
     p = sub.add_parser("eval", help="cross-validated metrics report")
     p.add_argument("features_csv")
     p.add_argument("--model", choices=classifiers.CLASSIFIER_NAMES, default="mlp")
-    p.add_argument("--model-file", help="evaluate a saved model instead of CV")
+    mode = p.add_mutually_exclusive_group()  # a saved model, the grid, or else CV
+    mode.add_argument("--model-file", help="evaluate a saved model instead of CV")
+    mode.add_argument("--compare", action="store_true",
+                      help="classifier x feature-set accuracy grid")
     p.add_argument("--feature-set", choices=list(FEATURE_SETS), default="all")
     p.add_argument("--folds", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="INI with classifier/feature overrides")
-    p.add_argument("--compare", action="store_true",
-                   help="classifier x feature-set accuracy grid")
     p.add_argument("--report", help="also write the report to this file")
     p.set_defaults(func=cmd_eval)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from roadwarn import audio_io, classifiers, features, synth
-from roadwarn.classifiers import LabeledDataset, MlpConfig, evaluate_cv, f_measure, train_mlp
+from roadwarn.classifiers import LabeledDataset, evaluate_cv, f_measure, train_mlp
 from roadwarn.decision import FrameTrack, detect_climax, finalize_detection, track_frames
 from roadwarn.deployment import DeploymentPlan, warning_lead_time
 from roadwarn.labels import APPROACHING, RECEDING, DetectionResult, SoundClass
@@ -39,7 +39,7 @@ def test_criterion_02_corpus_accuracy_and_feature_set_ordering(features_csv):
     data = LabeledDataset(matrix, labels)
     # the larger step size is safe under the halving control and converges
     # within the run budget; architecture and seed handling stay at defaults
-    trainer = lambda d: train_mlp(d, MlpConfig(learning_rate=0.5, epochs=300, seed=0))
+    trainer = lambda d: train_mlp(d, learning_rate=0.5, epochs=300, seed=0)
     acc_all = evaluate_cv(data, trainer, folds=6, seed=0).overall_accuracy
     acc_five = evaluate_cv(data.select_columns(classifiers.FEATURE_SETS["five"]),
                            trainer, folds=6, seed=0).overall_accuracy
@@ -99,7 +99,7 @@ def test_criterion_05_mfcc_reference_and_scale_invariance():
 
 def test_criterion_06_mlp_gradients_match_finite_differences():
     data = blobs(seed=6, per_class=15)
-    model = train_mlp(data, MlpConfig(epochs=4, seed=2))
+    model = train_mlp(data, epochs=4, seed=2)
     Xs = (data.X - model.mean) / model.std
     codes = classifiers._codes(data.y)
     _, grads = model.loss_and_gradients(Xs, codes)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from roadwarn import classifiers as C
-from roadwarn.classifiers import (LabeledDataset, MlpConfig, compare_feature_sets,
+from roadwarn.classifiers import (LabeledDataset, compare_feature_sets,
                                   compute_metrics, evaluate_cv, f_measure, load_model,
                                   load_model_meta, make_trainer, save_model, train_dt,
                                   train_gnb, train_knn, train_mlp)
@@ -38,7 +38,7 @@ def mlp_reference_forward(Xs, w1, b1, w2, b2):
     return hidden, e / e.sum(axis=1, keepdims=True)
 
 
-def mlp_reference_fit(data, config):
+def mlp_reference_fit(data, hidden_units=32, learning_rate=0.5, epochs=300, seed=0):
     """train_mlp before a step kept its own loss and gradients: two forward
     passes per epoch and activations that allocate.  Kept as the oracle for
     the weights; returns (w1, b1, w2, b2) and the number of rate halvings."""
@@ -64,13 +64,13 @@ def mlp_reference_fit(data, config):
         gb1 = delta_hidden.sum(axis=0)
         return value, (gw1, gb1, gw2, gb2)
 
-    dim, hidden, n_out = Xs.shape[1], config.hidden_units, len(CLASS_ORDER)
-    rng = np.random.default_rng(config.seed)
+    dim, hidden, n_out = Xs.shape[1], hidden_units, len(CLASS_ORDER)
+    rng = np.random.default_rng(seed)
     params = (rng.uniform(-0.5, 0.5, (dim, hidden)), rng.uniform(-0.5, 0.5, hidden),
               rng.uniform(-0.5, 0.5, (hidden, n_out)), rng.uniform(-0.5, 0.5, n_out))
-    rate, halvings = config.learning_rate, 0
+    rate, halvings = learning_rate, 0
     value, grads = loss_and_gradients(params)
-    for _ in range(config.epochs):
+    for _ in range(epochs):
         while True:
             candidate = tuple(p - rate * g for p, g in zip(params, grads))
             if loss(candidate) <= value or rate <= 1e-12:
@@ -213,22 +213,23 @@ class TestMlp:
 
     def test_seeded_fit_is_deterministic(self):
         data = blobs(seed=1)
-        cfg = MlpConfig(epochs=1, seed=9)
-        a = train_mlp(data, cfg).predict_batch(data.X)
-        b = train_mlp(data, cfg).predict_batch(data.X)
+        a = train_mlp(data, epochs=1, seed=9).predict_batch(data.X)
+        b = train_mlp(data, epochs=1, seed=9).predict_batch(data.X)
         assert a == b
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
     def test_untrainable_learning_rate_rejected(self, rate):
         # a NaN or infinite rate would never leave train_mlp's step-halving loop
+        data = blobs(seed=1, per_class=5)
         with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
-            MlpConfig(learning_rate=rate)
+            train_mlp(data, learning_rate=rate)
+        trainer = make_trainer("mlp", learning_rate=rate)  # refused at the first fit
         with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
-            make_trainer("mlp", learning_rate=rate)
+            trainer(data)
 
     def test_gradients_match_finite_differences(self):
         data = blobs(seed=3, per_class=20)
-        model = train_mlp(data, MlpConfig(epochs=3, seed=5))
+        model = train_mlp(data, epochs=3, seed=5)
         Xs = (data.X - model.mean) / model.std
         codes = C._codes(data.y)
         _, grads = model.loss_and_gradients(Xs, codes)
@@ -255,7 +256,7 @@ class TestMlp:
         codes = C._codes(data.y)
         losses = []
         for epochs in (1, 5, 20, 60):
-            model = train_mlp(data, MlpConfig(epochs=epochs, seed=4))
+            model = train_mlp(data, epochs=epochs, seed=4)
             losses.append(model.loss(Xs, codes))
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
@@ -266,18 +267,19 @@ class TestMlp:
 
 
     @pytest.mark.parametrize("config, per_class, dim", [
-        (MlpConfig(epochs=30, seed=3), 30, 3),
-        (MlpConfig(hidden_units=5, learning_rate=0.5, epochs=30, seed=1), 30, 3),
-        (MlpConfig(learning_rate=50.0, epochs=30, seed=2), 30, 3),  # forces rate halvings
+        (dict(epochs=30, seed=3), 30, 3),
+        (dict(hidden_units=5, learning_rate=0.5, epochs=30, seed=1), 30, 3),
+        (dict(learning_rate=50.0, epochs=30, seed=2), 30, 3),  # forces rate halvings
         # 4,000 rows x 31 columns, the corpus's width: sizes at which OpenBLAS
         # splits the matrix products across its threads
-        (MlpConfig(epochs=20, seed=0), 1000, 31),
-        (MlpConfig(learning_rate=50.0, epochs=20, seed=0), 1000, 31),
+        (dict(epochs=20, seed=0), 1000, 31),
+        (dict(learning_rate=50.0, epochs=20, seed=0), 1000, 31),
     ])
     def test_weights_equal_reference_loop(self, config, per_class, dim, monkeypatch):
         data = blobs(seed=8, spread=1.5, per_class=per_class, dim=dim)
-        ref, halvings = mlp_reference_fit(data, config)
-        if config.learning_rate == 50.0:
+        ref, halvings = mlp_reference_fit(data, **config)
+        rate = config.get("learning_rate", 0.5)  # train_mlp's default
+        if rate == 50.0:
             assert halvings > 0
         calls = []
         inner = C.MlpModel.loss_and_gradients
@@ -287,12 +289,12 @@ class TestMlp:
             return inner(model, Xs, codes, *work)
 
         monkeypatch.setattr(C.MlpModel, "loss_and_gradients", counted)
-        model = train_mlp(data, config)
+        model = train_mlp(data, **config)
         for got, want in zip((model.w1, model.b1, model.w2, model.b2), ref):
             assert np.array_equal(got, want)
-        assert len(calls) == 1 + config.epochs + halvings
+        assert len(calls) == 1 + config["epochs"] + halvings
         assert model.convergence.halvings == halvings
-        assert model.convergence.rate == config.learning_rate * 0.5 ** halvings
+        assert model.convergence.rate == rate * 0.5 ** halvings
 
     def test_pass_without_workspace_equals_the_fits(self, monkeypatch):
         # a pass that builds its own workspace gives the bytes of the fit's;
@@ -307,7 +309,7 @@ class TestMlp:
             return inner(model, Xs, codes, *work)
 
         monkeypatch.setattr(C.MlpModel, "loss_and_gradients", kept)
-        model = train_mlp(data, MlpConfig(epochs=3, seed=0))
+        model = train_mlp(data, epochs=3, seed=0)
         monkeypatch.undo()
         Xs, codes, work = passes[-1]
         loss, grads = model.loss_and_gradients(Xs, codes, work)
@@ -442,7 +444,7 @@ class TestPredictBatch:
 
     def test_mlp_model_matches_reference(self):
         data = blobs(seed=13, spread=2.0, per_class=30)
-        model = train_mlp(data, MlpConfig(epochs=40, seed=2))
+        model = train_mlp(data, epochs=40, seed=2)
         queries = np.random.default_rng(13).uniform(-3, 9, (500, 2))
         _, probs = model._forward((queries - model.mean) / model.std)
         assert model.predict_batch(queries) == [argmax_danger_reference(p) for p in probs]
@@ -561,7 +563,7 @@ class TestDecisionTree:
             assert model.tree["feature"] == oracle[1]
             assert model.tree["threshold"] == pytest.approx(oracle[2], abs=1e-12)
 
-    def test_max_depth_respected(self):
+    def test_max_depth_respected(self, tmp_path):
         data = blobs(seed=9, spread=2.0)
         model = train_dt(data, max_depth=2)
 
@@ -571,6 +573,18 @@ class TestDecisionTree:
             return 1 + max(depth(node["left"]), depth(node["right"]))
 
         assert depth(model.tree) <= 2
+        # below 1 a depth trained a one-leaf model; far above 500 _grow ran
+        # out of recursion, and a file past about 990 levels does not load
+        for bad in (-3, 0, 501, 5000):
+            with pytest.raises(ValueError, match=f"max_depth must be in 1..500, got {bad}"):
+                train_dt(data, max_depth=bad)
+        # interleaved labels on one column: every level splits off one row
+        X = np.arange(1000.0)[:, np.newaxis]
+        deepest = train_dt(LabeledDataset(X, [CLASS_ORDER[i % 4] for i in range(1000)]),
+                           max_depth=500)
+        assert depth(deepest.tree) == 500
+        save_model(tmp_path / "deep.json", deepest)
+        assert load_model(tmp_path / "deep.json").tree == deepest.tree
 
 
 class TestMetrics:
@@ -768,6 +782,15 @@ class TestPersistence:
         with pytest.raises(ValueError, match="not a roadwarn model file"):
             load_model_meta(path)
 
+    def test_tree_nested_past_the_recursion_limit(self):
+        # where the JSON reader nests deeper than Python, the tree's reader runs out
+        tree = {"label": "H"}
+        for _ in range(5000):
+            tree = {"feature": 0, "threshold": 0.0, "left": tree, "right": {"label": "NV"}}
+        with pytest.raises(ValueError, match=re.escape(
+                "deep.json: not a roadwarn model file (nested too deep)")):
+            C.DtModel.from_dict({"mean": [0.0], "std": [1.0], "tree": tree}, "deep.json")
+
     @pytest.mark.parametrize("name,field", [("knn", "labels"), ("dt", "threshold")])
     def test_missing_field_names_path_and_field(self, tmp_path, name, field):
         path = tmp_path / f"{name}.json"
@@ -788,7 +811,7 @@ GOLDEN = Path(__file__).resolve().parent / "data"
 class TestGoldenModelFiles:
     """Tiny model files of each kind, written by the codec before it was
     shared: 8 training rows in 2 columns, 2 per class, trained by
-    MlpConfig(hidden_units=2, epochs=100, seed=0), train_knn(k=3), train_gnb
+    train_mlp(hidden_units=2, epochs=100, seed=0), train_knn(k=3), train_gnb
     and train_dt(max_depth=2), saved with meta {"feature_set": "all"}."""
 
     PROBES = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0], [2.0, 2.0], [-1.0, 5.0]])

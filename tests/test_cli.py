@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from roadwarn import audio_io, cli, decision, features, synth
+from roadwarn import audio_io, classifiers, cli, decision, features, synth
 from roadwarn.classifiers import _codes, load_model, load_model_meta
 from roadwarn.cli import RunConfig, main, run_simulation
 from roadwarn.decision import VOTE_WINDOW
@@ -308,7 +309,7 @@ class TestTrainEval:
         assert not model.exists()
 
     def test_eval_refuses_feature_settings_the_csv_contradicts(self, tmp_path, capsys):
-        # the rule train applies: the model file's settings, or else --config's
+        # the rule train applies, to --config's settings and the model file's alike
         labels = [CLASS_ORDER[i % 4] for i in range(8)]
         plain, pe05 = tmp_path / "plain.csv", tmp_path / "pe05.csv"
         features.save_dataset_csv(plain, np.arange(8 * 31.0).reshape(8, 31), labels,
@@ -328,6 +329,14 @@ class TestTrainEval:
         assert main(["eval", str(pe05), "--model", "nb", "--config", str(config)]) == 2
         assert capsys.readouterr().err == (f"error: {pe05}: [features] pre_emphasis = 0.3 "
                                            "differs from the 0.5 the CSV was extracted with\n")
+        # --config is checked beside a model file that agrees with the CSV
+        model05 = tmp_path / "dt05.json"
+        assert main(["train", str(pe05), str(model05), "--model", "dt"]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(pe05), "--model-file", str(model05), "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"error: {pe05}: [features] pre_emphasis = 0.3 "
+                                           "differs from the 0.5 the CSV was extracted with\n")
+        assert main(["eval", str(pe05), "--model-file", str(model05)]) == 0
         assert main(["eval", str(pe05), "--model", "dt", "--folds", "2"]) == 0
 
     def test_eval_reads_a_recordless_csv_of_other_dimensions(self, tmp_path, capsys):
@@ -535,11 +544,16 @@ class TestDetectCommand:
 
     def test_model_file_that_is_not_an_object(self, features_csv, tmp_path, capsys):
         wav = self._render_wav(tmp_path, "birds.wav", synth.synth_nv("birds", 4.0, 3))
+        # a tree 5,000 levels deep raised RecursionError, a traceback and exit 1
+        deep = (b'{"format": "roadwarn-model", "version": 1, "kind": "dt", "mean": [0.0], '
+                b'"std": [1.0], "tree": ' + b'{"feature": 0, "threshold": 0.0, "left": ' * 5000
+                + b'{"label": "H"}' + b', "right": {"label": "NV"}}' * 5000 + b'}')
         for name, data, reason in [
                 ("list.json", b"[1, 2]", ""),
                 ("empty.json", b"", " (Expecting value: line 1 column 1 (char 0))"),
                 ("latin1.json", b"\xff{}", " ('utf-8' codec can't decode byte 0xff in position 0: "
-                                           "invalid start byte)")]:
+                                           "invalid start byte)"),
+                ("deep.json", deep, " (nested too deep)")]:
             model = tmp_path / name
             model.write_bytes(data)
             assert main(["detect", str(wav), str(model)]) == 2
@@ -858,7 +872,8 @@ class TestRunConfig:
         ("[featurs]\nn_coeffs = 3\n", "unknown section [featurs]"),
         ("[mlp]\nlearning_rate = nan\n", "[mlp] learning_rate must be finite"),
         ("[knn]\nk = " + "1" * 400 + "\n", "[knn] k int too large to convert to float"),
-    ], ids=["dt-key", "mlp-key", "section", "nan-value", "huge-int"])
+        ("[dt]\nmax_depth = -3\n", "max_depth must be in 1..500, got -3"),
+    ], ids=["dt-key", "mlp-key", "section", "nan-value", "huge-int", "dt-range"])
     def test_config_typo_is_a_data_error(self, tmp_path, capsys, text, message):
         csv = tmp_path / "small.csv"
         labels = [CLASS_ORDER[i % 4] for i in range(8)]
@@ -902,6 +917,22 @@ class TestRunConfig:
             assert load_plan_config(path).processor_count == 9
         else:
             assert RunConfig(path).classifier_kwargs["mlp"]["epochs"] == 300
+
+    def test_readme_run_config_shows_the_defaults(self, tmp_path):
+        # each [features] value is extraction's default, and each classifier
+        # section lists its trainer's keyword arguments with their defaults,
+        # which CLASSIFIERS[name].params names with their types
+        readme = README.read_text()
+        path = tmp_path / "run.ini"
+        path.write_text(re.search(r"### Run config.*?```ini\n(.*?)```", readme, re.DOTALL)[1])
+        config = RunConfig(path)
+        defaults = features.settings_of()
+        assert config.features == {key: defaults[key] for key in config.features}
+        for name, spec in classifiers.CLASSIFIERS.items():
+            _, *keywords = inspect.signature(getattr(classifiers, spec.trainer)).parameters.values()
+            shown = {p.name: p.default for p in keywords if p.name != "seed"}
+            assert config.classifier_kwargs[name] == shown
+            assert spec.params == {key: type(value) for key, value in shown.items()}
 
 
 class TestImports:
@@ -948,6 +979,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 1
+
+    def test_compare_with_a_model_file_is_a_usage_error(self, capsys):
+        # the grid used to be printed and the loaded model never used
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "f.csv", "--model-file", "m.json", "--compare"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            "roadwarn eval: error: argument --compare: not allowed with argument --model-file\n")
 
     def test_missing_file_is_exit_2(self, tmp_path):
         assert main(["detect", str(tmp_path / "missing.wav"),
