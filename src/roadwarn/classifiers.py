@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .features import LpcConfig, MfccConfig, settings_of
 from .labels import CLASS_ORDER, DANGER_ORDER, SoundClass, most_dangerous
 
 
@@ -44,11 +45,18 @@ class LabeledDataset:
 
 
 def _fit_standardizer(X: np.ndarray):
-    """(mean, std, z-scored X) of the training rows; constant columns keep std 1."""
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    std[std == 0.0] = 1.0
-    return mean, std, (X - mean) / std
+    """(mean, std, z-scored X) of the training rows; constant columns keep std 1.
+    A column whose mean, std or z-scored values overflow is a ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)
+        std[std == 0.0] = 1.0
+        Xs = (X - mean) / std
+    finite = np.isfinite(mean) & np.isfinite(std) & np.isfinite(Xs).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"training column {np.argmin(finite)} cannot be z-scored: "
+                         "its mean, std or z-scored values are not finite")
+    return mean, std, Xs
 
 
 def _standardize(X, mean, std) -> np.ndarray:
@@ -748,14 +756,15 @@ def compare_feature_sets(data: LabeledDataset, seed: int = 0, folds: int = 6,
 # ---------------------------------------------------------------------------
 # Persistence
 
-def save_model(path, model, extra: dict | None = None) -> None:
-    """JSON persistence; floats round-trip exactly through repr."""
-    doc = {"format": "roadwarn-model", "version": 1}
-    doc.update(model.to_dict())
-    if extra:
-        doc["meta"] = dict(extra)
+def save_model(path, model, feature_set: str = "all", mfcc_cfg: MfccConfig = MfccConfig(),
+               lpc_cfg: LpcConfig = LpcConfig()) -> None:
+    """JSON persistence, with the `meta` that records what the model was trained on;
+    floats round-trip exactly through repr, and a non-finite one is a ValueError."""
+    doc = {"format": "roadwarn-model", "version": 1, **model.to_dict(), "meta": {
+        "feature_set": feature_set, "mfcc": asdict(mfcc_cfg), "lpc": asdict(lpc_cfg)}}
+    text = json.dumps(doc, allow_nan=False)  # before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
 
 
 def _read_doc(path) -> dict:
@@ -781,7 +790,10 @@ def _model_of(doc: dict, path):
     return CLASSIFIERS[kind].model.from_dict(doc, path)
 
 
-def _meta_of(doc: dict, path) -> dict:
+def _meta_of(doc: dict, path) -> tuple:
+    """(meta, feature_set, [features] settings) of a model file, once every
+    check of `meta` holds.  A key `meta` lacks reads as its default: "all",
+    or the field of the default MfccConfig/LpcConfig."""
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: field 'meta' must be an object, got {meta!r}")
@@ -792,7 +804,11 @@ def _meta_of(doc: dict, path) -> dict:
     for key in ("mfcc", "lpc"):
         if not isinstance(meta.get(key, {}), dict):
             raise ValueError(f"{path}: meta {key} must be an object, got {meta[key]!r}")
-    return meta
+    try:
+        configs = MfccConfig(**meta.get("mfcc", {})), LpcConfig(**meta.get("lpc", {}))
+    except (TypeError, ValueError) as exc:  # an unknown key, or a value of the wrong type
+        raise ValueError(f"{path}: meta mfcc/lpc: {exc}") from None
+    return meta, feature_set, settings_of(*configs)
 
 
 def load_model(path):
@@ -800,12 +816,11 @@ def load_model(path):
 
 
 def load_model_meta(path) -> dict:
-    """The `meta` object of a model file: the feature subset and the
-    extraction settings (`mfcc`, `lpc` objects) the model was trained on."""
-    return _meta_of(_read_doc(path), path)
+    """The `meta` object of a model file, as recorded, once `_meta_of` checked it."""
+    return _meta_of(_read_doc(path), path)[0]
 
 
 def load_model_and_meta(path) -> tuple:
-    """`(load_model(path), load_model_meta(path))`, reading the file once."""
+    """(model, feature_set, complete [features] settings) of a model file, read once."""
     doc = _read_doc(path)
-    return _model_of(doc, path), _meta_of(doc, path)
+    return (_model_of(doc, path), *_meta_of(doc, path)[1:])

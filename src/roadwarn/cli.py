@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -139,17 +138,6 @@ def _load_labeled(path, *settings: dict):
     return classifiers.LabeledDataset(matrix, labels), features.configs_of(extracted)
 
 
-def _load_model(path):
-    """A model file's model, the feature subset it records, and all its
-    [features] settings: the ones its meta records, the defaults for the rest."""
-    model, meta = classifiers.load_model_and_meta(path)
-    try:
-        mfcc_cfg, lpc_cfg = MfccConfig(**meta.get("mfcc", {})), LpcConfig(**meta.get("lpc", {}))
-    except (TypeError, ValueError) as exc:  # an unknown key, or a value of the wrong type
-        raise ValueError(f"{path}: meta mfcc/lpc: {exc}") from None
-    return model, meta.get("feature_set", "all"), features.settings_of(mfcc_cfg, lpc_cfg)
-
-
 def cmd_train(args) -> int:
     config = RunConfig(args.config)
     data, (mfcc_cfg, lpc_cfg) = _load_labeled(args.features_csv, config.features)
@@ -159,11 +147,7 @@ def cmd_train(args) -> int:
     kwargs = config.classifier_kwargs[args.model]
     trainer = classifiers.make_trainer(args.model, seed=args.seed, **kwargs)
     model = trainer(data.select_columns(cols))
-    classifiers.save_model(args.model_out, model, extra={
-        "feature_set": args.feature_set,
-        "mfcc": asdict(mfcc_cfg),
-        "lpc": asdict(lpc_cfg),
-    })
+    classifiers.save_model(args.model_out, model, args.feature_set, mfcc_cfg, lpc_cfg)
     training_acc = classifiers.compute_metrics(
         data.y, model.predict_batch(data.X[:, cols])).overall_accuracy
     c = getattr(model, "convergence", None)  # how an MLP fit ended
@@ -174,11 +158,25 @@ def cmd_train(args) -> int:
     return 0
 
 
+# The defaults of eval's CV flags, and per other mode the ones it does not read,
+# which it refuses: a grid is over every model and set, a saved model is not fitted
+_EVAL_DEFAULTS = {"model": "mlp", "feature_set": "all", "folds": 6, "seed": 0}
+_EVAL_UNREAD = {"compare": ("model", "feature_set"), "model_file": tuple(_EVAL_DEFAULTS)}
+
+
 def cmd_eval(args) -> int:
+    mode = "compare" if args.compare else "model_file" if args.model_file else None
+    for dest in _EVAL_UNREAD.get(mode, ()):
+        if getattr(args, dest) is not None:
+            args.usage_error(f"argument --{dest.replace('_', '-')}: not allowed with "
+                             f"argument --{mode.replace('_', '-')}")
+    for dest, default in _EVAL_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     config = RunConfig(args.config)
     model_settings = {}
     if args.model_file:  # loaded first: a broken model file is the error to report
-        model, feature_set, model_settings = _load_model(args.model_file)
+        model, feature_set, model_settings = classifiers.load_model_and_meta(args.model_file)
     data, configs = _load_labeled(args.features_csv, config.features, model_settings)
     if args.config:
         config.echo(*configs)
@@ -220,7 +218,7 @@ def detect_buffer(buffer: audio_io.SampleBuffer, model, feature_set: str = "all"
 
 
 def cmd_detect(args) -> int:
-    model, feature_set, settings = _load_model(args.model_file)
+    model, feature_set, settings = classifiers.load_model_and_meta(args.model_file)
     buffer = audio_io.load_wav(args.wav)
     result, _ = detect_buffer(buffer, model, feature_set, *features.configs_of(settings))
     print(result.to_line())
@@ -342,17 +340,18 @@ def build_parser() -> warnd.UsageParser:
 
     p = sub.add_parser("eval", help="cross-validated metrics report")
     p.add_argument("features_csv")
-    p.add_argument("--model", choices=classifiers.CLASSIFIER_NAMES, default="mlp")
+    # --model, --feature-set, --folds, --seed: None if not given (cmd_eval sets the default)
+    p.add_argument("--model", choices=classifiers.CLASSIFIER_NAMES)
     mode = p.add_mutually_exclusive_group()  # a saved model, the grid, or else CV
     mode.add_argument("--model-file", help="evaluate a saved model instead of CV")
     mode.add_argument("--compare", action="store_true",
                       help="classifier x feature-set accuracy grid")
-    p.add_argument("--feature-set", choices=list(FEATURE_SETS), default="all")
-    p.add_argument("--folds", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--feature-set", choices=list(FEATURE_SETS))
+    p.add_argument("--folds", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--config", help="INI with classifier/feature overrides")
     p.add_argument("--report", help="also write the report to this file")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, usage_error=p.error)
 
     p = sub.add_parser("detect", help="three-phase detection on one WAV")
     p.add_argument("wav")

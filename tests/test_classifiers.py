@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from roadwarn import classifiers as C
-from roadwarn.classifiers import (LabeledDataset, compare_feature_sets,
+from roadwarn.classifiers import (FEATURE_SETS, LabeledDataset, compare_feature_sets,
                                   compute_metrics, evaluate_cv, f_measure, load_model,
-                                  load_model_meta, make_trainer, save_model, train_dt,
-                                  train_gnb, train_knn, train_mlp)
+                                  load_model_and_meta, load_model_meta, make_trainer,
+                                  save_model, train_dt, train_gnb, train_knn, train_mlp)
+from roadwarn.features import LpcConfig, MfccConfig, settings_of
 from roadwarn.labels import CLASS_ORDER, SoundClass, most_dangerous
 
 
@@ -749,11 +751,23 @@ class TestPersistence:
         data = blobs(seed=8, per_class=12)
         model = make_trainer(name, seed=1, **kwargs)(data)
         path = tmp_path / f"{name}.json"
-        save_model(path, model, extra={"feature_set": "all"})
+        save_model(path, model, "five", MfccConfig(n_coeffs=8), LpcConfig(order=6))
         loaded = load_model(path)
         probes = np.random.default_rng(9).uniform(-2, 8, (40, 2))
         assert model.predict_batch(probes) == loaded.predict_batch(probes)
-        assert load_model_meta(path) == {"feature_set": "all"}
+        assert load_model_meta(path) == {"feature_set": "five",
+                                         "mfcc": asdict(MfccConfig(n_coeffs=8)),
+                                         "lpc": {"order": 6}}
+        assert load_model_and_meta(path)[1:] == (
+            "five", settings_of(MfccConfig(n_coeffs=8), LpcConfig(order=6)))
+
+    def test_a_model_that_is_not_json_is_not_written(self, tmp_path):
+        model = make_trainer("knn")(blobs(seed=8, per_class=12))
+        model.Xs[0, 0] = math.nan  # beyond what any trainer fits
+        path = tmp_path / "knn.json"
+        with pytest.raises(ValueError, match="Out of range float values"):
+            save_model(path, model)
+        assert not path.exists()
 
     def test_legacy_gnb_kind_loads(self, tmp_path):
         data = blobs(seed=8, per_class=12)
@@ -805,6 +819,44 @@ class TestPersistence:
             load_model(path)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _extraction_configs(draw):
+    n_filters = draw(st.integers(1, 40))
+    mfcc = MfccConfig(n_filters=n_filters, n_coeffs=draw(st.integers(1, n_filters)),
+                      pre_emphasis=draw(_FINITE), fmin=draw(_FINITE),
+                      fmax=draw(st.none() | _FINITE),
+                      log_floor=draw(st.floats(min_value=5e-324, allow_infinity=False)))
+    return mfcc, LpcConfig(order=draw(st.integers(0, 64)))
+
+
+class TestModelFileRoundTrip:
+    # rows over the whole finite range: magnitudes near 1e308 overflow z-scoring
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(C.CLASSIFIER_NAMES), per_class=st.integers(2, 4),
+           dim=st.integers(1, 3), data=st.data(),
+           feature_set=st.sampled_from(list(FEATURE_SETS)), configs=_extraction_configs())
+    def test_a_trained_model_saves_and_loads_whole_or_training_refuses(
+            self, name, per_class, dim, data, feature_set, configs):
+        X = data.draw(hnp.arrays(np.float64, (4 * per_class, dim),
+                                 elements=st.floats(-10, 10) | _FINITE))
+        y = data.draw(st.permutations([c for c in CLASS_ORDER for _ in range(per_class)]))
+        kwargs = {"hidden_units": 4, "epochs": 5} if name == "mlp" else {}
+        try:
+            model = make_trainer(name, **kwargs)(LabeledDataset(X, y))
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(path, model, feature_set, *configs)
+            loaded, loaded_set, loaded_settings = load_model_and_meta(path)
+        assert loaded.predict_batch(X) == model.predict_batch(X)
+        assert loaded_set == feature_set
+        assert loaded_settings == settings_of(*configs)
+
+
 GOLDEN = Path(__file__).resolve().parent / "data"
 
 
@@ -812,7 +864,8 @@ class TestGoldenModelFiles:
     """Tiny model files of each kind, written by the codec before it was
     shared: 8 training rows in 2 columns, 2 per class, trained by
     train_mlp(hidden_units=2, epochs=100, seed=0), train_knn(k=3), train_gnb
-    and train_dt(max_depth=2), saved with meta {"feature_set": "all"}."""
+    and train_dt(max_depth=2), saved with meta {"feature_set": "all"}, from
+    before the extraction settings were recorded."""
 
     PROBES = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0], [2.0, 2.0], [-1.0, 5.0]])
 
@@ -824,9 +877,14 @@ class TestGoldenModelFiles:
         model = load_model(path)
         assert model.kind == kind
         assert [c.value for c in model.predict_batch(self.PROBES)] == labels.split()
+        assert load_model_and_meta(path)[1:] == ("all", settings_of())
+        # the fields re-save to the same bytes, then a meta with every key
         again = tmp_path / path.name
-        save_model(again, model, extra=load_model_meta(path))
-        assert again.read_bytes() == path.read_bytes()
+        save_model(again, model)
+        head, meta = again.read_bytes().split(b', "meta": ')
+        assert head == path.read_bytes().split(b', "meta": ')[0]
+        assert json.loads(meta[:-1]) == {"feature_set": "all", "mfcc": asdict(MfccConfig()),
+                                         "lpc": asdict(LpcConfig())}
 
 
 _GOLDEN_DOCS = {kind: json.loads((GOLDEN / f"model_{kind}.json").read_text())

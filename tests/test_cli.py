@@ -308,6 +308,35 @@ class TestTrainEval:
             "", f"error: {csv}: bad [features] record: fmin must be finite, got nan\n")
         assert not model.exists()
 
+    def test_a_model_file_train_wrote_re_saves_to_its_own_bytes(self, tmp_path):
+        csv = tmp_path / "emphasis.csv"
+        labels = [CLASS_ORDER[i % 4] for i in range(8)]
+        features.save_dataset_csv(csv, np.arange(8 * 31.0).reshape(8, 31), labels,
+                                  features.feature_names(),
+                                  features.settings_of(MfccConfig(pre_emphasis=0.5)))
+        for name in classifiers.CLASSIFIER_NAMES:
+            model, again = tmp_path / f"{name}.json", tmp_path / f"{name}-again.json"
+            assert main(["train", str(csv), str(model), "--model", name,
+                         "--feature-set", "cepstral"]) == 0
+            loaded, feature_set, settings = classifiers.load_model_and_meta(model)
+            assert (feature_set, settings["pre_emphasis"]) == ("cepstral", 0.5)
+            classifiers.save_model(again, loaded, feature_set, *features.configs_of(settings))
+            assert again.read_bytes() == model.read_bytes()
+
+    @pytest.mark.parametrize("name", classifiers.CLASSIFIER_NAMES)
+    def test_train_refuses_rows_that_cannot_be_z_scored(self, tmp_path, capsys, name):
+        # the mean and std of p2 overflow float64
+        matrix = np.random.default_rng(3).standard_normal((48, 31))
+        matrix[:, 1] = [1e308, -1e308] * 24
+        csv, model = tmp_path / "huge.csv", tmp_path / "model.json"
+        features.save_dataset_csv(csv, matrix, [CLASS_ORDER[i % 4] for i in range(48)],
+                                  features.feature_names())
+        assert main(["train", str(csv), str(model), "--model", name]) == 2
+        assert capsys.readouterr() == (
+            "", "error: training column 1 cannot be z-scored: its mean, std or z-scored "
+                "values are not finite\n")
+        assert not model.exists()
+
     def test_eval_refuses_feature_settings_the_csv_contradicts(self, tmp_path, capsys):
         # the rule train applies, to --config's settings and the model file's alike
         labels = [CLASS_ORDER[i % 4] for i in range(8)]
@@ -987,6 +1016,22 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert capsys.readouterr().err.endswith(
             "roadwarn eval: error: argument --compare: not allowed with argument --model-file\n")
+
+    @pytest.mark.parametrize("flag,value,mode", [
+        ("--model", "knn", ["--compare"]),
+        ("--feature-set", "five", ["--compare"]),
+        ("--model", "knn", ["--model-file", "m.json"]),
+        ("--feature-set", "five", ["--model-file", "m.json"]),
+        ("--folds", "3", ["--model-file", "m.json"]),
+        ("--seed", "0", ["--model-file", "m.json"]),
+    ])
+    def test_a_flag_the_eval_mode_does_not_read_is_a_usage_error(self, capsys, flag, value,
+                                                                mode):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "f.csv", *mode, flag, value])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            f"roadwarn eval: error: argument {flag}: not allowed with argument {mode[0]}\n")
 
     def test_missing_file_is_exit_2(self, tmp_path):
         assert main(["detect", str(tmp_path / "missing.wav"),
