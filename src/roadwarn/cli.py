@@ -34,28 +34,23 @@ _RUN_CONFIG_KEYS = {
 }
 
 
-class RunConfig:
-    """Module parameters loaded from an optional INI file.
+def _read_run_config(path) -> dict:
+    """section -> {key: value} of a run config file (`{}` for none).  The file
+    may set the sections and keys of `_RUN_CONFIG_KEYS`; any other is an
+    error, and so is a [features] that makes no extraction config."""
+    config = {} if path is None else read_ini(path, _RUN_CONFIG_KEYS)
+    features.configs_of(config.get("features", {}))
+    return config
 
-    The file may set the sections and keys of `_RUN_CONFIG_KEYS`; anything
-    not present keeps its default, and any other section or key is an error.
-    """
 
-    def __init__(self, path=None):
-        values = {} if path is None else read_ini(path, _RUN_CONFIG_KEYS)
-        self.features = values.pop("features", {})  # the [features] keys the file sets
-        features.configs_of(self.features)  # raises if they make no extraction config
-        self.classifier_kwargs = {name: values.get(name, {})
-                                  for name in classifiers.CLASSIFIER_NAMES}
-
-    def echo(self, mfcc_cfg: MfccConfig, lpc_cfg: LpcConfig) -> None:
-        """Print the [features] settings of the extraction configs a command
-        works with, then the classifier keys the file sets."""
-        for key, value in features.settings_of(mfcc_cfg, lpc_cfg).items():
-            print(f"# features.{key} = {value}")
-        for name, kwargs in self.classifier_kwargs.items():
-            for key, value in kwargs.items():
-                print(f"# {name}.{key} = {value}")
+def _echo(config: dict, mfcc_cfg: MfccConfig, lpc_cfg: LpcConfig) -> None:
+    """Print the [features] settings of the extraction configs a command
+    works with, then the classifier keys the run config sets."""
+    for key, value in features.settings_of(mfcc_cfg, lpc_cfg).items():
+        print(f"# features.{key} = {value}")
+    for name in classifiers.CLASSIFIER_NAMES:
+        for key, value in config.get(name, {}).items():
+            print(f"# {name}.{key} = {value}")
 
 
 def _table(rows: list) -> str:
@@ -97,27 +92,28 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    config = RunConfig(args.config)
-    configs = features.configs_of(config.features)
+    config = _read_run_config(args.config)
+    configs = features.configs_of(config.get("features", {}))
     if args.config:
-        config.echo(*configs)
-    manifest_path = os.path.join(args.corpus_dir, "manifest.csv")
-    if not os.path.exists(manifest_path):
-        print(f"error: no manifest.csv in {args.corpus_dir}", file=sys.stderr)
-        return 2
-    entries = synth.load_manifest(manifest_path)
-    if not entries:
-        print("error: empty manifest", file=sys.stderr)
-        return 2
+        _echo(config, *configs)
+    names = features.feature_names(*configs)
     rows, labels = [], []
-    for entry in entries:
-        buffer = audio_io.load_wav(os.path.join(args.corpus_dir, entry.file))
+    for entry in synth.load_manifest(os.path.join(args.corpus_dir, "manifest.csv")):
+        path = os.path.join(args.corpus_dir, entry.file)
+        buffer = audio_io.load_wav(path)
         frames = audio_io.frame_signal(buffer)
-        rows.append(features.extract_features(frames, buffer.sample_rate, *configs))
+        with np.errstate(all="ignore"):  # a non-finite feature is refused below
+            clip = features.extract_features(frames, buffer.sample_rate, *configs)
+        bad = np.argwhere(~np.isfinite(clip))
+        if len(bad):
+            frame, col = bad[0]
+            raise ValueError(f"{path}: {names[col]} of frame {frame} is not finite, "
+                             f"got {clip[frame, col]}")
+        rows.append(clip)
         labels.extend([entry.sound_class] * len(frames))
     matrix = np.vstack(rows)
-    features.save_dataset_csv(args.features_csv, matrix, labels,
-                              features.feature_names(*configs), features.settings_of(*configs))
+    features.save_dataset_csv(args.features_csv, matrix, labels, names,
+                              features.settings_of(*configs))
     print(f"wrote {matrix.shape[0]} frames x {matrix.shape[1]} features to {args.features_csv}")
     return 0
 
@@ -139,13 +135,12 @@ def _load_labeled(path, *settings: dict):
 
 
 def cmd_train(args) -> int:
-    config = RunConfig(args.config)
-    data, (mfcc_cfg, lpc_cfg) = _load_labeled(args.features_csv, config.features)
+    config = _read_run_config(args.config)
+    data, (mfcc_cfg, lpc_cfg) = _load_labeled(args.features_csv, config.get("features", {}))
     if args.config:
-        config.echo(mfcc_cfg, lpc_cfg)
+        _echo(config, mfcc_cfg, lpc_cfg)
     cols = FEATURE_SETS[args.feature_set]
-    kwargs = config.classifier_kwargs[args.model]
-    trainer = classifiers.make_trainer(args.model, seed=args.seed, **kwargs)
+    trainer = classifiers.make_trainer(args.model, seed=args.seed, **config.get(args.model, {}))
     model = trainer(data.select_columns(cols))
     classifiers.save_model(args.model_out, model, args.feature_set, mfcc_cfg, lpc_cfg)
     training_acc = classifiers.compute_metrics(
@@ -173,17 +168,16 @@ def cmd_eval(args) -> int:
     for dest, default in _EVAL_DEFAULTS.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
-    config = RunConfig(args.config)
+    config = _read_run_config(args.config)
     model_settings = {}
     if args.model_file:  # loaded first: a broken model file is the error to report
         model, feature_set, model_settings = classifiers.load_model_and_meta(args.model_file)
-    data, configs = _load_labeled(args.features_csv, config.features, model_settings)
+    data, configs = _load_labeled(args.features_csv, config.get("features", {}), model_settings)
     if args.config:
-        config.echo(*configs)
+        _echo(config, *configs)
     if args.compare:
-        grid = classifiers.compare_feature_sets(
-            data, seed=args.seed, folds=args.folds,
-            classifier_kwargs=config.classifier_kwargs)
+        grid = classifiers.compare_feature_sets(data, seed=args.seed, folds=args.folds,
+                                                classifier_kwargs=config)
         _write_report(render_grid(grid), args.report)
         return 0
     if args.model_file:
@@ -191,8 +185,8 @@ def cmd_eval(args) -> int:
         metrics = classifiers.compute_metrics(data.y, model.predict_batch(data.X[:, cols]))
     else:
         cols = FEATURE_SETS[args.feature_set]
-        kwargs = config.classifier_kwargs[args.model]
-        trainer = classifiers.make_trainer(args.model, seed=args.seed, **kwargs)
+        trainer = classifiers.make_trainer(args.model, seed=args.seed,
+                                           **config.get(args.model, {}))
         metrics = classifiers.evaluate_cv(data.select_columns(cols), trainer,
                                           folds=args.folds, seed=args.seed)
     _write_report(render_metrics(metrics), args.report)
@@ -266,9 +260,9 @@ def _nearest_processor(plan, x: float) -> int:
 def run_simulation(plan, script_lines) -> list[str]:
     """Replay PED/VEHICLE lines against an in-process dispatcher.
 
-    Returns the event log: one line per delivered warning, carrying the
-    lead time from the vehicle's scripted position to each warned
-    pedestrian.
+    A VEHICLE line is a detection at the processor nearest its x.  Returns
+    the event log: one line per delivered warning, carrying the lead time
+    from that processor to each warned pedestrian.
     """
     dispatcher = warnd.Dispatcher(plan)
     ped_x = {}  # client_id -> x of its last accepted PED line
@@ -287,7 +281,8 @@ def run_simulation(plan, script_lines) -> list[str]:
             ped_x[parts[1]] = float(parts[2])
         elif parts[0] == "VEHICLE" and len(parts) == 5:
             sound_class, speed, start_x, t = _vehicle_fields(lineno, parts[1:])
-            target_id = _nearest_processor(plan, start_x) + plan.warning_offset_areas
+            detector = _nearest_processor(plan, start_x)
+            target_id = detector + plan.warning_offset_areas
             if target_id >= plan.processor_count:
                 log.append(f"# event at x={start_x:g}: no instrumented area downstream")
                 continue
@@ -296,7 +291,7 @@ def run_simulation(plan, script_lines) -> list[str]:
             delivered = dispatcher.dispatch(result, target_id, t)
             warn = warnd.warn_line(result, target_id, t)
             for cid in sorted(delivered):
-                lead = warning_lead_time(ped_x[cid] - start_x, speed)
+                lead = warning_lead_time(ped_x[cid] - detector * plan.processor_spacing, speed)
                 log.append(f"{warn} -> {cid} lead={lead:.2f}s")
         else:
             raise ValueError(f"script line {lineno}: cannot parse {line!r}")

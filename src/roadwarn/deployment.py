@@ -147,18 +147,11 @@ def read_ini(path, schema: dict) -> dict:
     return values
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:  # False for NaN too
-        raise ValueError(f"must be finite and positive, got {text}")
-    return value
-
-
 def load_plan_config(path) -> DeploymentPlan:
     """Build a plan from an INI file: a [plan] section with road_length plus
     any of the other DeploymentPlan fields as overrides; anything else, and
     numbers past the plan bounds, are errors that name the file."""
-    values = read_ini(path, {"plan": {f.name: _positive for f in fields(DeploymentPlan)}})
+    values = read_ini(path, {"plan": {f.name: float for f in fields(DeploymentPlan)}})
     if "plan" not in values:
         raise ValueError(f"{path}: missing [plan] section")
     if "road_length" not in values["plan"]:

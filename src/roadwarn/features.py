@@ -55,6 +55,8 @@ class MfccConfig:
         _check_numbers(self)
         if not (0 < self.n_coeffs <= self.n_filters):
             raise ValueError("need 0 < n_coeffs <= n_filters")
+        if self.fmin < 0:  # no frequency is below 0 Hz; the mel scale is NaN below -700
+            raise ValueError(f"fmin must be >= 0, got {self.fmin}")
         if self.log_floor <= 0:
             raise ValueError("log_floor must be positive")
 

@@ -308,11 +308,14 @@ def generate_corpus(out_dir, seed: int = 0) -> list[ManifestEntry]:
 
 
 def load_manifest(path) -> list[ManifestEntry]:
-    """The entries of a corpus manifest; a bad row's ValueError starts `<path>:<line>:`."""
+    """The entries of a corpus manifest, at least one; a bad row's ValueError
+    starts `<path>:<line>:`."""
     with open_text(path) as fh:
         lines = [(lineno, ln.rstrip("\n")) for lineno, ln in enumerate(fh, 1) if ln.strip()]
     if not lines or lines[0][1] != _MANIFEST_HEADER:
         raise ValueError(f"{path}: not a corpus manifest")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no clip rows")
     entries = []
     for lineno, ln in lines[1:]:
         if ln.count(",") != 4:

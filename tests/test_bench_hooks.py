@@ -111,7 +111,7 @@ def test_traced_server_records_the_event_path():
 def test_benchmark_config_files_load(monkeypatch):
     # a reader that rejected a key these files use would fail every benchmark run
     bench = SPANS.parent
-    assert cli.RunConfig(bench / "criterion02.ini").classifier_kwargs["mlp"] == {
+    assert cli._read_run_config(bench / "criterion02.ini")["mlp"] == {
         "learning_rate": 0.5, "epochs": 300}
     plan = deployment.load_plan_config(bench / "plan.ini")
     assert plan.processor_count == 9

@@ -826,7 +826,7 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def _extraction_configs(draw):
     n_filters = draw(st.integers(1, 40))
     mfcc = MfccConfig(n_filters=n_filters, n_coeffs=draw(st.integers(1, n_filters)),
-                      pre_emphasis=draw(_FINITE), fmin=draw(_FINITE),
+                      pre_emphasis=draw(_FINITE), fmin=draw(st.floats(0.0, 1e308)),
                       fmax=draw(st.none() | _FINITE),
                       log_floor=draw(st.floats(min_value=5e-324, allow_infinity=False)))
     return mfcc, LpcConfig(order=draw(st.integers(0, 64)))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from roadwarn import audio_io, classifiers, cli, decision, features, synth
 from roadwarn.classifiers import _codes, load_model, load_model_meta
-from roadwarn.cli import RunConfig, main, run_simulation
+from roadwarn.cli import main, run_simulation
 from roadwarn.decision import VOTE_WINDOW
 from roadwarn.deployment import DeploymentPlan, load_plan_config, warning_decision
 from roadwarn.features import LpcConfig, MfccConfig
@@ -128,13 +128,31 @@ class TestExtractCommand:
     def test_missing_corpus(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
+        manifest = empty / "manifest.csv"
         assert main(["extract", str(empty), str(tmp_path / "f.csv")]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: '{manifest}'\n")
         # a manifest of its header alone lists no clip to extract
-        (empty / "manifest.csv").write_text("file,class,speed_kmh,t_closest_s,seed\n")
-        capsys.readouterr()
+        manifest.write_text("file,class,speed_kmh,t_closest_s,seed\n")
         assert main(["extract", str(empty), str(tmp_path / "f.csv")]) == 2
-        assert capsys.readouterr() == ("", "error: empty manifest\n")
+        assert capsys.readouterr() == ("", f"error: {manifest}: no clip rows\n")
         assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("pre_emphasis = 1e300", "{wav}: mfcc0 of frame 0 is not finite, got nan"),
+        ("fmin = -800", "fmin must be >= 0, got -800.0"),
+    ], ids=["pre-emphasis", "fmin"])
+    def test_settings_that_give_no_finite_features_write_no_csv(
+            self, corpus_dir, tmp_path, capsys, setting, message):
+        # both used to write a CSV: of NaN, which train refused, or of MFCCs
+        # that were the same on every frame, which train fitted
+        config = tmp_path / "run.ini"
+        config.write_text(f"[features]\n{setting}\n")
+        csv = tmp_path / "f.csv"
+        assert main(["extract", str(corpus_dir), str(csv), "--config", str(config)]) == 2
+        wav = corpus_dir / synth.load_manifest(corpus_dir / "manifest.csv")[0].file
+        assert capsys.readouterr().err == f"error: {message.format(wav=wav)}\n"
+        assert not csv.exists()
 
     @pytest.mark.parametrize("row, message", [
         ("clip_000_H.wav,XX,40,2,7", "unknown class 'XX', expected one of H, LL, LH, NV"),
@@ -606,6 +624,8 @@ class TestDetectCommand:
          "meta mfcc/lpc: n_filters must be an integer, got 26.0"),
         ("dt", "meta", {"mfcc": {"fmin": float("nan")}},
          "meta mfcc/lpc: fmin must be finite, got nan"),
+        ("dt", "meta", {"mfcc": {"fmin": -800.0}},
+         "meta mfcc/lpc: fmin must be >= 0, got -800.0"),
         ("nb", "meta", {"lpc": {"rank": 3}},
          "meta mfcc/lpc: LpcConfig.__init__() got an unexpected keyword argument 'rank'"),
         ("dt", "tree", {"feature": 7, "threshold": 0.5, "left": {"label": "H"},
@@ -616,8 +636,8 @@ class TestDetectCommand:
         ("nb", "classes", ["H"],
          "nb model field 'class_means': has shape (4, 2), which does not fit 'classes' "
          "of shape (1,)"),
-    ], ids=["kind", "meta", "labels", "mfcc-type", "mfcc-nan", "lpc-key", "split-feature",
-            "label-count", "class-count"])
+    ], ids=["kind", "meta", "labels", "mfcc-type", "mfcc-nan", "mfcc-fmin", "lpc-key",
+            "split-feature", "label-count", "class-count"])
     def test_model_file_field_of_the_wrong_type(self, tmp_path, capsys, kind, field, value,
                                                 message):
         doc = json.loads((ROOT / "tests" / "data" / f"model_{kind}.json").read_text())
@@ -776,6 +796,32 @@ class TestSimulate:
         scan = min(range(plan.processor_count), key=lambda i: abs(i * spacing - x))
         assert cli._nearest_processor(plan, x) == scan
 
+    @settings(max_examples=200, deadline=None)
+    @given(spacing=st.integers(1, 50), count=st.integers(2, 40), data=st.data(),
+           design_speed=st.floats(20.0, 120.0), warning_time=st.floats(0.5, 4.0),
+           speed=st.floats(0.5, 500.0), x=st.floats(-1e300, 1e300))
+    @example(spacing=25, count=9, data=None, design_speed=75.0, warning_time=3.0,
+             speed=75.0, x=-1e300)
+    def test_lead_counts_from_the_detecting_processor(self, spacing, count, data,
+                                                      design_speed, warning_time, speed, x):
+        # the lead of a warned area k spacings downstream, whatever x picked the detector
+        length = data.draw(st.integers(1, 7 * spacing)) if data else spacing
+        plan = DeploymentPlan(spacing * (count - 1.0), processor_spacing=float(spacing),
+                              danger_length=float(length), max_design_speed=design_speed,
+                              min_warning_time=warning_time)
+        k = plan.warning_offset_areas
+        target = cli._nearest_processor(plan, x) + k
+        stretch_mm = ((plan.processor_count - 1) * spacing + length) * 1000
+        walkers = data.draw(st.lists(st.integers(0, stretch_mm), max_size=6)) if data else []
+        walkers.append(target * spacing * 1000 + length * 500)  # mid-area, when there is one
+        script = [f"PED w{i} {mm / 1000:.3f} 1.0 10.0" for i, mm in enumerate(walkers)]
+        log = run_simulation(plan, script + [f"VEHICLE LH {speed!r} {x!r} 10.0"])
+        leads = [float(line.split("lead=")[1].rstrip("s")) for line in log if "lead=" in line]
+        assert len(leads) >= (target < plan.processor_count)
+        low, high = k * spacing * 3.6 / speed, (k * spacing + length) * 3.6 / speed
+        for lead in leads:  # logged to 2 decimals
+            assert low * (1 - 1e-9) - 0.005 <= lead <= high * (1 + 1e-9) + 0.005
+
     def test_ll_vehicle_never_warns(self, plan_file, tmp_path):
         script = tmp_path / "ll.txt"
         script.write_text("PED walker 87.5 2.0 9.0\n"
@@ -837,7 +883,7 @@ class TestSimulate:
         script.write_text("PED walker 87.5 2.0 9.0\nVEHICLE LH 75 0 10.0\n")
         assert main(["simulate", str(plan), str(script)]) == 2
         captured = capsys.readouterr()
-        assert "freshness_window must be finite and positive" in captured.err
+        assert f"[plan] freshness_window must be finite, got {value}" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("key", ["freshnes_window", "mic_height"])
@@ -929,7 +975,7 @@ class TestRunConfig:
         config = tmp_path / "run.ini"
         config.write_text(text)
         with pytest.raises(ValueError, match=re.escape(message)) as error:
-            RunConfig(config)
+            cli._read_run_config(config)
         assert str(error.value).startswith(f"{config}: ") and "\n" not in str(error.value)
         csv = tmp_path / "unread.csv"  # the config is read first
         for command in (["train", str(csv), str(tmp_path / "m.json")], ["eval", str(csv)]):
@@ -945,7 +991,7 @@ class TestRunConfig:
         if block.startswith("[plan]"):
             assert load_plan_config(path).processor_count == 9
         else:
-            assert RunConfig(path).classifier_kwargs["mlp"]["epochs"] == 300
+            assert cli._read_run_config(path)["mlp"]["epochs"] == 300
 
     def test_readme_run_config_shows_the_defaults(self, tmp_path):
         # each [features] value is extraction's default, and each classifier
@@ -954,13 +1000,13 @@ class TestRunConfig:
         readme = README.read_text()
         path = tmp_path / "run.ini"
         path.write_text(re.search(r"### Run config.*?```ini\n(.*?)```", readme, re.DOTALL)[1])
-        config = RunConfig(path)
+        config = cli._read_run_config(path)
         defaults = features.settings_of()
-        assert config.features == {key: defaults[key] for key in config.features}
+        assert config["features"] == {key: defaults[key] for key in config["features"]}
         for name, spec in classifiers.CLASSIFIERS.items():
             _, *keywords = inspect.signature(getattr(classifiers, spec.trainer)).parameters.values()
             shown = {p.name: p.default for p in keywords if p.name != "seed"}
-            assert config.classifier_kwargs[name] == shown
+            assert config.get(name, {}) == shown
             assert spec.params == {key: type(value) for key, value in shown.items()}
 
 

@@ -222,6 +222,17 @@ class TestplanConfig:
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             load_plan_config(path)
 
+    @pytest.mark.parametrize("key, text", [("road_length", "-5"), ("processor_spacing", "0"),
+                                           ("freshness_window", "-0.5")])
+    def test_non_positive_value_rejected_by_the_plan(self, tmp_path, key, text):
+        # DeploymentPlan is the one check, so the message shows the cast value
+        path = tmp_path / "bad.ini"
+        values = {"road_length": "150", key: text}
+        path.write_text("[plan]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        with pytest.raises(ValueError) as error:
+            load_plan_config(path)
+        assert str(error.value) == f"{path}: {key} must be finite and positive, got {float(text)}"
+
     def test_missing_section(self, tmp_path):
         path = tmp_path / "plan.ini"
         path.write_text("[other]\nroad_length = 150\n")

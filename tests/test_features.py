@@ -503,6 +503,7 @@ class TestDatasetCsv:
         ("fmin=nan", "bad [features] record: fmin must be finite, got nan"),
         ("log_floor=inf", "bad [features] record: log_floor must be finite, got inf"),
         ("lpc_order=-1", "bad [features] record: order must be >= 0"),
+        ("fmin=-800", "bad [features] record: fmin must be >= 0, got -800.0"),
         ("n_coeffs=10", "its header is not the feature columns of [features] "
                         "n_coeffs = 10, lpc_order = 12"),
     ])
@@ -529,6 +530,12 @@ class TestConfigTypes:
         name, value = next(iter(kwargs.items()))
         with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
             MfccConfig(**kwargs)
+
+    def test_fmin_must_not_be_negative(self):
+        # below -700 Hz the mel scale is NaN: every MFCC frame came out the same
+        with pytest.raises(ValueError, match="fmin must be >= 0, got -800.0"):
+            MfccConfig(fmin=-800.0)
+        assert MfccConfig(fmin=-0.0).fmin == 0
 
     def test_lpc_order_must_be_an_integer(self):
         with pytest.raises(ValueError, match="order must be an integer"):
