@@ -37,9 +37,13 @@ _RUN_CONFIG_KEYS = {
 def _read_run_config(path) -> dict:
     """section -> {key: value} of a run config file (`{}` for none).  The file
     may set the sections and keys of `_RUN_CONFIG_KEYS`; any other is an
-    error, and so is a [features] that makes no extraction config."""
+    error, and so is a [features] that makes no extraction config; each
+    error names the file."""
     config = {} if path is None else read_ini(path, _RUN_CONFIG_KEYS)
-    features.configs_of(config.get("features", {}))
+    try:
+        features.configs_of(config.get("features", {}))
+    except ValueError as exc:
+        raise ValueError(f"{path}: [features] {exc}") from None
     return config
 
 

@@ -25,18 +25,20 @@ and the other fields as in WARN, and `cli simulate` calls `dispatch`
 in-process.  The loop stops when the feed ends.
 
 A connection gets one write per event: the event's WARNs go to it as one
-block, one line per client it carries.  What the socket does not take at
-once waits in the connection's outbox until it takes more, so a peer that
-stops reading holds up no one else.  The loop sleeps until the feed or a
-socket is ready, or a stalled outbox reaches its drain deadline.  A
-connection's clients are dropped from the registry, and must REG again on
-a new connection, when it ends (EOF, a read or write error, an over-long
-line), when a block would take its outbox past MAX_OUTBOX_BYTES, or when
-its outbox has not drained for WRITE_TIMEOUT_S (a peer that stopped
-reading); the last two close it.  `dispatch` counts a client as delivered
-when its WARN was written or queued on a connection still open after the
-write, the same guarantee a completed `sendall` gave: neither says the
-peer has read it.
+block, one line per client it carries.  The registry keeps each area's
+clients on one time-ordered shelf per connection, and an event bisects
+each shelf for its fresh clients, so it reads no stale one.  What the
+socket does not take at once waits in the connection's outbox until it
+takes more, so a peer that stops reading holds up no one else.  The loop
+sleeps until the feed or a socket is ready, or a stalled outbox reaches
+its drain deadline.  A connection's clients are dropped from the registry,
+and must REG again on a new connection, when it ends (EOF, a read or write
+error, an over-long line), when a block would take its outbox past
+MAX_OUTBOX_BYTES, or when its outbox has not drained for WRITE_TIMEOUT_S
+(a peer that stopped reading); the last two close it.  `dispatch` counts a
+client as delivered when its WARN was written or queued on a connection
+still open after the write, the same guarantee a completed `sendall` gave:
+neither says the peer has read it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ import selectors
 import socket
 import sys
 import time
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -136,40 +139,35 @@ class _ClientRecord:
     x: float
     y: float
     t: float
-    # callable(text) delivering one or more server->client lines, joined by
-    # "\n" and without the final "\n"; it may raise OSError when the
-    # connection has failed
-    send: object
-    areas: tuple = ()  # processor_ids whose bucket holds this record
+    send: object  # the callable that delivers its WARNs, as `Dispatcher.handle_lines` says
+    areas: tuple = ()  # processor_ids whose shelf for `send` holds this record
+
+
+@dataclass(slots=True)
+class _Shelf:
+    """One area's records of one `send`: times, ascending while `ordered`, and client_ids."""
+    times: list
+    cids: list
+    ordered: bool = True
 
 
 class Dispatcher:
     """Registry plus dispatch, for one thread: a `WarnServer` calls it from
     its loop only, `cli simulate` from its one thread.
 
-    Besides `_clients` (client_id -> record) the registry keeps one bucket
-    per processor, holding the records whose position lies in its danger
-    area (areas are closed, so a client on a shared edge is in both), and
-    the client_ids registered through each `send`.  Each bucket is split at
-    the area's mark `_aged_at[pid]`: `_aged[pid]` holds records too old for
-    any event stamped at or after it, `_live[pid]` the rest, and a REG or
-    POS files its record in `_live`.  A dispatch reads `_live` alone, sets
-    aside what is stale and moves the mark to its own time, so its cost
-    follows the records that can still be fresh, not the area or the
-    registry.  One stamped before the mark first moves `_aged` back into
-    `_live`, as an aged record may be fresh for it.
+    `_clients` maps client_id -> record, `_by_send` each `send` to its
+    client_ids, and `_shelves[pid]` each `send` to its shelf of records in
+    that danger area (areas are closed: a client on a shared edge is on a
+    shelf of each); no shelf is empty.  A REG or POS appends to shelves; a
+    time older than a shelf's newest leaves it unordered until the area's
+    next dispatch sorts it.
     """
 
     def __init__(self, plan: DeploymentPlan):
         self.plan = plan
         self._clients: dict[str, _ClientRecord] = {}
         self._by_send: dict[object, set] = defaultdict(set)
-        pids = range(plan.processor_count)
-        self._live: dict[int, dict[str, _ClientRecord]] = {pid: {} for pid in pids}
-        self._aged: dict[int, dict[str, _ClientRecord]] = {pid: {} for pid in pids}
-        self._aged_at: dict[int, float] = dict.fromkeys(pids, -math.inf)
-
-    # -- client sessions ----------------------------------------------------
+        self._shelves: list[dict[object, _Shelf]] = [{} for _ in range(plan.processor_count)]
 
     def handle_line(self, line: str, send) -> str:
         """Process one client line; returns the response line."""
@@ -177,14 +175,12 @@ class Dispatcher:
 
     def handle_lines(self, lines, send) -> list[str]:
         """Process client lines in order, all from one connection; returns
-        one response line per line.
-
-        `send` is the callable used later to deliver WARN lines to whoever
-        registered on this connection: a dispatch calls it once, with one
-        line per client, joined by "\n" and without the final "\n".
-        """
-        clients, live, by_send, areas_at = (self._clients, self._live, self._by_send,
-                                            self.plan.areas_at)
+        one response line per line.  `send` is the callable used later to
+        deliver WARN lines to whoever registered on this connection: a
+        dispatch calls it once, with one line per client, joined by "\n"
+        and without the final "\n"."""
+        clients, shelves, by_send, areas_at = (self._clients, self._shelves, self._by_send,
+                                               self.plan.areas_at)
         replies = []
         for line in lines:
             try:
@@ -206,7 +202,13 @@ class Dispatcher:
                 replies.append("ERR stale")
                 continue
             else:
-                self._unfile(cid, record)
+                for pid in record.areas:  # off its shelves; it is filed anew below
+                    shelf = shelves[pid][record.send]
+                    start = bisect_left(shelf.times, record.t) if shelf.ordered else 0
+                    i = shelf.cids.index(cid, start)
+                    del shelf.times[i], shelf.cids[i]
+                    if not shelf.cids:
+                        del shelves[pid][record.send]
                 record.x, record.y, record.t = x, y, t
                 if verb == "REG" and record.send != send:
                     bound = by_send[record.send]
@@ -217,7 +219,14 @@ class Dispatcher:
                     record.send = send
             record.areas = areas_at(x, y)
             for pid in record.areas:
-                live[pid][cid] = record
+                shelf = shelves[pid].get(record.send)
+                if shelf is None:
+                    shelves[pid][record.send] = _Shelf([t], [cid])
+                    continue
+                if t < shelf.times[-1]:
+                    shelf.ordered = False
+                shelf.times.append(t)
+                shelf.cids.append(cid)
             replies.append(f"OK {cid}")
         return replies
 
@@ -225,18 +234,11 @@ class Dispatcher:
         """Evict every client whose WARNs go through `send`: its connection
         closed or failed."""
         for cid in self._by_send.pop(send, ()):
-            self._unfile(cid, self._clients.pop(cid))
-
-    def _unfile(self, cid: str, record: _ClientRecord) -> None:
-        """Take the record out of the bucket, live or aged, of each of its areas."""
-        for pid in record.areas:
-            if self._live[pid].pop(cid, None) is None:
-                del self._aged[pid][cid]
+            for pid in self._clients.pop(cid).areas:
+                self._shelves[pid].pop(send, None)
 
     def __len__(self) -> int:
         return len(self._clients)
-
-    # -- events -------------------------------------------------------------
 
     def dispatch(self, result: DetectionResult, processor_id: int, event_time: float) -> set:
         """Deliver a WARN to every fresh client in the processor's danger area.
@@ -253,26 +255,24 @@ class Dispatcher:
             return set()
         line = warn_line(result, processor_id, event_time)
         window = self.plan.freshness_window
-        live, aged = self._live[processor_id], self._aged[processor_id]
-        if event_time < self._aged_at[processor_id]:  # an aged record may be fresh for it
-            live.update(aged)
-            aged.clear()
-        groups = defaultdict(list)  # send -> the client_ids it carries
-        stale = []
-        for cid, record in live.items():
-            age = event_time - record.t
-            if age > window:
-                stale.append(cid)
-            elif age >= -window:
-                groups[record.send].append(cid)
-        # Rounding is monotone, so for every later event E' >= event_time,
-        # fl(E' - t) >= fl(event_time - t): a record too old now stays too
-        # old.  `t < event_time - window` rounds otherwise and would not do.
-        for cid in stale:
-            aged[cid] = live.pop(cid)
-        self._aged_at[processor_id] = event_time
+        runs = []  # (send, the client_ids of its shelf's fresh run)
+        for send, shelf in self._shelves[processor_id].items():
+            times, cids = shelf.times, shelf.cids
+            if len(times) == 1:  # one client, as on most connections: no search
+                if -window <= event_time - times[0] <= window:
+                    runs.append((send, cids))
+                continue
+            if not shelf.ordered:
+                times, cids = map(list, zip(*sorted(zip(times, cids))))
+                shelf.times, shelf.cids, shelf.ordered = times, cids, True
+            # rounding is monotone: fl(event_time - t) falls as t rises, so bisection
+            # by the exact test finds the fresh run (`t < event_time - window` would not)
+            lo = bisect_left(times, True, key=lambda t: event_time - t <= window)
+            hi = bisect_left(times, True, lo, key=lambda t: event_time - t < -window)
+            if hi > lo:
+                runs.append((send, cids[lo:hi]))
         delivered = []
-        for send, cids in groups.items():
+        for send, cids in runs:
             try:
                 send("\n".join([line] * len(cids)))
             except OSError:

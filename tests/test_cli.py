@@ -140,7 +140,7 @@ class TestExtractCommand:
 
     @pytest.mark.parametrize("setting, message", [
         ("pre_emphasis = 1e300", "{wav}: mfcc0 of frame 0 is not finite, got nan"),
-        ("fmin = -800", "fmin must be >= 0, got -800.0"),
+        ("fmin = -800", "{config}: [features] fmin must be >= 0, got -800.0"),
     ], ids=["pre-emphasis", "fmin"])
     def test_settings_that_give_no_finite_features_write_no_csv(
             self, corpus_dir, tmp_path, capsys, setting, message):
@@ -151,7 +151,7 @@ class TestExtractCommand:
         csv = tmp_path / "f.csv"
         assert main(["extract", str(corpus_dir), str(csv), "--config", str(config)]) == 2
         wav = corpus_dir / synth.load_manifest(corpus_dir / "manifest.csv")[0].file
-        assert capsys.readouterr().err == f"error: {message.format(wav=wav)}\n"
+        assert capsys.readouterr().err == f"error: {message.format(wav=wav, config=config)}\n"
         assert not csv.exists()
 
     @pytest.mark.parametrize("row, message", [
@@ -940,6 +940,18 @@ class TestRunConfig:
         det_lines = capsys.readouterr().out.strip().splitlines()
         assert det_lines[0].startswith("DET ")
         assert det_lines[0].split()[2] in ("H", "LL", "LH", "NV")
+
+    @pytest.mark.parametrize("command", ["extract", "train", "eval"])
+    def test_features_that_make_no_config_name_the_file(self, tmp_path, capsys, command):
+        # the message used to name neither the file nor the section
+        config = tmp_path / "nc.ini"
+        config.write_text("[features]\nn_coeffs = 0\n")
+        unread = str(tmp_path / "unread")  # the config is read first
+        argv = {"extract": [unread, unread + ".csv"], "train": [unread, unread + ".json"],
+                "eval": [unread]}[command]
+        assert main([command, *argv, "--config", str(config)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {config}: [features] need 0 < n_coeffs <= n_filters\n")
 
     @pytest.mark.parametrize("text, message", [
         ("[dt]\nmaxdepth = 1\n", "unknown [dt] key 'maxdepth'"),

@@ -537,11 +537,18 @@ class TestClientLinePath:
             ["OK a", "ERR stale", "OK c", "ERR registry full"],
             ["OK a", "OK b"]]
 
+        warn = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
+
         def state(dispatcher, conns):
+            # whom each area warns, and on which connection, for an event that
+            # finds every record fresh
+            warned = {}
+            for pid in range(plan.processor_count):
+                before = [len(conn.payloads) for conn in conns]
+                warned[pid] = (dispatcher.dispatch(warn, pid, 6.5),
+                               [conn.calls(start) for conn, start in zip(conns, before)])
             sends = [conn.send for conn in conns]
-            return (registry_positions(dispatcher),
-                    {pid: {cid: sends.index(r.send) for cid, r in bucket.items()}
-                     for pid, bucket in dispatcher._live.items()},
+            return (registry_positions(dispatcher), warned,
                     {sends.index(send): cids for send, cids in dispatcher._by_send.items()})
 
         assert state(batched, batched_conns) == state(single, single_conns)
@@ -630,17 +637,20 @@ def _scenario(draw):
 
 def _check_index(dispatcher, plan):
     clients = dispatcher._clients
-    pids = range(plan.processor_count)
-    assert set(dispatcher._live) == set(dispatcher._aged) == set(dispatcher._aged_at) == set(pids)
-    for pid in pids:
-        live, aged = dispatcher._live[pid], dispatcher._aged[pid]
+    assert len(dispatcher._shelves) == plan.processor_count
+    for pid, shelves in enumerate(dispatcher._shelves):
         inside = {cid for cid, r in clients.items() if plan.processor(pid).contains(r.x, r.y)}
-        assert not live.keys() & aged.keys()
-        assert live.keys() | aged.keys() == inside
-        assert all(bucket[cid] is clients[cid] for bucket in (live, aged) for cid in bucket)
-        # an aged record is too old for every event stamped at or after the area's mark
-        assert all(dispatcher._aged_at[pid] - r.t > plan.freshness_window
-                   for r in aged.values())
+        shelved = []
+        for send, shelf in shelves.items():
+            # no shelf is empty, and an ordered one is sorted
+            assert shelf.cids and len(shelf.times) == len(shelf.cids)
+            assert not shelf.ordered or shelf.times == sorted(shelf.times)
+            # a record sits on the shelf of its own send, with its own time
+            assert all(clients[cid].send == send for cid in shelf.cids)
+            assert shelf.times == [clients[cid].t for cid in shelf.cids]
+            shelved += shelf.cids
+        # each client in the area sits on exactly one of its shelves
+        assert sorted(shelved) == sorted(inside)
     # each client is bound to the connection it registered on, and no connection is kept
     # without clients
     assert all(dispatcher._by_send.values())
@@ -658,7 +668,23 @@ class TestAreaIndex:
     # two clients of one connection in one area, one on a connection that then breaks
     @example((_PLANS["equal"], [("REG", 0, 30.0, 1.0, 0, 0), ("REG", 1, 40.0, 1.0, 0, 0),
                                 ("REG", 2, 35.0, 1.0, 0, 1), ("break", 1), ("dispatch", 1, 0)]))
-    def test_buckets_and_dispatch_match_whole_registry(self, scenario):
+    # times out of order on one connection, one record stale, then a POS past the newest
+    @example((_PLANS["equal"], [("REG", 0, 30.0, 1.0, 5.0, 0), ("REG", 1, 35.0, 1.0, 1.0, 0),
+                                ("REG", 2, 40.0, 1.0, 8.0, 0), ("REG", 3, 45.0, 1.0, 3.0, 0),
+                                ("dispatch", 1, 7.0), ("POS", 1, 26.0, 1.0, 9.0, 0),
+                                ("dispatch", 1, 12.5), ("dispatch", 1, 4.0)]))
+    # one-record shelves on the window's edges: fl(now - t) exactly +window, just past
+    # it, exactly -window, just past it
+    @example((_PLANS["equal"], [("REG", 0, 30.0, 1.0, 0.001, 0), ("REG", 1, 40.0, 1.0, 3.002, 1),
+                                ("dispatch", 1, 5.001), ("dispatch", 1, 8.002)]))
+    @example((_PLANS["equal"], [("REG", 0, 30.0, 1.0, 5.238, 0), ("REG", 1, 40.0, 1.0, 8.002, 1),
+                                ("dispatch", 1, 0.238), ("dispatch", 1, 3.002)]))
+    # the same edges on one shelf, where bisection finds them
+    @example((_PLANS["equal"], [("REG", 0, 30.0, 1.0, 0.001, 0), ("REG", 1, 35.0, 1.0, 3.002, 0),
+                                ("REG", 2, 40.0, 1.0, 5.238, 0), ("REG", 3, 45.0, 1.0, 8.002, 0),
+                                ("dispatch", 1, 5.001), ("dispatch", 1, 8.002),
+                                ("dispatch", 1, 0.238), ("dispatch", 1, 3.002)]))
+    def test_shelves_and_dispatch_match_whole_registry(self, scenario):
         plan, steps = scenario
         dispatcher = Dispatcher(plan)
         conns = [_Connection() for _ in range(3)]
@@ -706,40 +732,38 @@ class TestAreaIndex:
                                                       for cid, (x, y, t, _) in shadow.items()}
             _check_index(dispatcher, plan)
 
-    def test_position_updates_move_client_between_buckets(self):
+    def test_position_updates_move_client_between_areas(self):
         dispatcher = Dispatcher(DeploymentPlan(100.0))
+        pids = range(dispatcher.plan.processor_count)
         warn = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
         path = [("REG", 30.0, 1.0, ["1"]), ("POS", 25.0, 7.0, ["0", "1"]),
                 ("POS", 60.0, 0.0, ["2"]), ("POS", 60.0, 7.5, []),
                 ("POS", 125.0, 3.0, ["4"]), ("POS", 125.5, 3.0, []), ("REG", 0.0, 0.0, ["0"])]
-        for t, (verb, x, y, buckets) in enumerate(path):
-            assert dispatcher.handle_line(f"{verb} a {x} {y} {t}", print) == "OK a"
-            assert [str(pid) for pid, b in dispatcher._live.items() if "a" in b] == buckets
+        conn = _Connection()
+        for t, (verb, x, y, areas) in enumerate(path):
+            assert dispatcher.handle_line(f"{verb} a {x} {y} {t}", conn.send) == "OK a"
             _check_index(dispatcher, dispatcher.plan)
-            # an event 10 s later ages it in each of its areas; the next update moves it
-            # from there
-            for pid in range(dispatcher.plan.processor_count):
-                assert dispatcher.dispatch(warn, pid, t + 10.0) == set()
-            assert [str(pid) for pid, b in dispatcher._aged.items() if "a" in b] == buckets
+            # an event 10 s later finds it stale in every area, and one at its own
+            # time, after that, finds it in its areas alone
+            assert [dispatcher.dispatch(warn, pid, t + 10.0) for pid in pids] == [set()] * len(pids)
+            assert [str(pid) for pid in pids if dispatcher.dispatch(warn, pid, t)] == areas
             _check_index(dispatcher, dispatcher.plan)
 
-    def test_in_order_dispatch_ages_stale_records_and_earlier_event_still_warns(self):
+    def test_in_order_dispatch_skips_stale_records_and_earlier_event_still_warns(self):
         dispatcher = Dispatcher(DeploymentPlan(100.0))
         conn = _Connection()
         warn = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
         dispatcher.handle_line("REG old 30.0 1.0 0.0", conn.send)
         dispatcher.handle_line("REG new 40.0 1.0 8.0", conn.send)
         assert dispatcher.dispatch(warn, 1, 10.0) == {"new"}
-        assert set(dispatcher._aged[1]) == {"old"} and dispatcher._aged_at[1] == 10.0
         _check_index(dispatcher, dispatcher.plan)
-        # stamped before the mark: "old" is 4 s old for it and "new" 4 s ahead, both fresh
+        # stamped before it: "old" is 4 s old for it and "new" 4 s ahead, both fresh
         assert dispatcher.dispatch(warn, 1, 4.0) == {"old", "new"}
-        assert not dispatcher._aged[1] and dispatcher._aged_at[1] == 4.0
         assert conn.calls() == [["WARN 1 H approaching 10.000"],
                                 ["WARN 1 H approaching 4.000"] * 2]
         _check_index(dispatcher, dispatcher.plan)
 
-    def test_far_future_event_moves_the_mark_down_with_the_next_event(self):
+    def test_far_future_event_leaves_the_next_events_exact(self):
         plan = DeploymentPlan(100.0)
         dispatcher = Dispatcher(plan)
         conn = _Connection()
@@ -747,46 +771,42 @@ class TestAreaIndex:
         for i, t in enumerate([0.0, 3.0, 6.0, 9.0, 12.0]):
             dispatcher.handle_line(f"REG c{i} {30 + i}.0 1.0 {t}", conn.send)
         assert dispatcher.dispatch(warn, 1, 99999999.0) == set()
-        assert len(dispatcher._aged[1]) == 5
-        # normally stamped events after it: each sets aside exactly what is stale for it
-        for now in (10.0, 11.0, 15.0):
+        # normally stamped events after it: each warns exactly what is fresh for it
+        for k, now in enumerate((10.0, 11.0, 15.0, 4.0)):
             expected = members_in_area_reference(plan.processor(1), dispatcher._clients, now,
                                                  plan.freshness_window)
             assert expected and dispatcher.dispatch(warn, 1, now) == set(expected)
-            assert dispatcher._aged_at[1] == now
-            assert set(dispatcher._aged[1]) == {cid for cid, r in dispatcher._clients.items()
-                                                if now - r.t > plan.freshness_window}
+            assert conn.calls(k) == [[f"WARN 1 H approaching {now:.3f}"] * len(expected)]
             _check_index(dispatcher, plan)
 
-    def test_pos_on_aged_record_gets_the_next_warn(self):
+    def test_pos_on_stale_record_gets_the_next_warn(self):
         dispatcher = Dispatcher(DeploymentPlan(100.0))
         conn = _Connection()
         warn = DetectionResult(climax_index=8, sound_type=SoundClass.LH, direction=APPROACHING)
         dispatcher.handle_line("REG a 30.0 1.0 0.0", conn.send)
         assert dispatcher.dispatch(warn, 1, 10.0) == set()
-        assert set(dispatcher._aged[1]) == {"a"}
         assert dispatcher.handle_line("POS a 30.0 1.0 9.0", conn.send) == "OK a"  # same place
-        assert set(dispatcher._live[1]) == {"a"}
         _check_index(dispatcher, dispatcher.plan)
         assert dispatcher.dispatch(warn, 1, 11.0) == {"a"}
         assert conn.calls() == [["WARN 1 LH approaching 11.000"]]
 
     @pytest.mark.parametrize("ending", ["close", "break"])
-    def test_shared_edge_client_aged_in_one_area_is_evicted_from_both(self, ending):
+    def test_shared_edge_client_stale_in_one_area_is_evicted_from_both(self, ending):
         dispatcher = Dispatcher(DeploymentPlan(100.0))
         conn, other = _Connection(), _Connection()
         warn = DetectionResult(climax_index=8, sound_type=SoundClass.H, direction=APPROACHING)
         dispatcher.handle_line("REG edge 50.0 1.0 0.0", conn.send)  # in areas 1 and 2
         dispatcher.handle_line("REG stay 60.0 1.0 0.0", other.send)  # in area 2
         assert dispatcher.dispatch(warn, 1, 10.0) == set()
-        assert "edge" in dispatcher._aged[1] and "edge" in dispatcher._live[2]
+        assert dispatcher.dispatch(warn, 2, 0.0) == {"edge", "stay"}
         if ending == "close":
             dispatcher.drop_connection(conn.send)
         else:
             conn.broken = True
             assert dispatcher.dispatch(warn, 2, 4.0) == {"stay"}
         assert set(registry_positions(dispatcher)) == {"stay"}
-        assert not dispatcher._aged[1] and set(dispatcher._live[2]) == {"stay"}
+        assert dispatcher.dispatch(warn, 1, 0.0) == set()
+        assert dispatcher.dispatch(warn, 2, 0.0) == {"stay"}
         _check_index(dispatcher, dispatcher.plan)
 
     # (event_time, t): fl(event_time - t) is exactly +window, just past it, exactly
