@@ -89,9 +89,10 @@ def _danger_argmax(scores: np.ndarray, classes, tolerance: float = 0.0) -> list:
 # Readers of the persisted fields: each rebuilds a field from its JSON form
 # and raises ValueError when that form has the wrong type.
 
-def _numbers(ndim: int, positive: bool = False):
+def _numbers(ndim: int, positive: bool = False, least: float | None = None):
     """Reader of a field that holds finite numbers, all above 0 if
-    `positive`, in lists nested `ndim` deep."""
+    `positive` and none below `least` if given, in lists nested `ndim`
+    deep."""
     numbers = "positive finite numbers" if positive else "finite numbers"
     what = f"a list of {numbers}" if ndim == 1 else f"a list of equal-length lists of {numbers}"
 
@@ -106,13 +107,18 @@ def _numbers(ndim: int, positive: bool = False):
                 # numpy reads true/false beside numbers as 1.0/0.0
                 or any(bool in map(type, row) for row in (value if ndim == 2 else [value]))):
             raise ValueError(f"must be {what}")
+        if least is not None and not np.all(array >= least):
+            raise ValueError(f"must hold no number below {least}, got {float(array.min())}")
         return array
     return read
 
 
+_VAR_FLOOR = 1e-9  # lower bound of a Gaussian's variance, fitted or loaded
+
 _VECTOR, _MATRIX = _numbers(1), _numbers(2)
 # divisors: a standardizer's std and a Gaussian's variances
-_POSITIVE_VECTOR, _POSITIVE_MATRIX = _numbers(1, positive=True), _numbers(2, positive=True)
+_POSITIVE_VECTOR = _numbers(1, positive=True)
+_VARIANCES = _numbers(2, positive=True, least=_VAR_FLOOR)
 
 
 def _positive_int(value) -> int:
@@ -464,7 +470,7 @@ class GnbModel(_Model):
     kind = "nb"
     _FIELDS = (("mean", _VECTOR, ("d",)), ("std", _POSITIVE_VECTOR, ("d",)),
                ("classes", _classes, ("c",)), ("class_means", _MATRIX, ("c", "d")),
-               ("class_vars", _POSITIVE_MATRIX, ("c", "d")), ("log_priors", _VECTOR, ("c",)))
+               ("class_vars", _VARIANCES, ("c", "d")), ("log_priors", _VECTOR, ("c",)))
 
     def log_posteriors(self, Xs):
         out = np.empty((Xs.shape[0], len(self.classes)))
@@ -476,9 +482,6 @@ class GnbModel(_Model):
 
     def _predict(self, Xs) -> list:
         return _danger_argmax(self.log_posteriors(Xs), self.classes, tolerance=1e-9)
-
-
-_VAR_FLOOR = 1e-9  # lower bound of a fitted class variance
 
 
 def train_gnb(data: LabeledDataset) -> GnbModel:

@@ -6,12 +6,13 @@ rest value exactly there, while the received level peaks, so the detector
 uses the energy maximum as the primary cue and the frequency descent as
 its validity check.  The track and the climax need no frame labels: only
 the VOTE_WINDOW frames that end at the climax are classified, and their
-labels decide the sound type.
+labels decide the sound type.  Nor does the climax need every frame's
+frequency: a frame's hann spectrum is computed where the climax rule
+first reads its frequency, which on most clips is 9 frames around the
+energy peak.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,22 +31,74 @@ class TrackTooShortError(ValueError):
     """The frame track is too short for the requested decision."""
 
 
-@dataclass(frozen=True)
 class FrameTrack:
     """Per-frame dominant frequency and RMS energy of a clip: what the
     climax search and the direction call read.  Frame labels are not part
-    of it; `finalize_detection` takes those of the vote window."""
+    of it; `finalize_detection` takes those of the vote window.
 
-    dominant_freq: np.ndarray  # Hz per frame, median-smoothed
-    rms_energy: np.ndarray
-    bin_hz: float
+    Built from arrays, the track holds them.  `track_frames` builds one
+    from the frames instead: it holds every frame's RMS, and computes a
+    frame's hann spectrum the first time `freq_slice` or `dominant_freq`
+    reads that frame's frequency, once per frame.  Either way a frequency
+    read gives the same bits.
+    """
 
-    def __post_init__(self):
-        if len(self.dominant_freq) != len(self.rms_energy):
+    def __init__(self, dominant_freq: np.ndarray, rms_energy: np.ndarray, bin_hz: float):
+        if len(dominant_freq) != len(rms_energy):
             raise ValueError("track sequences must have equal lengths")
+        self._smoothed = dominant_freq  # Hz per frame, median-smoothed
+        self.rms_energy = rms_energy
+        self.bin_hz = bin_hz
+
+    @classmethod
+    def _of_frames(cls, frames: np.ndarray, bin_hz: float) -> FrameTrack:
+        track = cls.__new__(cls)
+        track._smoothed = None  # until every frame's frequency is read
+        track.rms_energy = np.sqrt(np.mean(frames ** 2, axis=1))
+        track.bin_hz = bin_hz
+        track._frames = frames
+        track._raw = np.empty(len(frames))  # unsmoothed Hz of the frames in _known
+        track._known = np.zeros(len(frames), dtype=bool)
+        return track
 
     def __len__(self) -> int:
-        return len(self.dominant_freq)
+        return len(self.rms_energy)
+
+    @property
+    def dominant_freq(self) -> np.ndarray:
+        """Hz per frame, median-smoothed over 3 frames."""
+        if self._smoothed is None:
+            self._smoothed = self.freq_slice(0, len(self))
+        return self._smoothed
+
+    def freq_slice(self, lo: int, hi: int) -> np.ndarray:
+        """`dominant_freq[lo:hi]` (0 <= lo < hi <= len), which reads the
+        spectra of frames lo-1..hi only."""
+        if self._smoothed is not None:
+            return self._smoothed[lo:hi]
+        start, stop = max(lo - 1, 0), min(hi + 1, len(self))
+        return _median3(self._raw_freq(start, stop))[lo - start:hi - start]
+
+    def _raw_freq(self, lo: int, hi: int) -> np.ndarray:
+        """Unsmoothed Hz of frames lo..hi-1: one `fft_magnitude` call for
+        those of them not read before."""
+        todo = lo + np.flatnonzero(~self._known[lo:hi])
+        if len(todo):
+            rows = self._frames[todo]  # a copy, windowed in place
+            rows *= features.hann_window(rows.shape[1])
+            self._raw[todo] = band_peak_hz(features.fft_magnitude(rows), TRACK_BAND, self.bin_hz)
+            self._known[todo] = True
+        return self._raw[lo:hi]
+
+
+def _band_bins(n_bins: int, band: tuple[float, float], bin_hz: float) -> tuple[int, int]:
+    """First and last of `n_bins` spectrum bins, `bin_hz` apart, inside
+    `band` (Hz); ValueError when there are none."""
+    lo_bin = int(np.ceil(band[0] / bin_hz))
+    hi_bin = min(int(np.floor(band[1] / bin_hz)), n_bins - 1)
+    if lo_bin > hi_bin:
+        raise ValueError(f"band {band} holds no spectrum bins at {bin_hz} Hz spacing")
+    return lo_bin, hi_bin
 
 
 def band_peak_hz(mags: np.ndarray, band: tuple[float, float], bin_hz: float) -> np.ndarray:
@@ -56,10 +109,7 @@ def band_peak_hz(mags: np.ndarray, band: tuple[float, float], bin_hz: float) -> 
     top (|alpha - 2 beta + gamma| > 1e-30); other rows keep k * bin_hz.
     """
     last = mags.shape[1] - 1
-    lo_bin = int(np.ceil(band[0] / bin_hz))
-    hi_bin = min(int(np.floor(band[1] / bin_hz)), last)
-    if lo_bin > hi_bin:
-        raise ValueError(f"band {band} holds no spectrum bins at {bin_hz} Hz spacing")
+    lo_bin, hi_bin = _band_bins(mags.shape[1], band, bin_hz)
     k = lo_bin + np.argmax(mags[:, lo_bin:hi_bin + 1], axis=1)
     rows = np.arange(len(k))
     # at k = 0 and k = last a neighbour index wraps around; `refine` drops those rows
@@ -74,6 +124,19 @@ def band_peak_hz(mags: np.ndarray, band: tuple[float, float], bin_hz: float) -> 
     return np.clip(freq, lo_bin * bin_hz, hi_bin * bin_hz)
 
 
+def _median3(raw: np.ndarray) -> np.ndarray:
+    """`raw` median-smoothed over 3 frames, its first and last values kept.
+
+    The median is max(min(a, b), min(max(a, b), c)), which picks out the
+    middle one of three finite values exactly, as `np.median` does,
+    without its per-call cost.
+    """
+    smoothed = raw.copy()
+    a, b, c = raw[:-2], raw[1:-1], raw[2:]
+    smoothed[1:-1] = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+    return smoothed
+
+
 def track_frames(frames: np.ndarray, sample_rate: int) -> FrameTrack:
     """Per-frame dominant frequency (within TRACK_BAND) and RMS energy of a
     (frames x samples) matrix.
@@ -81,22 +144,32 @@ def track_frames(frames: np.ndarray, sample_rate: int) -> FrameTrack:
     The frequency comes from hann-windowed spectra, which give cleaner
     peaks than the rectangular spectra the scalar features are defined on.
     The track is median-smoothed over 3 frames to knock out single-frame
-    spikes; the first and last frames keep their raw values.  The median
-    is max(min(a, b), min(max(a, b), c)), which picks out the middle one
-    of three finite values exactly, as `np.median` does, without its
-    per-call cost.
+    spikes; the first and last frames keep their raw values.  The RMS is
+    computed here; a frame's spectrum is computed where its frequency is
+    first read (see `FrameTrack`), so the track keeps the matrix, which
+    must not change while the track is read.  A band without spectrum
+    bins fails here, before any read.
     """
     X = np.asarray(frames, dtype=np.float64)
     if X.ndim != 2 or not len(X):
         raise ValueError("frames must be a non-empty matrix")
-    n = X.shape[1]
-    bin_hz = sample_rate / n
-    raw = band_peak_hz(features.fft_magnitude(X * features.hann_window(n)), TRACK_BAND, bin_hz)
-    smoothed = raw.copy()
-    a, b, c = raw[:-2], raw[1:-1], raw[2:]
-    smoothed[1:-1] = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
-    rms = np.sqrt(np.mean(X ** 2, axis=1))
-    return FrameTrack(dominant_freq=smoothed, rms_energy=rms, bin_hz=bin_hz)
+    bin_hz = sample_rate / X.shape[1]
+    _band_bins(X.shape[1] // 2 + 1, TRACK_BAND, bin_hz)
+    return FrameTrack._of_frames(X, bin_hz)
+
+
+def _descent_scores(freq: np.ndarray) -> np.ndarray:
+    """The descent score of each frame i, 3 <= i <= len - 4, of `freq`:
+    the mean frequency over frames i-3..i-1 minus the mean over i+1..i+3.
+
+    All of them come from one array of 3-frame means, each summed as
+    (a + b) + c and divided by 3, the order `np.mean` takes on a 3-value
+    slice, so every score equals the per-frame `np.mean` difference bit
+    for bit, and a frame's score is the same from any slice that holds
+    frames i-3..i+3.
+    """
+    means = (freq[:-2] + freq[1:-1] + freq[2:]) / 3.0
+    return means[:-4] - means[4:]  # [i - 3] is frame i's
 
 
 def detect_climax(track: FrameTrack) -> int:
@@ -108,22 +181,25 @@ def detect_climax(track: FrameTrack) -> int:
     3-frame frequency drop across it wins, if the track drops anywhere; if
     it drops nowhere, the energy maximum stands.
 
-    The descent score of frame i (3 <= i <= len - 4) is the mean frequency
-    over frames i-3..i-1 minus the mean over i+1..i+3.  All of them come
-    from one array of 3-frame means, each summed as (a + b) + c and divided
-    by 3, the order `np.mean` takes on a 3-value slice, so every score
-    equals the per-frame `np.mean` difference bit for bit.
+    The rule is evaluated in the order that reads the fewest frequencies:
+    an energy peak within 3 frames of either end returns with none read;
+    then the peak's own descent score, from frames peak-3..peak+3 (the
+    spectra of peak-4..peak+4); only then the flatness check and the
+    fallback, over the whole track.  Each early exit returns the energy
+    peak, as the flatness check does, so the order gives the same frame.
     """
-    if len(track) < VOTE_WINDOW:
-        raise TrackTooShortError(f"need >= {VOTE_WINDOW} frames, got {len(track)}")
-    freq = track.dominant_freq
+    n = len(track)
+    if n < VOTE_WINDOW:
+        raise TrackTooShortError(f"need >= {VOTE_WINDOW} frames, got {n}")
     energy_peak = int(np.argmax(track.rms_energy))
+    if not 3 <= energy_peak < n - 3:
+        return energy_peak
+    if _descent_scores(track.freq_slice(energy_peak - 3, energy_peak + 4))[0] > 0.0:
+        return energy_peak
+    freq = track.dominant_freq
     if float(freq.max() - freq.min()) < 2.0 * track.bin_hz:
         return energy_peak
-    means = (freq[:-2] + freq[1:-1] + freq[2:]) / 3.0
-    scores = means[:-4] - means[4:]  # scores[i - 3] is frame i's
-    if not 3 <= energy_peak < len(freq) - 3 or scores[energy_peak - 3] > 0.0:
-        return energy_peak
+    scores = _descent_scores(freq)
     best = int(np.argmax(scores))
     return 3 + best if scores[best] > 0.0 else energy_peak
 

@@ -63,6 +63,10 @@ class DeploymentPlan:
         if self.danger_length > (MAX_AREAS_AT_A_POINT - 1) * self.processor_spacing:
             raise ValueError(f"danger_length of {self.danger_length} m is longer than "
                              f"{MAX_AREAS_AT_A_POINT - 1} spacings of {self.processor_spacing} m")
+        if not math.isfinite(self.warning_distance / self.processor_spacing):
+            raise ValueError(f"warning distance min_warning_time * max_design_speed / 3.6 "
+                             f"is {self.warning_distance} m, not a finite number of "
+                             f"{self.processor_spacing} m spacings")
 
     @cached_property
     def processor_count(self) -> int:
@@ -101,17 +105,20 @@ class DeploymentPlan:
         return found
 
     @property
+    def warning_distance(self) -> float:
+        """Meters a vehicle at the design speed covers in `min_warning_time`."""
+        return self.min_warning_time * (self.max_design_speed / 3.6)
+
+    @property
     def warning_offset_areas(self) -> int:
         """How many areas downstream of a detection the warning targets.
 
         The warned pedestrians must get at least `min_warning_time` even at
         the design speed, so the target area starts
-        ceil(min_warning_time * v_max / spacing) spacings past the detector
+        ceil(warning_distance / spacing) spacings past the detector
         (3 areas, i.e. 75 m, with the defaults).
         """
-        v_mps = self.max_design_speed / 3.6
-        distance = self.min_warning_time * v_mps
-        return math.ceil(distance / self.processor_spacing - 1e-9)
+        return math.ceil(self.warning_distance / self.processor_spacing - 1e-9)
 
 
 def read_ini(path, schema: dict) -> dict:

@@ -499,6 +499,15 @@ class TestGnb:
         assert got[i_ll] == pytest.approx(expected[0], abs=1e-9)
         assert got[i_h] == pytest.approx(expected[1], abs=1e-9)
 
+    def test_floored_variance_loads(self, tmp_path):
+        # a column constant within each class fits the floor itself
+        X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 2.0], [1.0, 4.0]])
+        y = [SoundClass.LL, SoundClass.LL, SoundClass.H, SoundClass.H]
+        model = train_gnb(LabeledDataset(X, y))
+        assert model.class_vars.min() == C._VAR_FLOOR
+        save_model(tmp_path / "nb.json", model)
+        assert load_model(tmp_path / "nb.json").class_vars.tolist() == model.class_vars.tolist()
+
     def test_small_class_rejected(self):
         X = np.array([[0.0], [1.0], [2.0]])
         y = [SoundClass.H, SoundClass.H, SoundClass.LL]
@@ -997,6 +1006,9 @@ class TestModelFileFieldAgreement:
          "'class_vars': must be a list of equal-length lists of positive finite numbers"),
         ("nb", {"class_vars": [[1.0, 1.0]] * 3 + [[1.0, -1e-300]]},
          "'class_vars': must be a list of equal-length lists of positive finite numbers"),
+        # training floors a variance at 1e-9; below it the divisions overflow
+        ("nb", {"class_vars": [[1.0, 1.0]] * 3 + [[1.0, 1e-320]]},
+         "'class_vars': must hold no number below 1e-09, got 1e-320"),
     ])
     def test_sizes_that_disagree_name_the_file_and_the_field(self, tmp_path, kind, edits,
                                                               message):

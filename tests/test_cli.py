@@ -636,8 +636,11 @@ class TestDetectCommand:
         ("nb", "classes", ["H"],
          "nb model field 'class_means': has shape (4, 2), which does not fit 'classes' "
          "of shape (1,)"),
+        # it used to warn `overflow encountered in divide`, then print a DET line
+        ("nb", "class_vars", [[0.5, 0.5]] * 3 + [[0.5, 1e-320]],
+         "nb model field 'class_vars': must hold no number below 1e-09, got 1e-320"),
     ], ids=["kind", "meta", "labels", "mfcc-type", "mfcc-nan", "mfcc-fmin", "lpc-key",
-            "split-feature", "label-count", "class-count"])
+            "split-feature", "label-count", "class-count", "variance-floor"])
     def test_model_file_field_of_the_wrong_type(self, tmp_path, capsys, kind, field, value,
                                                 message):
         doc = json.loads((ROOT / "tests" / "data" / f"model_{kind}.json").read_text())

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from roadwarn import audio_io, synth
-from roadwarn.decision import (FrameTrack, TrackTooShortError, band_peak_hz, detect_climax,
-                               finalize_detection, infer_direction, track_frames,
+from roadwarn import audio_io, features, synth
+from roadwarn.decision import (VOTE_WINDOW, FrameTrack, TrackTooShortError, band_peak_hz,
+                               detect_climax, finalize_detection, infer_direction, track_frames,
                                vote_final_frames, vote_window)
 from roadwarn.labels import APPROACHING, RECEDING, UNKNOWN, DetectionResult, SoundClass
 
@@ -288,6 +288,108 @@ class TestDetectClimax:
         track = track_frames(frames, buffer.sample_rate)
         climax = detect_climax(track)
         assert abs(climax - int(truth.t_closest / 0.1)) <= 2
+
+
+def tone_frames(freqs, amps, rate=4000):
+    """0.1 s frames of sine tones: frame i at freqs[i] Hz and amplitude amps[i]."""
+    t = np.arange(rate // 10) / rate
+    return np.c_[amps] * np.sin(2 * np.pi * np.c_[freqs] * t)
+
+
+@st.composite
+def climax_frame_stacks(draw):
+    """(frames, sample_rate): 1-40 frames of tones at few distinct
+    frequencies and levels, some with noise, so that tracks shorter than 8
+    frames, energy ties, flat tracks, energy peaks within 3 frames of
+    either end and peaks whose local descent check fails are all common."""
+    count = draw(st.integers(1, 40))
+    freqs = draw(st.lists(st.one_of(st.sampled_from([300.0, 320.0, 600.0]),
+                                    st.floats(50.0, 1900.0)), min_size=count, max_size=count))
+    amps = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                         min_size=count, max_size=count))
+    rate = draw(st.sampled_from([4000, 16000]))
+    frames = tone_frames(freqs, amps, rate)
+    if draw(st.booleans()):
+        frames += np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).normal(
+            0.0, 0.1, frames.shape)
+    return frames, rate
+
+
+_RISING_AT_THE_PEAK = [300.0, 300, 300, 320, 340, 360, 330, 260, 240, 235, 233, 232]
+
+
+class TestClimaxFromFrames:
+    """`track_frames` computes a frame's spectrum where `detect_climax` first
+    reads its frequency; the climax and the track stay those of the
+    per-frame references."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=climax_frame_stacks())
+    # energy peaks within 3 frames of the start and at the last frame
+    @example(case=(tone_frames([300.0] * 12, [1.0, 2, 9, 1, 1, 1, 1, 1, 1, 1, 1, 1]), 4000))
+    @example(case=(tone_frames([300.0] * 12, np.linspace(0.1, 1.0, 12)), 4000))
+    # a flat tone: the peak's descent score is 0, and the flatness check keeps it
+    @example(case=(tone_frames([440.0] * 16, np.hanning(16) + 0.1), 4000))
+    # the frequency rises across the energy peak, so the fallback runs
+    @example(case=(tone_frames(_RISING_AT_THE_PEAK, [1.0, 1, 1, 1, 9, 1, 1, 1, 1, 1, 1, 1]),
+                   4000))
+    @example(case=(tone_frames([300.0] * 7, [1.0] * 7), 4000))  # too short
+    def test_climax_and_track_match_per_frame_references(self, case):
+        frames, rate = case
+        track = track_frames(frames, rate)
+        smoothed, rms, bin_hz = track_frames_reference(frames, rate)
+        if len(frames) < VOTE_WINDOW:
+            with pytest.raises(TrackTooShortError):
+                detect_climax(track)
+        else:
+            assert detect_climax(track) == detect_climax_reference(
+                build_track(smoothed, rms, bin_hz))
+        assert np.array_equal(track.dominant_freq, smoothed)
+        assert np.array_equal(track.rms_energy, rms)
+
+    @pytest.fixture
+    def transformed(self, monkeypatch):
+        """The row count of each `features.fft_magnitude` call."""
+        transform = features.fft_magnitude
+        rows = []
+
+        def counting(x):
+            rows.append(len(x))
+            return transform(x)
+
+        monkeypatch.setattr(features, "fft_magnitude", counting)
+        return rows
+
+    def test_local_descent_reads_nine_spectra(self, transformed):
+        profile, scenario = synth.corpus_clip_params(SoundClass.H, clip_seed=160)
+        buffer = synth.synth_passby(profile, scenario)[0]
+        frames = audio_io.frame_signal(buffer)
+        track = track_frames(frames, buffer.sample_rate)
+        assert transformed == []
+        climax = detect_climax(track)
+        assert transformed == [9]  # frames climax-4..climax+4
+        smoothed, rms, bin_hz = track_frames_reference(frames, buffer.sample_rate)
+        assert climax == detect_climax_reference(build_track(smoothed, rms, bin_hz))
+        for _ in range(2):
+            assert np.array_equal(track.dominant_freq, smoothed)
+        assert transformed == [9, 31]  # the other frames, on the first read only
+
+    def test_edge_peak_reads_no_spectrum(self, transformed):
+        # seed-0 corpus clip 165: ambient audio loudest in frame 1
+        buffer = synth.render_corpus_clip(SoundClass.NV, 1, 165)[0]
+        frames = audio_io.frame_signal(buffer)
+        track = track_frames(frames, buffer.sample_rate)
+        assert detect_climax(track) == 1
+        assert transformed == []
+        smoothed, _, _ = track_frames_reference(frames, buffer.sample_rate)
+        assert np.array_equal(track.dominant_freq, smoothed)
+        assert transformed == [40]
+
+    def test_fallback_reads_every_spectrum_once(self, transformed):
+        frames = tone_frames(_RISING_AT_THE_PEAK, [1.0, 1, 1, 1, 9, 1, 1, 1, 1, 1, 1, 1])
+        track = track_frames(frames, 4000)
+        assert detect_climax(track) != 4
+        assert transformed == [9, 3]  # frames 0..8 for the peak's score, then 9..11
 
 
 class TestInferDirection:

@@ -68,20 +68,45 @@ class TestPlanBounds:
             with pytest.raises(ValueError, match=f"is longer than 7 spacings of {spacing} m"):
                 DeploymentPlan(100 * spacing, processor_spacing=spacing, danger_length=length)
 
-    @pytest.mark.parametrize("plan_text,message", [
+    def test_warning_distance(self):
+        assert DeploymentPlan(100.0).warning_distance == 62.5
+        # 1e308 s at 75 km/h is an infinite distance, on which `warning_offset_areas`
+        # used to raise OverflowError; 8e306 s is finite, but not in 0.5 m spacings
+        for warning_time, spacing in ((1e308, 25.0), (8e306, 0.5)):
+            with pytest.raises(ValueError, match="not a finite number of"):
+                DeploymentPlan(100.0, processor_spacing=spacing, danger_length=spacing,
+                               min_warning_time=warning_time)
+        plan = DeploymentPlan(100.0, min_warning_time=8e306)
+        assert plan.warning_offset_areas == math.ceil(plan.warning_distance / 25.0)
+
+    _REFUSED = pytest.mark.parametrize("plan_text,message", [
         ("road_length = 1e9\nprocessor_spacing = 0.001\n",
          "road of 1000000000.0 m at 0.001 m spacing needs more than 100000 processors"),
         ("road_length = 100\nprocessor_spacing = 0.01\ndanger_length = 25\n",
          "danger_length of 25.0 m is longer than 7 spacings of 0.01 m"),
-    ], ids=["processors", "areas"])
+        ("road_length = 100\nmin_warning_time = 1e308\n",
+         "warning distance min_warning_time * max_design_speed / 3.6 is inf m, "
+         "not a finite number of 25.0 m spacings"),
+    ], ids=["processors", "areas", "warning"])
+
+    @_REFUSED
     def test_simulate_refuses_the_plan(self, tmp_path, capsys, plan_text, message):
         path = tmp_path / "plan.ini"
         path.write_text("[plan]\n" + plan_text)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_plan_config(path)  # before simulate builds anything from it
         script = tmp_path / "script.txt"
         script.write_text("PED p1 50 1 0\nVEHICLE H 60 0 1\n")
         assert main(["simulate", str(path), str(script)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+    @_REFUSED
+    def test_warnd_refuses_the_plan(self, tmp_path, capsys, plan_text, message):
+        from roadwarn.warnd import main as warnd_main
+
+        path = tmp_path / "plan.ini"
+        path.write_text("[plan]\n" + plan_text)
+        assert warnd_main(["--plan", str(path), "--listen", "127.0.0.1:0"]) == 2
         assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
