@@ -7,9 +7,9 @@ uses the energy maximum as the primary cue and the frequency descent as
 its validity check.  The track and the climax need no frame labels: only
 the VOTE_WINDOW frames that end at the climax are classified, and their
 labels decide the sound type.  Nor does the climax need every frame's
-frequency: a frame's hann spectrum is computed where the climax rule
-first reads its frequency, which on most clips is 9 frames around the
-energy peak.
+frequency: each frequency read computes the hann spectra it needs and
+nothing is cached, so most clips are decided from the 9 spectra around
+the energy peak.
 """
 
 from __future__ import annotations
@@ -37,28 +37,25 @@ class FrameTrack:
     of it; `finalize_detection` takes those of the vote window.
 
     Built from arrays, the track holds them.  `track_frames` builds one
-    from the frames instead: it holds every frame's RMS, and computes a
-    frame's hann spectrum the first time `freq_slice` or `dominant_freq`
-    reads that frame's frequency, once per frame.  Either way a frequency
-    read gives the same bits.
+    from the frames instead: it holds the frames and every frame's RMS,
+    and each frequency read computes the hann spectra it needs, with
+    nothing cached.  Either way a frequency read gives the same bits.
     """
 
     def __init__(self, dominant_freq: np.ndarray, rms_energy: np.ndarray, bin_hz: float):
         if len(dominant_freq) != len(rms_energy):
             raise ValueError("track sequences must have equal lengths")
         self._smoothed = dominant_freq  # Hz per frame, median-smoothed
+        self._frames = None
         self.rms_energy = rms_energy
         self.bin_hz = bin_hz
 
     @classmethod
     def _of_frames(cls, frames: np.ndarray, bin_hz: float) -> FrameTrack:
         track = cls.__new__(cls)
-        track._smoothed = None  # until every frame's frequency is read
+        track._frames = frames
         track.rms_energy = np.sqrt(np.mean(frames ** 2, axis=1))
         track.bin_hz = bin_hz
-        track._frames = frames
-        track._raw = np.empty(len(frames))  # unsmoothed Hz of the frames in _known
-        track._known = np.zeros(len(frames), dtype=bool)
         return track
 
     def __len__(self) -> int:
@@ -67,28 +64,18 @@ class FrameTrack:
     @property
     def dominant_freq(self) -> np.ndarray:
         """Hz per frame, median-smoothed over 3 frames."""
-        if self._smoothed is None:
-            self._smoothed = self.freq_slice(0, len(self))
-        return self._smoothed
+        return self.freq_slice(0, len(self))
 
     def freq_slice(self, lo: int, hi: int) -> np.ndarray:
-        """`dominant_freq[lo:hi]` (0 <= lo < hi <= len), which reads the
-        spectra of frames lo-1..hi only."""
-        if self._smoothed is not None:
+        """`dominant_freq[lo:hi]` (0 <= lo < hi <= len).  Built from frames,
+        the track computes the spectra of frames lo-1..hi in one
+        `fft_magnitude` call at each read."""
+        if self._frames is None:
             return self._smoothed[lo:hi]
         start, stop = max(lo - 1, 0), min(hi + 1, len(self))
-        return _median3(self._raw_freq(start, stop))[lo - start:hi - start]
-
-    def _raw_freq(self, lo: int, hi: int) -> np.ndarray:
-        """Unsmoothed Hz of frames lo..hi-1: one `fft_magnitude` call for
-        those of them not read before."""
-        todo = lo + np.flatnonzero(~self._known[lo:hi])
-        if len(todo):
-            rows = self._frames[todo]  # a copy, windowed in place
-            rows *= features.hann_window(rows.shape[1])
-            self._raw[todo] = band_peak_hz(features.fft_magnitude(rows), TRACK_BAND, self.bin_hz)
-            self._known[todo] = True
-        return self._raw[lo:hi]
+        rows = self._frames[start:stop] * features.hann_window(self._frames.shape[1])
+        raw = band_peak_hz(features.fft_magnitude(rows), TRACK_BAND, self.bin_hz)
+        return _median3(raw)[lo - start:hi - start]
 
 
 def _band_bins(n_bins: int, band: tuple[float, float], bin_hz: float) -> tuple[int, int]:
@@ -145,10 +132,10 @@ def track_frames(frames: np.ndarray, sample_rate: int) -> FrameTrack:
     peaks than the rectangular spectra the scalar features are defined on.
     The track is median-smoothed over 3 frames to knock out single-frame
     spikes; the first and last frames keep their raw values.  The RMS is
-    computed here; a frame's spectrum is computed where its frequency is
-    first read (see `FrameTrack`), so the track keeps the matrix, which
-    must not change while the track is read.  A band without spectrum
-    bins fails here, before any read.
+    computed here; the spectra are computed at each frequency read (see
+    `FrameTrack`), so the track keeps the matrix, which must not change
+    while the track is read.  A band without spectrum bins fails here,
+    before any read.
     """
     X = np.asarray(frames, dtype=np.float64)
     if X.ndim != 2 or not len(X):

@@ -1,5 +1,7 @@
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,9 @@ from roadwarn.decision import band_peak_hz
 from roadwarn.features import fft_magnitude
 from roadwarn.labels import DIRECTIONS, SoundClass
 from roadwarn.warnd import ProtocolError
+
+# pinned output sums; see its "about"
+GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,8 @@ from roadwarn.deployment import DeploymentPlan, load_plan_config, warning_decisi
 from roadwarn.features import LpcConfig, MfccConfig
 from roadwarn.labels import CLASS_ORDER, DetectionResult, SoundClass
 
+from conftest import GOLDEN
+
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
@@ -206,11 +208,27 @@ class TestTrainEval:
         for c in CLASS_ORDER:
             assert c.value in text.splitlines()[0]
 
-    def test_trained_tree_file_bytes(self, dt_model_file):
-        # `train --model dt` on the seed-0 CSV, measured with numpy 2.4; a tree
-        # fit does no BLAS product, so the OpenBLAS thread count cannot move it
-        assert hashlib.sha256(dt_model_file.read_bytes()).hexdigest() == \
-            "53cb747e0974123d89231d5aa809509f1e71afd26fb1b358e8e0fb753de35397"
+    @pytest.mark.parametrize("model", ["dt", "knn", "nb"])
+    def test_trained_model_file_bytes(self, features_csv, tmp_path, model):
+        # `train` on the seed-0 CSV, measured with numpy 2.4; none of these
+        # fits does a BLAS product, so the OpenBLAS thread count cannot move them
+        path = tmp_path / "model.json"
+        assert main(["train", str(features_csv), str(path), "--model", model]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN["seed0_model_file"][model]
+
+    def test_train_config_echo_bytes(self, features_csv, tmp_path, capsys):
+        # a config that sets every section: the echo gives the CSV's [features]
+        # settings, then each classifier key the file sets, in its order
+        config = tmp_path / "run.ini"
+        config.write_text("[features]\nn_coeffs = 13\nlpc_order = 12\n"
+                          "[mlp]\nhidden_units = 16\nlearning_rate = 0.5\nepochs = 300\n"
+                          "[knn]\nk = 5\n[dt]\nmax_depth = 8\n")
+        assert set(cli._read_run_config(config)) == set(cli._RUN_CONFIG_KEYS)
+        assert main(["train", str(features_csv), str(tmp_path / "nb.json"), "--model", "nb",
+                     "--config", str(config)]) == 0
+        echoed = "".join(ln + "\n" for ln in capsys.readouterr().out.splitlines()
+                         if ln.startswith("# "))
+        assert hashlib.sha256(echoed.encode()).hexdigest() == GOLDEN["train_config_echo"]
 
     def test_default_mlp_fits_the_corpus(self, features_csv, tmp_path, capsys):
         # no --config: the default learning rate must fit the seed-0 corpus

@@ -167,6 +167,19 @@ class TestTrackFrames:
         assert np.array_equal(track.rms_energy, rms)
         assert track.bin_hz == bin_hz
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=frame_matrices())
+    def test_every_slice_matches_per_frame_reference(self, case):
+        frames, rate = case
+        track = track_frames(frames, rate)
+        smoothed, _, _ = track_frames_reference(frames, rate)
+        n = len(frames)
+        for _ in range(2):  # before and after the whole track is read
+            for lo in range(n):
+                for hi in range(lo + 1, n + 1):
+                    assert np.array_equal(track.freq_slice(lo, hi), smoothed[lo:hi])
+            assert np.array_equal(track.dominant_freq, smoothed)
+
 
 def descent_score_reference(freq, idx):
     """Mean frequency over the 3 frames before idx minus the 3 after, None
@@ -319,9 +332,9 @@ _RISING_AT_THE_PEAK = [300.0, 300, 300, 320, 340, 360, 330, 260, 240, 235, 233, 
 
 
 class TestClimaxFromFrames:
-    """`track_frames` computes a frame's spectrum where `detect_climax` first
-    reads its frequency; the climax and the track stay those of the
-    per-frame references."""
+    """Each frequency read of a `track_frames` track computes the spectra it
+    needs; the climax and the track stay those of the per-frame
+    references."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=climax_frame_stacks())
@@ -372,7 +385,7 @@ class TestClimaxFromFrames:
         assert climax == detect_climax_reference(build_track(smoothed, rms, bin_hz))
         for _ in range(2):
             assert np.array_equal(track.dominant_freq, smoothed)
-        assert transformed == [9, 31]  # the other frames, on the first read only
+        assert transformed == [9, 40, 40]  # every frame, at each whole-track read
 
     def test_edge_peak_reads_no_spectrum(self, transformed):
         # seed-0 corpus clip 165: ambient audio loudest in frame 1
@@ -385,11 +398,11 @@ class TestClimaxFromFrames:
         assert np.array_equal(track.dominant_freq, smoothed)
         assert transformed == [40]
 
-    def test_fallback_reads_every_spectrum_once(self, transformed):
+    def test_fallback_reads_the_local_rows_then_every_row(self, transformed):
         frames = tone_frames(_RISING_AT_THE_PEAK, [1.0, 1, 1, 1, 9, 1, 1, 1, 1, 1, 1, 1])
         track = track_frames(frames, 4000)
         assert detect_climax(track) != 4
-        assert transformed == [9, 3]  # frames 0..8 for the peak's score, then 9..11
+        assert transformed == [9, 12]  # frames 0..8 for the peak's score, then all 12
 
 
 class TestInferDirection:
