@@ -6,11 +6,12 @@ inputs with statistics frozen at training time, so rescaling any raw input
 dimension by a positive constant never changes a prediction.  The models
 share one predict path and one file codec (`_Model`): `predict_batch` takes
 a (rows x features) array, rejects a width other than the model's and rows
-that are not finite once z-scored, and hands the z-scored rows to the
-model's own `_predict`; `to_dict`/`from_dict` write and read the fields a
-model class lists, in that order.  Ties anywhere (vote counts, equal
-posteriors, equal leaf majorities) resolve toward the more dangerous class:
-LH > H > LL > NV.  A warning system should err on the side of warning.
+that, z-scored, are not finite or exceed `_QUERY_Z_MAX`, and hands the
+z-scored rows to the model's own `_predict`; `to_dict`/`from_dict` write
+and read the fields a model class lists, in that order.  Ties anywhere
+(vote counts, equal posteriors, equal leaf majorities) resolve toward the
+more dangerous class: LH > H > LL > NV.  A warning system should err on
+the side of warning.
 """
 
 from __future__ import annotations
@@ -65,9 +66,11 @@ def _standardize(X, mean, std) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != len(mean):
         raise ValueError(f"model expects rows of {len(mean)} features, "
                          f"got an array of shape {X.shape}")
-    Xs = (X - mean) / std
-    if not np.all(np.isfinite(Xs)):
-        raise ValueError("query features must be finite")
+    with np.errstate(over="ignore"):  # an infinite z-score is refused below
+        Xs = (X - mean) / std
+    if not np.all(np.abs(Xs) <= _QUERY_Z_MAX):  # nor is NaN
+        raise ValueError(f"query features must be finite and within {_QUERY_Z_MAX:.3g} standard "
+                         f"deviations of the training mean, got {np.abs(Xs).max():.3g}")
     return Xs
 
 
@@ -89,10 +92,10 @@ def _danger_argmax(scores: np.ndarray, classes, tolerance: float = 0.0) -> list:
 # Readers of the persisted fields: each rebuilds a field from its JSON form
 # and raises ValueError when that form has the wrong type.
 
-def _numbers(ndim: int, positive: bool = False, least: float | None = None):
+def _numbers(ndim: int, positive: bool = False, least: float = -math.inf, most: float = math.inf):
     """Reader of a field that holds finite numbers, all above 0 if
-    `positive` and none below `least` if given, in lists nested `ndim`
-    deep."""
+    `positive`, none below `least` and none above `most` in magnitude, in
+    lists nested `ndim` deep."""
     numbers = "positive finite numbers" if positive else "finite numbers"
     what = f"a list of {numbers}" if ndim == 1 else f"a list of equal-length lists of {numbers}"
 
@@ -107,18 +110,26 @@ def _numbers(ndim: int, positive: bool = False, least: float | None = None):
                 # numpy reads true/false beside numbers as 1.0/0.0
                 or any(bool in map(type, row) for row in (value if ndim == 2 else [value]))):
             raise ValueError(f"must be {what}")
-        if least is not None and not np.all(array >= least):
+        if not np.all(array >= least):
             raise ValueError(f"must hold no number below {least}, got {float(array.min())}")
+        if not np.all(np.abs(array) <= most):
+            raise ValueError(f"must hold no magnitude above {most}, got {np.abs(array).max()}")
         return array
     return read
 
 
 _VAR_FLOOR = 1e-9  # lower bound of a Gaussian's variance, fitted or loaded
+# What training writes: a nonzero std is at least sqrt(2**-1074), and a z-score
+# (one term of its column's sum of squares, n), a class mean and the root of a
+# class variance are at most sqrt(n) < 2**30, with room for rounding.  Queries
+# are held to 2**256: squared, over _VAR_FLOOR, summed over under 2**60 columns,
+# that is finite, and a constant column's rounding-size std gives about 1e17.
+_STD_FLOOR, _Z_MAX, _QUERY_Z_MAX = 2.0 ** -537, 2.0 ** 31, 2.0 ** 256
 
-_VECTOR, _MATRIX = _numbers(1), _numbers(2)
+_VECTOR, _MATRIX, _Z_MATRIX = _numbers(1), _numbers(2), _numbers(2, most=_Z_MAX)
 # divisors: a standardizer's std and a Gaussian's variances
-_POSITIVE_VECTOR = _numbers(1, positive=True)
-_VARIANCES = _numbers(2, positive=True, least=_VAR_FLOOR)
+_POSITIVE_VECTOR = _numbers(1, positive=True, least=_STD_FLOOR)
+_VARIANCES = _numbers(2, positive=True, least=_VAR_FLOOR, most=_Z_MAX ** 2)
 
 
 def _positive_int(value) -> int:
@@ -404,7 +415,7 @@ class KnnModel(_Model):
     kind = "knn"
     _FIELDS = (("k", _positive_int, None), ("mean", _VECTOR, ("d",)),
                ("std", _POSITIVE_VECTOR, ("d",)),
-               ("Xs", _MATRIX, ("n", "d")), ("labels", _classes, ("n",)))
+               ("Xs", _Z_MATRIX, ("n", "d")), ("labels", _classes, ("n",)))
 
     _QUERY_BLOCK = 256  # a 256 x 7,000 distance block is 14 MB
     _MARGIN = 1e-9
@@ -435,11 +446,7 @@ class KnnModel(_Model):
             kth = np.partition(approx, self.k - 1, axis=1)[:, self.k - 1]
             limits = kth + self._MARGIN * (np.sqrt(q_sq) + self._max_norm) ** 2
             for q, row, limit in zip(block, approx, limits):
-                if np.isfinite(limit):
-                    candidates = np.flatnonzero(row <= limit)
-                else:  # |q| near the float range: measure every row
-                    candidates = np.arange(len(row))
-                out.append(self._vote(q, candidates))
+                out.append(self._vote(q, np.flatnonzero(row <= limit)))
         return out
 
     def _vote(self, q, candidates) -> SoundClass:
@@ -469,7 +476,7 @@ def train_knn(data: LabeledDataset, k: int = 5) -> KnnModel:
 class GnbModel(_Model):
     kind = "nb"
     _FIELDS = (("mean", _VECTOR, ("d",)), ("std", _POSITIVE_VECTOR, ("d",)),
-               ("classes", _classes, ("c",)), ("class_means", _MATRIX, ("c", "d")),
+               ("classes", _classes, ("c",)), ("class_means", _Z_MATRIX, ("c", "d")),
                ("class_vars", _VARIANCES, ("c", "d")), ("log_priors", _VECTOR, ("c",)))
 
     def log_posteriors(self, Xs):

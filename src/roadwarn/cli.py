@@ -8,7 +8,6 @@ Subcommands:
     eval      cross-validated metrics report (or --compare grid)
     detect    run the full three-phase pipeline on one WAV
     simulate  replay a scripted scenario against an in-process dispatcher
-    serve     run the TCP warning service
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -107,7 +106,10 @@ def cmd_extract(args) -> int:
         buffer = audio_io.load_wav(path)
         frames = audio_io.frame_signal(buffer)
         with np.errstate(all="ignore"):  # a non-finite feature is refused below
-            clip = features.extract_features(frames, buffer.sample_rate, *configs)
+            try:
+                clip = features.extract_features(frames, buffer.sample_rate, *configs)
+            except features.BandError as exc:
+                raise ValueError(f"{args.config}: [features] {exc} in {path}") from None
         bad = np.argwhere(~np.isfinite(clip))
         if len(bad):
             frame, col = bad[0]
@@ -218,7 +220,10 @@ def detect_buffer(buffer: audio_io.SampleBuffer, model, feature_set: str = "all"
 def cmd_detect(args) -> int:
     model, feature_set, settings = classifiers.load_model_and_meta(args.model_file)
     buffer = audio_io.load_wav(args.wav)
-    result, _ = detect_buffer(buffer, model, feature_set, *features.configs_of(settings))
+    try:
+        result, _ = detect_buffer(buffer, model, feature_set, *features.configs_of(settings))
+    except features.BandError as exc:
+        raise ValueError(f"{args.model_file}: meta mfcc: {exc} in {args.wav}") from None
     print(result.to_line())
     if warning_decision(result):
         print(warnd.warn_line(result, 0, result.climax_index * audio_io.DEFAULT_FRAME_SECONDS))
@@ -362,10 +367,6 @@ def build_parser() -> warnd.UsageParser:
     p.add_argument("script", help="PED/VEHICLE scenario script")
     p.add_argument("--report", help="also write the event log to this file")
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("serve", help="run the TCP warning service")
-    warnd.add_arguments(p)
-    p.set_defaults(func=warnd.serve)
 
     return parser
 

@@ -42,6 +42,10 @@ def _check_numbers(config) -> None:
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
+class BandError(ValueError):
+    """An MFCC band that the sample rate of the frames cannot hold."""
+
+
 @dataclass(frozen=True)
 class MfccConfig:
     n_filters: int = 26
@@ -59,13 +63,6 @@ class MfccConfig:
             raise ValueError(f"fmin must be >= 0, got {self.fmin}")
         if self.log_floor <= 0:
             raise ValueError("log_floor must be positive")
-
-    def resolve_fmax(self, sample_rate: int) -> float:
-        nyquist = sample_rate / 2.0
-        fmax = nyquist if self.fmax is None else self.fmax
-        if not (self.fmin < fmax <= nyquist):
-            raise ValueError(f"need fmin < fmax <= Nyquist, got [{self.fmin}, {fmax}]")
-        return fmax
 
 
 @dataclass(frozen=True)
@@ -188,7 +185,10 @@ def mfcc(frames: np.ndarray, sample_rate: int, config: MfccConfig = MfccConfig()
     n = x.shape[-1]
     if n < 2:
         raise ValueError("frame too short for MFCC")
-    fmax = config.resolve_fmax(sample_rate)
+    nyquist = sample_rate / 2.0
+    fmax = nyquist if config.fmax is None else config.fmax
+    if not (config.fmin < fmax <= nyquist):
+        raise BandError(f"need fmin < fmax <= {nyquist} Hz (Nyquist), got [{config.fmin}, {fmax}]")
     emphasized = np.empty_like(x)
     emphasized[..., 0] = x[..., 0]
     emphasized[..., 1:] = x[..., 1:] - config.pre_emphasis * x[..., :-1]

@@ -366,15 +366,16 @@ class WarnServer:
         self._feed, self._out, self._err = feed, out, err
         self._feed_rest = b""  # the feed's unfinished last line
         self._feed_open = True
+        # epoll's wait costs the ready descriptors, poll(2)'s every
+        # registered one; only poll takes a regular file or /dev/null
         self._selector = selectors.DefaultSelector()
-        self._selector.register(self.socket, selectors.EVENT_READ)
         try:
             self._selector.register(feed, selectors.EVENT_READ)
-            self._feed_polled = True
         except PermissionError:
-            # epoll refuses a regular file or /dev/null; a read of either
-            # never blocks, so the loop reads it on every turn
-            self._feed_polled = False
+            self._selector.close()
+            self._selector = selectors.PollSelector()
+            self._selector.register(feed, selectors.EVENT_READ)
+        self._selector.register(self.socket, selectors.EVENT_READ)
         self._connections = set()
         self._accepting = True
         self._stalled = set()  # connections whose outbox a write did not empty
@@ -388,13 +389,11 @@ class WarnServer:
         self.socket.close()
 
     def run(self) -> None:
-        """Serve until the feed ends.  With no stalled outbox, and a feed the
-        selector can watch, the loop waits with no timeout."""
+        """Serve until the feed ends.  With no stalled outbox the loop waits
+        with no timeout."""
         while self._feed_open:
             timeout = None
-            if not self._feed_polled:
-                timeout = 0.0
-            elif self._stalled:
+            if self._stalled:
                 first = min(conn.stalled_since for conn in self._stalled)
                 timeout = max(0.0, first + WRITE_TIMEOUT_S - time.monotonic())
             for key, _ in self._selector.select(timeout):
@@ -409,8 +408,6 @@ class WarnServer:
                     self._flush(conn)  # writable again, or failed
                 else:
                     self._read(conn)
-            if not self._feed_polled:
-                self._read_feed()
             if self._stalled:
                 now = time.monotonic()
                 for conn in [c for c in self._stalled
@@ -533,17 +530,15 @@ class UsageParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """The options of `warnd` and of `roadwarn serve`."""
-    parser.add_argument("--plan", required=True, help="INI deployment plan")
-    parser.add_argument("--listen", required=True, type=parse_listen, help="addr:port to bind")
-
-
-def serve(args) -> int:
-    """Run the TCP service for the plan file `args.plan` on the (host, port)
-    `args.listen`, on this thread, until stdin, the EVENT feed, ends.  A plan
+def main(argv=None) -> int:
+    """Run the TCP service for the plan file `--plan` on the `addr:port`
+    `--listen`, on this thread, until stdin, the EVENT feed, ends.  A plan
     that does not load or an address that does not bind returns 2, after one
     `error:` line on stderr."""
+    parser = UsageParser(prog="warnd", description="geofenced pedestrian warning dispatcher")
+    parser.add_argument("--plan", required=True, help="INI deployment plan")
+    parser.add_argument("--listen", required=True, type=parse_listen, help="addr:port to bind")
+    args = parser.parse_args(argv)
     try:
         server = WarnServer(args.listen, load_plan_config(args.plan), sys.stdin, sys.stdout,
                             sys.stderr)
@@ -568,12 +563,6 @@ def parse_listen(text: str) -> tuple[str, int]:
     if not host or not port.isdigit() or int(port) > 65535:
         raise argparse.ArgumentTypeError(f"must be addr:port, got {text!r}")
     return host, int(port)
-
-
-def main(argv=None) -> int:
-    parser = UsageParser(prog="warnd", description="geofenced pedestrian warning dispatcher")
-    add_arguments(parser)
-    return serve(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

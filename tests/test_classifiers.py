@@ -385,12 +385,19 @@ class TestKnn:
         queries[::50] = data.X[:12]  # queries that sit on training rows
         assert model.predict_batch(queries) == knn_reference(model, queries)
 
-    def test_query_beyond_squared_range_measures_every_row(self):
-        data = blobs(seed=4, per_class=5)
-        model = train_knn(data, k=3)
-        far = np.array([[1e200, 0.0], [0.0, 0.0]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert model.predict_batch(far) == knn_reference(model, far)
+    # past _QUERY_Z_MAX a squared distance could overflow; every model shares it
+    @pytest.mark.parametrize("name", C.CLASSIFIER_NAMES)
+    def test_query_beyond_squared_range_is_refused(self, name):
+        tiny = 1e-160  # a std that training writes
+        X = np.array([[-tiny, 0.0], [tiny, 1.0]] * 3)
+        model = make_trainer(name, **({"epochs": 20} if name == "mlp" else {}))(
+            LabeledDataset(X, [SoundClass.H, SoundClass.LL] * 3))
+        assert model.std[0] < 1e-150 and len(model.predict_batch(X)) == 6
+        for far in (1.0, 1e200):
+            with pytest.raises(ValueError, match=r"^query features must be finite and within "
+                                                 r"1.16e\+77 standard deviations of the "
+                                                 r"training mean, got (1e\+160|inf)$"):
+                model.predict_batch(np.array([[0.0, 0.0], [far, 0.0]]))
 
     # every model shares KNN's check; the KNN cases keep their bare ids
     @pytest.mark.parametrize("name,bad", [
@@ -1027,3 +1034,17 @@ class TestModelFileFieldAgreement:
         path = tmp_path / f"model_{kind}.json"
         path.write_text(json.dumps(dict(_GOLDEN_DOCS[kind], **edits)))
         assert load_model(path).predict_batch(TestGoldenModelFiles.PROBES)
+
+    def test_models_trained_at_the_std_floor_load(self, tmp_path):
+        # column 0 has the least positive variance, so its std is the floor;
+        # column 1's one outlier is as many stds out as 6 rows allow
+        a = math.sqrt(math.ulp(0.0))
+        X = np.array([[-a, 0.0], [a, 0.0], [-a, 0.0], [a, 0.0], [-a, 0.0], [a, 1.0]])
+        data = LabeledDataset(X, [SoundClass.H] * 3 + [SoundClass.LL] * 3)
+        for model in (train_knn(data, k=1), train_gnb(data)):
+            assert model.std[0] == C._STD_FLOOR
+            save_model(tmp_path / "model.json", model)
+            loaded = load_model(tmp_path / "model.json")
+            assert loaded.predict_batch(X) == model.predict_batch(X)
+            with pytest.raises(ValueError, match="standard deviations of the training mean"):
+                loaded.predict_batch([[1.0, 0.0]])  # 2**537 stds out

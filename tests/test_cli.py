@@ -4,7 +4,6 @@ import inspect
 import json
 import os
 import re
-import socket
 import subprocess
 import sys
 from dataclasses import asdict
@@ -143,7 +142,10 @@ class TestExtractCommand:
     @pytest.mark.parametrize("setting, message", [
         ("pre_emphasis = 1e300", "{wav}: mfcc0 of frame 0 is not finite, got nan"),
         ("fmin = -800", "{config}: [features] fmin must be >= 0, got -800.0"),
-    ], ids=["pre-emphasis", "fmin"])
+        # the config does not know the sample rate: the first clip finds it
+        ("fmax = 50000", "{config}: [features] need fmin < fmax <= 8000.0 Hz (Nyquist), "
+                         "got [0.0, 50000.0] in {wav}"),
+    ], ids=["pre-emphasis", "fmin", "fmax"])
     def test_settings_that_give_no_finite_features_write_no_csv(
             self, corpus_dir, tmp_path, capsys, setting, message):
         # both used to write a CSV: of NaN, which train refused, or of MFCCs
@@ -503,6 +505,7 @@ class TestTrainEval:
         report = tmp_path / "grid.txt"
         assert main(["eval", str(csv), "--compare", "--folds", "2",
                      "--report", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN["compare_report"]
         lines = report.read_text().strip().splitlines()
         assert lines[0].split() == ["classifier", "five", "cepstral", "all"]
         assert len(lines) == 5
@@ -565,7 +568,9 @@ class TestDetectCommand:
         buffer, _ = synth.synth_passby(profile, scenario)
         wav = self._render_wav(tmp_path, "h.wav", buffer)
         assert main(["detect", str(wav), str(dt_model_file)]) == 0
-        out = capsys.readouterr().out.strip().splitlines()
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN["detect_stdout"]["h_160"]
+        out = stdout.strip().splitlines()
         parts = out[0].split()
         assert parts[0] == "DET" and parts[2] == "H" and parts[3] == "approaching"
         climax = int(parts[1])
@@ -574,7 +579,9 @@ class TestDetectCommand:
     def test_birds_clip_no_warning(self, dt_model_file, tmp_path, capsys):
         wav = self._render_wav(tmp_path, "birds.wav", synth.synth_nv("birds", 4.0, 3))
         assert main(["detect", str(wav), str(dt_model_file)]) == 0
-        out = capsys.readouterr().out.strip().splitlines()
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN["detect_stdout"]["birds"]
+        out = stdout.strip().splitlines()
         assert out[0].split()[2] == "NV"
         assert len(out) == 1  # no WARN line
 
@@ -606,6 +613,31 @@ class TestDetectCommand:
         inside = climax - VOTE_WINDOW + 1
         assert main(["detect", str(zeroed(inside)), str(dt_model_file)]) == 2
         assert capsys.readouterr() == ("", "error: cannot fit LPC to a silent frame\n")
+
+    def test_model_band_past_the_nyquist_frequency_names_both_files(self, dt_model_file,
+                                                                    tmp_path, capsys):
+        doc = json.loads(dt_model_file.read_text())
+        doc["meta"]["mfcc"]["fmax"] = 50000.0
+        model = tmp_path / "dt.json"
+        model.write_text(json.dumps(doc))
+        wav = self._render_wav(tmp_path, "birds.wav", synth.synth_nv("birds", 4.0, 3))
+        assert main(["detect", str(wav), str(model)]) == 2
+        assert capsys.readouterr() == ("", f"error: {model}: meta mfcc: need fmin < fmax <= "
+                                           f"8000.0 Hz (Nyquist), got [0.0, 50000.0] in {wav}\n")
+
+    def test_clip_past_the_z_score_bound_is_a_data_error(self, dt_model_file, tmp_path, capsys):
+        # training can write a std of 1e-160; a clip's feature then lies about
+        # 1e160 stds out, where a square used to overflow
+        doc = json.loads(dt_model_file.read_text())
+        doc["std"][0] = 1e-160
+        model = tmp_path / "dt.json"
+        model.write_text(json.dumps(doc))
+        wav = self._render_wav(tmp_path, "birds.wav", synth.synth_nv("birds", 4.0, 3))
+        assert main(["detect", str(wav), str(model)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(r"error: query features must be finite and within "
+                                          r"1.16e\+77 standard deviations of the training "
+                                          r"mean, got \S+\n", err)
 
     def test_model_file_that_is_not_an_object(self, features_csv, tmp_path, capsys):
         wav = self._render_wav(tmp_path, "birds.wav", synth.synth_nv("birds", 4.0, 3))
@@ -657,8 +689,19 @@ class TestDetectCommand:
         # it used to warn `overflow encountered in divide`, then print a DET line
         ("nb", "class_vars", [[0.5, 0.5]] * 3 + [[0.5, 1e-320]],
          "nb model field 'class_vars': must hold no number below 1e-09, got 1e-320"),
+        # these three warned `overflow encountered in square` or `in divide`, and
+        # the first two then printed a DET line
+        ("nb", "class_means", [[1e200, -1.0]] + [[0.5, 0.5]] * 3,
+         "nb model field 'class_means': must hold no magnitude above 2147483648.0, "
+         "got 1e+200"),
+        ("knn", "Xs", [[1e200, -1.0]] + [[0.5, 0.5]] * 7,
+         "knn model field 'Xs': must hold no magnitude above 2147483648.0, got 1e+200"),
+        ("knn", "std", [1.0, 1e-320],
+         "knn model field 'std': must hold no number below 2.2227587494850775e-162, "
+         "got 1e-320"),
     ], ids=["kind", "meta", "labels", "mfcc-type", "mfcc-nan", "mfcc-fmin", "lpc-key",
-            "split-feature", "label-count", "class-count", "variance-floor"])
+            "split-feature", "label-count", "class-count", "variance-floor", "class-mean-bound",
+            "z-score-bound", "std-floor"])
     def test_model_file_field_of_the_wrong_type(self, tmp_path, capsys, kind, field, value,
                                                 message):
         doc = json.loads((ROOT / "tests" / "data" / f"model_{kind}.json").read_text())
@@ -669,7 +712,8 @@ class TestDetectCommand:
         wav = self._render_wav(tmp_path, "birds.wav", synth.synth_nv("birds", 4.0, 3))
         assert main(["detect", str(wav), str(model)]) == 2
         assert main(["eval", str(csv), "--model-file", str(model)]) == 2
-        assert capsys.readouterr().err.splitlines() == [f"error: {model}: {message}"] * 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: {model}: {message}"] * 2
 
 
 class TestDetectBuffer:
@@ -1062,24 +1106,6 @@ class TestImports:
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
-
-
-class TestServeCommand:
-    @pytest.mark.parametrize("listen", ["nonsense", "127.0.0.1:99999"])
-    def test_bad_listen_argument(self, plan_file, capsys, listen):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["serve", "--plan", str(plan_file), "--listen", listen])
-        assert exit_info.value.code == 1
-        assert capsys.readouterr().err.endswith(
-            f"roadwarn serve: error: argument --listen: must be addr:port, got {listen!r}\n")
-
-    def test_port_in_use_is_a_data_error(self, plan_file, capsys):
-        with socket.create_server(("127.0.0.1", 0)) as taken:
-            listen = f"127.0.0.1:{taken.getsockname()[1]}"
-            assert main(["serve", "--plan", str(plan_file), "--listen", listen]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestExitCodes:

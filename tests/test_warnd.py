@@ -1416,8 +1416,9 @@ class TestStandaloneService:
         assert proc.returncode == 0
 
     def test_file_and_dev_null_feeds(self, tmp_path):
-        # epoll refuses to watch a regular file or /dev/null: warnd reads
-        # them plainly, reports on each EVENT line and exits at their end
+        # epoll refuses a regular file or /dev/null, so warnd waits on
+        # either with poll(2), which finds it always readable: warnd reports
+        # on each EVENT line and exits at their end
         events = tmp_path / "events.txt"
         events.write_text("EVENT 2 H approaching 3.000\n# a comment\n\n"
                           "EVENT 9 H approaching 3.000\nEVENT 2 LL approaching 3.000\r\n"
